@@ -18,6 +18,7 @@ regenerating them.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import shutil
@@ -264,22 +265,14 @@ def _check_fidelity(spec: WorkloadSpec, paper_fidelity: bool) -> None:
                          "workloads")
 
 
-class _pool_dir:
-    """Context: the given pool directory, or a temporary one per run."""
-
-    def __init__(self, path):
-        self._given = path
-        self._tmp = None
-
-    def __enter__(self):
-        if self._given is not None:
-            return Path(self._given)
-        self._tmp = tempfile.TemporaryDirectory(prefix="remfio-pool-")
-        return Path(self._tmp.name)
-
-    def __exit__(self, *exc):
-        if self._tmp is not None:
-            self._tmp.cleanup()
+@contextlib.contextmanager
+def _pool_dir(path):
+    """The given pool directory, or a temporary one for the run."""
+    if path is not None:
+        yield Path(path)
+        return
+    with tempfile.TemporaryDirectory(prefix="remfio-pool-") as tmp:
+        yield Path(tmp)
 
 
 def _run_once(spec, seed, rep, pool_dir, queue_model, disk, wall_clock=False):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .bench import (
     MiB,
+    SWEEP_AXES,
     WorkloadSpec,
     axis_label,
     emit_csv,
@@ -145,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="run once per axis value")
     _add_spec_args(sweep)
     sweep.add_argument("--axis", required=True,
-                       choices=["clients", "mode", "iobufsize", "window"])
+                       choices=SWEEP_AXES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values")
     sweep.set_defaults(func=_cmd_sweep)

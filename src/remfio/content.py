@@ -9,7 +9,7 @@ field carried in namespace replies.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -36,16 +36,9 @@ def content_chunks(seed: int, index: int, size: int,
         remaining -= n
 
 
-def checksum_chunks(chunks: Iterable[bytes]) -> int:
-    """64-bit digest over a chunk iterator, without materializing the file."""
-    h = hashlib.blake2b(digest_size=8)
-    for chunk in chunks:
-        h.update(chunk)
-    return int.from_bytes(h.digest(), "big")
-
-
 def checksum_bytes(data: bytes) -> int:
-    return checksum_chunks((data,))
+    """64-bit blake2b digest of data, as DiskServer.import_file computes it."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 def file_content(seed: int, index: int, size: int) -> bytes:

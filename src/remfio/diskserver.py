@@ -7,9 +7,9 @@ Every session runs a small three-task pipeline on the server side:
 The reader charges the disk cost model (seek latency on discontiguous
 access, shared sequential bandwidth round-robined across sessions) and the
 sender handles per-connection flow-control credits. Pushed streams carry an
-epoch tag; ControlInterrupt, a new request, or a seek bumps the session
-epoch, which makes the reader abandon the push and the sender drop whatever
-stale chunks are already in the pipe. Bytes count toward bytes_sent_wire
+epoch tag; ControlInterrupt or a new request bumps the session epoch,
+which makes the reader abandon the push and the sender drop whatever stale
+chunks are already in the pipe. Bytes count toward bytes_sent_wire
 only when they actually go out on the wire.
 
 Pool layout on disk: flat files named by a hash of the namespace path, plus
@@ -36,7 +36,6 @@ from .wire import (
     OpenRequest,
     ReadMode,
     ReadRequest,
-    SeekRequest,
     StreamStart,
 )
 
@@ -96,13 +95,11 @@ class DiskServer:
         self.pool: dict[str, PoolFile] = {}
         self._pump = runtime.rate_limiter(disk.sequential_bandwidth)
         self.sessions: dict[int, _Session] = {}
-        self.session_stats: dict[int, dict] = {}
         self.counters = {
             "opens_ok": 0,
             "auth_failures": 0,
             "stale_replicas": 0,
             "protocol_errors": 0,
-            "range_errors": 0,
         }
         if self._manifest.exists():
             self._load_pool()
@@ -216,8 +213,6 @@ class DiskServer:
                     session.request_range(msg.offset, msg.length)
                 elif isinstance(msg, StreamStart):
                     self._start_stream(session, conn, msg.offset)
-                elif isinstance(msg, SeekRequest):
-                    session.request_seek(msg.offset)
                 elif isinstance(msg, ControlInterrupt):
                     session.interrupt()
                 elif isinstance(msg, CloseRequest):
@@ -276,10 +271,6 @@ class DiskServer:
         if self.sessions.get(session.handle_id) is session:
             del self.sessions[session.handle_id]
         session.shutdown()
-        self.session_stats[session.handle_id] = {
-            "mode": session.mode,
-            "bytes_sent_wire": session.bytes_sent_wire,
-        }
         session.control_conn.close()
         if session.data_conn is not None:
             session.data_conn.close()
@@ -332,22 +323,6 @@ class _Session:
         self.stream_active = True
         self._jobs.put(("stream", self.epoch, offset))
 
-    def request_seek(self, offset: int) -> None:
-        if not 0 <= offset <= self.size:
-            self._server.counters["range_errors"] += 1
-            try:
-                self.control_conn.send(ErrorReply(
-                    ErrorCode.RANGE, f"seek to {offset} of {self.size}"))
-            except TransportError:
-                pass
-            return
-        if self.mode is ReadMode.STREAM:
-            # seek while pushing = interrupt, then restart at the new offset
-            self.interrupt()
-            self.request_stream(offset)
-        else:
-            self._jobs.put(("seek", offset))
-
     def interrupt(self) -> None:
         self.epoch += 1
         self.stream_active = False
@@ -377,12 +352,7 @@ class _Session:
                 if kind == "close":
                     self._chunks.put(("end",))
                     return
-                if kind == "seek":
-                    # pre-positions the head; ack is an empty chunk there
-                    self.current_offset = job[1]
-                    self._chunks.put(
-                        ("data", None, self.control_conn, job[1], b""))
-                elif kind == "range":
+                if kind == "range":
                     self._serve_range(job[1], job[2], chunk_cap)
                 elif kind == "stream":
                     self._serve_stream(job[1], job[2], chunk_cap)

@@ -10,9 +10,11 @@ Two listeners, by default on the conventional ports:
   - 5010: namespace lookups (NsLookup -> NsLookupReply)
   - 5015: open brokering (OpenRequest -> OpenReply after queue + service)
 
-Authorization is a static shared token on the open path; a successful open
-mints a per-session token (keyed MAC over the handle id) that the disk
-server can verify on its own, without a callback to the headnode.
+Authorization is a static shared token on the open path. A successful open
+replies with a fresh handle id and nothing else: the headnode does not mint
+a session token. The client derives session_token(handle_id, shared) itself,
+a keyed MAC over the handle id, and the disk server verifies it on its own,
+without a callback to the headnode.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from .errors import (
     AlreadyRegisteredError,
     ConnectionClosedError,
     NotFoundError,
-    QueueOverflowError,
     TransportError,
 )
 from .wire import (
@@ -73,33 +74,20 @@ class NamespaceEntry:
     checksum: int
 
 
-@dataclass
-class OpenTicket:
-    """Referral minted per successful open; token authorizes the session."""
-
-    handle_id: int
-    replica_address: str
-    token: str
-    issued_at: float
-
-
 @dataclass(frozen=True)
 class OpenQueueModel:
     """Fixed-service-time queue in front of the open path.
 
-    workers=1 reproduces the serialized open behaviour; queue_cap bounds how
-    many opens may wait before new ones are rejected outright.
+    One worker serves the queue, so opens are serialized; queue_cap bounds
+    how many opens may wait before new ones are rejected outright.
     """
 
     service_time_per_open: float = 0.050
-    workers: int = 1
     queue_cap: int = 1024
 
     def __post_init__(self) -> None:
         if self.service_time_per_open <= 0:
             raise ValueError("service_time_per_open must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
         if self.queue_cap < 1:
             raise ValueError("queue_cap must be at least 1")
 
@@ -121,7 +109,6 @@ class Headnode:
         self.open_port = open_port
         self.queue_model = queue_model
         self._namespace: dict[str, NamespaceEntry] = {}
-        self._tickets: dict[int, OpenTicket] = {}
         self._handle_ids = itertools.count(1)
         self._queue = runtime.channel(capacity=queue_model.queue_cap)
         self._manifest_path = manifest_path
@@ -139,11 +126,10 @@ class Headnode:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Register both listeners and start the open worker(s)."""
+        """Register both listeners and start the open worker."""
         self._net.listen(f"{self.host}:{self.ns_port}", self._serve_namespace)
         self._net.listen(f"{self.host}:{self.open_port}", self._serve_opens)
-        for i in range(self.queue_model.workers):
-            self._rt.spawn(self._open_worker, name=f"head-open-{i}")
+        self._rt.spawn(self._open_worker, name="head-open")
 
     @property
     def ns_address(self) -> str:
@@ -176,10 +162,6 @@ class Headnode:
     def namespace_size(self) -> int:
         return len(self._namespace)
 
-    def tickets(self) -> dict[int, OpenTicket]:
-        """Snapshot of every ticket issued so far, keyed by handle id."""
-        return dict(self._tickets)
-
     def _load_manifest(self) -> None:
         with open(self._manifest_path, "r", encoding="utf-8") as f:
             for line in f:
@@ -191,18 +173,6 @@ class Headnode:
                     path, int(size), replica, int(checksum))
 
     # -- open path ---------------------------------------------------------
-
-    def broker_open(self, request: OpenRequest) -> OpenTicket:
-        """In-process open: same queue and service delay as the wire path."""
-        reply = self._rt.channel(capacity=1)
-        if not self._queue.try_put(("local", request, reply)):
-            self.counters["queue_overflow"] += 1
-            self.counters["open_errors"] += 1
-            raise QueueOverflowError("open queue full")
-        result = reply.get()
-        if isinstance(result, Exception):
-            raise result
-        return result
 
     def _serve_namespace(self, conn) -> None:
         try:
@@ -237,7 +207,7 @@ class Headnode:
                     self.counters["open_errors"] += 1
                     conn.send(ErrorReply(ErrorCode.AUTH, "token rejected"))
                     continue
-                if not self._queue.try_put(("net", msg, conn)):
+                if not self._queue.try_put((msg, conn)):
                     self.counters["queue_overflow"] += 1
                     self.counters["open_errors"] += 1
                     conn.send(ErrorReply(ErrorCode.QUEUE_OVERFLOW,
@@ -249,30 +219,17 @@ class Headnode:
 
     def _open_worker(self) -> None:
         while True:
-            kind, request, target = self._queue.get()
+            request, conn = self._queue.get()
             self._rt.sleep(self.queue_model.service_time_per_open)
             entry = self._namespace.get(request.path)
             if entry is None:
                 self.counters["not_found"] += 1
                 self.counters["open_errors"] += 1
-                self._answer(kind, target,
-                             ErrorReply(ErrorCode.NOT_FOUND, request.path),
-                             NotFoundError(request.path))
-                continue
-            handle_id = next(self._handle_ids)
-            ticket = OpenTicket(handle_id, entry.replica_address,
-                                session_token(handle_id, self._shared),
-                                self._rt.now())
-            self._tickets[handle_id] = ticket
-            self.counters["opens_ok"] += 1
-            self._answer(kind, target,
-                         OpenReply(handle_id, entry.size), ticket)
-
-    def _answer(self, kind: str, target, wire_msg, local_result) -> None:
-        if kind == "net":
+                reply = ErrorReply(ErrorCode.NOT_FOUND, request.path)
+            else:
+                self.counters["opens_ok"] += 1
+                reply = OpenReply(next(self._handle_ids), entry.size)
             try:
-                target.send(wire_msg)
+                conn.send(reply)
             except TransportError:
                 pass  # requester went away; nothing to deliver the verdict to
-        else:
-            target.put(local_result)

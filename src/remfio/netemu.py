@@ -21,7 +21,6 @@ window/rtt); throughput_cap() computes it for planning and assertions.
 
 from __future__ import annotations
 
-import configparser
 from dataclasses import dataclass
 
 from .errors import ConnectionClosedError, EndpointRefusedError, TransportError
@@ -63,21 +62,17 @@ def builtin_profiles() -> dict[str, LinkProfile]:
     return {p.name: p for p in (WAN_PROFILE, LAN_PROFILE, ZERO_PROFILE)}
 
 
-def load_profiles(path) -> dict[str, LinkProfile]:
-    """Load profiles from an INI file: [name] rtt_ms, bandwidth_bytes_per_s,
-    window_bytes. Returns builtins plus/overridden-by the file's entries."""
-    cp = configparser.ConfigParser()
-    with open(path) as fh:
-        cp.read_file(fh)
-    profiles = builtin_profiles()
-    for section in cp.sections():
-        profiles[section] = LinkProfile(
-            name=section,
-            rtt=cp.getfloat(section, "rtt_ms") / 1000.0,
-            shared_bandwidth=cp.getfloat(section, "bandwidth_bytes_per_s"),
-            per_connection_window=cp.getint(section, "window_bytes"),
-        )
-    return profiles
+def link_pump(pumps: dict, runtime, profile: LinkProfile, direction: str):
+    """The rate limiter shared by one direction of a named link.
+
+    Made on first use and kept in `pumps`; a limiter spawns its pump task
+    when created, so the moment of first use fixes the event order.
+    """
+    key = (profile.name, direction)
+    pump = pumps.get(key)
+    if pump is None:
+        pump = pumps[key] = runtime.rate_limiter(profile.shared_bandwidth)
+    return pump
 
 
 def throughput_cap(profile: LinkProfile, active_connections: int) -> float:
@@ -151,14 +146,6 @@ class EmulatedNetwork:
             rt.sleep(profile.rtt - elapsed)
         return near
 
-    def _pump_for(self, profile: LinkProfile, direction: str):
-        key = (profile.name, direction)
-        pump = self._pumps.get(key)
-        if pump is None:
-            pump = self._rt.rate_limiter(profile.shared_bandwidth)
-            self._pumps[key] = pump
-        return pump
-
 
 class EmuConnection:
     """One end of an emulated connection.
@@ -227,7 +214,7 @@ class EmuConnection:
             raise TransportError("DataChunk sends require a reserved credit")
         frame_len = len(encode_frame(msg))
         rt = self._rt
-        pump = self._net._pump_for(self.profile, self._direction)
+        pump = link_pump(self._net._pumps, rt, self.profile, self._direction)
         with self._send_mutex:
             remaining = frame_len
             while remaining > 0:
@@ -262,7 +249,7 @@ class EmuConnection:
             self.delivered_payload += len(msg.payload)
         if self.delivery_log is not None:
             self.delivery_log.append((self._rt.now(), frame_len))
-        self._queue.put((msg, frame_len))
+        self._queue.put(msg)
 
     def recv(self) -> Message:
         """Next in-order message; raises ConnectionClosedError at stream end."""
@@ -270,11 +257,10 @@ class EmuConnection:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
         if self._peer_closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
-        item = self._queue.get()
-        if item is _CLOSED:
+        msg = self._queue.get()
+        if msg is _CLOSED:
             self._peer_closed = True
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
-        msg, _frame_len = item
         if isinstance(msg, DataChunk):
             peer = self._peer
             self._rt.call_later(self.profile.rtt / 2, peer._return_credit)

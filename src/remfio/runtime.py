@@ -534,10 +534,6 @@ class WallRateLimiter:
         self._tokens = 0.0
         self._burst = max(rate * 0.05, 256 * 1024.0)
         self._last = runtime.now()
-        self.granted_log = None
-
-    def record_grants(self) -> None:
-        self.granted_log = []
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0 or self._rate == float("inf"):
@@ -551,8 +547,6 @@ class WallRateLimiter:
                 self._last = now
                 if self._tokens >= nbytes:
                     self._tokens -= nbytes
-                    if self.granted_log is not None:
-                        self.granted_log.append((now, key, nbytes))
                     return
                 deficit = nbytes - self._tokens
             self._rt.sleep(deficit / self._rate)

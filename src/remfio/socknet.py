@@ -25,7 +25,7 @@ from .errors import (
     EndpointRefusedError,
     TransportError,
 )
-from .netemu import ZERO_PROFILE, LinkProfile
+from .netemu import ZERO_PROFILE, LinkProfile, link_pump
 from .wire import DataChunk, FrameDecoder, Message, encode_frame
 
 RECV_QUEUE_FRAMES = 16  # per-connection reordering-free delivery buffer
@@ -106,14 +106,6 @@ class SocketNetwork:
         self._listeners.clear()
         self._ports.clear()
 
-    def _pump_for(self, profile: LinkProfile, direction: str):
-        key = (profile.name, direction)
-        pump = self._pumps.get(key)
-        if pump is None:
-            pump = self._rt.rate_limiter(profile.shared_bandwidth)
-            self._pumps[key] = pump
-        return pump
-
 
 class SockConnection:
     """One endpoint of a shaped loopback connection.
@@ -129,7 +121,7 @@ class SockConnection:
         self._rt = net._rt
         self._sock = sock
         self.profile = profile
-        self._pump = net._pump_for(profile, direction)
+        self._pump = link_pump(net._pumps, net._rt, profile, direction)
         self._inbox = net._rt.channel(capacity=RECV_QUEUE_FRAMES)
         self._send_lock = threading.Lock()
         self._closed = False

@@ -47,7 +47,7 @@ class MsgType(enum.IntEnum):
     OPEN_REPLY = 0x02
     READ_REQUEST = 0x03
     DATA_CHUNK = 0x04
-    SEEK_REQUEST = 0x05
+    # 0x05 is reserved: it belonged to a retired message. Never reuse it.
     STREAM_START = 0x06
     CONTROL_INTERRUPT = 0x07
     CLOSE_REQUEST = 0x08
@@ -104,12 +104,6 @@ class DataChunk:
 
 
 @dataclass(frozen=True)
-class SeekRequest:
-    handle_id: int
-    offset: int
-
-
-@dataclass(frozen=True)
 class StreamStart:
     handle_id: int
     offset: int
@@ -148,7 +142,6 @@ Message = (
     | OpenReply
     | ReadRequest
     | DataChunk
-    | SeekRequest
     | StreamStart
     | ControlInterrupt
     | CloseRequest
@@ -279,14 +272,6 @@ def _dec_data_chunk(r: _Reader) -> DataChunk:
     return DataChunk(handle_id=r.u64(), offset=r.u64(), payload=r.rest())
 
 
-def _enc_seek_request(m: SeekRequest) -> bytes:
-    return _pack_u64(m.handle_id) + _pack_u64(m.offset)
-
-
-def _dec_seek_request(r: _Reader) -> SeekRequest:
-    return SeekRequest(handle_id=r.u64(), offset=r.u64())
-
-
 def _enc_stream_start(m: StreamStart) -> bytes:
     return _pack_u64(m.handle_id) + _pack_u64(m.offset)
 
@@ -347,7 +332,6 @@ _CODECS = {
     MsgType.OPEN_REPLY: (OpenReply, _enc_open_reply, _dec_open_reply),
     MsgType.READ_REQUEST: (ReadRequest, _enc_read_request, _dec_read_request),
     MsgType.DATA_CHUNK: (DataChunk, _enc_data_chunk, _dec_data_chunk),
-    MsgType.SEEK_REQUEST: (SeekRequest, _enc_seek_request, _dec_seek_request),
     MsgType.STREAM_START: (StreamStart, _enc_stream_start, _dec_stream_start),
     MsgType.CONTROL_INTERRUPT: (
         ControlInterrupt,

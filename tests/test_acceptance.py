@@ -44,7 +44,6 @@ from remfio.wire import (
     OpenRequest,
     ReadMode,
     ReadRequest,
-    SeekRequest,
     StreamStart,
     decode_frame,
     encode_frame,
@@ -102,7 +101,6 @@ def test_codec_bulk_roundtrip():
                             length=rng.randrange(1 << 31)),
         lambda: DataChunk(handle_id=u32(), offset=u63(),
                           payload=rng.randbytes(rng.randrange(400))),
-        lambda: SeekRequest(handle_id=u32(), offset=u63()),
         lambda: StreamStart(handle_id=u32(), offset=u63()),
         lambda: ControlInterrupt(handle_id=u32()),
         lambda: CloseRequest(handle_id=u32()),

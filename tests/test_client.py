@@ -639,3 +639,39 @@ def test_config_rejects_bad_sizes(tmp_path):
         ClientConfig(rt, net, iobufsize=0)
     with pytest.raises(ValueError):
         ClientConfig(rt, net, emulated_window=-1)
+
+
+# -- per-open state ------------------------------------------------------------------
+
+
+def _container_sizes(*objs) -> dict:
+    """Length of every dict, list and set attribute of each object."""
+    return {(type(o).__name__, name): len(value)
+            for o in objs for name, value in vars(o).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def test_per_open_state_does_not_grow_with_opens(tmp_path):
+    # servers keep nothing per closed handle: the containers they hold are
+    # the same size after 10 open/read/close cycles as after 100
+    rt = VirtualRuntime()
+    sizes = []
+
+    def scenario():
+        net, head, srv, contents = _stack(rt, tmp_path, [("/pool/a", 64 * KiB)])
+
+        def cycles(first, last):
+            for i in range(first, last):
+                mode = ALL_MODES[i % len(ALL_MODES)]
+                h = rf_open("/pool/a", _config(rt, net, mode))
+                assert rf_read(h, 16 * KiB) == contents["/pool/a"][:16 * KiB]
+                rf_close(h)
+            rt.sleep(1.0)  # let every teardown settle
+            sizes.append(_container_sizes(head, srv, net))
+
+        cycles(0, 10)
+        cycles(10, 100)
+
+    rt.run(scenario)
+    after_10, after_100 = sizes
+    assert after_100 == after_10

@@ -8,11 +8,7 @@ import numpy as np
 import pytest
 
 from remfio import wire
-from remfio.errors import (
-    AlreadyRegisteredError,
-    NotFoundError,
-    QueueOverflowError,
-)
+from remfio.errors import AlreadyRegisteredError, NotFoundError
 from remfio.headnode import (
     Headnode,
     OpenQueueModel,
@@ -305,68 +301,28 @@ def test_open_unregistered_path_not_found_after_service():
     rt.run(scenario)
 
 
-# -- in-process broker_open -----------------------------------------------------
-
-
-def test_broker_open_issues_verifiable_ticket():
-    rt = VirtualRuntime()
-
-    def scenario():
-        _, head = _mk_head(rt)
-        head.register_file("/pool/a", 2048, "ds1:5001", 9)
-        head.start()
-        t0 = rt.now()
-        ticket = head.broker_open(_open_request("/pool/a"))
-        assert rt.now() - t0 == pytest.approx(0.050, abs=1e-9)
-        assert ticket.replica_address == "ds1:5001"
-        assert verify_session_token(ticket.token, TOKEN) == ticket.handle_id
-        assert verify_session_token(ticket.token, "other-secret") is None
-        with pytest.raises(NotFoundError):
-            head.broker_open(_open_request("/pool/missing"))
-
-    rt.run(scenario)
-
-
-def test_broker_open_overflow_raises():
-    rt = VirtualRuntime()
-
-    def scenario():
-        _, head = _mk_head(rt, queue_model=OpenQueueModel(queue_cap=2))
-        head.register_file("/pool/a", 2048, "ds1:5001", 9)
-        head.start()
-        results = []
-
-        def opener():
-            try:
-                results.append(head.broker_open(_open_request("/pool/a")))
-            except QueueOverflowError:
-                results.append("rejected")
-
-        # three enqueue in the same instant against a cap of two
-        tasks = [rt.spawn(opener, name=f"o{i}") for i in range(3)]
-        for t in tasks:
-            rt.join(t)
-        assert results.count("rejected") == 1
-        assert sum(1 for r in results if r != "rejected") == 2
-
-    rt.run(scenario)
+# -- handle ids ------------------------------------------------------------------
 
 
 def test_ticket_soundness_unique_handles():
+    # 50 opens over the wire: every reply carries a fresh handle id, and the
+    # serialized queue hands them out in increasing order
     rt = VirtualRuntime()
 
     def scenario():
-        _, head = _mk_head(rt)
+        net, head = _mk_head(rt)
         for i in range(5):
             head.register_file(f"/pool/f{i}", 1024, "ds1:5001", i)
         head.start()
-        tickets = [head.broker_open(_open_request(f"/pool/f{i % 5}"))
-                   for i in range(50)]
-        handles = [t.handle_id for t in tickets]
+        conn = net.connect(head.open_address, ZERO_PROFILE)
+        for i in range(50):
+            conn.send(_open_request(f"/pool/f{i % 5}"))
+        replies = [conn.recv() for _ in range(50)]
+        assert all(isinstance(r, wire.OpenReply) for r in replies)
+        handles = [r.handle_id for r in replies]
         assert len(set(handles)) == 50
-        issued = [t.issued_at for t in tickets]
-        assert issued == sorted(issued)
-        assert set(handles) == set(head.tickets())
+        assert handles == sorted(handles)
+        conn.close()
 
     rt.run(scenario)
 

@@ -12,8 +12,6 @@ from remfio.netemu import (
     ZERO_PROFILE,
     EmulatedNetwork,
     LinkProfile,
-    builtin_profiles,
-    load_profiles,
     throughput_cap,
 )
 from remfio.runtime import VirtualRuntime
@@ -357,19 +355,6 @@ def test_determinism_identical_delivery_timelines():
         return rt.run(main)
 
     assert run_once() == run_once()
-
-
-def test_profiles_config_file(tmp_path):
-    cfg = tmp_path / "profiles.ini"
-    cfg.write_text(
-        "[dsl]\nrtt_ms = 30\nbandwidth_bytes_per_s = 2000000\nwindow_bytes = 65536\n"
-        "[wan]\nrtt_ms = 50\nbandwidth_bytes_per_s = 1000000\nwindow_bytes = 131072\n"
-    )
-    profiles = load_profiles(cfg)
-    assert profiles["dsl"] == LinkProfile("dsl", 0.030, 2_000_000.0, 65536)
-    # file entries override builtins of the same name
-    assert profiles["wan"].rtt == pytest.approx(0.050)
-    assert set(builtin_profiles()) <= {"dsl", "wan", "lan", "zero"} | set(profiles)
 
 
 def test_builtin_profiles_match_documented_paths():

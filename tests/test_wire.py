@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,24 @@ def test_unknown_msg_type():
     frame[3] = 0x7F
     with pytest.raises(ProtocolError):
         wire.decode_frame(bytes(frame))
+
+
+def test_reserved_type_0x05_rejected():
+    # 0x05 belonged to a retired message: a well-formed header naming it,
+    # with a payload that would fit any two-u64 schema, is still refused
+    assert 0x05 not in set(wire.MsgType)
+    frame = bytes([0x52, 0x46, 0x01, 0x05, 0, 0, 0, 16]) + b"\x00" * 16
+    with pytest.raises(ProtocolError):
+        wire.decode_frame(frame)
+
+
+def test_wire_format_doc_matches_codec_table():
+    doc = Path(__file__).parent.parent / "docs" / "wire-format.md"
+    rows = re.findall(r"^\| 0x([0-9A-F]{2}) \| (\w+)", doc.read_text(), re.M)
+    documented = {int(code, 16): name for code, name in rows}
+    assert documented.pop(0x05) == "reserved"
+    assert documented == {int(mtype): cls.__name__
+                          for mtype, (cls, _enc, _dec) in wire._CODECS.items()}
 
 
 def test_payload_shorter_than_schema():
