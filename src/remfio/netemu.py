@@ -65,8 +65,8 @@ def builtin_profiles() -> dict[str, LinkProfile]:
 def link_pump(pumps: dict, runtime, profile: LinkProfile, direction: str):
     """The rate limiter shared by one direction of a named link.
 
-    Made on first use and kept in `pumps`; a limiter spawns its pump task
-    when created, so the moment of first use fixes the event order.
+    Made on first use and kept in `pumps`, so a profile that carries no
+    traffic gets no limiter.
     """
     key = (profile.name, direction)
     pump = pumps.get(key)
@@ -270,6 +270,7 @@ class EmuConnection:
         if self._closed:
             return
         self._closed = True
+        self._queue.put(_CLOSED)  # wake a recv() parked on this end
         peer = self._peer
         self._rt.call_later(self.profile.rtt / 2, lambda: peer._notify_closed())
         self._window_kick.try_put(None)  # unwedge a blocked sender

@@ -65,7 +65,7 @@ class VirtualRuntime:
         self._heap: list[tuple[float, int, Any]] = []  # entry: Task or callback
         self._current: Task | None = None
         self._root: Task | None = None
-        self._tasks: list[Task] = []
+        self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
         self._stopping = False
         self._failure: BaseException | None = None
@@ -92,7 +92,7 @@ class VirtualRuntime:
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
         task = Task(name, self)
-        self._tasks.append(task)
+        self._tasks[task] = None
         old_stack = threading.stack_size()
         try:
             threading.stack_size(1 << 20)  # many parked carriers; keep VSZ low
@@ -205,16 +205,11 @@ class VirtualRuntime:
             return
         except BaseException as exc:
             task.exc = exc
-            task.finished = True
-            if task._join_waiters:
-                for waiter in task._join_waiters:
-                    self._make_runnable(waiter)
-                task._join_waiters.clear()
-            else:
+            if not task._join_waiters:
                 self._pending.append(task)
-            self._finish_dispatch()
-            return
         task.finished = True
+        if not self._stopping:  # once stopping, _shutdown walks the list
+            del self._tasks[task]
         for waiter in task._join_waiters:
             self._make_runnable(waiter)
         task._join_waiters.clear()
@@ -365,9 +360,10 @@ class VirtualRateLimiter:
     """Serves byte grants at a sustained rate, round-robin across keys.
 
     acquire(key, n) returns once the shared resource has spent n/rate seconds
-    on this request. One pump task serializes grants; each key has a FIFO
-    queue and the ring rotates one grant per turn, so equal-demand keys get
-    equal shares.
+    on this request. Grants are served one at a time by timer callbacks; each
+    key has a FIFO queue and the ring rotates one grant per turn, so
+    equal-demand keys get equal shares. An idle limiter holds no timer, and a
+    key's queue is dropped once it empties.
     """
 
     def __init__(self, runtime: VirtualRuntime, rate: float):
@@ -377,8 +373,7 @@ class VirtualRateLimiter:
         self._rate = rate
         self._queues: dict = {}
         self._ring: deque = deque()
-        self._kick = runtime.channel(capacity=1)
-        self._pump_task = runtime.spawn(self._pump, name="rate-pump")
+        self._busy = False  # a serve or grant-end callback is pending
         self.granted_log: list[tuple[float, Any, int]] | None = None
 
     def record_grants(self) -> None:
@@ -389,32 +384,45 @@ class VirtualRateLimiter:
         if nbytes <= 0:
             return
         rt = self._rt
-        waiter = rt.channel(capacity=1)
         q = self._queues.get(key)
         if q is None:
             q = self._queues[key] = deque()
-        if not q:
             self._ring.append(key)
-        q.append((nbytes, waiter))
-        self._kick.try_put(None)
-        waiter.get()
+        q.append((nbytes, rt._current))
+        if not self._busy:
+            # serve once the event loop has run everything else due now, so
+            # at infinite rate the requests of one instant are granted
+            # together, in ring order
+            self._busy = True
+            rt.call_at(rt.now(), self._serve)
+        rt._park()
 
-    def _pump(self) -> None:
+    def _serve(self) -> None:
+        """Grant queued requests in ring order until one takes time."""
         rt = self._rt
-        while True:
-            if not self._ring:
-                self._kick.get()
-                continue
+        while self._ring:
             key = self._ring.popleft()
             q = self._queues[key]
-            nbytes, waiter = q.popleft()
+            nbytes, task = q.popleft()
             if q:
                 self._ring.append(key)
+            else:
+                del self._queues[key]
             if self._rate != float("inf"):
-                rt.sleep(nbytes / self._rate)
-            if self.granted_log is not None:
-                self.granted_log.append((rt.now(), key, nbytes))
-            waiter.put(None)
+                rt.call_at(rt.now() + nbytes / self._rate,
+                           lambda: self._end(key, nbytes, task))
+                return
+            self._grant(key, nbytes, task)
+        self._busy = False
+
+    def _end(self, key, nbytes: int, task: Task) -> None:
+        self._grant(key, nbytes, task)
+        self._serve()
+
+    def _grant(self, key, nbytes: int, task: Task) -> None:
+        if self.granted_log is not None:
+            self.granted_log.append((self._rt.now(), key, nbytes))
+        self._rt._make_runnable(task)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +531,8 @@ class WallChannel:
 
 
 class WallRateLimiter:
-    """Token-bucket limiter; approximate wall-clock analogue of the pump."""
+    """Token-bucket limiter; approximate wall-clock analogue of
+    VirtualRateLimiter."""
 
     def __init__(self, runtime: WallRuntime, rate: float):
         if rate <= 0:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from remfio.bench import (
@@ -315,3 +317,66 @@ def test_summary_statistics_arithmetic():
 
 def test_bench_path_shape():
     assert bench_path(7, 1024, 3) == "/bench/s7/z1024/f0003"
+
+
+# -- recorded schedules ------------------------------------------------------------
+
+
+def _small_runs():
+    wan = {f"wan-{mode.name.lower()}-{label}": WorkloadSpec(
+               pattern=pattern, file_size=2 * MiB, block_size=64 * KiB,
+               mode=mode, clients=4)
+           for mode in ReadMode
+           for label, pattern in (("seq", Sequential()),
+                                  ("skip", Skip(128 * KiB, 3)))}
+    return {
+        **wan,
+        "wan-stream-window64k": WorkloadSpec(
+            file_size=2 * MiB, block_size=MiB, mode=ReadMode.STREAM,
+            window=64 * KiB, stagger_window=0.0),
+        "zero-normal-skip": WorkloadSpec(
+            pattern=Skip(128 * KiB, 3), file_size=2 * MiB,
+            block_size=64 * KiB, clients=4, stagger_window=0.0,
+            net_profile="zero"),
+        "lan-stream-seq": WorkloadSpec(
+            file_size=2 * MiB, block_size=64 * KiB, mode=ReadMode.STREAM,
+            clients=4, net_profile="lan"),
+    }
+
+
+# sha256 over the emitted CSVs of each run; a change that keeps the model must
+# keep these, a change that alters the model re-records them and says so
+RECORDED_CSV_DIGESTS = {
+    "wan-normal-seq":
+        "096d29423d16104dee4710806f416971f12e3f476b161c26de31eff09f2c5174",
+    "wan-normal-skip":
+        "31dcb4603d4e2b1b373a3d54e659f505546571d2236c16a5ae9299945997beff",
+    "wan-readbuf-seq":
+        "cb928dd361e66d4d76b8ff7800024b76544070113627a00db6c9517de0352013",
+    "wan-readbuf-skip":
+        "2a173c89acee63a8a51a84731c1f252f4d572eb8a0ecfccd5d95e511df7bbd01",
+    "wan-readahead-seq":
+        "7afaeebe54c014f7465657ba654ad1c6a3879a9e08982e03a5c402669e3c6b63",
+    "wan-readahead-skip":
+        "1dd456fc7afa5d332fc3c77284475e2ce3129a29539e5b9ab136ffb5343ea665",
+    "wan-stream-seq":
+        "7bd6ef3e48ca619f692da7775399895b442cee2514a9b27e24ac7946185608ca",
+    "wan-stream-skip":
+        "d0c716ff8e785ccb5cfb5ad3fe8d7735308fcbb864a8e48bc81c2094c7d68492",
+    "wan-stream-window64k":
+        "87d6cfb546f654cf67b77a02ea1141ed10a4d04954a7921450224519b01c29ad",
+    "zero-normal-skip":
+        "dbcbbd426a5a85d6684178edc7446a5714e2e279c1be082d99a59023087b5d93",
+    "lan-stream-seq":
+        "3b3fcaeba507d39cc8e41ea8894bda7d8647f9add8f38ee78f1a9a1704595b90",
+}
+
+
+def test_small_runs_match_recorded_csv_digests(tmp_path):
+    digests = {}
+    for name, spec in _small_runs().items():
+        h = hashlib.sha256()
+        for p in emit_csv(run_benchmark(spec, seed=7), tmp_path / name):
+            h.update(p.name.encode() + b"\0" + p.read_bytes())
+        digests[name] = h.hexdigest()
+    assert digests == RECORDED_CSV_DIGESTS

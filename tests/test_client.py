@@ -646,14 +646,15 @@ def test_config_rejects_bad_sizes(tmp_path):
 
 def _container_sizes(*objs) -> dict:
     """Length of every dict, list and set attribute of each object."""
-    return {(type(o).__name__, name): len(value)
-            for o in objs for name, value in vars(o).items()
+    return {(i, type(o).__name__, name): len(value)
+            for i, o in enumerate(objs) for name, value in vars(o).items()
             if isinstance(value, (dict, list, set))}
 
 
 def test_per_open_state_does_not_grow_with_opens(tmp_path):
-    # servers keep nothing per closed handle: the containers they hold are
-    # the same size after 10 open/read/close cycles as after 100
+    # servers, rate limiters and the runtime keep nothing per closed handle:
+    # the containers they hold are the same size after 10 open/read/close
+    # cycles as after 100
     rt = VirtualRuntime()
     sizes = []
 
@@ -667,7 +668,8 @@ def test_per_open_state_does_not_grow_with_opens(tmp_path):
                 assert rf_read(h, 16 * KiB) == contents["/pool/a"][:16 * KiB]
                 rf_close(h)
             rt.sleep(1.0)  # let every teardown settle
-            sizes.append(_container_sizes(head, srv, net))
+            sizes.append(_container_sizes(rt, head, srv, net, srv._pump,
+                                          *net._pumps.values()))
 
         cycles(0, 10)
         cycles(10, 100)

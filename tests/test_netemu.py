@@ -324,17 +324,26 @@ def test_close_propagates_to_peer():
             except ConnectionClosedError:
                 outcome["server_saw_close"] = rt.now()
 
+        def receiver(conn):
+            with pytest.raises(ConnectionClosedError):
+                conn.recv()
+            outcome["receiver_woken"] = rt.now()
+
         net.listen("svc", handler)
         conn = net.connect("svc", WAN_PROFILE)
+        reader = rt.spawn(receiver, conn)
         conn.send(wire.NsLookup(path="/a"))
         rt.sleep(0.1)
-        conn.close()
+        outcome["closed"] = rt.now()
+        conn.close()  # wakes the recv parked on this same end
+        rt.join(reader)
         rt.sleep(0.1)
         with pytest.raises(ConnectionClosedError):
             conn.recv()
 
     rt.run(main)
     assert "server_saw_close" in outcome
+    assert outcome["receiver_woken"] == outcome["closed"]
 
 
 def test_determinism_identical_delivery_timelines():

@@ -157,10 +157,12 @@ def test_rate_limiter_exact_duration():
 
     def main():
         lim = rt.rate_limiter(100.0)
+        assert not rt._tasks  # grants are timer callbacks, not a task
         lim.acquire("k", 50)
         assert rt.now() == pytest.approx(0.5)
         lim.acquire("k", 100)
         assert rt.now() == pytest.approx(1.5)
+        assert not lim._queues  # a served key leaves nothing behind
 
     rt.run(main)
 
