@@ -257,15 +257,10 @@ class DiskServer:
                                             "unexpected data connection"))
             conn.close()
             return
+        # the session owns the connection from here: its sender stops once
+        # either end closes, and teardown closes this end
         session.attach_data(conn)
         session.request_stream(start.offset)
-        try:
-            while True:
-                conn.recv()  # client sends nothing here; wait for close
-        except ConnectionClosedError:
-            pass
-        finally:
-            conn.close()
 
     def _teardown(self, session: "_Session") -> None:
         if self.sessions.get(session.handle_id) is session:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass
 
 from .errors import (
@@ -99,8 +98,7 @@ class Headnode:
                  host: str = "head",
                  ns_port: int = DEFAULT_NS_PORT,
                  open_port: int = DEFAULT_OPEN_PORT,
-                 queue_model: OpenQueueModel = OpenQueueModel(),
-                 manifest_path: str | None = None) -> None:
+                 queue_model: OpenQueueModel = OpenQueueModel()) -> None:
         self._rt = runtime
         self._net = network
         self._shared = shared_token
@@ -111,7 +109,6 @@ class Headnode:
         self._namespace: dict[str, NamespaceEntry] = {}
         self._handle_ids = itertools.count(1)
         self._queue = runtime.channel(capacity=queue_model.queue_cap)
-        self._manifest_path = manifest_path
         self.counters = {
             "lookups": 0,
             "opens_ok": 0,
@@ -120,8 +117,6 @@ class Headnode:
             "not_found": 0,
             "auth_failures": 0,
         }
-        if manifest_path is not None and os.path.exists(manifest_path):
-            self._load_manifest()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -147,9 +142,6 @@ class Headnode:
             raise AlreadyRegisteredError(path)
         entry = NamespaceEntry(path, size, replica_address, checksum)
         self._namespace[path] = entry
-        if self._manifest_path is not None:
-            with open(self._manifest_path, "a", encoding="utf-8") as f:
-                f.write(f"{path}\t{size}\t{replica_address}\t{checksum}\n")
         return entry
 
     def lookup(self, path: str) -> NamespaceEntry:
@@ -161,16 +153,6 @@ class Headnode:
     @property
     def namespace_size(self) -> int:
         return len(self._namespace)
-
-    def _load_manifest(self) -> None:
-        with open(self._manifest_path, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                path, size, replica, checksum = line.split("\t")
-                self._namespace[path] = NamespaceEntry(
-                    path, int(size), replica, int(checksum))
 
     # -- open path ---------------------------------------------------------
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .errors import ConnectionClosedError, EndpointRefusedError, TransportError
 from .runtime import VirtualRuntime
-from .wire import DataChunk, Message, encode_frame
+from .wire import DataChunk, Message, frame_size
 
 MiB = 1024 * 1024
 
@@ -178,10 +178,6 @@ class EmuConnection:
         self.sent_payload = 0
         self.delivered_bytes = 0
         self.delivered_payload = 0
-        self.delivery_log: list[tuple[float, int]] | None = None
-
-    def record_deliveries(self) -> None:
-        self.delivery_log = []
 
     # -- flow-control credits (DataChunk frames only) ----------------------
 
@@ -212,7 +208,7 @@ class EmuConnection:
             raise TransportError(f"peer closed {self.conn_id}")
         if isinstance(msg, DataChunk) and not credit_reserved:
             raise TransportError("DataChunk sends require a reserved credit")
-        frame_len = len(encode_frame(msg))
+        frame_len = frame_size(msg)
         rt = self._rt
         pump = link_pump(self._net._pumps, rt, self.profile, self._direction)
         with self._send_mutex:
@@ -247,8 +243,6 @@ class EmuConnection:
         self.delivered_bytes += frame_len
         if isinstance(msg, DataChunk):
             self.delivered_payload += len(msg.payload)
-        if self.delivery_log is not None:
-            self.delivery_log.append((self._rt.now(), frame_len))
         self._queue.put(msg)
 
     def recv(self) -> Message:

@@ -374,11 +374,6 @@ class VirtualRateLimiter:
         self._queues: dict = {}
         self._ring: deque = deque()
         self._busy = False  # a serve or grant-end callback is pending
-        self.granted_log: list[tuple[float, Any, int]] | None = None
-
-    def record_grants(self) -> None:
-        """Enable the (time, key, nbytes) grant log for cap/fairness tests."""
-        self.granted_log = []
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
@@ -410,19 +405,14 @@ class VirtualRateLimiter:
                 del self._queues[key]
             if self._rate != float("inf"):
                 rt.call_at(rt.now() + nbytes / self._rate,
-                           lambda: self._end(key, nbytes, task))
+                           lambda: self._end(task))
                 return
-            self._grant(key, nbytes, task)
+            rt._make_runnable(task)
         self._busy = False
 
-    def _end(self, key, nbytes: int, task: Task) -> None:
-        self._grant(key, nbytes, task)
-        self._serve()
-
-    def _grant(self, key, nbytes: int, task: Task) -> None:
-        if self.granted_log is not None:
-            self.granted_log.append((self._rt.now(), key, nbytes))
+    def _end(self, task: Task) -> None:
         self._rt._make_runnable(task)
+        self._serve()
 
 
 # ---------------------------------------------------------------------------

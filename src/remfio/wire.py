@@ -10,7 +10,9 @@ Every control and data connection carries a sequence of frames:
 
 payload_len is the exact byte length of the payload. Integers inside
 payloads are unsigned big-endian; strings are UTF-8 with a u16 length
-prefix. Per-variant payload layouts are documented in docs/wire-format.md.
+prefix. _LAYOUTS is the single statement of every variant's payload: the
+encoder, the decoder and frame_size all read it, and docs/wire-format.md
+mirrors it (a test compares the two).
 
 Byte accounting convention used by the rest of the package: bytes-on-wire
 counts DataChunk payload bytes only, never headers or control frames. That
@@ -37,9 +39,6 @@ MAX_CHUNK_PAYLOAD = 256 * 1024
 # Hard ceiling on any frame's payload_len. Larger claims are rejected at the
 # header stage: the largest legal variant (DataChunk) is 16 + 256 KiB.
 MAX_PAYLOAD_LEN = 1 << 20
-
-# Encoding-side limit on payload size (u32 slot, signed-friendly).
-_ENCODE_LIMIT = 1 << 31
 
 
 class MsgType(enum.IntEnum):
@@ -151,200 +150,45 @@ Message = (
 )
 
 # ---------------------------------------------------------------------------
-# payload packing helpers
+# the layout table and the codec loops that read it
 # ---------------------------------------------------------------------------
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-
-
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise EncodeError(f"string field too long: {len(raw)} bytes")
-    return _U16.pack(len(raw)) + raw
-
-
-def _pack_u64(v: int) -> bytes:
-    if not 0 <= v < 1 << 64:
-        raise EncodeError(f"u64 field out of range: {v}")
-    return _U64.pack(v)
-
-
-class _Reader:
-    """Cursor over one payload; every under/overrun is a protocol error."""
-
-    def __init__(self, payload: bytes):
-        self.buf = payload
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise ProtocolError("payload shorter than variant schema")
-        out = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
-    def string(self) -> str:
-        n = self.u16()
-        try:
-            return self.take(n).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ProtocolError(f"invalid UTF-8 in string field: {exc}") from exc
-
-    def rest(self) -> bytes:
-        out = self.buf[self.pos :]
-        self.pos = len(self.buf)
-        return out
-
-    def done(self) -> None:
-        if self.pos != len(self.buf):
-            raise ProtocolError(
-                f"payload_len mismatch: {len(self.buf) - self.pos} trailing bytes"
-            )
-
-
-# ---------------------------------------------------------------------------
-# per-variant payload codecs
-# ---------------------------------------------------------------------------
-
-
-def _enc_open_request(m: OpenRequest) -> bytes:
-    if m.iobufsize < 0 or m.iobufsize > 0xFFFFFFFF:
-        raise EncodeError(f"iobufsize out of range: {m.iobufsize}")
-    return (
-        _pack_str(m.path)
-        + bytes([ReadMode(m.mode)])
-        + _U32.pack(m.iobufsize)
-        + _pack_str(m.token)
-    )
-
-
-def _dec_open_request(r: _Reader) -> OpenRequest:
-    path = r.string()
-    mode_raw = r.take(1)[0]
-    try:
-        mode = ReadMode(mode_raw)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown read mode {mode_raw}") from exc
-    iobufsize = r.u32()
-    token = r.string()
-    return OpenRequest(path=path, mode=mode, iobufsize=iobufsize, token=token)
-
-
-def _enc_open_reply(m: OpenReply) -> bytes:
-    return _pack_u64(m.handle_id) + _pack_u64(m.file_size)
-
-
-def _dec_open_reply(r: _Reader) -> OpenReply:
-    return OpenReply(handle_id=r.u64(), file_size=r.u64())
-
-
-def _enc_read_request(m: ReadRequest) -> bytes:
-    if m.offset < 0 or m.length < 0:
-        raise EncodeError("offset/length must be non-negative")
-    return _pack_u64(m.handle_id) + _pack_u64(m.offset) + _pack_u64(m.length)
-
-
-def _dec_read_request(r: _Reader) -> ReadRequest:
-    return ReadRequest(handle_id=r.u64(), offset=r.u64(), length=r.u64())
-
-
-def _enc_data_chunk(m: DataChunk) -> bytes:
-    if len(m.payload) > MAX_CHUNK_PAYLOAD:
-        raise EncodeError(
-            f"DataChunk payload {len(m.payload)} exceeds cap {MAX_CHUNK_PAYLOAD}"
-        )
-    return _pack_u64(m.handle_id) + _pack_u64(m.offset) + bytes(m.payload)
-
-
-def _dec_data_chunk(r: _Reader) -> DataChunk:
-    return DataChunk(handle_id=r.u64(), offset=r.u64(), payload=r.rest())
-
-
-def _enc_stream_start(m: StreamStart) -> bytes:
-    return _pack_u64(m.handle_id) + _pack_u64(m.offset)
-
-
-def _dec_stream_start(r: _Reader) -> StreamStart:
-    return StreamStart(handle_id=r.u64(), offset=r.u64())
-
-
-def _enc_control_interrupt(m: ControlInterrupt) -> bytes:
-    return _pack_u64(m.handle_id)
-
-
-def _dec_control_interrupt(r: _Reader) -> ControlInterrupt:
-    return ControlInterrupt(handle_id=r.u64())
-
-
-def _enc_close_request(m: CloseRequest) -> bytes:
-    return _pack_u64(m.handle_id)
-
-
-def _dec_close_request(r: _Reader) -> CloseRequest:
-    return CloseRequest(handle_id=r.u64())
-
-
-def _enc_error_reply(m: ErrorReply) -> bytes:
-    return _U16.pack(ErrorCode(m.code)) + _pack_str(m.detail)
-
-
-def _dec_error_reply(r: _Reader) -> ErrorReply:
-    code_raw = r.u16()
-    try:
-        code = ErrorCode(code_raw)
-    except ValueError as exc:
-        raise ProtocolError(f"unknown error code {code_raw}") from exc
-    return ErrorReply(code=code, detail=r.string())
-
-
-def _enc_ns_lookup(m: NsLookup) -> bytes:
-    return _pack_str(m.path)
-
-
-def _dec_ns_lookup(r: _Reader) -> NsLookup:
-    return NsLookup(path=r.string())
-
-
-def _enc_ns_lookup_reply(m: NsLookupReply) -> bytes:
-    return _pack_str(m.replica_address) + _pack_u64(m.file_size) + _pack_u64(m.checksum)
-
-
-def _dec_ns_lookup_reply(r: _Reader) -> NsLookupReply:
-    return NsLookupReply(
-        replica_address=r.string(), file_size=r.u64(), checksum=r.u64()
-    )
-
-
-_CODECS = {
-    MsgType.OPEN_REQUEST: (OpenRequest, _enc_open_request, _dec_open_request),
-    MsgType.OPEN_REPLY: (OpenReply, _enc_open_reply, _dec_open_reply),
-    MsgType.READ_REQUEST: (ReadRequest, _enc_read_request, _dec_read_request),
-    MsgType.DATA_CHUNK: (DataChunk, _enc_data_chunk, _dec_data_chunk),
-    MsgType.STREAM_START: (StreamStart, _enc_stream_start, _dec_stream_start),
-    MsgType.CONTROL_INTERRUPT: (
-        ControlInterrupt,
-        _enc_control_interrupt,
-        _dec_control_interrupt,
-    ),
-    MsgType.CLOSE_REQUEST: (CloseRequest, _enc_close_request, _dec_close_request),
-    MsgType.ERROR_REPLY: (ErrorReply, _enc_error_reply, _dec_error_reply),
-    MsgType.NS_LOOKUP: (NsLookup, _enc_ns_lookup, _dec_ns_lookup),
-    MsgType.NS_LOOKUP_REPLY: (NsLookupReply, _enc_ns_lookup_reply, _dec_ns_lookup_reply),
+# Each variant's payload is its fields in this order, with no padding. The
+# type names are docs/wire-format.md's: u8/u16/u32/u64 are unsigned
+# big-endian, string is a u16 byte length then UTF-8, and rest is raw bytes
+# to the end of the payload (DataChunk's last field, at most
+# MAX_CHUNK_PAYLOAD long). Field order is also the message class's field
+# order.
+_LAYOUTS = {
+    MsgType.OPEN_REQUEST: (OpenRequest, (("path", "string"), ("mode", "u8"),
+                                         ("iobufsize", "u32"),
+                                         ("token", "string"))),
+    MsgType.OPEN_REPLY: (OpenReply, (("handle_id", "u64"),
+                                     ("file_size", "u64"))),
+    MsgType.READ_REQUEST: (ReadRequest, (("handle_id", "u64"),
+                                         ("offset", "u64"),
+                                         ("length", "u64"))),
+    MsgType.DATA_CHUNK: (DataChunk, (("handle_id", "u64"), ("offset", "u64"),
+                                     ("payload", "rest"))),
+    MsgType.STREAM_START: (StreamStart, (("handle_id", "u64"),
+                                         ("offset", "u64"))),
+    MsgType.CONTROL_INTERRUPT: (ControlInterrupt, (("handle_id", "u64"),)),
+    MsgType.CLOSE_REQUEST: (CloseRequest, (("handle_id", "u64"),)),
+    MsgType.ERROR_REPLY: (ErrorReply, (("code", "u16"), ("detail", "string"))),
+    MsgType.NS_LOOKUP: (NsLookup, (("path", "string"),)),
+    MsgType.NS_LOOKUP_REPLY: (NsLookupReply, (("replica_address", "string"),
+                                              ("file_size", "u64"),
+                                              ("checksum", "u64"))),
 }
 
-_TYPE_OF = {cls: mtype for mtype, (cls, _e, _d) in _CODECS.items()}
+# integer fields whose value must also name a member of an enumeration
+_ENUMS = {"mode": ReadMode, "code": ErrorCode}
+
+_INTS = {"u8": struct.Struct(">B"), "u16": struct.Struct(">H"),
+         "u32": struct.Struct(">I"), "u64": struct.Struct(">Q")}
+_STR_LEN = _INTS["u16"]
+
+_TYPE_OF = {cls: mtype for mtype, (cls, _fields) in _LAYOUTS.items()}
 
 
 def msg_type_of(msg: Message) -> MsgType:
@@ -354,13 +198,46 @@ def msg_type_of(msg: Message) -> MsgType:
         raise EncodeError(f"not a wire message: {type(msg).__name__}") from None
 
 
+def _pack(msg: Message) -> tuple[MsgType, list]:
+    """Check every field against its slot; return the payload's parts.
+
+    A rest field is passed through as it is, so sizing a frame never copies
+    its raw payload.
+    """
+    mtype = msg_type_of(msg)
+    parts = []
+    for attr, kind in _LAYOUTS[mtype][1]:
+        value = getattr(msg, attr)
+        if kind == "rest":
+            if len(value) > MAX_CHUNK_PAYLOAD:
+                raise EncodeError(f"{attr} of {len(value)} bytes exceeds "
+                                  f"cap {MAX_CHUNK_PAYLOAD}")
+            parts.append(value)
+        elif kind == "string":
+            raw = value.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise EncodeError(f"{attr} too long: {len(raw)} bytes")
+            parts += (_STR_LEN.pack(len(raw)), raw)
+        else:
+            try:
+                if attr in _ENUMS:
+                    value = _ENUMS[attr](value)
+                parts.append(_INTS[kind].pack(value))
+            except (ValueError, struct.error) as exc:
+                raise EncodeError(f"{attr} {value!r} does not fit {kind}") from exc
+    return mtype, parts
+
+
+def frame_size(msg: Message) -> int:
+    """len(encode_frame(msg)), computed without building the frame."""
+    return HEADER_LEN + sum(map(len, _pack(msg)[1]))
+
+
 def encode_frame(msg: Message) -> bytes:
     """Serialize one message to a complete frame (header + payload)."""
-    mtype = msg_type_of(msg)
-    payload = _CODECS[mtype][1](msg)
-    if len(payload) >= _ENCODE_LIMIT:
-        raise EncodeError(f"payload too large to frame: {len(payload)} bytes")
-    return _HEADER.pack(MAGIC, VERSION, mtype, len(payload)) + payload
+    mtype, parts = _pack(msg)
+    header = _HEADER.pack(MAGIC, VERSION, mtype, sum(map(len, parts)))
+    return b"".join([header, *parts])
 
 
 def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Message, int] | None:
@@ -387,14 +264,39 @@ def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Message, int] | N
     total = HEADER_LEN + payload_len
     if len(view) < total:
         return None
-    reader = _Reader(bytes(view[HEADER_LEN:total]))
-    msg = _CODECS[mtype][2](reader)
-    reader.done()
-    if isinstance(msg, DataChunk) and len(msg.payload) > MAX_CHUNK_PAYLOAD:
-        raise ProtocolError(
-            f"DataChunk payload {len(msg.payload)} exceeds cap {MAX_CHUNK_PAYLOAD}"
-        )
-    return msg, total
+    cls, fields = _LAYOUTS[mtype]
+    values = []
+    pos = HEADER_LEN
+    for attr, kind in fields:
+        if kind == "rest":
+            if total - pos > MAX_CHUNK_PAYLOAD:
+                raise ProtocolError(f"{attr} of {total - pos} bytes exceeds "
+                                    f"cap {MAX_CHUNK_PAYLOAD}")
+            values.append(bytes(view[pos:total]))
+            pos = total
+            continue
+        slot = _STR_LEN if kind == "string" else _INTS[kind]
+        if pos + slot.size > total:
+            raise ProtocolError("payload shorter than variant schema")
+        (value,) = slot.unpack_from(view, pos)
+        pos += slot.size
+        if kind == "string":
+            start, pos = pos, pos + value
+            if pos > total:
+                raise ProtocolError("payload shorter than variant schema")
+            try:
+                value = str(view[start:pos], "utf-8")
+            except UnicodeDecodeError as exc:
+                raise ProtocolError(f"invalid UTF-8 in {attr}: {exc}") from exc
+        elif attr in _ENUMS:
+            try:
+                value = _ENUMS[attr](value)
+            except ValueError as exc:
+                raise ProtocolError(f"unknown {attr} {value}") from exc
+        values.append(value)
+    if pos != total:
+        raise ProtocolError(f"payload_len mismatch: {total - pos} trailing bytes")
+    return cls(*values), total
 
 
 class FrameDecoder:

@@ -422,6 +422,36 @@ def test_stream_seek_restarts_at_new_offset(tmp_path):
     rt.run(scenario)
 
 
+def test_stream_session_holds_one_server_task(tmp_path):
+    # the data connection is handed to the session; no handler task parks
+    # on it, so a streaming STREAM session runs only its control handler
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        size = 4 * MiB
+        data = _seed(srv, "/pool/a", size)
+        srv.start()
+        control, _ = _open(net, srv, "/pool/a", wire.ReadMode.STREAM,
+                           profile=WAN_PROFILE)
+        dconn = net.connect(srv.address, WAN_PROFILE,
+                            first_msg=wire.StreamStart(1, 0))
+        first = dconn.recv()
+        assert first.payload == data[:len(first.payload)]
+        handlers = [t.name for t in rt._tasks
+                    if t.name.startswith(f"srv-{srv.address}-")]
+        assert len(handlers) == 1
+        session = srv.sessions[1]
+        control.send(wire.CloseRequest(1))
+        control.close()
+        dconn.close()
+        rt.sleep(1.0)
+        assert session.data_conn.closed
+        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+
+    rt.run(scenario)
+
+
 def test_data_conn_with_unknown_handle_rejected(tmp_path):
     rt = VirtualRuntime()
 
@@ -482,7 +512,14 @@ def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
 
     def scenario():
         net, srv = _mk_server(rt, tmp_path)
-        srv._pump.record_grants()
+        grants = []
+        acquire = srv._pump.acquire
+
+        def logged_acquire(key, n):
+            acquire(key, n)
+            grants.append((rt.now(), n))
+
+        srv._pump.acquire = logged_acquire
         size = 32 * MiB
         for i in range(3):
             _seed(srv, f"/pool/f{i}", size, index=i)
@@ -504,9 +541,7 @@ def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
         for t in tasks:
             rt.join(t)
 
-        log = srv._pump.granted_log
         cap = 80 * MiB
-        grants = [(t, n) for t, _key, n in log]
         total = sum(n for _, n in grants)
         elapsed = grants[-1][0] - grants[0][0]
         assert total / elapsed <= cap * 1.1

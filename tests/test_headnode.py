@@ -1,4 +1,4 @@
-"""Headnode tests: namespace, open queue timing, overflow, persistence."""
+"""Headnode tests: namespace, open queue timing, overflow, session tokens."""
 
 from __future__ import annotations
 
@@ -21,11 +21,10 @@ from remfio.runtime import VirtualRuntime
 TOKEN = "shared-secret"
 
 
-def _mk_head(rt, *, queue_model=None, manifest=None):
+def _mk_head(rt, *, queue_model=None):
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN,
-                    queue_model=queue_model or OpenQueueModel(),
-                    manifest_path=manifest)
+                    queue_model=queue_model or OpenQueueModel())
     return net, head
 
 
@@ -325,28 +324,6 @@ def test_ticket_soundness_unique_handles():
         conn.close()
 
     rt.run(scenario)
-
-
-# -- manifest persistence --------------------------------------------------------
-
-
-def test_manifest_reload_round_trip(tmp_path):
-    manifest = str(tmp_path / "namespace.tsv")
-    rt = VirtualRuntime()
-    _, head = _mk_head(rt, manifest=manifest)
-    head.register_file("/pool/a", 111, "ds1:5001", 12345)
-    head.register_file("/pool/b", 222, "ds2:5001", 2 ** 63 + 17)
-
-    rt2 = VirtualRuntime()
-    _, head2 = _mk_head(rt2, manifest=manifest)
-    assert head2.namespace_size == 2
-    assert head2.lookup("/pool/a").size == 111
-    assert head2.lookup("/pool/b").checksum == 2 ** 63 + 17
-    # appends keep working after a reload
-    head2.register_file("/pool/c", 333, "ds1:5001", 3)
-    rt3 = VirtualRuntime()
-    _, head3 = _mk_head(rt3, manifest=manifest)
-    assert head3.namespace_size == 3
 
 
 def test_session_token_shape():

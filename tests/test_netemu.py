@@ -264,11 +264,13 @@ def test_cap_enforced_over_every_1s_window():
         net = EmulatedNetwork(rt)
         net.listen("svc", lambda conn: _push_chunks(conn, total // size, size, rt))
         conn = net.connect("svc", prof)
-        conn.record_deliveries()
+        log = []
         got = 0
         while got < total:
-            got += len(conn.recv().payload)
-        return conn.delivery_log
+            msg = conn.recv()
+            log.append((rt.now(), wire.frame_size(msg)))
+            got += len(msg.payload)
+        return log
 
     log = rt.run(main)
     cap = throughput_cap(prof, 1)
@@ -355,11 +357,13 @@ def test_determinism_identical_delivery_timelines():
             total, size = 4 * MiB, 256 * 1024
             net.listen("svc", lambda conn: _push_chunks(conn, total // size, size, rt))
             conn = net.connect("svc", WAN_PROFILE)
-            conn.record_deliveries()
+            log = []
             got = 0
             while got < total:
-                got += len(conn.recv().payload)
-            return list(conn.delivery_log)
+                msg = conn.recv()
+                log.append((rt.now(), wire.frame_size(msg)))
+                got += len(msg.payload)
+            return log
 
         return rt.run(main)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import re
 from pathlib import Path
@@ -106,11 +107,21 @@ def test_reserved_type_0x05_rejected():
 
 def test_wire_format_doc_matches_codec_table():
     doc = Path(__file__).parent.parent / "docs" / "wire-format.md"
-    rows = re.findall(r"^\| 0x([0-9A-F]{2}) \| (\w+)", doc.read_text(), re.M)
-    documented = {int(code, 16): name for code, name in rows}
-    assert documented.pop(0x05) == "reserved"
-    assert documented == {int(mtype): cls.__name__
-                          for mtype, (cls, _enc, _dec) in wire._CODECS.items()}
+    rows = re.findall(r"^\| 0x([0-9A-F]{2}) \| (\w+) +\| (.*?) +\|$",
+                      doc.read_text(), re.M)
+    documented = {int(code, 16): (name, layout) for code, name, layout in rows}
+    assert documented.pop(0x05)[0] == "reserved"
+    assert set(documented) == {int(mtype) for mtype in wire._LAYOUTS}
+    for mtype, (cls, fields) in wire._LAYOUTS.items():
+        name, layout = documented[int(mtype)]
+        assert name == cls.__name__
+        # "payload: rest of frame" documents a field of type rest
+        doc_fields = tuple((attr, kind.split()[0]) for attr, kind in
+                           (field.split(": ") for field in layout.split(", ")))
+        assert doc_fields == fields, name
+        # the decoder builds each message from its fields positionally
+        assert [attr for attr, _ in fields] == [
+            f.name for f in dataclasses.fields(cls)]
 
 
 def test_payload_shorter_than_schema():
@@ -144,6 +155,27 @@ def test_string_field_too_long():
         wire.encode_frame(wire.NsLookup(path="x" * 70000))
 
 
+def test_out_of_range_enums_raise_encode_error():
+    with pytest.raises(EncodeError):
+        wire.encode_frame(wire.OpenRequest("/a", 9, 1, "t"))
+    with pytest.raises(EncodeError):
+        wire.encode_frame(wire.ErrorReply(99, "x"))
+
+
+@pytest.mark.parametrize("msg", [
+    wire.NsLookup(path="x" * 70000),
+    wire.ReadRequest(handle_id=1, offset=-1, length=10),
+    wire.DataChunk(handle_id=1, offset=0,
+                   payload=b"\x00" * (wire.MAX_CHUNK_PAYLOAD + 1)),
+    wire.OpenRequest(path="/a", mode=9, iobufsize=1, token="t"),
+], ids=["long-string", "negative-u64", "oversize-chunk", "bad-mode"])
+def test_frame_size_rejects_what_encode_rejects(msg):
+    with pytest.raises(EncodeError):
+        wire.encode_frame(msg)
+    with pytest.raises(EncodeError):
+        wire.frame_size(msg)
+
+
 def test_frame_decoder_incremental():
     rng = random.Random(23)
     msgs = [random_message(rng) for _ in range(20)]
@@ -168,3 +200,10 @@ def test_roundtrip_property(rng):
     decoded, consumed = wire.decode_frame(frame + b"\x01\x02")
     assert decoded == m
     assert consumed == len(frame)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_frame_size_matches_encoded_length(rng):
+    m = random_message(rng)
+    assert wire.frame_size(m) == len(wire.encode_frame(m))
