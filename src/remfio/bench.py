@@ -28,7 +28,7 @@ from pathlib import Path
 
 from .client import ClientConfig, rf_close, rf_open, rf_read, rf_seek
 from .content import content_chunks
-from .diskserver import DiskModel, DiskServer
+from .diskserver import DiskServer
 from .errors import NotFoundError, OpenError
 from .headnode import Headnode, OpenQueueModel
 from .netemu import EmulatedNetwork, builtin_profiles
@@ -239,7 +239,6 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
 def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
                   paper_fidelity: bool = False, axis_value=None,
                   queue_model: OpenQueueModel | None = None,
-                  disk: DiskModel | None = None,
                   wall_clock: bool = False) -> RunSummary:
     """Execute one workload; returns per-client records plus aggregates.
 
@@ -253,7 +252,7 @@ def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
     if spec.net_profile not in builtin_profiles():
         raise ValueError(f"unknown net profile {spec.net_profile!r}")
     with _pool_dir(pool_dir) as pd:
-        reps = [_run_once(spec, seed, rep, pd, queue_model, disk, wall_clock)
+        reps = [_run_once(spec, seed, rep, pd, queue_model, wall_clock)
                 for rep in range(spec.repetitions)]
     return RunSummary(spec, _merge_reps(reps), axis_value)
 
@@ -275,7 +274,7 @@ def _pool_dir(path):
         yield Path(tmp)
 
 
-def _run_once(spec, seed, rep, pool_dir, queue_model, disk, wall_clock=False):
+def _run_once(spec, seed, rep, pool_dir, queue_model, wall_clock=False):
     if wall_clock:
         from .runtime import WallRuntime
         from .socknet import SocketNetwork
@@ -291,7 +290,7 @@ def _run_once(spec, seed, rep, pool_dir, queue_model, disk, wall_clock=False):
                         queue_model=queue_model or OpenQueueModel())
         head.start()
         srv = DiskServer(rt, net, pool_dir=pool_dir,
-                         shared_token=BENCH_TOKEN, disk=disk or DiskModel())
+                         shared_token=BENCH_TOKEN)
         srv.start()
         entries = seed_pool(head, srv, spec.clients, spec.file_size, seed)
         profile = builtin_profiles()[spec.net_profile]
@@ -377,8 +376,6 @@ def _merge_reps(reps: list[list[ClientRecord]]) -> list[ClientRecord]:
 
 def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
               pool_dir=None, paper_fidelity: bool = False,
-              queue_model: OpenQueueModel | None = None,
-              disk: DiskModel | None = None,
               wall_clock: bool = False) -> list[RunSummary]:
     """One run per axis value, fixed seed; every value validated up front."""
     if axis not in SWEEP_AXES:
@@ -397,7 +394,6 @@ def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
     with _pool_dir(pool_dir) as pd:
         return [run_benchmark(spec, seed=seed, pool_dir=pd,
                               paper_fidelity=paper_fidelity, axis_value=v,
-                              queue_model=queue_model, disk=disk,
                               wall_clock=wall_clock)
                 for v, spec in specs]
 

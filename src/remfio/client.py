@@ -174,11 +174,9 @@ class ClientHandle:
         t0 = self._rt.now()
         try:
             if self.mode is ReadMode.NORMAL:
-                data = self._read_normal(length)
-            elif self.mode is ReadMode.READBUF:
-                data = self._read_buffered(length)
+                data = self._request(self.logical_position, length)
             else:
-                data = self._read_pushed(length)
+                data = self._read_buffered(length)
         finally:
             self.counters.read_time += self._rt.now() - t0
             self._sync_wire()
@@ -186,71 +184,47 @@ class ClientHandle:
         self.logical_position += len(data)
         return data
 
-    def _read_normal(self, length: int) -> bytes:
-        pos = self.logical_position
+    def _request(self, pos: int, length: int) -> bytes:
+        """One ReadRequest round trip: the bytes before EOF, b"" at EOF."""
         self._control.send(ReadRequest(self.handle_id, pos, length))
         self.request_count += 1
         expected = min(length, max(0, self.file_size - pos))
         if expected == 0:
-            reply = _expect(self._control.recv(), DataChunk)
-            if reply.payload != b"":
+            if _expect(self._control.recv(), DataChunk).payload != b"":
                 raise ProtocolError("expected empty chunk at EOF")
             return b""
         parts = bytearray()
         while len(parts) < expected:
-            parts.extend(_expect(self._control.recv(), DataChunk).payload)
+            parts += _expect(self._control.recv(), DataChunk).payload
         return bytes(parts)
 
     def _read_buffered(self, length: int) -> bytes:
+        """Serve from the buffer; refill it on a miss.
+
+        READBUF refills with one request of iobufsize, clamped at EOF; the
+        push modes take the next pushed chunk that reaches the position.
+        """
         pos = self.logical_position
         end = min(pos + length, self.file_size)
         out = bytearray()
         while pos < end:
-            taken = self._take_from_buffer(pos, end, out)
-            if taken:
-                pos += taken
+            off = pos - self._buf_start
+            if 0 <= off < len(self._buf):
+                take = min(end - pos, len(self._buf) - off)
+                out += self._buf[off:off + take]
+                pos += take
+            elif self.mode is ReadMode.READBUF:
+                self._buf = self._request(
+                    pos, min(self.iobufsize, self.file_size - pos))
+                self._buf_start = pos
             else:
-                self._fill(pos)
-        return bytes(out)
-
-    def _take_from_buffer(self, pos: int, end: int, out: bytearray) -> int:
-        start = self._buf_start
-        stop = start + len(self._buf)
-        if not start <= pos < stop:
-            return 0
-        take = min(end, stop) - pos
-        off = pos - start
-        out += self._buf[off:off + take]
-        return take
-
-    def _fill(self, pos: int) -> None:
-        """READBUF buffer miss: one request of iobufsize, clamped at EOF."""
-        n = min(self.iobufsize, self.file_size - pos)
-        self._control.send(ReadRequest(self.handle_id, pos, n))
-        self.request_count += 1
-        buf = bytearray()
-        while len(buf) < n:
-            buf += _expect(self._control.recv(), DataChunk).payload
-        self._buf = bytes(buf)
-        self._buf_start = pos
-
-    def _read_pushed(self, length: int) -> bytes:
-        pos = self.logical_position
-        end = min(pos + length, self.file_size)
-        out = bytearray()
-        while pos < end:
-            taken = self._take_from_buffer(pos, end, out)
-            if taken:
-                pos += taken
-                continue
-            chunk = self._next_pushed_chunk()
-            if chunk is None:
-                break  # terminator; only reachable with pos at EOF
-            offset, payload = chunk
-            if offset + len(payload) <= pos:
-                continue  # wholly before the position: skipped-over bytes
-            self._buf = payload
-            self._buf_start = offset
+                chunk = self._next_pushed_chunk()
+                if chunk is None:
+                    break  # terminator; only reachable with pos at EOF
+                offset, payload = chunk
+                if offset + len(payload) > pos:  # else skipped-over bytes
+                    self._buf = payload
+                    self._buf_start = offset
         return bytes(out)
 
     def _next_pushed_chunk(self) -> tuple[int, bytes] | None:

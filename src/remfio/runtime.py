@@ -5,10 +5,15 @@ blocking style against this module's small surface: now/sleep/spawn, Channel,
 Mutex, and a rate limiter. Two interchangeable implementations exist:
 
 * VirtualRuntime — a discrete-event scheduler. Tasks are carried by real
-  threads but exactly one is ever runnable: the running task hands the baton
-  to the next scheduled task whenever it sleeps or blocks. Time is a float
-  that jumps straight to the next event, so a simulated minute of transfers
-  costs milliseconds, and identical inputs give bit-identical schedules.
+  threads but exactly one runs at any time: the running task hands the baton
+  to the next scheduled task whenever it sleeps, blocks or exits. Time is a
+  float that jumps straight to the next event, so a simulated minute of
+  transfers costs milliseconds, and identical inputs give bit-identical
+  schedules. When the root returns, run() unwinds the leftover tasks one at
+  a time in spawn order, each raising _TaskShutdown from its blocking call.
+  When nothing can run (a deadlock) the world stops: the root raises the
+  cause, and from then on any blocking call raises, the cause in the root
+  and _TaskShutdown in a task.
 
 * WallRuntime — the same surface over time.sleep and ordinary threads, used
   for demonstration runs over real sockets.
@@ -30,19 +35,19 @@ from .errors import ChannelClosedError, DeadlockError
 
 
 class _TaskShutdown(BaseException):
-    """Raised inside parked tasks when the runtime shuts down."""
+    """Raised inside a task's blocking call once the runtime is stopping."""
 
 
 class Task:
     """Handle to a spawned activity; join() re-raises the task's exception."""
 
-    def __init__(self, name: str, runtime):
+    def __init__(self, name: str):
         self.name = name
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
-        self._runtime = runtime
-        self._event = threading.Event()
+        self._baton = threading.Lock()  # held while the task may not run
+        self._baton.acquire()
         self._thread: threading.Thread | None = None
         self._join_waiters: list[Task] = []
 
@@ -91,7 +96,7 @@ class VirtualRuntime:
     # -- tasks ------------------------------------------------------------
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        task = Task(name, self)
+        task = Task(name)
         self._tasks[task] = None
         old_stack = threading.stack_size()
         try:
@@ -127,14 +132,22 @@ class VirtualRuntime:
         if self._ran:
             raise RuntimeError("runtime instances are single-use")
         self._ran = True
-        root = Task("root", self)
-        root._thread = threading.current_thread()
-        self._root = root
-        self._current = root
+        self._root = self._current = Task("root")
         try:
             result = fn(*args)
         finally:
-            self._shutdown()
+            # unwind the leftover tasks one at a time, in spawn order; their
+            # cleanup may spawn more, which join the end of the queue
+            self._stopping = True
+            while self._tasks:
+                task = next(iter(self._tasks))
+                del self._tasks[task]
+                self._current = task
+                task._baton.release()
+                task._thread.join(timeout=5.0)
+                if task._thread.is_alive():
+                    warnings.warn(f"task {task.name!r} survived shutdown",
+                                  RuntimeWarning, stacklevel=2)
         if self._pending:
             raise self._pending[0].exc
         return result
@@ -145,121 +158,76 @@ class VirtualRuntime:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, entry))
 
-    def _make_runnable(self, task: Task, delay: float = 0.0) -> None:
-        self._push(self._now + delay, task)
+    def _make_runnable(self, task: Task) -> None:
+        self._push(self._now, task)
 
     def _park(self) -> None:
         """Block the current task until someone makes it runnable again."""
         self._switch(None)
 
     def _switch(self, reschedule_at: float | None) -> None:
-        if self._stopping:
-            # the world is being torn down: cleanup code must not re-park,
-            # or it would wait on a wake-up that will never come. _current
-            # is meaningless here (threads unwind concurrently), so identify
-            # the caller by its thread.
-            if (self._root is None
-                    or threading.current_thread() is not self._root._thread):
-                raise _TaskShutdown()
         cur = self._current
-        if reschedule_at is not None:
-            self._push(reschedule_at, cur)
-        try:
-            nxt = self._dispatch()
-        except DeadlockError as exc:
-            self._abort(exc, cur)
-            raise AssertionError("unreachable")  # _abort always raises
-        if nxt is cur:
-            return
-        self._current = nxt
-        nxt._event.set()
-        cur._event.wait()
-        cur._event.clear()
-        if self._stopping:
-            if cur is self._root and self._failure is not None:
-                raise self._failure
-            raise _TaskShutdown()
+        if not self._stopping:
+            if reschedule_at is not None:
+                self._push(reschedule_at, cur)
+            self._handoff(cur)
+            if not self._stopping:
+                return
+        # the world is stopping: a task unwinds, the root sees the failure
+        if cur is self._root:
+            raise self._failure
+        raise _TaskShutdown()
 
-    def _dispatch(self) -> Task:
-        while True:
-            if not self._heap:
-                raise DeadlockError(
-                    f"all tasks blocked at t={self._now:.6f}; no pending events"
-                )
-            t, _seq, entry = heapq.heappop(self._heap)
+    def _handoff(self, cur: Task | None) -> None:
+        """Run due timer callbacks and pass the baton to the next task.
+
+        cur is the task giving the baton up, or None if it is exiting; it
+        waits here until it is handed the baton again. If nothing is left
+        to run, the world stops and the root is woken to raise the cause.
+        A crashed-but-unobserved task is a better root cause than the
+        deadlock it usually provokes, so pending failures win.
+        """
+        heap = self._heap
+        while heap:
+            t, _seq, entry = heapq.heappop(heap)
             if t > self._now:
                 self._now = t
             if isinstance(entry, Task):
-                return entry
+                nxt = entry
+                break
             entry()  # timer callback, runs inline
+        else:
+            cause = f"all tasks blocked at t={self._now:.6f}; no pending events"
+            self._failure = (self._pending[0].exc if self._pending
+                             else DeadlockError(cause))
+            self._stopping = True
+            nxt = self._root
+        if nxt is cur:
+            return
+        self._current = nxt
+        nxt._baton.release()
+        if cur is not None:
+            cur._baton.acquire()
 
     def _task_main(self, task: Task, fn: Callable, args: tuple) -> None:
-        task._event.wait()
-        task._event.clear()
+        task._baton.acquire()
         try:
-            if self._stopping:
-                raise _TaskShutdown()
-            task.result = fn(*args)
+            if not self._stopping:
+                task.result = fn(*args)
         except _TaskShutdown:
-            task.finished = True
-            return
+            pass
         except BaseException as exc:
             task.exc = exc
             if not task._join_waiters:
                 self._pending.append(task)
         task.finished = True
-        if not self._stopping:  # once stopping, _shutdown walks the list
-            del self._tasks[task]
+        if self._stopping:
+            return  # run() took this task off _tasks and is joining it
+        del self._tasks[task]
         for waiter in task._join_waiters:
             self._make_runnable(waiter)
         task._join_waiters.clear()
-        self._finish_dispatch()
-
-    def _finish_dispatch(self) -> None:
-        """Hand the baton onward as the current task's thread exits."""
-        if self._stopping:
-            return
-        try:
-            nxt = self._dispatch()
-        except DeadlockError as exc:
-            self._abort(exc, None)
-            return
-        self._current = nxt
-        nxt._event.set()
-
-    def _abort(self, deadlock: DeadlockError, cur: Task | None) -> None:
-        """Nothing can ever run again: stop the world, surface the cause.
-
-        A crashed-but-unobserved task is a better root cause than the
-        deadlock it usually provokes, so pending failures win.
-        """
-        if self._failure is None:
-            if self._pending:
-                self._failure = self._pending[0].exc
-            else:
-                self._failure = deadlock
-        self._stopping = True
-        for t in self._tasks:
-            if not t.finished:
-                t._event.set()
-        if self._root is not None:
-            self._root._event.set()
-        if cur is not None:
-            if cur is self._root:
-                raise self._failure
-            raise _TaskShutdown()
-
-    def _shutdown(self) -> None:
-        self._stopping = True
-        for t in self._tasks:
-            if not t.finished:
-                t._event.set()
-        for t in self._tasks:
-            if t._thread is not None:
-                t._thread.join(timeout=5.0)
-                if t._thread.is_alive():
-                    warnings.warn(f"task {t.name!r} survived shutdown",
-                                  RuntimeWarning, stacklevel=2)
+        self._handoff(None)
 
     # -- coordination primitives -------------------------------------------
 
@@ -434,7 +402,7 @@ class WallRuntime:
             time.sleep(dt)
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        task = Task(name, self)
+        task = Task(name)
 
         def main():
             try:
@@ -460,9 +428,6 @@ class WallRuntime:
 
     def channel(self, capacity: int | None = None) -> "WallChannel":
         return WallChannel(capacity)
-
-    def mutex(self) -> Mutex:
-        return Mutex(self.channel(capacity=1))
 
     def rate_limiter(self, rate: float) -> "WallRateLimiter":
         return WallRateLimiter(self, rate)

@@ -214,7 +214,10 @@ def _pack(msg: Message) -> tuple[MsgType, list]:
                                   f"cap {MAX_CHUNK_PAYLOAD}")
             parts.append(value)
         elif kind == "string":
-            raw = value.encode("utf-8")
+            try:
+                raw = value.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise EncodeError(f"{attr} is not valid Unicode") from exc
             if len(raw) > 0xFFFF:
                 raise EncodeError(f"{attr} too long: {len(raw)} bytes")
             parts += (_STR_LEN.pack(len(raw)), raw)

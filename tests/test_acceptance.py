@@ -233,7 +233,7 @@ def test_skip_reads_reverse_the_ordering():
 # -- client buffer sizing -----------------------------------------------------
 
 
-def test_buffer_size_effects():
+def test_buffer_size_effects(tmp_path):
     # Oversized client buffers on skip reads waste bandwidth: the rate at an
     # 8 MiB buffer must fall to half the 128 KiB rate or less. On sequential
     # reads with the application block matched to the buffer, size must not
@@ -252,7 +252,8 @@ def test_buffer_size_effects():
     seq_rates = []
     for value in sizes:
         one = run_benchmark(dataclasses.replace(seq, iobufsize=value,
-                                                block_size=value), seed=0)
+                                                block_size=value), seed=0,
+                            pool_dir=tmp_path)
         seq_rates.append(one.aggregate_rate)
     # half-width of the rate band relative to its midpoint
     spread = (max(seq_rates) - min(seq_rates)) / (max(seq_rates) + min(seq_rates))

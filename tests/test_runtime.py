@@ -239,6 +239,141 @@ def test_shutdown_reaps_parked_tasks():
     assert threading.active_count() <= baseline
 
 
+def _assert_threads_reaped(baseline: int) -> None:
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > baseline and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() <= baseline
+
+
+def test_leftover_tasks_unwind_one_at_a_time_in_spawn_order():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    in_cleanup = [0]
+    seen = []
+
+    def parked(i, ch):
+        try:
+            ch.get()
+        finally:
+            in_cleanup[0] += 1
+            time.sleep(0.005)  # host time: lets a concurrent unwind show
+            seen.append((i, in_cleanup[0]))
+            in_cleanup[0] -= 1
+
+    def main():
+        ch = rt.channel()
+        for i in range(8):
+            rt.spawn(parked, i, ch, name=f"parked{i}")
+        rt.sleep(1.0)
+
+    rt.run(main)
+    assert seen == [(i, 1) for i in range(8)]
+    _assert_threads_reaped(baseline)
+
+
+def test_cleanup_may_spawn_during_shutdown():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    late = []
+
+    def parked(ch):
+        try:
+            ch.get()
+        finally:
+            late.append(rt.spawn(ch.get, name="late"))
+
+    def main():
+        ch = rt.channel()
+        for _ in range(3):
+            rt.spawn(parked, ch)
+        rt.sleep(1.0)
+        return "done"
+
+    assert rt.run(main) == "done"
+    assert len(late) == 3 and all(t.finished for t in late)
+    assert not rt._tasks
+    _assert_threads_reaped(baseline)
+
+
+def test_blocking_in_root_after_deadlock_reraises():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    reraised = []
+
+    def main():
+        try:
+            rt.channel().get()
+        finally:
+            try:
+                rt.sleep(1.0)
+            except DeadlockError as exc:
+                reraised.append((rt.now(), exc))
+
+    with pytest.raises(DeadlockError) as info:
+        rt.run(main)
+    assert reraised == [(0.0, info.value)]
+    _assert_threads_reaped(baseline)
+
+
+def test_deadlock_found_in_task_while_root_joins():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    tasks = []
+
+    def stuck():
+        rt.sleep(0.5)
+        rt.channel().get()
+
+    def main():
+        tasks.append(rt.spawn(stuck))
+        rt.join(tasks[0])
+
+    with pytest.raises(DeadlockError, match="t=0.500000"):
+        rt.run(main)
+    assert tasks[0].finished and tasks[0].exc is None  # unwound, not failed
+    _assert_threads_reaped(baseline)
+
+
+def test_deadlock_found_at_task_exit():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+
+    def quick():
+        rt.sleep(0.25)
+
+    def main():
+        rt.spawn(quick)
+        rt.channel().get()
+
+    with pytest.raises(DeadlockError, match="t=0.250000"):
+        rt.run(main)
+    _assert_threads_reaped(baseline)
+
+
+def test_unjoined_crash_beats_the_deadlock_it_causes():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+
+    def main():
+        ch = rt.channel()
+
+        def producer():
+            rt.sleep(0.1)
+            raise ValueError("producer crashed")
+
+        def consumer():
+            ch.get()
+
+        rt.spawn(producer)
+        rt.spawn(consumer)
+        ch.get()
+
+    with pytest.raises(ValueError, match="producer crashed"):
+        rt.run(main)
+    _assert_threads_reaped(baseline)
+
+
 def _token_ring_trace(seed: int) -> list:
     rt = VirtualRuntime()
     trace = []

@@ -176,6 +176,17 @@ def test_frame_size_rejects_what_encode_rejects(msg):
         wire.frame_size(msg)
 
 
+@pytest.mark.parametrize("msg", [
+    wire.NsLookup(path="\ud800"),
+    wire.OpenRequest(path="/a", mode=0, iobufsize=1, token="t\udfff"),
+], ids=["lone-high-surrogate", "lone-low-surrogate"])
+def test_invalid_unicode_string_raises_encode_error(msg):
+    with pytest.raises(EncodeError):
+        wire.encode_frame(msg)
+    with pytest.raises(EncodeError):
+        wire.frame_size(msg)
+
+
 def test_frame_decoder_incremental():
     rng = random.Random(23)
     msgs = [random_message(rng) for _ in range(20)]
