@@ -5,14 +5,12 @@ Framing messages on the wire
 Every connection in this package speaks the same binary protocol: an
 8-byte header (magic "RF", version, message type, payload length) followed
 by a per-variant payload. This walkthrough encodes a few messages, looks
-at the raw bytes, and shows how the incremental decoder handles the
-arbitrary splits a byte stream delivers.
+at the raw bytes, and shows that a partial frame decodes as "not yet".
 """
 
 from remfio.wire import (
     CloseRequest,
     DataChunk,
-    FrameDecoder,
     ReadRequest,
     decode_frame,
     encode_frame,
@@ -36,18 +34,6 @@ print("ReadRequest is", len(encode_frame(req)), "bytes on the wire")
 # end of the frame, so a chunk costs 24 bytes of overhead regardless of size.
 chunk = DataChunk(handle_id=1, offset=0, payload=b"x" * 1000)
 print("1000-byte DataChunk frame is", len(encode_frame(chunk)), "bytes")
-
-# Sockets do not respect frame boundaries. FrameDecoder buffers partial
-# input and emits complete messages as they become available: here we feed
-# two back-to-back frames one byte at a time.
-wire = encode_frame(req) + encode_frame(chunk)
-decoder = FrameDecoder()
-seen = []
-for i, byte in enumerate(wire):
-    for got in decoder.feed(bytes([byte])):
-        seen.append((i + 1, type(got).__name__))
-for fed, name in seen:
-    print(f"after {fed:3d} bytes fed: complete {name}")
 
 # A strict prefix of a frame is never an error, just "not yet": decode_frame
 # returns None until the full frame has arrived.

@@ -6,10 +6,9 @@ modes (NORMAL, READBUF, READAHEAD, STREAM), a client library with POSIX-shaped
 calls, a deterministic in-process network emulator, and a benchmark harness
 that reproduces wide-area storage access experiments at desk scale.
 
-The pieces compose the same way in every scenario: build a runtime
-(VirtualRuntime for deterministic simulated time, WallRuntime plus
-remfio.socknet for real sockets), attach a network, start a Headnode and a
-DiskServer, then open files with rf_open and drive them with rf_read /
+The pieces compose the same way in every scenario: build a VirtualRuntime
+(deterministic simulated time), attach an EmulatedNetwork, start a Headnode
+and a DiskServer, then open files with rf_open and drive them with rf_read /
 rf_seek / rf_close. The bench module automates exactly that for concurrent
 seeded workloads.
 """
@@ -30,7 +29,7 @@ from .errors import (
 )
 from .headnode import Headnode, OpenQueueModel
 from .netemu import EmulatedNetwork, LinkProfile, builtin_profiles
-from .runtime import VirtualRuntime, WallRuntime
+from .runtime import VirtualRuntime
 from .wire import ReadMode
 
 __version__ = "0.1.0"
@@ -58,7 +57,6 @@ __all__ = [
     "StaleHandleError",
     "TransportError",
     "VirtualRuntime",
-    "WallRuntime",
     "WorkloadSpec",
     "builtin_profiles",
     "rf_close",

@@ -238,21 +238,19 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
 
 def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
                   paper_fidelity: bool = False, axis_value=None,
-                  queue_model: OpenQueueModel | None = None,
-                  wall_clock: bool = False) -> RunSummary:
+                  queue_model: OpenQueueModel | None = None) -> RunSummary:
     """Execute one workload; returns per-client records plus aggregates.
 
     repetitions > 1 repeats the whole workload in fresh universes (stagger
     draws differ per repetition) and averages each client's times; byte
     counts must agree across repetitions and rates are recomputed from the
-    averaged times. wall_clock=True runs over real loopback sockets in real
-    time instead of the deterministic virtual network.
+    averaged times.
     """
     _check_fidelity(spec, paper_fidelity)
     if spec.net_profile not in builtin_profiles():
         raise ValueError(f"unknown net profile {spec.net_profile!r}")
     with _pool_dir(pool_dir) as pd:
-        reps = [_run_once(spec, seed, rep, pd, queue_model, wall_clock)
+        reps = [_run_once(spec, seed, rep, pd, queue_model)
                 for rep in range(spec.repetitions)]
     return RunSummary(spec, _merge_reps(reps), axis_value)
 
@@ -274,18 +272,11 @@ def _pool_dir(path):
         yield Path(tmp)
 
 
-def _run_once(spec, seed, rep, pool_dir, queue_model, wall_clock=False):
-    if wall_clock:
-        from .runtime import WallRuntime
-        from .socknet import SocketNetwork
-        rt = WallRuntime()
-        make_net = lambda: SocketNetwork(rt)  # noqa: E731
-    else:
-        rt = VirtualRuntime()
-        make_net = lambda: EmulatedNetwork(rt)  # noqa: E731
+def _run_once(spec, seed, rep, pool_dir, queue_model):
+    rt = VirtualRuntime()
 
     def scenario():
-        net = make_net()
+        net = EmulatedNetwork(rt)
         head = Headnode(rt, net, shared_token=BENCH_TOKEN,
                         queue_model=queue_model or OpenQueueModel())
         head.start()
@@ -319,8 +310,6 @@ def _run_once(spec, seed, rep, pool_dir, queue_model, wall_clock=False):
                  for i in range(spec.clients)]
         for t in tasks:
             rt.join(t)
-        if wall_clock:
-            net.close()  # real listeners need releasing; the emulator's don't
         return records
 
     return rt.run(scenario)
@@ -375,8 +364,7 @@ def _merge_reps(reps: list[list[ClientRecord]]) -> list[ClientRecord]:
 
 
 def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
-              pool_dir=None, paper_fidelity: bool = False,
-              wall_clock: bool = False) -> list[RunSummary]:
+              pool_dir=None, paper_fidelity: bool = False) -> list[RunSummary]:
     """One run per axis value, fixed seed; every value validated up front."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"bad axis {axis!r}: expected one of {SWEEP_AXES}")
@@ -393,8 +381,7 @@ def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
         specs.append((v, spec))
     with _pool_dir(pool_dir) as pd:
         return [run_benchmark(spec, seed=seed, pool_dir=pd,
-                              paper_fidelity=paper_fidelity, axis_value=v,
-                              wall_clock=wall_clock)
+                              paper_fidelity=paper_fidelity, axis_value=v)
                 for v, spec in specs]
 
 

@@ -57,8 +57,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repetitions", type=int, default=1)
     p.add_argument("--paper-fidelity", action="store_true",
                    help="exclude STREAM from skip workloads")
-    p.add_argument("--wall-clock", action="store_true",
-                   help="run over real loopback sockets in real time")
 
 
 def _spec_from(args) -> WorkloadSpec:
@@ -87,8 +85,7 @@ def _cmd_run(args) -> int:
     spec = _spec_from(args)
     out = Path(args.out)
     summary = run_benchmark(spec, seed=args.seed, pool_dir=out / "pool",
-                            paper_fidelity=args.paper_fidelity,
-                            wall_clock=args.wall_clock)
+                            paper_fidelity=args.paper_fidelity)
     paths = emit_csv(summary, out)
     print(_summary_line(summary))
     for p in paths:
@@ -109,8 +106,7 @@ def _cmd_sweep(args) -> int:
     out = Path(args.out)
     series = run_sweep(spec, args.axis, values, seed=args.seed,
                        pool_dir=out / "pool",
-                       paper_fidelity=args.paper_fidelity,
-                       wall_clock=args.wall_clock)
+                       paper_fidelity=args.paper_fidelity)
     paths = emit_csv(series, out)
     for s in series:
         print(f"{args.axis}={axis_label(s.axis_value)}: {_summary_line(s)}")

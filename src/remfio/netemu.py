@@ -12,8 +12,7 @@ Connections between in-process endpoints are shaped by a LinkProfile:
   flow control); senders reserve a credit before transmitting a chunk and
   the credit returns rtt/2 after the receiver application consumes it.
 
-Requires a VirtualRuntime: timing is event-driven and bit-deterministic.
-Wall-clock runs over real sockets live in remfio.socknet instead.
+Runs on a VirtualRuntime: timing is event-driven and bit-deterministic.
 
 The steady per-connection throughput is min(fair bandwidth share,
 window/rtt); throughput_cap() computes it for planning and assertions.
@@ -62,19 +61,6 @@ def builtin_profiles() -> dict[str, LinkProfile]:
     return {p.name: p for p in (WAN_PROFILE, LAN_PROFILE, ZERO_PROFILE)}
 
 
-def link_pump(pumps: dict, runtime, profile: LinkProfile, direction: str):
-    """The rate limiter shared by one direction of a named link.
-
-    Made on first use and kept in `pumps`, so a profile that carries no
-    traffic gets no limiter.
-    """
-    key = (profile.name, direction)
-    pump = pumps.get(key)
-    if pump is None:
-        pump = pumps[key] = runtime.rate_limiter(profile.shared_bandwidth)
-    return pump
-
-
 def throughput_cap(profile: LinkProfile, active_connections: int) -> float:
     """Steady-state per-connection ceiling in bytes/s."""
     if active_connections < 1:
@@ -96,9 +82,6 @@ class EmulatedNetwork:
     """Registry of listening services plus shared per-link bandwidth pumps."""
 
     def __init__(self, runtime: VirtualRuntime):
-        if not hasattr(runtime, "call_later"):
-            raise TypeError("EmulatedNetwork needs a VirtualRuntime "
-                            "(wall-clock mode uses remfio.socknet)")
         self._rt = runtime
         self._services: dict[str, object] = {}
         self._pumps: dict = {}
@@ -109,6 +92,19 @@ class EmulatedNetwork:
         if address in self._services:
             raise ValueError(f"address already listening: {address}")
         self._services[address] = handler
+
+    def _pump(self, profile: LinkProfile, direction: str):
+        """The rate limiter shared by one direction of a named link.
+
+        Made on first use, so a profile that carries no traffic gets no
+        limiter.
+        """
+        key = (profile.name, direction)
+        pump = self._pumps.get(key)
+        if pump is None:
+            pump = self._pumps[key] = self._rt.rate_limiter(
+                profile.shared_bandwidth)
+        return pump
 
     def connect(
         self,
@@ -210,7 +206,7 @@ class EmuConnection:
             raise TransportError("DataChunk sends require a reserved credit")
         frame_len = frame_size(msg)
         rt = self._rt
-        pump = link_pump(self._net._pumps, rt, self.profile, self._direction)
+        pump = self._net._pump(self.profile, self._direction)
         with self._send_mutex:
             remaining = frame_len
             while remaining > 0:

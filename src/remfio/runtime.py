@@ -1,32 +1,27 @@
-"""Execution runtimes: deterministic virtual time and wall-clock threads.
+"""Execution runtime: deterministic virtual time.
 
 Component code (servers, clients, the network emulator) is written in plain
-blocking style against this module's small surface: now/sleep/spawn, Channel,
-Mutex, and a rate limiter. Two interchangeable implementations exist:
-
-* VirtualRuntime — a discrete-event scheduler. Tasks are carried by real
-  threads but exactly one runs at any time: the running task hands the baton
-  to the next scheduled task whenever it sleeps, blocks or exits. Time is a
-  float that jumps straight to the next event, so a simulated minute of
-  transfers costs milliseconds, and identical inputs give bit-identical
-  schedules. When the root returns, run() unwinds the leftover tasks one at
-  a time in spawn order, each raising _TaskShutdown from its blocking call.
-  When nothing can run (a deadlock) the world stops: the root raises the
-  cause, and from then on any blocking call raises, the cause in the root
-  and _TaskShutdown in a task.
-
-* WallRuntime — the same surface over time.sleep and ordinary threads, used
-  for demonstration runs over real sockets.
+blocking style against this module's small surface: now/sleep/spawn,
+channels, Mutex, and a rate limiter. VirtualRuntime provides it as a
+discrete-event scheduler. Tasks are carried by real threads but exactly one
+runs at any time: the running task hands the baton to the next scheduled
+task whenever it sleeps, blocks or exits. Time is a float that jumps
+straight to the next event, so a simulated minute of transfers costs
+milliseconds, and identical inputs give bit-identical schedules. When the
+root returns, run() unwinds the leftover tasks one at a time in spawn order,
+each raising _TaskShutdown from its blocking call. When nothing can run (a
+deadlock) or a timer callback raises, the world stops: the root raises the
+cause, and from then on any blocking call raises, the cause in the root and
+_TaskShutdown in a task.
 
 Timer callbacks (VirtualRuntime.call_at) run inline during dispatch and must
-never block; unbounded Channel.put and try_put are safe there.
+never block; unbounded channel put and try_put are safe there.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-import time
 import warnings
 from collections import deque
 from typing import Any, Callable
@@ -183,9 +178,10 @@ class VirtualRuntime:
 
         cur is the task giving the baton up, or None if it is exiting; it
         waits here until it is handed the baton again. If nothing is left
-        to run, the world stops and the root is woken to raise the cause.
-        A crashed-but-unobserved task is a better root cause than the
-        deadlock it usually provokes, so pending failures win.
+        to run, or a timer callback raises, the world stops and the root is
+        woken to raise the cause. A crashed-but-unobserved task is a better
+        root cause than the deadlock it usually provokes, so pending
+        failures win over a deadlock.
         """
         heap = self._heap
         while heap:
@@ -195,7 +191,14 @@ class VirtualRuntime:
             if isinstance(entry, Task):
                 nxt = entry
                 break
-            entry()  # timer callback, runs inline
+            try:
+                entry()  # timer callback, runs inline
+            except BaseException as exc:
+                # a crash with no task to carry it: the root raises it
+                self._failure = exc
+                self._stopping = True
+                nxt = self._root
+                break
         else:
             cause = f"all tasks blocked at t={self._now:.6f}; no pending events"
             self._failure = (self._pending[0].exc if self._pending
@@ -381,139 +384,3 @@ class VirtualRateLimiter:
     def _end(self, task: Task) -> None:
         self._rt._make_runnable(task)
         self._serve()
-
-
-# ---------------------------------------------------------------------------
-# wall-clock runtime
-# ---------------------------------------------------------------------------
-
-
-class WallRuntime:
-    """Same surface as VirtualRuntime over real threads and time.sleep."""
-
-    def __init__(self) -> None:
-        self._t0 = time.monotonic()
-
-    def now(self) -> float:
-        return time.monotonic() - self._t0
-
-    def sleep(self, dt: float) -> None:
-        if dt > 0:
-            time.sleep(dt)
-
-    def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        task = Task(name)
-
-        def main():
-            try:
-                task.result = fn(*args)
-            except BaseException as exc:
-                task.exc = exc
-            finally:
-                task.finished = True
-
-        thread = threading.Thread(target=main, daemon=True, name=f"wrt-{name}")
-        task._thread = thread
-        thread.start()
-        return task
-
-    def join(self, task: Task):
-        task._thread.join()
-        if task.exc is not None:
-            raise task.exc
-        return task.result
-
-    def run(self, fn: Callable, *args):
-        return fn(*args)
-
-    def channel(self, capacity: int | None = None) -> "WallChannel":
-        return WallChannel(capacity)
-
-    def rate_limiter(self, rate: float) -> "WallRateLimiter":
-        return WallRateLimiter(self, rate)
-
-
-class WallChannel:
-    """Thread-safe FIFO channel matching VirtualChannel's API."""
-
-    def __init__(self, capacity: int | None):
-        self._capacity = capacity
-        self._items: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-
-    def __len__(self) -> int:
-        with self._cond:
-            return len(self._items)
-
-    def put(self, item) -> None:
-        with self._cond:
-            while (
-                not self._closed
-                and self._capacity is not None
-                and len(self._items) >= self._capacity
-            ):
-                self._cond.wait()
-            if self._closed:
-                raise ChannelClosedError("put on closed channel")
-            self._items.append(item)
-            self._cond.notify_all()
-
-    def try_put(self, item) -> bool:
-        with self._cond:
-            if self._closed:
-                raise ChannelClosedError("put on closed channel")
-            if self._capacity is not None and len(self._items) >= self._capacity:
-                return False
-            self._items.append(item)
-            self._cond.notify_all()
-            return True
-
-    def get(self):
-        with self._cond:
-            while not self._items:
-                if self._closed:
-                    raise ChannelClosedError("channel closed and drained")
-                self._cond.wait()
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
-
-
-class WallRateLimiter:
-    """Token-bucket limiter; approximate wall-clock analogue of
-    VirtualRateLimiter."""
-
-    def __init__(self, runtime: WallRuntime, rate: float):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive: {rate}")
-        self._rt = runtime
-        self._rate = rate
-        self._lock = threading.Lock()
-        self._tokens = 0.0
-        self._burst = max(rate * 0.05, 256 * 1024.0)
-        self._last = runtime.now()
-
-    def acquire(self, key, nbytes: int) -> None:
-        if nbytes <= 0 or self._rate == float("inf"):
-            return
-        while True:
-            with self._lock:
-                now = self._rt.now()
-                self._tokens = min(
-                    self._burst, self._tokens + (now - self._last) * self._rate
-                )
-                self._last = now
-                if self._tokens >= nbytes:
-                    self._tokens -= nbytes
-                    return
-                deficit = nbytes - self._tokens
-            self._rt.sleep(deficit / self._rate)
-
-
-Channel = VirtualChannel | WallChannel

@@ -300,24 +300,3 @@ def decode_frame(buf: bytes | bytearray | memoryview) -> tuple[Message, int] | N
     if pos != total:
         raise ProtocolError(f"payload_len mismatch: {total - pos} trailing bytes")
     return cls(*values), total
-
-
-class FrameDecoder:
-    """Incremental decoder for byte streams (sockets feed partial reads)."""
-
-    def __init__(self) -> None:
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[Message]:
-        self._buf.extend(data)
-        out: list[Message] = []
-        while True:
-            result = decode_frame(self._buf)
-            if result is None:
-                return out
-            msg, consumed = result
-            del self._buf[:consumed]
-            out.append(msg)
-
-    def pending_bytes(self) -> int:
-        return len(self._buf)

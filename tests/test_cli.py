@@ -101,15 +101,6 @@ def test_console_script_installed():
     assert "run" in proc.stdout and "sweep" in proc.stdout
 
 
-def test_wall_clock_smoke(tmp_path, capsys):
-    rc = main(["run", "--clients", "1", "--file-size", str(128 * KiB),
-               "--block-size", str(64 * KiB), "--net-profile", "zero",
-               "--stagger", "0", "--wall-clock",
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    assert (tmp_path / "out" / "clients.csv").exists()
-
-
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "remfio.cli", "seed", "--count", "1",

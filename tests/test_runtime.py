@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import remfio.runtime
 from remfio.errors import ChannelClosedError, DeadlockError
-from remfio.runtime import VirtualRuntime, WallRuntime
+from remfio.runtime import VirtualRuntime
 
 
 def test_sleep_advances_virtual_time_only():
@@ -374,6 +379,47 @@ def test_unjoined_crash_beats_the_deadlock_it_causes():
     _assert_threads_reaped(baseline)
 
 
+# Runs in a child process under a time limit: if the runtime mishandles the
+# raising callback, run() never returns.
+_RAISING_CALLBACK = """
+import sys, threading, time
+from remfio.runtime import VirtualRuntime
+
+baseline = threading.active_count()
+rt = VirtualRuntime()
+
+def task():
+    rt.call_at(0.0, lambda: 1 / 0)
+    if sys.argv[1] == "sleep":
+        rt.sleep(0.5)
+
+def main():
+    rt.spawn(task)
+    rt.sleep(1.0)
+
+try:
+    rt.run(main)
+except ZeroDivisionError:
+    print("raised at", rt.now())
+deadline = time.monotonic() + 5.0
+while threading.active_count() > baseline and time.monotonic() < deadline:
+    time.sleep(0.01)
+print("threads", threading.active_count() - baseline)
+"""
+
+
+@pytest.mark.parametrize("after_call_at", ["exit", "sleep"])
+def test_raising_timer_callback_stops_the_run(after_call_at):
+    src = str(Path(remfio.runtime.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _RAISING_CALLBACK, after_call_at],
+        capture_output=True, text=True, timeout=30, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["raised at 0.0", "threads 0"]
+
+
 def _token_ring_trace(seed: int) -> list:
     rt = VirtualRuntime()
     trace = []
@@ -404,21 +450,3 @@ def test_identical_seeds_give_identical_schedules():
     assert t1 == t2
     assert len(t1) == 40
     assert _token_ring_trace(99) != t1
-
-
-def test_wall_runtime_smoke():
-    rt = WallRuntime()
-    ch = rt.channel(capacity=2)
-
-    def producer():
-        for i in range(5):
-            ch.put(i)
-        return "ok"
-
-    task = rt.spawn(producer)
-    got = [ch.get() for _ in range(5)]
-    assert rt.join(task) == "ok"
-    assert got == [0, 1, 2, 3, 4]
-    t0 = rt.now()
-    rt.sleep(0.05)
-    assert rt.now() - t0 >= 0.04

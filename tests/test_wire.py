@@ -187,22 +187,6 @@ def test_invalid_unicode_string_raises_encode_error(msg):
         wire.frame_size(msg)
 
 
-def test_frame_decoder_incremental():
-    rng = random.Random(23)
-    msgs = [random_message(rng) for _ in range(20)]
-    stream = b"".join(wire.encode_frame(m) for m in msgs)
-    dec = wire.FrameDecoder()
-    got = []
-    # feed in ragged slices to exercise partial-frame buffering
-    pos = 0
-    while pos < len(stream):
-        step = rng.randint(1, 37)
-        got.extend(dec.feed(stream[pos : pos + step]))
-        pos += step
-    assert got == msgs
-    assert dec.pending_bytes() == 0
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_roundtrip_property(rng):
