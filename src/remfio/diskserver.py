@@ -5,7 +5,7 @@ Every session runs a small three-task pipeline on the server side:
   control loop --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
 
 The reader charges the disk cost model (seek latency on discontiguous
-access, shared sequential bandwidth round-robined across sessions) and the
+access, sequential bandwidth shared byte-fairly across sessions) and the
 sender handles per-connection flow-control credits. Pushed streams carry an
 epoch tag; ControlInterrupt or a new request bumps the session epoch,
 which makes the reader abandon the push and the sender drop whatever stale
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConnectionClosedError, TransportError
+from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
     MAX_CHUNK_PAYLOAD,
@@ -170,42 +170,34 @@ class DiskServer:
             self._run_data(conn, first)
         else:
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(
+            conn.try_send(ErrorReply(
                 ErrorCode.PROTOCOL, "expected OpenRequest or StreamStart"))
             conn.close()
-
-    def _try_send(self, conn, msg) -> None:
-        try:
-            conn.send(msg)
-        except TransportError:
-            pass
 
     def _run_control(self, conn, request: OpenRequest) -> None:
         handle_id = verify_session_token(request.token, self._shared)
         if handle_id is None:
             self.counters["auth_failures"] += 1
-            self._try_send(conn, ErrorReply(ErrorCode.AUTH,
-                                            "session token rejected"))
+            conn.try_send(ErrorReply(ErrorCode.AUTH, "session token rejected"))
             conn.close()
             return
         pool_file = self.pool.get(request.path)
         if pool_file is None:
             self.counters["stale_replicas"] += 1
-            self._try_send(conn, ErrorReply(ErrorCode.STALE_REPLICA,
-                                            request.path))
+            conn.try_send(ErrorReply(ErrorCode.STALE_REPLICA, request.path))
             conn.close()
             return
         if handle_id in self.sessions:
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(ErrorCode.PROTOCOL,
-                                            "handle already open"))
+            conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
+                                     "handle already open"))
             conn.close()
             return
         session = _Session(self, handle_id, ReadMode(request.mode),
                            request.iobufsize, pool_file, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
-        self._try_send(conn, OpenReply(handle_id, pool_file.size))
+        conn.try_send(OpenReply(handle_id, pool_file.size))
         try:
             while True:
                 msg = conn.recv()
@@ -219,7 +211,7 @@ class DiskServer:
                     break
                 else:
                     self.counters["protocol_errors"] += 1
-                    self._try_send(conn, ErrorReply(
+                    conn.try_send(ErrorReply(
                         ErrorCode.PROTOCOL, "unexpected message on control"))
         except ConnectionClosedError:
             pass
@@ -229,17 +221,17 @@ class DiskServer:
     def _start_stream(self, session: "_Session", conn, offset: int) -> None:
         if session.mode not in (ReadMode.READAHEAD, ReadMode.STREAM):
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(
+            conn.try_send(ErrorReply(
                 ErrorCode.PROTOCOL, "stream start outside push mode"))
             return
         if session.stream_active:
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(
+            conn.try_send(ErrorReply(
                 ErrorCode.PROTOCOL, "stream already active"))
             return
         if session.mode is ReadMode.STREAM and session.data_conn is None:
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(
+            conn.try_send(ErrorReply(
                 ErrorCode.PROTOCOL, "no data connection attached"))
             return
         session.request_stream(offset)
@@ -247,14 +239,14 @@ class DiskServer:
     def _run_data(self, conn, start: StreamStart) -> None:
         session = self.sessions.get(start.handle_id)
         if session is None:
-            self._try_send(conn, ErrorReply(ErrorCode.STALE_HANDLE,
-                                            str(start.handle_id)))
+            conn.try_send(ErrorReply(ErrorCode.STALE_HANDLE,
+                                     str(start.handle_id)))
             conn.close()
             return
         if session.mode is not ReadMode.STREAM or session.data_conn is not None:
             self.counters["protocol_errors"] += 1
-            self._try_send(conn, ErrorReply(ErrorCode.PROTOCOL,
-                                            "unexpected data connection"))
+            conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
+                                     "unexpected data connection"))
             conn.close()
             return
         # the session owns the connection from here: its sender stops once
@@ -408,10 +400,7 @@ class _Session:
                 if conn.closed:
                     break
                 if conn.try_reserve_data_credit():
-                    try:
-                        conn.send(msg, credit_reserved=True)
+                    if conn.try_send(msg, credit_reserved=True):
                         self.bytes_sent_wire += len(payload)
-                    except TransportError:
-                        pass
                     break
                 self._kicks.get()

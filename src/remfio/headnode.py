@@ -27,7 +27,6 @@ from .errors import (
     AlreadyRegisteredError,
     ConnectionClosedError,
     NotFoundError,
-    TransportError,
 )
 from .wire import (
     ErrorCode,
@@ -164,13 +163,14 @@ class Headnode:
                     self.counters["lookups"] += 1
                     entry = self._namespace.get(msg.path)
                     if entry is None:
-                        conn.send(ErrorReply(ErrorCode.NOT_FOUND, msg.path))
+                        conn.try_send(ErrorReply(ErrorCode.NOT_FOUND,
+                                                 msg.path))
                     else:
-                        conn.send(NsLookupReply(
+                        conn.try_send(NsLookupReply(
                             entry.replica_address, entry.size, entry.checksum))
                 else:
-                    conn.send(ErrorReply(ErrorCode.PROTOCOL,
-                                         "namespace port expects NsLookup"))
+                    conn.try_send(ErrorReply(
+                        ErrorCode.PROTOCOL, "namespace port expects NsLookup"))
         except ConnectionClosedError:
             pass
         finally:
@@ -181,19 +181,19 @@ class Headnode:
             while True:
                 msg = conn.recv()
                 if not isinstance(msg, OpenRequest):
-                    conn.send(ErrorReply(ErrorCode.PROTOCOL,
-                                         "open port expects OpenRequest"))
+                    conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
+                                             "open port expects OpenRequest"))
                     continue
                 if msg.token != self._shared:
                     self.counters["auth_failures"] += 1
                     self.counters["open_errors"] += 1
-                    conn.send(ErrorReply(ErrorCode.AUTH, "token rejected"))
+                    conn.try_send(ErrorReply(ErrorCode.AUTH, "token rejected"))
                     continue
                 if not self._queue.try_put((msg, conn)):
                     self.counters["queue_overflow"] += 1
                     self.counters["open_errors"] += 1
-                    conn.send(ErrorReply(ErrorCode.QUEUE_OVERFLOW,
-                                         "open queue full"))
+                    conn.try_send(ErrorReply(ErrorCode.QUEUE_OVERFLOW,
+                                             "open queue full"))
         except ConnectionClosedError:
             pass
         finally:
@@ -211,7 +211,4 @@ class Headnode:
             else:
                 self.counters["opens_ok"] += 1
                 reply = OpenReply(next(self._handle_ids), entry.size)
-            try:
-                conn.send(reply)
-            except TransportError:
-                pass  # requester went away; nothing to deliver the verdict to
+            conn.try_send(reply)  # the requester may have gone

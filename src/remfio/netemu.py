@@ -3,11 +3,15 @@
 Connections between in-process endpoints are shaped by a LinkProfile:
 
 * one-way latency of rtt/2 on every frame, rtt on connection setup;
-* shared_bandwidth split round-robin among connections actively
-  transmitting in the same direction of the same named link;
+* shared_bandwidth split byte-fairly among connections actively
+  transmitting in the same direction of the same named link, whatever the
+  size of their slices;
 * a per-connection in-flight window: at most `window` un-acknowledged
   bytes, each slice's share returning one rtt after the slice is admitted
-  (ack clocking), which yields the steady-state cap of exactly window/rtt;
+  (ack clocking), which yields the steady-state cap of exactly window/rtt.
+  A sender admits a slice only once window // 8 bytes, or the rest of its
+  frame, are free (sender-side silly-window avoidance), so a small window
+  is sent in a few large slices instead of ever smaller ones;
 * a 16-frame in-flight cap on DataChunk frames per connection (receiver
   flow control); senders reserve a credit before transmitting a chunk and
   the credit returns rtt/2 after the receiver application consumes it.
@@ -163,8 +167,8 @@ class EmuConnection:
         # frames sent by accepting ends (the servers) share the other
         self._direction = "fwd" if conn_id.endswith("i") else "rev"
         self._queue = net._rt.channel()
-        self._send_mutex = net._rt.mutex()
         self._window_avail = window
+        self._min_slice = max(1, window // 8)
         self._window_kick = net._rt.channel(capacity=1)
         self._credits = DATA_CREDITS
         self.on_data_credit = None  # callback, fired on credit return
@@ -194,6 +198,12 @@ class EmuConnection:
     def send(self, msg: Message, *, credit_reserved: bool = False) -> None:
         """Transmit one frame; blocks for window space and bandwidth share.
 
+        The frame goes out in slices, each as large as the free window allows
+        and none smaller than window // 8 unless it ends the frame; it is
+        delivered whole, rtt/2 after its last slice. Tasks sending on one
+        connection at once interleave whole slices, so each task's frames
+        arrive in the order it sent them.
+
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
@@ -207,25 +217,36 @@ class EmuConnection:
         frame_len = frame_size(msg)
         rt = self._rt
         pump = self._net._pump(self.profile, self._direction)
-        with self._send_mutex:
-            remaining = frame_len
-            while remaining > 0:
-                while self._window_avail <= 0:
-                    self._window_kick.get()
-                    if self._closed or self._peer_closed:
-                        raise TransportError(
-                            f"connection {self.conn_id} closed mid-send")
-                take = min(remaining, self._window_avail)
-                self._window_avail -= take
-                rt.call_later(self.profile.rtt, self._release_window(take))
-                pump.acquire(self.conn_id, take)  # returns at transmit end
-                remaining -= take
-            self.sent_bytes += frame_len
-            if isinstance(msg, DataChunk):
-                self.sent_payload += len(msg.payload)
-            peer = self._peer
-            rt.call_later(self.profile.rtt / 2,
-                          lambda: peer._deliver(msg, frame_len))
+        remaining = frame_len
+        while remaining > 0:
+            # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
+            # an eighth of the window, or the rest of the frame, to be free
+            while self._window_avail < min(remaining, self._min_slice):
+                self._window_kick.get()
+                if self._closed or self._peer_closed:
+                    self._window_kick.try_put(None)  # wake the next sender
+                    raise TransportError(
+                        f"connection {self.conn_id} closed mid-send")
+            take = min(remaining, self._window_avail)
+            self._window_avail -= take
+            rt.call_later(self.profile.rtt, self._release_window(take))
+            pump.acquire(self.conn_id, take)  # returns at transmit end
+            remaining -= take
+        self.sent_bytes += frame_len
+        if isinstance(msg, DataChunk):
+            self.sent_payload += len(msg.payload)
+        peer = self._peer
+        rt.call_later(self.profile.rtt / 2,
+                      lambda: peer._deliver(msg, frame_len))
+
+    def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
+        """send(), except that a closed connection drops the frame; returns
+        whether it went out. For replies whose requester may have gone."""
+        try:
+            self.send(msg, credit_reserved=credit_reserved)
+        except TransportError:
+            return False
+        return True
 
     def _release_window(self, nbytes: int):
         def cb():

@@ -2,7 +2,7 @@
 
 Component code (servers, clients, the network emulator) is written in plain
 blocking style against this module's small surface: now/sleep/spawn,
-channels, Mutex, and a rate limiter. VirtualRuntime provides it as a
+channels and a byte-fair rate limiter. VirtualRuntime provides it as a
 discrete-event scheduler. Tasks are carried by real threads but exactly one
 runs at any time: the running task hands the baton to the next scheduled
 task whenever it sleeps, blocks or exits. Time is a float that jumps
@@ -237,9 +237,6 @@ class VirtualRuntime:
     def channel(self, capacity: int | None = None) -> "VirtualChannel":
         return VirtualChannel(self, capacity)
 
-    def mutex(self) -> "Mutex":
-        return Mutex(self.channel(capacity=1))
-
     def rate_limiter(self, rate: float) -> "VirtualRateLimiter":
         return VirtualRateLimiter(self, rate)
 
@@ -306,35 +303,20 @@ class VirtualChannel:
             rt._make_runnable(self._putters.popleft())
 
 
-class Mutex:
-    """FIFO mutual exclusion built on a capacity-1 channel."""
-
-    def __init__(self, chan):
-        self._chan = chan
-
-    def acquire(self) -> None:
-        self._chan.put(None)
-
-    def release(self) -> None:
-        self._chan.get()
-
-    def __enter__(self):
-        self.acquire()
-        return self
-
-    def __exit__(self, *exc):
-        self.release()
-        return False
-
-
 class VirtualRateLimiter:
-    """Serves byte grants at a sustained rate, round-robin across keys.
+    """Serves byte grants at a sustained rate, shared byte-fairly across keys.
 
     acquire(key, n) returns once the shared resource has spent n/rate seconds
-    on this request. Grants are served one at a time by timer callbacks; each
-    key has a FIFO queue and the ring rotates one grant per turn, so
-    equal-demand keys get equal shares. An idle limiter holds no timer, and a
-    key's queue is dropped once it empties.
+    on this request. Grants are served one at a time by timer callbacks, in
+    self-clocked fair queueing order (Golestani, INFOCOM 1994): a request is
+    tagged max(V, its key's last queued tag) + n, where V is the tag of the
+    request last granted, and the smallest tag goes next, ties in arrival
+    order. Keys that keep asking therefore get equal bytes, whatever the size
+    of their requests. A grant wakes its task at the grant's end ahead of the
+    next pick, so a task that asks again at once competes for the next grant;
+    keys with one request outstanding at a time would otherwise be shared
+    per grant. An idle limiter holds no timer, and a key's state is dropped
+    with its last request.
     """
 
     def __init__(self, runtime: VirtualRuntime, rate: float):
@@ -342,45 +324,43 @@ class VirtualRateLimiter:
             raise ValueError(f"rate must be positive: {rate}")
         self._rt = runtime
         self._rate = rate
-        self._queues: dict = {}
-        self._ring: deque = deque()
-        self._busy = False  # a serve or grant-end callback is pending
+        self._requests: list = []  # heap of (tag, arrival, key, nbytes, task)
+        self._last_tag: dict = {}  # key -> tag of its last queued request
+        self._vtime = 0  # V: the tag of the request last granted
+        self._arrivals = 0
+        self._busy = False  # a serve callback is pending
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
             return
         rt = self._rt
-        q = self._queues.get(key)
-        if q is None:
-            q = self._queues[key] = deque()
-            self._ring.append(key)
-        q.append((nbytes, rt._current))
+        tag = max(self._vtime, self._last_tag.get(key, 0)) + nbytes
+        self._last_tag[key] = tag
+        self._arrivals += 1
+        heapq.heappush(self._requests,
+                       (tag, self._arrivals, key, nbytes, rt._current))
         if not self._busy:
             # serve once the event loop has run everything else due now, so
             # at infinite rate the requests of one instant are granted
-            # together, in ring order
+            # together, in tag order
             self._busy = True
             rt.call_at(rt.now(), self._serve)
         rt._park()
 
     def _serve(self) -> None:
-        """Grant queued requests in ring order until one takes time."""
+        """Grant queued requests in tag order until one takes time."""
         rt = self._rt
-        while self._ring:
-            key = self._ring.popleft()
-            q = self._queues[key]
-            nbytes, task = q.popleft()
-            if q:
-                self._ring.append(key)
-            else:
-                del self._queues[key]
+        while self._requests:
+            tag, _, key, nbytes, task = heapq.heappop(self._requests)
+            self._vtime = tag
+            if self._last_tag[key] == tag:
+                del self._last_tag[key]
             if self._rate != float("inf"):
-                rt.call_at(rt.now() + nbytes / self._rate,
-                           lambda: self._end(task))
+                # the task wakes before the next pick: pushed first, it runs
+                # first at the grant's end
+                end = rt.now() + nbytes / self._rate
+                rt._push(end, task)
+                rt.call_at(end, self._serve)
                 return
             rt._make_runnable(task)
         self._busy = False
-
-    def _end(self, task: Task) -> None:
-        self._rt._make_runnable(task)
-        self._serve()

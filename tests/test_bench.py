@@ -356,15 +356,15 @@ RECORDED_CSV_DIGESTS = {
     "wan-readbuf-skip":
         "2a173c89acee63a8a51a84731c1f252f4d572eb8a0ecfccd5d95e511df7bbd01",
     "wan-readahead-seq":
-        "7afaeebe54c014f7465657ba654ad1c6a3879a9e08982e03a5c402669e3c6b63",
+        "51e463ae243d2cf3dfe4b1732e77e41ca27f6d79cdb1f1871aca91481417708a",
     "wan-readahead-skip":
-        "1dd456fc7afa5d332fc3c77284475e2ce3129a29539e5b9ab136ffb5343ea665",
+        "5d01a95ae8f65051ede9c9b1a0cca0900a1c7c56210f7b0e5f2b43351197cea7",
     "wan-stream-seq":
-        "7bd6ef3e48ca619f692da7775399895b442cee2514a9b27e24ac7946185608ca",
+        "009ea51e4208b788381941f267c14d4a0e85b7faee457a0bac5179cd9cff5590",
     "wan-stream-skip":
         "d0c716ff8e785ccb5cfb5ad3fe8d7735308fcbb864a8e48bc81c2094c7d68492",
     "wan-stream-window64k":
-        "87d6cfb546f654cf67b77a02ea1141ed10a4d04954a7921450224519b01c29ad",
+        "6168faa5f959c95fef7d7b603db8e7e1336dcc0cee4ba73fb8cca409ac8bdc36",
     "zero-normal-skip":
         "dbcbbd426a5a85d6684178edc7446a5714e2e279c1be082d99a59023087b5d93",
     "lan-stream-seq":

@@ -507,6 +507,43 @@ def test_two_streams_fair_share_disk_bandwidth(tmp_path):
         assert rate == pytest.approx(40 * MiB, rel=0.15)
 
 
+def test_disk_shared_by_byte_whatever_the_slice_size(tmp_path):
+    # a READBUF session with iobufsize 1 KiB reads a long range in 1 KiB
+    # disk slices; a push session reads 256 KiB ones; each gets half the disk
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        size = 16 * MiB
+        _seed(srv, "/pool/a", size, index=0)
+        _seed(srv, "/pool/b", size, index=1)
+        srv.start()
+        granted = {1: 0, 2: 0}
+        acquire = srv._pump.acquire
+
+        def logged_acquire(key, n):
+            acquire(key, n)
+            granted[key] += n
+
+        srv._pump.acquire = logged_acquire
+
+        def drain(conn):
+            while True:
+                conn.recv()
+
+        control, _ = _open(net, srv, "/pool/a", wire.ReadMode.READBUF,
+                           iobufsize=KiB, handle=1)
+        control.send(wire.ReadRequest(1, 0, size))
+        rt.spawn(drain, control)
+        _open(net, srv, "/pool/b", wire.ReadMode.STREAM, handle=2)
+        rt.spawn(drain, net.connect(srv.address, ZERO_PROFILE,
+                                    first_msg=wire.StreamStart(2, 0)))
+        rt.sleep(0.1)  # both sessions are still reading
+        return granted[1] / (granted[1] + granted[2])
+
+    assert rt.run(scenario) == pytest.approx(0.5, abs=0.05)
+
+
 def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
     rt = VirtualRuntime()
 

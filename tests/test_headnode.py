@@ -15,7 +15,7 @@ from remfio.headnode import (
     session_token,
     verify_session_token,
 )
-from remfio.netemu import ZERO_PROFILE, EmulatedNetwork
+from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
 from remfio.runtime import VirtualRuntime
 
 TOKEN = "shared-secret"
@@ -99,6 +99,30 @@ def test_ns_lookup_over_wire():
         assert isinstance(err, wire.ErrorReply)
         assert err.code == wire.ErrorCode.NOT_FOUND
         conn.close()
+
+    rt.run(scenario)
+
+
+@pytest.mark.parametrize("port", ["ns", "open"])
+def test_client_closing_with_a_request_in_flight(port):
+    # the reply to the second request finds the client gone; the handler
+    # drops it instead of crashing the run
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, head = _mk_head(rt)
+        head.register_file("/pool/a", 1024, "ds1:5001", 1)
+        head.start()
+        if port == "ns":
+            address, msg = head.ns_address, wire.NsLookup("/pool/a")
+        else:
+            address, msg = head.open_address, _open_request("/pool/a", "bad")
+        conn = net.connect(address, WAN_PROFILE, first_msg=msg)
+        conn.send(msg)
+        conn.close()
+        rt.sleep(1.0)
+        served = head.counters["lookups"] + head.counters["auth_failures"]
+        assert served == 2
 
     rt.run(scenario)
 

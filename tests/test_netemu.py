@@ -5,7 +5,11 @@ from __future__ import annotations
 import pytest
 
 from remfio import netemu, wire
-from remfio.errors import ConnectionClosedError, EndpointRefusedError
+from remfio.errors import (
+    ConnectionClosedError,
+    EndpointRefusedError,
+    TransportError,
+)
 from remfio.netemu import (
     LAN_PROFILE,
     WAN_PROFILE,
@@ -16,6 +20,7 @@ from remfio.netemu import (
 )
 from remfio.runtime import VirtualRuntime
 
+KiB = 1024
 MiB = 1024 * 1024
 
 
@@ -252,6 +257,103 @@ def test_fairness_across_connections():
     fair = 25 * MiB
     for rate in rates.values():
         assert abs(rate - fair) / fair < 0.15
+
+
+def _log_grants(pump) -> list:
+    """Record (key, nbytes) for every grant the limiter serves."""
+    grants = []
+    acquire = pump.acquire
+
+    def logged(key, nbytes):
+        acquire(key, nbytes)
+        grants.append((key, nbytes))
+
+    pump.acquire = logged
+    return grants
+
+
+def test_link_shared_by_byte_whatever_the_slice_size():
+    """A 1 KiB-window and a 256 KiB-window flow each get half the link."""
+    rt = VirtualRuntime()
+    prof = LinkProfile("share", rtt=0.0, shared_bandwidth=10 * MiB,
+                       per_connection_window=256 * KiB)
+
+    def main():
+        net = EmulatedNetwork(rt)
+        grants = _log_grants(net._pump(prof, "rev"))
+        net.listen("svc", lambda conn: _push_chunks(conn, 64, 256 * KiB, rt))
+        small = net.connect("svc", prof, window=KiB)
+        net.connect("svc", prof)
+        rt.sleep(0.4)  # both flows are still pushing
+        mine = [n for key, n in grants if key == small._peer.conn_id]
+        assert max(mine) == KiB  # the small flow really sends 1 KiB slices
+        return sum(mine) / sum(n for _, n in grants)
+
+    assert rt.run(main) == pytest.approx(0.5, abs=0.05)
+
+
+def test_small_window_is_sent_in_large_slices():
+    """Sender-side silly-window avoidance: a 64 KiB window on the WAN goes
+    out in slices of at least 16 KiB on average, not ever smaller pieces."""
+    rt = VirtualRuntime()
+    total, size = 4 * MiB, 256 * KiB
+
+    def main():
+        net = EmulatedNetwork(rt)
+        grants = _log_grants(net._pump(WAN_PROFILE, "rev"))
+        net.listen("svc", lambda conn: _push_chunks(conn, total // size, size, rt))
+        conn = net.connect("svc", WAN_PROFILE, window=64 * KiB)
+        got = 0
+        while got < total:
+            got += len(conn.recv().payload)
+        return sum(n for _, n in grants) / len(grants)
+
+    assert rt.run(main) >= 16 * KiB
+
+
+def test_concurrent_senders_share_one_connection():
+    """Two tasks sending on one small-window connection interleave whole
+    frames: every frame arrives once, each task's in its order; a close
+    while both wait for window fails both sends."""
+    rt = VirtualRuntime()
+    prof = LinkProfile("small", rtt=0.012, shared_bandwidth=100 * MiB,
+                       per_connection_window=4 * KiB)
+
+    def main():
+        net = EmulatedNetwork(rt)
+        got = []
+
+        def handler(conn):
+            try:
+                while True:
+                    got.append(conn.recv().path)
+            except ConnectionClosedError:
+                pass
+
+        net.listen("svc", handler)
+        conn = net.connect("svc", prof)
+
+        def sender(tag, count):
+            for i in range(count):
+                conn.send(wire.NsLookup(path=f"/{tag}/{i}/" + "x" * 3000))
+
+        tasks = [rt.spawn(sender, tag, 10) for tag in "ab"]
+        for t in tasks:
+            rt.join(t)
+        rt.sleep(1.0)
+        for tag in "ab":
+            mine = [p for p in got if p.startswith(f"/{tag}/")]
+            assert [p.split("/")[2] for p in mine] == [str(i) for i in range(10)]
+        assert len(got) == 20
+
+        tasks = [rt.spawn(sender, tag, 10) for tag in "cd"]
+        rt.sleep(0.03)  # both are waiting for window
+        conn._peer.close()
+        for t in tasks:
+            with pytest.raises(TransportError):
+                rt.join(t)
+
+    rt.run(main)
 
 
 def test_cap_enforced_over_every_1s_window():
