@@ -10,8 +10,9 @@ behaviours:
             down the control connection; the client serves reads from the
             pushed flow, discards pushed bytes that precede a forward seek
             target, and interrupt-restarts the stream on a backward seek.
-  STREAM    a second (data) connection carries the pushed chunks; a
-            background receiver feeds rf_read through a bounded queue; any
+  STREAM    a second (data) connection carries the pushed chunks, which
+            rf_read takes from it directly: there is no background receiver,
+            and the connection's DataChunk credits bound the intake; any
             out-of-position seek interrupt-restarts the stream.
 
 Pushed chunks carry their file offset, and both push modes track the next
@@ -32,8 +33,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AuthError,
-    ChannelClosedError,
-    ConnectionClosedError,
     NotFoundError,
     ProtocolError,
     QueueOverflowError,
@@ -67,8 +66,6 @@ _ERROR_TYPES = {
     ErrorCode.STALE_HANDLE: StaleHandleError,
     ErrorCode.RANGE: RangeError,
 }
-
-_RECEIVER_QUEUE_CHUNKS = 4
 
 
 def _expect(msg, want):
@@ -125,7 +122,7 @@ class ClientHandle:
     """One open remote file. Single-session: no concurrent calls."""
 
     def __init__(self, config: ClientConfig, path: str, handle_id: int,
-                 file_size: int, control, data=None, chunk_queue=None) -> None:
+                 file_size: int, control, data=None) -> None:
         self._config = config
         self._rt = config.runtime
         self.path = path
@@ -139,7 +136,6 @@ class ClientHandle:
         self.request_count = 0  # ReadRequests issued (NORMAL calls and fills)
         self._control = control
         self._data = data
-        self._chunks = chunk_queue
         self._buf = b""
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
@@ -229,15 +225,9 @@ class ClientHandle:
 
     def _next_pushed_chunk(self) -> tuple[int, bytes] | None:
         """Next in-sequence chunk of the live stream; None at stream end."""
+        conn = self._data if self.mode is ReadMode.STREAM else self._control
         while True:
-            if self.mode is ReadMode.STREAM:
-                try:
-                    msg = self._chunks.get()
-                except ChannelClosedError:
-                    raise TransportError("data connection lost") from None
-            else:
-                msg = self._control.recv()
-            msg = _expect(msg, DataChunk)
+            msg = _expect(conn.recv(), DataChunk)
             if msg.offset != self._expected:
                 continue  # stale chunk from before a stream restart
             if msg.payload == b"":
@@ -299,8 +289,6 @@ class ClientHandle:
         self._control.close()
         if self._data is not None:
             self._data.close()
-        if self._chunks is not None:
-            self._chunks.close()  # releases a receiver parked on a full queue
         return self.counters
 
 
@@ -343,32 +331,17 @@ def rf_open(path: str, config: ClientConfig) -> ClientHandle:
         raise
 
     data = None
-    chunk_queue = None
     if config.mode is ReadMode.READAHEAD:
         control.send(StreamStart(handle_id, 0))
     elif config.mode is ReadMode.STREAM:
         data = net.connect(located.replica_address, config.profile,
                            first_msg=StreamStart(handle_id, 0),
                            window=config.emulated_window)
-        chunk_queue = rt.channel(capacity=_RECEIVER_QUEUE_CHUNKS)
-        rt.spawn(_stream_receiver, data, chunk_queue,
-                 name=f"rf-recv-{handle_id}")
 
     handle = ClientHandle(config, path, handle_id, opened.file_size,
-                          control, data, chunk_queue)
+                          control, data)
     handle.counters.open_time = rt.now() - t0
     return handle
-
-
-def _stream_receiver(conn, queue) -> None:
-    """Background task: drains the data connection into the bounded queue."""
-    try:
-        while True:
-            queue.put(conn.recv())
-    except (ConnectionClosedError, ChannelClosedError):
-        pass
-    finally:
-        queue.close()
 
 
 def rf_read(handle: ClientHandle, length: int) -> bytes:

@@ -19,6 +19,7 @@ an append-only sidecar manifest (path, filename, size, checksum per line).
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -122,21 +123,33 @@ class DiskServer:
         """Write a file into the pool and record it in the sidecar manifest.
 
         Re-importing a path overwrites its bytes; the manifest is append-only
-        and the loader keeps the last record per path.
+        and the loader keeps the last record per path. The bytes go to a
+        temporary file that replaces the pool file only once the checksum
+        matches, so a rejected import leaves the old file and record intact.
+        Paths holding a tab or line break, the manifest's separators, are
+        rejected before anything is written.
         """
+        if any(c in path for c in "\t\n\r"):
+            raise ValueError(f"pool path holds a tab or line break: {path!r}")
         location = self.pool_location(path)
+        partial = location.with_name(location.name + ".partial")
         h = hashlib.blake2b(digest_size=8)
         size = 0
-        with open(location, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
-                h.update(chunk)
-                size += len(chunk)
-        digest = int.from_bytes(h.digest(), "big")
-        if checksum is not None and checksum != digest:
-            raise ValueError(
-                f"content checksum mismatch for {path}: "
-                f"expected {checksum:#x}, wrote {digest:#x}")
+        try:
+            with open(partial, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+                    h.update(chunk)
+                    size += len(chunk)
+            digest = int.from_bytes(h.digest(), "big")
+            if checksum is not None and checksum != digest:
+                raise ValueError(
+                    f"content checksum mismatch for {path}: "
+                    f"expected {checksum:#x}, wrote {digest:#x}")
+            os.replace(partial, location)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
         pool_file = PoolFile(path, location, size, digest)
         self.pool[path] = pool_file
         with open(self._manifest, "a", encoding="utf-8") as f:
@@ -391,12 +404,10 @@ class _Session:
             if item[0] == "end":
                 return
             _, epoch, conn, offset, payload = item
-            if epoch is not None and epoch != self.epoch:
-                continue  # stale push, interrupted before it left the server
             msg = DataChunk(self.handle_id, offset, payload)
             while True:
                 if epoch is not None and epoch != self.epoch:
-                    break
+                    break  # stale push, interrupted before it left the server
                 if conn.closed:
                     break
                 if conn.try_reserve_data_credit():

@@ -77,9 +77,5 @@ class AlreadyRegisteredError(RemfioError):
     """register_file called for a path the namespace already holds."""
 
 
-class ChannelClosedError(RemfioError):
-    """get() on a closed, drained channel."""
-
-
 class DeadlockError(RemfioError):
     """Virtual scheduler found every task blocked with no pending event."""

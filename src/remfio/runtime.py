@@ -26,7 +26,7 @@ import warnings
 from collections import deque
 from typing import Any, Callable
 
-from .errors import ChannelClosedError, DeadlockError
+from .errors import DeadlockError
 
 
 class _TaskShutdown(BaseException):
@@ -250,29 +250,21 @@ class VirtualChannel:
         self._items: deque = deque()
         self._getters: deque[Task] = deque()
         self._putters: deque[Task] = deque()
-        self._closed = False
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item) -> None:
         rt = self._rt
-        while (
-            not self._closed
-            and self._capacity is not None
-            and len(self._items) >= self._capacity
-        ):
+        while (self._capacity is not None
+               and len(self._items) >= self._capacity):
             self._putters.append(rt._current)
             rt._park()
-        if self._closed:
-            raise ChannelClosedError("put on closed channel")
         self._items.append(item)
         if self._getters:
             rt._make_runnable(self._getters.popleft())
 
     def try_put(self, item) -> bool:
-        if self._closed:
-            raise ChannelClosedError("put on closed channel")
         if self._capacity is not None and len(self._items) >= self._capacity:
             return False
         self._items.append(item)
@@ -283,24 +275,12 @@ class VirtualChannel:
     def get(self):
         rt = self._rt
         while not self._items:
-            if self._closed:
-                raise ChannelClosedError("channel closed and drained")
             self._getters.append(rt._current)
             rt._park()
         item = self._items.popleft()
         if self._putters:
             rt._make_runnable(self._putters.popleft())
         return item
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        rt = self._rt
-        while self._getters:
-            rt._make_runnable(self._getters.popleft())
-        while self._putters:
-            rt._make_runnable(self._putters.popleft())
 
 
 class VirtualRateLimiter:

@@ -22,6 +22,7 @@ from remfio.content import checksum_bytes, content_chunks, file_content
 from remfio.diskserver import DiskModel, DiskServer
 from remfio.errors import (
     AuthError,
+    ConnectionClosedError,
     NotFoundError,
     QueueOverflowError,
     RangeError,
@@ -29,7 +30,12 @@ from remfio.errors import (
     TransportError,
 )
 from remfio.headnode import Headnode, OpenQueueModel
-from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
+from remfio.netemu import (
+    DATA_CREDITS,
+    WAN_PROFILE,
+    ZERO_PROFILE,
+    EmulatedNetwork,
+)
 from remfio.runtime import VirtualRuntime
 from remfio.wire import ReadMode
 
@@ -467,22 +473,44 @@ def test_stream_seeks_restart_in_both_directions(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_receiver_queue_bounds_client_intake(tmp_path):
+@pytest.mark.parametrize("profile", [ZERO_PROFILE, WAN_PROFILE],
+                         ids=lambda p: p.name)
+def test_stream_intake_is_bounded_by_credits(tmp_path, profile):
     rt = VirtualRuntime()
 
     def scenario():
         net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
-        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
+                                       profile=profile))
         assert rf_read(h, MiB) == contents["/pool/a"][:MiB]
         rt.sleep(5.0)  # plenty of time for an unbounded reader to drain all
         c = rf_close(h)
-        # intake stalls at: 4 queued + 1 in the receiver's hand + the 16
-        # chunks the server may send before the next credit returns
+        # intake stalls once the server has sent the DATA_CREDITS chunks
+        # the reader has not consumed
         assert c.bytes_consumed == MiB
-        assert MiB <= c.bytes_wire <= MiB + 21 * 256 * KiB
-        assert c.bytes_wire < 8 * MiB  # nowhere near the full 16 MiB file
+        assert MiB <= c.bytes_wire <= MiB + DATA_CREDITS * 256 * KiB
 
     rt.run(scenario)
+
+
+def test_stream_open_spawns_no_more_tasks_than_readahead(tmp_path):
+    def live_tasks_after_open(mode):
+        rt = VirtualRuntime()
+
+        def scenario():
+            net, _, _, _ = _stack(rt, tmp_path / mode.name,
+                                  [("/pool/a", 4 * MiB)])
+            h = rf_open("/pool/a", _config(rt, net, mode))
+            rt.sleep(0.001)  # let the server's connection handlers settle
+            names = sorted(t.name for t in rt._tasks)
+            rf_close(h)
+            return names
+
+        return rt.run(scenario)
+
+    stream = live_tasks_after_open(ReadMode.STREAM)
+    readahead = live_tasks_after_open(ReadMode.READAHEAD)
+    assert len(stream) == len(readahead), (stream, readahead)
 
 
 # -- position correctness ----------------------------------------------------------
@@ -628,6 +656,23 @@ def test_connection_loss_preserves_position(tmp_path):
         with pytest.raises(TransportError):
             rf_read(h, 100)
         assert h.logical_position == 100
+
+    rt.run(scenario)
+
+
+def test_stream_data_connection_loss_raises_transport_error(tmp_path):
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, srv, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
+        assert rf_read(h, 100) == contents["/pool/a"][:100]
+        srv.sessions[h.handle_id].data_conn.close()  # server end goes away
+        with pytest.raises(ConnectionClosedError):
+            while True:  # the chunks already delivered are still served
+                assert rf_read(h, 64 * KiB)
+        assert 100 < h.logical_position < 16 * MiB
+        rf_close(h)
 
     rt.run(scenario)
 

@@ -90,6 +90,36 @@ def test_import_checksum_mismatch_rejected(tmp_path):
         srv.import_file("/pool/x", [b"abc"], checksum=1234)
 
 
+def test_rejected_reimport_keeps_old_bytes_and_record(tmp_path):
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    old = srv.import_file("/a", [b"old-bytes"])
+    with pytest.raises(ValueError):
+        srv.import_file("/a", [b"NEW"], checksum=123)
+    assert srv.pool["/a"] == old
+    assert old.location.read_bytes() == b"old-bytes"
+    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == sorted(
+        [old.location.name, "pool-manifest.tsv"])  # no partial file left
+    rt2 = VirtualRuntime()
+    _, srv2 = _mk_server(rt2, tmp_path)
+    assert srv2.pool["/a"] == old
+    assert srv2.pool["/a"].location.read_bytes() == b"old-bytes"
+
+
+@pytest.mark.parametrize("char", ["\t", "\n", "\r"],
+                         ids=["tab", "newline", "return"])
+def test_import_rejects_manifest_separators_in_path(tmp_path, char):
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    srv.import_file("/pool/ok", [b"ok"])
+    with pytest.raises(ValueError):
+        srv.import_file(f"/pool/a{char}b", [b"abc"])
+    assert set(srv.pool) == {"/pool/ok"}
+    rt2 = VirtualRuntime()
+    _, srv2 = _mk_server(rt2, tmp_path)  # the pool still reloads
+    assert set(srv2.pool) == {"/pool/ok"}
+
+
 # -- open path -------------------------------------------------------------------
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import remfio.runtime
-from remfio.errors import ChannelClosedError, DeadlockError
+from remfio.errors import DeadlockError
 from remfio.runtime import VirtualRuntime
 
 
@@ -108,28 +108,6 @@ def test_channel_bounded_put_blocks_until_get():
     # put 0 immediate; puts 1 and 2 each wait for a get at t=1,2
     assert [round(t, 6) for _, _, t in puts] == [0.0, 1.0, 2.0]
     assert [v for kind, v, _ in events if kind == "got"] == [0, 1, 2]
-
-
-def test_channel_close_wakes_getter_after_drain():
-    rt = VirtualRuntime()
-
-    def main():
-        ch = rt.channel()
-        ch.put("x")
-        got = []
-
-        def consumer():
-            while True:
-                got.append(ch.get())
-
-        task = rt.spawn(consumer)
-        rt.sleep(0.1)
-        ch.close()
-        with pytest.raises(ChannelClosedError):
-            rt.join(task)
-        assert got == ["x"]
-
-    rt.run(main)
 
 
 def test_rate_limiter_exact_duration():
