@@ -237,14 +237,15 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
 
 
 def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
-                  paper_fidelity: bool = False, axis_value=None,
+                  paper_fidelity: bool = False,
                   queue_model: OpenQueueModel | None = None) -> RunSummary:
     """Execute one workload; returns per-client records plus aggregates.
 
     repetitions > 1 repeats the whole workload in fresh universes (stagger
-    draws differ per repetition) and averages each client's times; byte
-    counts must agree across repetitions and rates are recomputed from the
-    averaged times.
+    draws differ per repetition) and averages each client's times and wire
+    bytes (to the nearest byte: a push reader's waste depends on timing);
+    consumed bytes must agree across repetitions, and rates are recomputed
+    from the averaged times.
     """
     _check_fidelity(spec, paper_fidelity)
     if spec.net_profile not in builtin_profiles():
@@ -252,7 +253,7 @@ def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
     with _pool_dir(pool_dir) as pd:
         reps = [_run_once(spec, seed, rep, pd, queue_model)
                 for rep in range(spec.repetitions)]
-    return RunSummary(spec, _merge_reps(reps), axis_value)
+    return RunSummary(spec, _merge_reps(reps))
 
 
 def _check_fidelity(spec: WorkloadSpec, paper_fidelity: bool) -> None:
@@ -345,18 +346,18 @@ def _merge_reps(reps: list[list[ClientRecord]]) -> list[ClientRecord]:
             merged.append(ClientRecord(first.client_id, first.mode,
                                        0.0, 0.0, 0, 0, 0.0, True))
             continue
-        if len({(r.bytes_consumed, r.bytes_wire) for r in per_client}) != 1:
+        if len({r.bytes_consumed for r in per_client}) != 1:
             raise AssertionError(
-                f"client {first.client_id}: byte counts differ across "
+                f"client {first.client_id}: consumed bytes differ across "
                 "repetitions of a deterministic workload")
         n = len(per_client)
         open_t = sum(r.open_time for r in per_client) / n
         read_t = sum(r.read_time for r in per_client) / n
+        wire = round(sum(r.bytes_wire for r in per_client) / n)
         denom = open_t + read_t
         rate = first.bytes_consumed / denom if denom > 0 else 0.0
         merged.append(ClientRecord(first.client_id, first.mode, open_t,
-                                   read_t, first.bytes_consumed,
-                                   first.bytes_wire, rate))
+                                   read_t, first.bytes_consumed, wire, rate))
     return merged
 
 
@@ -380,8 +381,9 @@ def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
         _check_fidelity(spec, paper_fidelity)
         specs.append((v, spec))
     with _pool_dir(pool_dir) as pd:
-        return [run_benchmark(spec, seed=seed, pool_dir=pd,
-                              paper_fidelity=paper_fidelity, axis_value=v)
+        return [replace(run_benchmark(spec, seed=seed, pool_dir=pd,
+                                      paper_fidelity=paper_fidelity),
+                        axis_value=v)
                 for v, spec in specs]
 
 

@@ -4,13 +4,15 @@ Every session runs a small three-task pipeline on the server side:
 
   control loop --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
 
-The reader charges the disk cost model (seek latency on discontiguous
-access, sequential bandwidth shared byte-fairly across sessions) and the
-sender handles per-connection flow-control credits. Pushed streams carry an
-epoch tag; ControlInterrupt or a new request bumps the session epoch,
-which makes the reader abandon the push and the sender drop whatever stale
-chunks are already in the pipe. Bytes count toward bytes_sent_wire
-only when they actually go out on the wire.
+A job asks for one byte range of the file on one connection: a ReadRequest
+is a range job, a StreamStart a push job that runs to the end of the file.
+The reader serves every job through one loop, charging the disk cost model
+(seek latency on discontiguous access, sequential bandwidth shared
+byte-fairly across sessions); the sender handles per-connection flow-control
+credits. Pushed chunks carry the epoch of their job; ControlInterrupt or a
+new request bumps the session epoch, which makes the reader abandon the push
+and the sender drop whatever stale chunks are already in the pipe. Bytes
+count toward bytes_sent_wire only when they actually go out on the wire.
 
 Pool layout on disk: flat files named by a hash of the namespace path, plus
 an append-only sidecar manifest (path, filename, size, checksum per line).
@@ -294,6 +296,8 @@ class _Session:
         self.bytes_sent_wire = 0
         self.epoch = 0
         self._fh = open(pool_file.location, "rb")
+        # jobs are (epoch, conn, offset, end), chunks (epoch, conn, offset,
+        # payload); epoch is None for a range read, and None itself closes
         self._jobs = self._rt.channel()
         self._chunks = self._rt.channel(capacity=1)
         self._kicks = self._rt.channel(capacity=1)
@@ -314,14 +318,14 @@ class _Session:
 
     def request_range(self, offset: int, length: int) -> None:
         if self.stream_active:  # a new request stops any push
-            self.epoch += 1
-            self.stream_active = False
-            self._kick()
-        self._jobs.put(("range", offset, length))
+            self.interrupt()
+        self._jobs.put((None, self.control_conn, offset, offset + length))
 
     def request_stream(self, offset: int) -> None:
+        conn = self.data_conn if self.mode is ReadMode.STREAM \
+            else self.control_conn
         self.stream_active = True
-        self._jobs.put(("stream", self.epoch, offset))
+        self._jobs.put((self.epoch, conn, offset, self.size))
 
     def interrupt(self) -> None:
         self.epoch += 1
@@ -329,33 +333,21 @@ class _Session:
         self._kick()
 
     def shutdown(self) -> None:
-        self.epoch += 1
-        self.stream_active = False
-        self._kick()
-        self._jobs.put(("close",))
+        self.interrupt()
+        self._jobs.put(None)
         self._rt.join(self._reader)
         self._rt.join(self._sender)
 
     # -- reader task ---------------------------------------------------------
 
-    def _push_chunk_size(self) -> int:
-        if self.mode in (ReadMode.READBUF, ReadMode.READAHEAD):
-            return min(MAX_CHUNK_PAYLOAD, self.iobufsize)
-        return MAX_CHUNK_PAYLOAD
-
     def _read_loop(self) -> None:
-        chunk_cap = self._push_chunk_size()
+        chunk_cap = MAX_CHUNK_PAYLOAD
+        if self.mode in (ReadMode.READBUF, ReadMode.READAHEAD):
+            chunk_cap = min(chunk_cap, self.iobufsize)
         try:
-            while True:
-                job = self._jobs.get()
-                kind = job[0]
-                if kind == "close":
-                    self._chunks.put(("end",))
-                    return
-                if kind == "range":
-                    self._serve_range(job[1], job[2], chunk_cap)
-                elif kind == "stream":
-                    self._serve_stream(job[1], job[2], chunk_cap)
+            while (job := self._jobs.get()) is not None:
+                self._serve(*job, chunk_cap)
+            self._chunks.put(None)
         finally:
             self._fh.close()
 
@@ -369,41 +361,33 @@ class _Session:
         self.current_offset = offset + n
         return data
 
-    def _serve_range(self, offset: int, length: int, chunk_cap: int) -> None:
-        conn = self.control_conn
-        pos = min(offset, self.size)
-        end = min(offset + length, self.size)
-        if pos >= end:  # EOF or empty read: answer with an empty chunk
-            self._chunks.put(("data", None, conn, offset, b""))
-            return
-        while pos < end:
-            n = min(chunk_cap, end - pos)
-            payload = self._disk_read(pos, n)
-            self._chunks.put(("data", None, conn, pos, payload))
-            pos += n
+    def _serve(self, epoch: int | None, conn, offset: int, end: int,
+               chunk_cap: int) -> None:
+        """Queue [offset, end), clamped to the file, for the sender in
+        chunks of at most chunk_cap.
 
-    def _serve_stream(self, epoch: int, offset: int, chunk_cap: int) -> None:
-        conn = self.data_conn if self.mode is ReadMode.STREAM \
-            else self.control_conn
-        pos = min(offset, self.size)
-        while pos < self.size and epoch == self.epoch:
-            n = min(chunk_cap, self.size - pos)
-            payload = self._disk_read(pos, n)
-            self._chunks.put(("data", epoch, conn, pos, payload))
+        A range read has epoch None; one of no bytes gets an empty chunk. A
+        push has its session epoch, stops once that is stale, and ends with
+        an empty chunk at the end of the file.
+        """
+        end = min(end, self.size)
+        pos = min(offset, end)
+        if epoch is None and pos == end:  # EOF or empty read
+            self._chunks.put((None, conn, offset, b""))
+            return
+        while pos < end and epoch in (None, self.epoch):
+            n = min(chunk_cap, end - pos)
+            self._chunks.put((epoch, conn, pos, self._disk_read(pos, n)))
             pos += n
-        if epoch == self.epoch:
-            # empty terminator marks end of stream at its final offset
-            self._chunks.put(("data", epoch, conn, pos, b""))
+        if epoch == self.epoch:  # a push that ran to the end of the file
+            self._chunks.put((epoch, conn, pos, b""))
             self.stream_active = False
 
     # -- sender task ---------------------------------------------------------
 
     def _send_loop(self) -> None:
-        while True:
-            item = self._chunks.get()
-            if item[0] == "end":
-                return
-            _, epoch, conn, offset, payload = item
+        while (item := self._chunks.get()) is not None:
+            epoch, conn, offset, payload = item
             msg = DataChunk(self.handle_id, offset, payload)
             while True:
                 if epoch is not None and epoch != self.epoch:

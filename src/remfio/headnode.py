@@ -1,10 +1,12 @@
 """Namespace and open-brokering service.
 
 The headnode owns the file namespace (logical path -> replica location) and
-brokers every file open through one serialized queue. That queue is the
-deliberate bottleneck of the whole system: with a fixed per-open service
-time, mean open latency grows linearly with the number of clients opening
-at once, which the benchmark harness measures.
+brokers every file open through one FIFO with a fixed per-open service time.
+That FIFO is the deliberate bottleneck of the whole system: mean open latency
+grows linearly with the number of clients opening at once, which the
+benchmark harness measures. Each open is brokered in its own connection
+handler, which books the next service slot and sleeps until it ends, so a
+reply that waits for the link delays only its own client.
 
 Two listeners, by default on the conventional ports:
   - 5010: namespace lookups (NsLookup -> NsLookupReply)
@@ -76,8 +78,10 @@ class NamespaceEntry:
 class OpenQueueModel:
     """Fixed-service-time queue in front of the open path.
 
-    One worker serves the queue, so opens are serialized; queue_cap bounds
-    how many opens may wait before new ones are rejected outright.
+    Opens are served one at a time in arrival order. queue_cap bounds how
+    many opens may be queued or in service at once; an open that arrives
+    while that many are is rejected outright, however the arrivals are
+    spaced.
     """
 
     service_time_per_open: float = 0.050
@@ -107,7 +111,8 @@ class Headnode:
         self.queue_model = queue_model
         self._namespace: dict[str, NamespaceEntry] = {}
         self._handle_ids = itertools.count(1)
-        self._queue = runtime.channel(capacity=queue_model.queue_cap)
+        self._free_at = 0.0  # when the open FIFO next falls idle
+        self._in_broker = 0  # opens queued or in service
         self.counters = {
             "lookups": 0,
             "opens_ok": 0,
@@ -120,10 +125,9 @@ class Headnode:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Register both listeners and start the open worker."""
+        """Register both listeners."""
         self._net.listen(f"{self.host}:{self.ns_port}", self._serve_namespace)
         self._net.listen(f"{self.host}:{self.open_port}", self._serve_opens)
-        self._rt.spawn(self._open_worker, name="head-open")
 
     @property
     def ns_address(self) -> str:
@@ -189,26 +193,28 @@ class Headnode:
                     self.counters["open_errors"] += 1
                     conn.try_send(ErrorReply(ErrorCode.AUTH, "token rejected"))
                     continue
-                if not self._queue.try_put((msg, conn)):
+                if self._in_broker >= self.queue_model.queue_cap:
                     self.counters["queue_overflow"] += 1
                     self.counters["open_errors"] += 1
                     conn.try_send(ErrorReply(ErrorCode.QUEUE_OVERFLOW,
                                              "open queue full"))
+                    continue
+                now = self._rt.now()
+                done = self._free_at = (max(now, self._free_at) +
+                                        self.queue_model.service_time_per_open)
+                self._in_broker += 1
+                self._rt.sleep(done - now)
+                self._in_broker -= 1
+                entry = self._namespace.get(msg.path)
+                if entry is None:
+                    self.counters["not_found"] += 1
+                    self.counters["open_errors"] += 1
+                    conn.try_send(ErrorReply(ErrorCode.NOT_FOUND, msg.path))
+                else:
+                    self.counters["opens_ok"] += 1
+                    conn.try_send(OpenReply(next(self._handle_ids),
+                                            entry.size))
         except ConnectionClosedError:
             pass
         finally:
             conn.close()
-
-    def _open_worker(self) -> None:
-        while True:
-            request, conn = self._queue.get()
-            self._rt.sleep(self.queue_model.service_time_per_open)
-            entry = self._namespace.get(request.path)
-            if entry is None:
-                self.counters["not_found"] += 1
-                self.counters["open_errors"] += 1
-                reply = ErrorReply(ErrorCode.NOT_FOUND, request.path)
-            else:
-                self.counters["opens_ok"] += 1
-                reply = OpenReply(next(self._handle_ids), entry.size)
-            conn.try_send(reply)  # the requester may have gone

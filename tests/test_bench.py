@@ -14,6 +14,7 @@ from remfio.bench import (
     Sequential,
     Skip,
     WorkloadSpec,
+    _run_once,
     bench_path,
     emit_csv,
     parse_mode,
@@ -211,6 +212,23 @@ def test_repetitions_average_per_client_times(tmp_path):
                         seed=4, pool_dir=tmp_path / "pool")
     # averaged times differ from any single repetition's draw
     assert s.records[0].open_time != one.records[0].open_time
+
+
+def test_repetitions_average_wire_bytes_of_push_skips(tmp_path):
+    # a STREAM reader's waste depends on how the stagger draw overlaps the
+    # clients, so repetitions agree on consumed bytes only; wire bytes are
+    # averaged to the nearest byte
+    spec = WorkloadSpec(pattern=Skip(64 * KiB, 7), file_size=4 * MiB,
+                        block_size=64 * KiB, mode=ReadMode.STREAM, clients=2,
+                        stagger_window=0.2, repetitions=2)
+    s = run_benchmark(spec, seed=0, pool_dir=tmp_path / "pool")
+    reps = [_run_once(spec, 0, rep, tmp_path / "pool", None)
+            for rep in range(2)]
+    assert any(a.bytes_wire != b.bytes_wire for a, b in zip(*reps))
+    for i, r in enumerate(s.records):
+        assert r.bytes_consumed == 4 * MiB // 8
+        assert r.bytes_wire == round(
+            (reps[0][i].bytes_wire + reps[1][i].bytes_wire) / 2)
 
 
 def test_paper_fidelity_rejects_stream_skip(tmp_path):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from remfio import wire
+from remfio.bench import WorkloadSpec, run_benchmark
 from remfio.errors import AlreadyRegisteredError, NotFoundError
 from remfio.headnode import (
     Headnode,
@@ -18,6 +19,8 @@ from remfio.headnode import (
 from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
 from remfio.runtime import VirtualRuntime
 
+KiB = 1024
+MiB = 1024 * 1024
 TOKEN = "shared-secret"
 
 
@@ -153,7 +156,7 @@ def test_single_open_takes_one_service_time():
 
 
 def test_simultaneous_batch_of_20_means_525ms():
-    # single worker, 50 ms service: k-th reply lands at 50k ms, mean = 525 ms
+    # one FIFO, 50 ms service: k-th reply lands at 50k ms, mean = 525 ms
     rt = VirtualRuntime()
     latencies = []
 
@@ -228,6 +231,23 @@ def test_open_latency_monotone_and_linear_in_batch_size():
     assert 1 - residual / total >= 0.8
 
 
+def test_reply_link_wait_delays_only_its_own_open(tmp_path):
+    # 12 STREAM clients open at once on wan, so the k-th shortest open
+    # (from 0) queued behind k others. Its three replies (lookup, brokered
+    # open, disk open) share the servers' link with the 256 KiB chunks
+    # already being pushed, so each may wait about one chunk's transmit
+    # time; that wait must not push back the opens queued behind it
+    spec = WorkloadSpec(file_size=2 * MiB, mode=wire.ReadMode.STREAM,
+                        clients=12, stagger_window=0.0, net_profile="wan")
+    summary = run_benchmark(spec, seed=0, pool_dir=tmp_path / "pool")
+    service = OpenQueueModel().service_time_per_open
+    link_wait = 3 * 256 * KiB / WAN_PROFILE.shared_bandwidth
+    opens = sorted(r.open_time for r in summary.records)
+    assert len(opens) == 12
+    for k, t in enumerate(opens):
+        assert t <= 4 * WAN_PROFILE.rtt + (k + 1) * service + link_wait
+
+
 # -- queue overflow -----------------------------------------------------------
 
 
@@ -283,6 +303,35 @@ def test_overflow_counted_in_metrics():
     rt.run(scenario)
 
 
+def test_queue_cap_counts_the_open_in_service():
+    # cap 1, opens 10 ms apart: the second arrives while the first is in
+    # its 50 ms service, so nothing is free for it, though nothing waits
+    rt = VirtualRuntime()
+    outcomes = {}
+
+    def scenario():
+        net, head = _mk_head(rt, queue_model=OpenQueueModel(queue_cap=1))
+        head.register_file("/pool/a", 1024, "ds1:5001", 1)
+        head.start()
+
+        def one_client(i):
+            rt.sleep(0.010 * i)
+            conn = net.connect(head.open_address, ZERO_PROFILE,
+                               first_msg=_open_request("/pool/a"))
+            outcomes[i] = conn.recv()
+            conn.close()
+
+        tasks = [rt.spawn(one_client, i, name=f"c{i}") for i in range(2)]
+        for t in tasks:
+            rt.join(t)
+        assert head.counters["queue_overflow"] == 1
+
+    rt.run(scenario)
+    assert isinstance(outcomes[0], wire.OpenReply)
+    assert isinstance(outcomes[1], wire.ErrorReply)
+    assert outcomes[1].code == wire.ErrorCode.QUEUE_OVERFLOW
+
+
 # -- auth and not-found over the wire ------------------------------------------
 
 
@@ -305,7 +354,7 @@ def test_wrong_shared_token_rejected():
 
 
 def test_open_unregistered_path_not_found_after_service():
-    # the miss is only discovered once the request reaches the worker
+    # the miss is only discovered once the open has been served
     rt = VirtualRuntime()
 
     def scenario():
@@ -329,7 +378,7 @@ def test_open_unregistered_path_not_found_after_service():
 
 def test_ticket_soundness_unique_handles():
     # 50 opens over the wire: every reply carries a fresh handle id, and the
-    # serialized queue hands them out in increasing order
+    # serialized FIFO hands them out in increasing order
     rt = VirtualRuntime()
 
     def scenario():
