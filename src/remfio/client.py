@@ -140,21 +140,15 @@ class ClientHandle:
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
         self._stream_done = False
-        self._wire_mark = 0
         self._closed = False
 
     # -- counters ------------------------------------------------------------
 
-    def _wire_total(self) -> int:
-        total = self._control.delivered_payload
-        if self._data is not None:
-            total += self._data.delivered_payload
-        return total
-
     def _sync_wire(self) -> None:
-        now = self._wire_total()
-        self.counters.bytes_wire += now - self._wire_mark
-        self._wire_mark = now
+        """bytes_wire is what arrived on the handle's connections; nothing
+        arrives on a connection once this end has closed it."""
+        self.counters.bytes_wire = self._control.delivered_payload + (
+            0 if self._data is None else self._data.delivered_payload)
 
     # -- read ------------------------------------------------------------------
 
@@ -292,6 +286,19 @@ class ClientHandle:
         return self.counters
 
 
+def _ask(config: ClientConfig, address: str, request, want):
+    """Connect to address with request riding the handshake; return the
+    connection and its reply, narrowed to want. The connection is closed if
+    the reply is anything else."""
+    conn = config.network.connect(address, config.profile, first_msg=request,
+                                  window=config.emulated_window)
+    try:
+        return conn, _expect(conn.recv(), want)
+    except BaseException:
+        conn.close()
+        raise
+
+
 def rf_open(path: str, config: ClientConfig) -> ClientHandle:
     """Open a remote file: namespace lookup, brokered open, disk session.
 
@@ -300,35 +307,18 @@ def rf_open(path: str, config: ClientConfig) -> ClientHandle:
     """
     rt, net = config.runtime, config.network
     t0 = rt.now()
-
-    conn = net.connect(f"{config.headnode}:{config.ns_port}", config.profile,
-                       first_msg=NsLookup(path),
-                       window=config.emulated_window)
-    try:
-        located = _expect(conn.recv(), NsLookupReply)
-    finally:
-        conn.close()
-
-    conn = net.connect(f"{config.headnode}:{config.open_port}", config.profile,
-                       first_msg=OpenRequest(path, config.mode,
-                                             config.iobufsize, config.token),
-                       window=config.emulated_window)
-    try:
-        brokered = _expect(conn.recv(), OpenReply)
-    finally:
-        conn.close()
-
+    conn, located = _ask(config, f"{config.headnode}:{config.ns_port}",
+                         NsLookup(path), NsLookupReply)
+    conn.close()
+    conn, brokered = _ask(config, f"{config.headnode}:{config.open_port}",
+                          OpenRequest(path, config.mode, config.iobufsize,
+                                      config.token), OpenReply)
+    conn.close()
     handle_id = brokered.handle_id
-    control = net.connect(located.replica_address, config.profile,
-                          first_msg=OpenRequest(
-                              path, config.mode, config.iobufsize,
-                              session_token(handle_id, config.token)),
-                          window=config.emulated_window)
-    try:
-        opened = _expect(control.recv(), OpenReply)
-    except BaseException:
-        control.close()
-        raise
+    control, opened = _ask(config, located.replica_address,
+                           OpenRequest(path, config.mode, config.iobufsize,
+                                       session_token(handle_id, config.token)),
+                           OpenReply)
 
     data = None
     if config.mode is ReadMode.READAHEAD:

@@ -4,15 +4,19 @@ Every session runs a small three-task pipeline on the server side:
 
   control loop --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
 
-A job asks for one byte range of the file on one connection: a ReadRequest
-is a range job, a StreamStart a push job that runs to the end of the file.
-The reader serves every job through one loop, charging the disk cost model
-(seek latency on discontiguous access, sequential bandwidth shared
-byte-fairly across sessions); the sender handles per-connection flow-control
-credits. Pushed chunks carry the epoch of their job; ControlInterrupt or a
-new request bumps the session epoch, which makes the reader abandon the push
-and the sender drop whatever stale chunks are already in the pipe. Bytes
-count toward bytes_sent_wire only when they actually go out on the wire.
+A job asks for one byte range of the file. In NORMAL and READBUF a
+ReadRequest is a range job; in READAHEAD and STREAM a StreamStart is a push
+job that runs to the end of the file, and a ReadRequest is refused. A
+session's chunks go out on one connection: the data connection in STREAM,
+the control connection otherwise. The reader serves every job through one
+loop, charging the disk cost model (seek latency on discontiguous access,
+sequential bandwidth shared byte-fairly across sessions); the sender handles
+per-connection flow-control credits. Pushed chunks carry the epoch of their
+job; ControlInterrupt bumps the session epoch, which makes the reader abandon
+the push and the sender drop whatever stale chunks are already in the pipe.
+bytes_sent_wire is the payload that actually went out on that connection.
+Every refusal is an ErrorReply, counted and sent by one method; one that
+comes before a session exists also closes the connection.
 
 Pool layout on disk: flat files named by a hash of the namespace path, plus
 an append-only sidecar manifest (path, filename, size, checksum per line).
@@ -45,6 +49,15 @@ from .wire import (
 DEFAULT_DATA_PORT = 5001
 
 MANIFEST_NAME = "pool-manifest.tsv"
+
+_PUSH_MODES = (ReadMode.READAHEAD, ReadMode.STREAM)
+
+# the counter each refusal adds one to; a stale handle is not counted
+_REFUSAL_COUNTERS = {
+    ErrorCode.AUTH: "auth_failures",
+    ErrorCode.STALE_REPLICA: "stale_replicas",
+    ErrorCode.PROTOCOL: "protocol_errors",
+}
 
 
 @dataclass(frozen=True)
@@ -180,102 +193,85 @@ class DiskServer:
             conn.close()
             return
         if isinstance(first, OpenRequest):
-            self._run_control(conn, first)
+            refusal = self._run_control(conn, first)
         elif isinstance(first, StreamStart):
-            self._run_data(conn, first)
+            refusal = self._run_data(conn, first)
         else:
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(
-                ErrorCode.PROTOCOL, "expected OpenRequest or StreamStart"))
+            refusal = ErrorReply(ErrorCode.PROTOCOL,
+                                 "expected OpenRequest or StreamStart")
+        if refusal is not None:
+            self._refuse(conn, refusal)
             conn.close()
 
-    def _run_control(self, conn, request: OpenRequest) -> None:
+    def _refuse(self, conn, refusal: ErrorReply) -> None:
+        counter = _REFUSAL_COUNTERS.get(refusal.code)
+        if counter is not None:
+            self.counters[counter] += 1
+        conn.try_send(refusal)
+
+    def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
+        """Open a session and serve its control connection until it closes;
+        the refusal if the open is not admitted."""
         handle_id = verify_session_token(request.token, self._shared)
         if handle_id is None:
-            self.counters["auth_failures"] += 1
-            conn.try_send(ErrorReply(ErrorCode.AUTH, "session token rejected"))
-            conn.close()
-            return
+            return ErrorReply(ErrorCode.AUTH, "session token rejected")
         pool_file = self.pool.get(request.path)
         if pool_file is None:
-            self.counters["stale_replicas"] += 1
-            conn.try_send(ErrorReply(ErrorCode.STALE_REPLICA, request.path))
-            conn.close()
-            return
+            return ErrorReply(ErrorCode.STALE_REPLICA, request.path)
         if handle_id in self.sessions:
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
-                                     "handle already open"))
-            conn.close()
-            return
+            return ErrorReply(ErrorCode.PROTOCOL, "handle already open")
         session = _Session(self, handle_id, ReadMode(request.mode),
                            request.iobufsize, pool_file, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
         conn.try_send(OpenReply(handle_id, pool_file.size))
         try:
-            while True:
-                msg = conn.recv()
-                if isinstance(msg, ReadRequest):
-                    session.request_range(msg.offset, msg.length)
-                elif isinstance(msg, StreamStart):
-                    self._start_stream(session, conn, msg.offset)
-                elif isinstance(msg, ControlInterrupt):
+            while not isinstance(msg := conn.recv(), CloseRequest):
+                refusal = None
+                if isinstance(msg, ControlInterrupt):
                     session.interrupt()
-                elif isinstance(msg, CloseRequest):
-                    break
+                elif isinstance(msg, StreamStart):
+                    refusal = self._start_stream(session, msg.offset)
+                elif (isinstance(msg, ReadRequest)
+                      and session.mode not in _PUSH_MODES):
+                    session.request_range(msg.offset, msg.length)
                 else:
-                    self.counters["protocol_errors"] += 1
-                    conn.try_send(ErrorReply(
-                        ErrorCode.PROTOCOL, "unexpected message on control"))
+                    refusal = ErrorReply(ErrorCode.PROTOCOL, (
+                        f"unexpected {type(msg).__name__} on a "
+                        f"{session.mode.name} control connection"))
+                if refusal is not None:
+                    self._refuse(conn, refusal)
         except ConnectionClosedError:
             pass
         finally:
-            self._teardown(session)
+            session.shutdown()
+        return None
 
-    def _start_stream(self, session: "_Session", conn, offset: int) -> None:
-        if session.mode not in (ReadMode.READAHEAD, ReadMode.STREAM):
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(
-                ErrorCode.PROTOCOL, "stream start outside push mode"))
-            return
+    def _start_stream(self, session: "_Session",
+                      offset: int) -> ErrorReply | None:
+        if session.mode not in _PUSH_MODES:
+            return ErrorReply(ErrorCode.PROTOCOL,
+                              "stream start outside push mode")
         if session.stream_active:
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(
-                ErrorCode.PROTOCOL, "stream already active"))
-            return
+            return ErrorReply(ErrorCode.PROTOCOL, "stream already active")
         if session.mode is ReadMode.STREAM and session.data_conn is None:
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(
-                ErrorCode.PROTOCOL, "no data connection attached"))
-            return
+            return ErrorReply(ErrorCode.PROTOCOL,
+                              "no data connection attached")
         session.request_stream(offset)
+        return None
 
-    def _run_data(self, conn, start: StreamStart) -> None:
+    def _run_data(self, conn, start: StreamStart) -> ErrorReply | None:
         session = self.sessions.get(start.handle_id)
         if session is None:
-            conn.try_send(ErrorReply(ErrorCode.STALE_HANDLE,
-                                     str(start.handle_id)))
-            conn.close()
-            return
+            return ErrorReply(ErrorCode.STALE_HANDLE, str(start.handle_id))
         if session.mode is not ReadMode.STREAM or session.data_conn is not None:
-            self.counters["protocol_errors"] += 1
-            conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
-                                     "unexpected data connection"))
-            conn.close()
-            return
+            return ErrorReply(ErrorCode.PROTOCOL,
+                              "unexpected data connection")
         # the session owns the connection from here: its sender stops once
-        # either end closes, and teardown closes this end
+        # either end closes, and shutdown closes this end
         session.attach_data(conn)
         session.request_stream(start.offset)
-
-    def _teardown(self, session: "_Session") -> None:
-        if self.sessions.get(session.handle_id) is session:
-            del self.sessions[session.handle_id]
-        session.shutdown()
-        session.control_conn.close()
-        if session.data_conn is not None:
-            session.data_conn.close()
+        return None
 
 
 class _Session:
@@ -291,13 +287,14 @@ class _Session:
         self.size = pool_file.size
         self.control_conn = control_conn
         self.data_conn = None
+        # the connection chunks go out on; a STREAM session's is attached
+        self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
         self.stream_active = False
-        self.bytes_sent_wire = 0
         self.epoch = 0
         self._fh = open(pool_file.location, "rb")
-        # jobs are (epoch, conn, offset, end), chunks (epoch, conn, offset,
-        # payload); epoch is None for a range read, and None itself closes
+        # jobs are (epoch, offset, end), chunks (epoch, offset, payload);
+        # epoch is None for a range read, and None itself closes
         self._jobs = self._rt.channel()
         self._chunks = self._rt.channel(capacity=1)
         self._kicks = self._rt.channel(capacity=1)
@@ -307,25 +304,26 @@ class _Session:
         self._sender = self._rt.spawn(self._send_loop,
                                       name=f"ds-send-{handle_id}")
 
+    @property
+    def bytes_sent_wire(self) -> int:
+        """DataChunk payload bytes that went out on the wire."""
+        return 0 if self._out is None else self._out.sent_payload
+
     def _kick(self) -> None:
         self._kicks.try_put(None)
 
     def attach_data(self, conn) -> None:
-        self.data_conn = conn
+        self.data_conn = self._out = conn
         conn.on_data_credit = self._kick
 
     # -- control-loop entry points (run in the control handler task) -------
 
     def request_range(self, offset: int, length: int) -> None:
-        if self.stream_active:  # a new request stops any push
-            self.interrupt()
-        self._jobs.put((None, self.control_conn, offset, offset + length))
+        self._jobs.put((None, offset, offset + length))
 
     def request_stream(self, offset: int) -> None:
-        conn = self.data_conn if self.mode is ReadMode.STREAM \
-            else self.control_conn
         self.stream_active = True
-        self._jobs.put((self.epoch, conn, offset, self.size))
+        self._jobs.put((self.epoch, offset, self.size))
 
     def interrupt(self) -> None:
         self.epoch += 1
@@ -333,10 +331,16 @@ class _Session:
         self._kick()
 
     def shutdown(self) -> None:
+        """Forget the session, stop its pipeline and close its
+        connections."""
+        del self._server.sessions[self.handle_id]
         self.interrupt()
         self._jobs.put(None)
         self._rt.join(self._reader)
         self._rt.join(self._sender)
+        self.control_conn.close()
+        if self.data_conn is not None:
+            self.data_conn.close()
 
     # -- reader task ---------------------------------------------------------
 
@@ -361,7 +365,7 @@ class _Session:
         self.current_offset = offset + n
         return data
 
-    def _serve(self, epoch: int | None, conn, offset: int, end: int,
+    def _serve(self, epoch: int | None, offset: int, end: int,
                chunk_cap: int) -> None:
         """Queue [offset, end), clamped to the file, for the sender in
         chunks of at most chunk_cap.
@@ -373,21 +377,22 @@ class _Session:
         end = min(end, self.size)
         pos = min(offset, end)
         if epoch is None and pos == end:  # EOF or empty read
-            self._chunks.put((None, conn, offset, b""))
+            self._chunks.put((None, offset, b""))
             return
         while pos < end and epoch in (None, self.epoch):
             n = min(chunk_cap, end - pos)
-            self._chunks.put((epoch, conn, pos, self._disk_read(pos, n)))
+            self._chunks.put((epoch, pos, self._disk_read(pos, n)))
             pos += n
         if epoch == self.epoch:  # a push that ran to the end of the file
-            self._chunks.put((epoch, conn, pos, b""))
+            self._chunks.put((epoch, pos, b""))
             self.stream_active = False
 
     # -- sender task ---------------------------------------------------------
 
     def _send_loop(self) -> None:
         while (item := self._chunks.get()) is not None:
-            epoch, conn, offset, payload = item
+            epoch, offset, payload = item
+            conn = self._out
             msg = DataChunk(self.handle_id, offset, payload)
             while True:
                 if epoch is not None and epoch != self.epoch:
@@ -395,7 +400,6 @@ class _Session:
                 if conn.closed:
                     break
                 if conn.try_reserve_data_credit():
-                    if conn.try_send(msg, credit_reserved=True):
-                        self.bytes_sent_wire += len(payload)
+                    conn.try_send(msg, credit_reserved=True)
                     break
                 self._kicks.get()

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
-Wire-level error codes (ErrorCode in remfio.wire) map onto the OpenError
-subtypes so a server-side failure surfaces to the caller as a typed exception.
+The client maps each wire-level error code (ErrorCode in remfio.wire) onto
+one of these types in client._ERROR_TYPES, so a server-side failure surfaces
+to the caller as a typed exception.
 """
 
 from __future__ import annotations
@@ -34,43 +35,29 @@ class ConnectionClosedError(TransportError):
 class OpenError(RemfioError):
     """Base for failures surfaced by rf_open."""
 
-    code = 0
-
 
 class NotFoundError(OpenError):
     """Path not registered in the namespace."""
-
-    code = 1
 
 
 class AuthError(OpenError):
     """Token rejected by headnode or disk server."""
 
-    code = 2
-
 
 class QueueOverflowError(OpenError):
     """Headnode open queue at capacity; request rejected."""
-
-    code = 3
 
 
 class StaleReplicaError(OpenError):
     """Disk server does not hold the file the namespace promised."""
 
-    code = 4
-
 
 class StaleHandleError(RemfioError):
     """Request referenced a handle the server no longer tracks."""
 
-    code = 5
-
 
 class RangeError(RemfioError):
     """Seek offset outside [0, file_size]."""
-
-    code = 6
 
 
 class AlreadyRegisteredError(RemfioError):

@@ -33,6 +33,7 @@ from .errors import (
 from .wire import (
     ErrorCode,
     ErrorReply,
+    Message,
     NsLookup,
     NsLookupReply,
     OpenReply,
@@ -126,8 +127,10 @@ class Headnode:
 
     def start(self) -> None:
         """Register both listeners."""
-        self._net.listen(f"{self.host}:{self.ns_port}", self._serve_namespace)
-        self._net.listen(f"{self.host}:{self.open_port}", self._serve_opens)
+        self._net.listen(self.ns_address,
+                         lambda conn: self._serve(conn, self._answer_lookup))
+        self._net.listen(self.open_address,
+                         lambda conn: self._serve(conn, self._answer_open))
 
     @property
     def ns_address(self) -> str:
@@ -157,64 +160,54 @@ class Headnode:
     def namespace_size(self) -> int:
         return len(self._namespace)
 
-    # -- open path ---------------------------------------------------------
+    # -- request handling --------------------------------------------------
 
-    def _serve_namespace(self, conn) -> None:
+    def _serve(self, conn, answer) -> None:
+        """Send answer(request) for each request on conn until it closes."""
         try:
             while True:
-                msg = conn.recv()
-                if isinstance(msg, NsLookup):
-                    self.counters["lookups"] += 1
-                    entry = self._namespace.get(msg.path)
-                    if entry is None:
-                        conn.try_send(ErrorReply(ErrorCode.NOT_FOUND,
-                                                 msg.path))
-                    else:
-                        conn.try_send(NsLookupReply(
-                            entry.replica_address, entry.size, entry.checksum))
-                else:
-                    conn.try_send(ErrorReply(
-                        ErrorCode.PROTOCOL, "namespace port expects NsLookup"))
+                conn.try_send(answer(conn.recv()))
         except ConnectionClosedError:
             pass
         finally:
             conn.close()
 
-    def _serve_opens(self, conn) -> None:
-        try:
-            while True:
-                msg = conn.recv()
-                if not isinstance(msg, OpenRequest):
-                    conn.try_send(ErrorReply(ErrorCode.PROTOCOL,
-                                             "open port expects OpenRequest"))
-                    continue
-                if msg.token != self._shared:
-                    self.counters["auth_failures"] += 1
-                    self.counters["open_errors"] += 1
-                    conn.try_send(ErrorReply(ErrorCode.AUTH, "token rejected"))
-                    continue
-                if self._in_broker >= self.queue_model.queue_cap:
-                    self.counters["queue_overflow"] += 1
-                    self.counters["open_errors"] += 1
-                    conn.try_send(ErrorReply(ErrorCode.QUEUE_OVERFLOW,
-                                             "open queue full"))
-                    continue
-                now = self._rt.now()
-                done = self._free_at = (max(now, self._free_at) +
-                                        self.queue_model.service_time_per_open)
-                self._in_broker += 1
-                self._rt.sleep(done - now)
-                self._in_broker -= 1
-                entry = self._namespace.get(msg.path)
-                if entry is None:
-                    self.counters["not_found"] += 1
-                    self.counters["open_errors"] += 1
-                    conn.try_send(ErrorReply(ErrorCode.NOT_FOUND, msg.path))
-                else:
-                    self.counters["opens_ok"] += 1
-                    conn.try_send(OpenReply(next(self._handle_ids),
-                                            entry.size))
-        except ConnectionClosedError:
-            pass
-        finally:
-            conn.close()
+    def _answer_lookup(self, msg) -> Message:
+        if not isinstance(msg, NsLookup):
+            return ErrorReply(ErrorCode.PROTOCOL,
+                              "namespace port expects NsLookup")
+        self.counters["lookups"] += 1
+        entry = self._namespace.get(msg.path)
+        if entry is None:
+            return ErrorReply(ErrorCode.NOT_FOUND, msg.path)
+        return NsLookupReply(entry.replica_address, entry.size, entry.checksum)
+
+    def _answer_open(self, msg) -> Message:
+        """Broker one open: book the next service slot and sleep until it
+        ends, unless the request is refused first."""
+        if not isinstance(msg, OpenRequest):
+            return ErrorReply(ErrorCode.PROTOCOL,
+                              "open port expects OpenRequest")
+        if msg.token != self._shared:
+            return self._open_error("auth_failures", ErrorCode.AUTH,
+                                    "token rejected")
+        if self._in_broker >= self.queue_model.queue_cap:
+            return self._open_error("queue_overflow", ErrorCode.QUEUE_OVERFLOW,
+                                    "open queue full")
+        now = self._rt.now()
+        done = self._free_at = (max(now, self._free_at) +
+                                self.queue_model.service_time_per_open)
+        self._in_broker += 1
+        self._rt.sleep(done - now)
+        self._in_broker -= 1
+        entry = self._namespace.get(msg.path)
+        if entry is None:
+            return self._open_error("not_found", ErrorCode.NOT_FOUND, msg.path)
+        self.counters["opens_ok"] += 1
+        return OpenReply(next(self._handle_ids), entry.size)
+
+    def _open_error(self, counter: str, code: ErrorCode,
+                    detail: str) -> ErrorReply:
+        self.counters[counter] += 1
+        self.counters["open_errors"] += 1
+        return ErrorReply(code, detail)

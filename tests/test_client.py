@@ -153,7 +153,7 @@ def test_open_queue_overflow_surfaces_to_caller(tmp_path):
         tasks = [rt.spawn(opener, name=f"open-{i}") for i in range(3)]
         for t in tasks:
             rt.join(t)
-        # all three arrive before the worker drains: one queued, two bounced
+        # all three arrive while the first is in service: two bounced
         assert sorted(outcome) == ["ok", "rejected", "rejected"]
 
     rt.run(scenario)

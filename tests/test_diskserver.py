@@ -388,33 +388,47 @@ def test_stream_interrupt_waste_is_bounded(tmp_path):
     rt.run(scenario)
 
 
-def test_new_request_stops_push(tmp_path):
+@pytest.mark.parametrize("mode", [wire.ReadMode.READAHEAD,
+                                  wire.ReadMode.STREAM],
+                         ids=["readahead", "stream"])
+def test_read_request_on_push_session_is_protocol_error(tmp_path, mode):
+    # push sessions take no ReadRequest: it is refused, and the push it
+    # arrives in the middle of goes on to deliver the whole file in order
     rt = VirtualRuntime()
 
     def scenario():
         net, srv = _mk_server(rt, tmp_path)
-        size = 8 * MiB
+        size = 4 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
-        conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READAHEAD,
-                        iobufsize=128 * KiB, profile=WAN_PROFILE)
-        conn.send(wire.StreamStart(1, 0))
-        consumed = 0
-        while consumed < MiB:
-            consumed += len(conn.recv().payload)
-        target = 6 * MiB
-        conn.send(wire.ReadRequest(1, target, 128 * KiB))
+        control, _ = _open(net, srv, "/pool/a", mode, profile=WAN_PROFILE)
+        if mode is wire.ReadMode.STREAM:
+            pushed = net.connect(srv.address, WAN_PROFILE,
+                                 first_msg=wire.StreamStart(1, 0))
+        else:
+            control.send(wire.StreamStart(1, 0))
+            pushed = control
         got = bytearray()
-        while len(got) < 128 * KiB:
-            chunk = conn.recv()
-            if chunk.offset >= target:  # stale push chunks still drain first
-                got.extend(chunk.payload)
-        assert bytes(got) == data[target:target + 128 * KiB]
-        assert srv.sessions[1].stream_active is False
-        # consumed + 16 in-flight chunks + the range reply itself
-        bound = MiB + 16 * 128 * KiB + 128 * KiB
-        assert srv.sessions[1].bytes_sent_wire <= bound
-        conn.close()
+        replies = []
+        while True:
+            msg = pushed.recv()
+            if isinstance(msg, wire.ErrorReply):
+                replies.append(msg)
+                continue
+            assert msg.offset == len(got)
+            if msg.payload == b"":
+                break
+            got.extend(msg.payload)
+            if len(got) == MiB:
+                control.send(wire.ReadRequest(1, 3 * MiB, 128 * KiB))
+        assert bytes(got) == data
+        if mode is wire.ReadMode.STREAM:
+            replies.append(control.recv())
+        assert [r.code for r in replies] == [wire.ErrorCode.PROTOCOL]
+        assert srv.counters["protocol_errors"] == 1
+        assert srv.sessions[1].bytes_sent_wire == size
+        control.close()
+        pushed.close()
 
     rt.run(scenario)
 
