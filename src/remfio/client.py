@@ -9,17 +9,21 @@ behaviours:
   READAHEAD READBUF plus server push: after open the server streams chunks
             down the control connection; the client serves reads from the
             pushed flow, discards pushed bytes that precede a forward seek
-            target, and interrupt-restarts the stream on a backward seek.
+            target, and restarts the stream on a backward seek.
   STREAM    a second (data) connection carries the pushed chunks, which
             rf_read takes from it directly: there is no background receiver,
             and the connection's DataChunk credits bound the intake; any
-            out-of-position seek interrupt-restarts the stream.
+            out-of-position seek restarts the stream.
 
-Pushed chunks carry their file offset, and both push modes track the next
-offset the live stream will deliver. A chunk whose offset does not match is
-a leftover from before a restart and is dropped; because any restarted
-stream re-reads the same file sequentially, this single rule keeps the
-delivered byte sequence exact across seeks in both directions.
+A restart is one StreamStart at the new offset, which makes the server
+abandon the push in progress; close is one CloseRequest. A push ends
+silently at the end of the file: the client knows the file size from the
+open, and never reads past it. Pushed chunks carry their file offset, and
+both push modes track the next offset the live stream will deliver. A chunk
+whose offset does not match is a leftover from before a restart and is
+dropped; because any restarted stream re-reads the same file sequentially,
+this single rule keeps the delivered byte sequence exact across seeks in
+both directions.
 
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
@@ -45,7 +49,6 @@ from .headnode import DEFAULT_NS_PORT, DEFAULT_OPEN_PORT, session_token
 from .netemu import WAN_PROFILE, LinkProfile
 from .wire import (
     CloseRequest,
-    ControlInterrupt,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -64,7 +67,6 @@ _ERROR_TYPES = {
     ErrorCode.QUEUE_OVERFLOW: QueueOverflowError,
     ErrorCode.STALE_REPLICA: StaleReplicaError,
     ErrorCode.STALE_HANDLE: StaleHandleError,
-    ErrorCode.RANGE: RangeError,
 }
 
 
@@ -139,7 +141,6 @@ class ClientHandle:
         self._buf = b""
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
-        self._stream_done = False
         self._closed = False
 
     # -- counters ------------------------------------------------------------
@@ -183,10 +184,11 @@ class ClientHandle:
             if _expect(self._control.recv(), DataChunk).payload != b"":
                 raise ProtocolError("expected empty chunk at EOF")
             return b""
-        parts = bytearray()
-        while len(parts) < expected:
-            parts += _expect(self._control.recv(), DataChunk).payload
-        return bytes(parts)
+        parts = []
+        while expected > 0:
+            parts.append(_expect(self._control.recv(), DataChunk).payload)
+            expected -= len(parts[-1])
+        return b"".join(parts)  # a lone bytes part is returned as it is
 
     def _read_buffered(self, length: int) -> bytes:
         """Serve from the buffer; refill it on a miss.
@@ -196,39 +198,32 @@ class ClientHandle:
         """
         pos = self.logical_position
         end = min(pos + length, self.file_size)
-        out = bytearray()
+        parts = []
         while pos < end:
             off = pos - self._buf_start
             if 0 <= off < len(self._buf):
                 take = min(end - pos, len(self._buf) - off)
-                out += self._buf[off:off + take]
+                parts.append(memoryview(self._buf)[off:off + take])
                 pos += take
             elif self.mode is ReadMode.READBUF:
                 self._buf = self._request(
                     pos, min(self.iobufsize, self.file_size - pos))
                 self._buf_start = pos
             else:
-                chunk = self._next_pushed_chunk()
-                if chunk is None:
-                    break  # terminator; only reachable with pos at EOF
-                offset, payload = chunk
+                offset, payload = self._next_pushed_chunk()
                 if offset + len(payload) > pos:  # else skipped-over bytes
                     self._buf = payload
                     self._buf_start = offset
-        return bytes(out)
+        return b"".join(parts)
 
-    def _next_pushed_chunk(self) -> tuple[int, bytes] | None:
-        """Next in-sequence chunk of the live stream; None at stream end."""
+    def _next_pushed_chunk(self) -> tuple[int, bytes]:
+        """Next in-sequence chunk of the live stream."""
         conn = self._data if self.mode is ReadMode.STREAM else self._control
         while True:
             msg = _expect(conn.recv(), DataChunk)
-            if msg.offset != self._expected:
-                continue  # stale chunk from before a stream restart
-            if msg.payload == b"":
-                self._stream_done = True
-                return None
-            self._expected = msg.offset + len(msg.payload)
-            return msg.offset, msg.payload
+            if msg.offset == self._expected:  # else stale, from before restart
+                self._expected = msg.offset + len(msg.payload)
+                return msg.offset, msg.payload
 
     # -- seek ------------------------------------------------------------------
 
@@ -256,12 +251,10 @@ class ClientHandle:
         return self.logical_position
 
     def _restart_stream(self, offset: int) -> None:
-        self._control.send(ControlInterrupt(self.handle_id))
         self._control.send(StreamStart(self.handle_id, offset))
         self._expected = offset
         self._buf = b""
         self._buf_start = offset
-        self._stream_done = False
 
     # -- close -----------------------------------------------------------------
 
@@ -273,9 +266,6 @@ class ClientHandle:
             return self.counters
         self._closed = True
         try:
-            if (self.mode in (ReadMode.READAHEAD, ReadMode.STREAM)
-                    and not self._stream_done):
-                self._control.send(ControlInterrupt(self.handle_id))
             self._control.send(CloseRequest(self.handle_id))
         except TransportError:
             pass

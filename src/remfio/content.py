@@ -18,8 +18,7 @@ GEN_CHUNK = 4 * 1024 * 1024
 _U64 = (1 << 64) - 1
 
 
-def content_chunks(seed: int, index: int, size: int,
-                   chunk_size: int = GEN_CHUNK) -> Iterator[bytes]:
+def content_chunks(seed: int, index: int, size: int) -> Iterator[bytes]:
     """Yield the content of pool file `index` as a sequence of byte chunks.
 
     Philox is counter-based, so the stream for a given (seed, index) key is
@@ -31,7 +30,7 @@ def content_chunks(seed: int, index: int, size: int,
     rng = np.random.Generator(np.random.Philox(key=key))
     remaining = size
     while remaining > 0:
-        n = min(chunk_size, remaining)
+        n = min(GEN_CHUNK, remaining)
         yield rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
         remaining -= n
 

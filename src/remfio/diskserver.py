@@ -11,10 +11,13 @@ session's chunks go out on one connection: the data connection in STREAM,
 the control connection otherwise. The reader serves every job through one
 loop, charging the disk cost model (seek latency on discontiguous access,
 sequential bandwidth shared byte-fairly across sessions); the sender handles
-per-connection flow-control credits. Pushed chunks carry the epoch of their
-job; ControlInterrupt bumps the session epoch, which makes the reader abandon
-the push and the sender drop whatever stale chunks are already in the pipe.
-bytes_sent_wire is the payload that actually went out on that connection.
+per-connection flow-control credits. Jobs and chunks carry the session epoch
+they were made in. A StreamStart on a push session, and the session's
+shutdown on CloseRequest, bump the epoch: the reader abandons the push in
+progress and the sender drops whatever stale chunks are already in the pipe.
+A push that reaches the end of the file sends nothing more; a range read of
+no bytes gets one empty chunk. bytes_sent_wire is the payload that actually
+went out on that connection.
 Every refusal is an ErrorReply, counted and sent by one method; one that
 comes before a session exists also closes the connection.
 
@@ -35,7 +38,6 @@ from .headnode import verify_session_token
 from .wire import (
     MAX_CHUNK_PAYLOAD,
     CloseRequest,
-    ControlInterrupt,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -228,9 +230,7 @@ class DiskServer:
         try:
             while not isinstance(msg := conn.recv(), CloseRequest):
                 refusal = None
-                if isinstance(msg, ControlInterrupt):
-                    session.interrupt()
-                elif isinstance(msg, StreamStart):
+                if isinstance(msg, StreamStart):
                     refusal = self._start_stream(session, msg.offset)
                 elif (isinstance(msg, ReadRequest)
                       and session.mode not in _PUSH_MODES):
@@ -252,8 +252,6 @@ class DiskServer:
         if session.mode not in _PUSH_MODES:
             return ErrorReply(ErrorCode.PROTOCOL,
                               "stream start outside push mode")
-        if session.stream_active:
-            return ErrorReply(ErrorCode.PROTOCOL, "stream already active")
         if session.mode is ReadMode.STREAM and session.data_conn is None:
             return ErrorReply(ErrorCode.PROTOCOL,
                               "no data connection attached")
@@ -290,11 +288,10 @@ class _Session:
         # the connection chunks go out on; a STREAM session's is attached
         self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
-        self.stream_active = False
         self.epoch = 0
         self._fh = open(pool_file.location, "rb")
         # jobs are (epoch, offset, end), chunks (epoch, offset, payload);
-        # epoch is None for a range read, and None itself closes
+        # None itself closes
         self._jobs = self._rt.channel()
         self._chunks = self._rt.channel(capacity=1)
         self._kicks = self._rt.channel(capacity=1)
@@ -319,15 +316,16 @@ class _Session:
     # -- control-loop entry points (run in the control handler task) -------
 
     def request_range(self, offset: int, length: int) -> None:
-        self._jobs.put((None, offset, offset + length))
+        self._jobs.put((self.epoch, offset, offset + length))
 
     def request_stream(self, offset: int) -> None:
-        self.stream_active = True
+        """Push from offset to the end of the file, abandoning any push
+        in progress."""
+        self.interrupt()
         self._jobs.put((self.epoch, offset, self.size))
 
     def interrupt(self) -> None:
         self.epoch += 1
-        self.stream_active = False
         self._kick()
 
     def shutdown(self) -> None:
@@ -365,27 +363,22 @@ class _Session:
         self.current_offset = offset + n
         return data
 
-    def _serve(self, epoch: int | None, offset: int, end: int,
+    def _serve(self, epoch: int, offset: int, end: int,
                chunk_cap: int) -> None:
         """Queue [offset, end), clamped to the file, for the sender in
-        chunks of at most chunk_cap.
+        chunks of at most chunk_cap, until the session epoch moves on.
 
-        A range read has epoch None; one of no bytes gets an empty chunk. A
-        push has its session epoch, stops once that is stale, and ends with
-        an empty chunk at the end of the file.
+        A range read of no bytes gets one empty chunk; a push of no bytes
+        sends nothing.
         """
         end = min(end, self.size)
         pos = min(offset, end)
-        if epoch is None and pos == end:  # EOF or empty read
-            self._chunks.put((None, offset, b""))
-            return
-        while pos < end and epoch in (None, self.epoch):
+        if pos == end and self.mode not in _PUSH_MODES:  # EOF or empty read
+            self._chunks.put((epoch, offset, b""))
+        while pos < end and epoch == self.epoch:
             n = min(chunk_cap, end - pos)
             self._chunks.put((epoch, pos, self._disk_read(pos, n)))
             pos += n
-        if epoch == self.epoch:  # a push that ran to the end of the file
-            self._chunks.put((epoch, pos, b""))
-            self.stream_active = False
 
     # -- sender task ---------------------------------------------------------
 
@@ -395,8 +388,8 @@ class _Session:
             conn = self._out
             msg = DataChunk(self.handle_id, offset, payload)
             while True:
-                if epoch is not None and epoch != self.epoch:
-                    break  # stale push, interrupted before it left the server
+                if epoch != self.epoch:
+                    break  # stale, interrupted before it left the server
                 if conn.closed:
                     break
                 if conn.try_reserve_data_credit():

@@ -46,9 +46,9 @@ class MsgType(enum.IntEnum):
     OPEN_REPLY = 0x02
     READ_REQUEST = 0x03
     DATA_CHUNK = 0x04
-    # 0x05 is reserved: it belonged to a retired message. Never reuse it.
+    # 0x05 and 0x07 are reserved: they belonged to retired messages. Never
+    # reuse them.
     STREAM_START = 0x06
-    CONTROL_INTERRUPT = 0x07
     CLOSE_REQUEST = 0x08
     ERROR_REPLY = 0x09
     NS_LOOKUP = 0x0A
@@ -70,7 +70,7 @@ class ErrorCode(enum.IntEnum):
     QUEUE_OVERFLOW = 3
     STALE_REPLICA = 4
     STALE_HANDLE = 5
-    RANGE = 6
+    # 6 is reserved: it belonged to a retired code. Never reuse it.
     PROTOCOL = 7
 
 
@@ -109,11 +109,6 @@ class StreamStart:
 
 
 @dataclass(frozen=True)
-class ControlInterrupt:
-    handle_id: int
-
-
-@dataclass(frozen=True)
 class CloseRequest:
     handle_id: int
 
@@ -142,7 +137,6 @@ Message = (
     | ReadRequest
     | DataChunk
     | StreamStart
-    | ControlInterrupt
     | CloseRequest
     | ErrorReply
     | NsLookup
@@ -172,7 +166,6 @@ _LAYOUTS = {
                                      ("payload", "rest"))),
     MsgType.STREAM_START: (StreamStart, (("handle_id", "u64"),
                                          ("offset", "u64"))),
-    MsgType.CONTROL_INTERRUPT: (ControlInterrupt, (("handle_id", "u64"),)),
     MsgType.CLOSE_REQUEST: (CloseRequest, (("handle_id", "u64"),)),
     MsgType.ERROR_REPLY: (ErrorReply, (("code", "u16"), ("detail", "string"))),
     MsgType.NS_LOOKUP: (NsLookup, (("path", "string"),)),

@@ -34,7 +34,6 @@ from remfio.netemu import ZERO_PROFILE, EmulatedNetwork, builtin_profiles
 from remfio.runtime import VirtualRuntime
 from remfio.wire import (
     CloseRequest,
-    ControlInterrupt,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -102,7 +101,6 @@ def test_codec_bulk_roundtrip():
         lambda: DataChunk(handle_id=u32(), offset=u63(),
                           payload=rng.randbytes(rng.randrange(400))),
         lambda: StreamStart(handle_id=u32(), offset=u63()),
-        lambda: ControlInterrupt(handle_id=u32()),
         lambda: CloseRequest(handle_id=u32()),
         lambda: ErrorReply(code=rng.choice(list(ErrorCode)), detail=rand_str()),
         lambda: NsLookup(path=rand_str()),

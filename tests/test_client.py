@@ -37,7 +37,7 @@ from remfio.netemu import (
     EmulatedNetwork,
 )
 from remfio.runtime import VirtualRuntime
-from remfio.wire import ReadMode
+from remfio.wire import CloseRequest, ReadMode, StreamStart
 
 TOKEN = "shared-secret"
 KiB = 1024
@@ -469,6 +469,32 @@ def test_stream_seeks_restart_in_both_directions(tmp_path):
         rf_seek(h, 4 * MiB)  # EOF is a legal target
         assert rf_read(h, 64 * KiB) == b""
         rf_close(h)
+
+    rt.run(scenario)
+
+
+def test_stream_restart_and_close_send_one_control_frame_each(tmp_path):
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
+                                       profile=WAN_PROFILE))
+        data = contents["/pool/a"]
+        sent = []
+        send = h._control.send
+
+        def counted_send(msg, **kw):
+            sent.append(msg)
+            send(msg, **kw)
+
+        h._control.send = counted_send
+        assert rf_read(h, 64 * KiB) == data[:64 * KiB]
+        rf_seek(h, 2 * MiB)
+        assert sent == [StreamStart(h.handle_id, 2 * MiB)]
+        assert rf_read(h, 64 * KiB) == data[2 * MiB:2 * MiB + 64 * KiB]
+        rf_close(h)
+        assert sent[1:] == [CloseRequest(h.handle_id)]
 
     rt.run(scenario)
 

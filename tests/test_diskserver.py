@@ -53,6 +53,12 @@ def _read_range(conn, handle, offset, length, size):
     return bytes(got)
 
 
+def _assert_quiet(rt, conn):
+    """Nothing more reaches conn within 1 s."""
+    rt.sleep(1.0)
+    assert len(conn._queue) == 0
+
+
 # -- pool management -----------------------------------------------------------
 
 
@@ -294,24 +300,22 @@ def test_readahead_stream_pushes_whole_file_in_order(tmp_path):
         conn.send(wire.StreamStart(1, 0))
         got = bytearray()
         offsets = []
-        while True:
+        while len(got) < size:
             chunk = conn.recv()
-            if chunk.payload == b"":
-                assert chunk.offset == size  # terminator carries EOF position
-                break
             offsets.append(chunk.offset)
             assert len(chunk.payload) <= 128 * KiB
             assert chunk.offset == len(got)
             got.extend(chunk.payload)
         assert bytes(got) == data
         assert offsets == list(range(0, size, 128 * KiB))
+        _assert_quiet(rt, conn)  # the push ends silently at the end of file
         assert srv.sessions[1].bytes_sent_wire == size
         conn.close()
 
     rt.run(scenario)
 
 
-def test_stream_at_eof_sends_immediate_terminator(tmp_path):
+def test_stream_from_eof_sends_nothing(tmp_path):
     rt = VirtualRuntime()
 
     def scenario():
@@ -321,40 +325,57 @@ def test_stream_at_eof_sends_immediate_terminator(tmp_path):
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READAHEAD)
         conn.send(wire.StreamStart(1, size))
-        assert conn.recv() == wire.DataChunk(1, size, b"")
+        _assert_quiet(rt, conn)
         assert srv.sessions[1].bytes_sent_wire == 0
         conn.close()
 
     rt.run(scenario)
 
 
-def test_stream_while_active_is_protocol_error(tmp_path):
+def test_stream_start_on_live_push_restarts_it(tmp_path):
+    # a second StreamStart abandons the push in progress: what still arrives
+    # of the old push lies within its in-flight allowance, and the new push
+    # then delivers the file from its own offset to the end, in order
     rt = VirtualRuntime()
 
     def scenario():
         net, srv = _mk_server(rt, tmp_path)
-        _seed(srv, "/pool/a", 8 * MiB)
+        size = 8 * MiB
+        data = _seed(srv, "/pool/a", size)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READAHEAD,
                         profile=WAN_PROFILE)
         conn.send(wire.StreamStart(1, 0))
-        conn.send(wire.StreamStart(1, 0))
-        seen_error = False
-        for _ in range(40):
+        got = 0
+        while got < MiB:
+            got += len(conn.recv().payload)
+        conn.send(wire.StreamStart(1, 4 * MiB))
+        while True:
             msg = conn.recv()
-            if isinstance(msg, wire.ErrorReply):
-                assert msg.code == wire.ErrorCode.PROTOCOL
-                seen_error = True
+            assert isinstance(msg, wire.DataChunk), msg
+            if msg.offset >= 4 * MiB:
                 break
-        assert seen_error
+            assert msg.offset < MiB + 16 * 128 * KiB
+        tail = bytearray()
+        while True:
+            assert msg.offset == 4 * MiB + len(tail)
+            tail.extend(msg.payload)
+            if len(tail) == size - 4 * MiB:
+                break
+            msg = conn.recv()
+        assert bytes(tail) == data[4 * MiB:]
+        _assert_quiet(rt, conn)
+        assert srv.counters["protocol_errors"] == 0
         conn.close()
 
     rt.run(scenario)
 
 
 def test_stream_interrupt_waste_is_bounded(tmp_path):
-    # consume 1 MiB then interrupt: the server may already have sent at most
-    # the 16-chunk in-flight allowance beyond what was consumed
+    # consume 1 MiB then restart the push at the end of the file, which
+    # stops it: the server may already have sent at most the 16-chunk
+    # in-flight allowance beyond what was consumed, and consuming that
+    # returns credits that a live push would use to send more
     rt = VirtualRuntime()
 
     def scenario():
@@ -370,20 +391,24 @@ def test_stream_interrupt_waste_is_bounded(tmp_path):
         while len(got) < MiB:
             chunk = dconn.recv()
             got.extend(chunk.payload)
-        control.send(wire.ControlInterrupt(1))
+        control.send(wire.StreamStart(1, size))
         rt.sleep(2.0)
         assert bytes(got) == data[:len(got)]
         session = srv.sessions[1]
         sent = session.bytes_sent_wire
         allowance = 16 * wire.MAX_CHUNK_PAYLOAD
         assert MiB <= sent <= MiB + allowance
-        assert session.stream_active is False
+        while len(got) < sent:
+            got.extend(dconn.recv().payload)
+        assert bytes(got) == data[:sent]
+        _assert_quiet(rt, dconn)
+        assert session.bytes_sent_wire == sent  # nothing left after the stop
         control.send(wire.CloseRequest(1))
         rt.sleep(0.1)
         control.close()
         dconn.close()
         assert srv.sessions == {}
-        assert session.bytes_sent_wire == sent  # nothing left after the interrupt
+        assert session.bytes_sent_wire == sent
 
     rt.run(scenario)
 
@@ -410,20 +435,19 @@ def test_read_request_on_push_session_is_protocol_error(tmp_path, mode):
             pushed = control
         got = bytearray()
         replies = []
-        while True:
+        while len(got) < size:
             msg = pushed.recv()
             if isinstance(msg, wire.ErrorReply):
                 replies.append(msg)
                 continue
             assert msg.offset == len(got)
-            if msg.payload == b"":
-                break
             got.extend(msg.payload)
             if len(got) == MiB:
                 control.send(wire.ReadRequest(1, 3 * MiB, 128 * KiB))
         assert bytes(got) == data
         if mode is wire.ReadMode.STREAM:
             replies.append(control.recv())
+        _assert_quiet(rt, pushed)
         assert [r.code for r in replies] == [wire.ErrorCode.PROTOCOL]
         assert srv.counters["protocol_errors"] == 1
         assert srv.sessions[1].bytes_sent_wire == size
@@ -448,8 +472,7 @@ def test_stream_seek_restarts_at_new_offset(tmp_path):
         got = 0
         while got < MiB:
             got += len(dconn.recv().payload)
-        # the client's seek on a stream: interrupt, then restart at the target
-        control.send(wire.ControlInterrupt(1))
+        # the client's seek on a stream: one StreamStart at the target
         control.send(wire.StreamStart(1, 8 * MiB))
         # drain until the new stream shows up; old in-flight chunks all sit
         # below the consumed prefix plus the in-flight allowance

@@ -96,13 +96,29 @@ def test_unknown_msg_type():
         wire.decode_frame(bytes(frame))
 
 
-def test_reserved_type_0x05_rejected():
-    # 0x05 belonged to a retired message: a well-formed header naming it,
-    # with a payload that would fit any two-u64 schema, is still refused
-    assert 0x05 not in set(wire.MsgType)
-    frame = bytes([0x52, 0x46, 0x01, 0x05, 0, 0, 0, 16]) + b"\x00" * 16
+@pytest.mark.parametrize("code,payload_len", [(0x05, 16), (0x07, 8)],
+                         ids=["0x05", "0x07"])
+def test_reserved_type_rejected(code, payload_len):
+    # each reserved code belonged to a retired message: a well-formed header
+    # naming it, with a payload that would fit a schema of one u64 (0x07's
+    # was) or two, is still refused
+    assert code not in set(wire.MsgType)
+    frame = (bytes([0x52, 0x46, 0x01, code, 0, 0, 0, payload_len])
+             + b"\x00" * payload_len)
     with pytest.raises(ProtocolError):
         wire.decode_frame(frame)
+
+
+def test_reserved_error_code_6_rejected():
+    # error code 6 belonged to a retired code: neither end accepts it
+    assert 6 not in set(wire.ErrorCode)
+    with pytest.raises(EncodeError):
+        wire.encode_frame(wire.ErrorReply(6, "x"))
+    frame = bytearray(wire.encode_frame(
+        wire.ErrorReply(wire.ErrorCode.PROTOCOL, "x")))
+    frame[wire.HEADER_LEN + 1] = 6  # low byte of the u16 code
+    with pytest.raises(ProtocolError):
+        wire.decode_frame(bytes(frame))
 
 
 def test_wire_format_doc_matches_codec_table():
@@ -111,6 +127,7 @@ def test_wire_format_doc_matches_codec_table():
                       doc.read_text(), re.M)
     documented = {int(code, 16): (name, layout) for code, name, layout in rows}
     assert documented.pop(0x05)[0] == "reserved"
+    assert documented.pop(0x07)[0] == "reserved"
     assert set(documented) == {int(mtype) for mtype in wire._LAYOUTS}
     for mtype, (cls, fields) in wire._LAYOUTS.items():
         name, layout = documented[int(mtype)]
