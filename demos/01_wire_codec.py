@@ -9,18 +9,18 @@ at the raw bytes, and shows that a partial frame decodes as "not yet".
 """
 
 from remfio.wire import (
-    CloseRequest,
     DataChunk,
     ReadRequest,
+    StreamStart,
     decode_frame,
     encode_frame,
 )
 
-# The smallest message: closing handle 7. Two fields of the frame header
-# are constants, so the interesting bytes are the type (0x08) and the
-# 8-byte big-endian handle id.
-frame = encode_frame(CloseRequest(handle_id=7))
-print("CloseRequest{handle_id: 7} ->", frame.hex(" "))
+# Starting a push of handle 7 from offset 0. Two fields of the frame header
+# are constants, so the interesting bytes are the type (0x06), the payload
+# length (16) and the two 8-byte big-endian fields: handle id, then offset.
+frame = encode_frame(StreamStart(handle_id=7, offset=0))
+print("StreamStart{handle_id: 7, offset: 0} ->", frame.hex(" "))
 
 # Round trip: decode gives back an equal message plus the bytes consumed.
 msg, consumed = decode_frame(frame)
@@ -37,4 +37,4 @@ print("1000-byte DataChunk frame is", len(encode_frame(chunk)), "bytes")
 
 # A strict prefix of a frame is never an error, just "not yet": decode_frame
 # returns None until the full frame has arrived.
-print("prefix decodes:", [decode_frame(frame[:n]) for n in (0, 4, 15)])
+print("prefix decodes:", [decode_frame(frame[:n]) for n in (0, 4, 23)])

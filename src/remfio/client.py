@@ -16,7 +16,8 @@ behaviours:
             out-of-position seek restarts the stream.
 
 A restart is one StreamStart at the new offset, which makes the server
-abandon the push in progress; close is one CloseRequest. A push ends
+abandon the push in progress. Close sends nothing: hanging up the control
+connection ends the server's session, and any push with it. A push ends
 silently at the end of the file: the client knows the file size from the
 open, and never reads past it. Pushed chunks carry their file offset, and
 both push modes track the next offset the live stream will deliver. A chunk
@@ -43,12 +44,10 @@ from .errors import (
     RangeError,
     StaleHandleError,
     StaleReplicaError,
-    TransportError,
 )
 from .headnode import DEFAULT_NS_PORT, DEFAULT_OPEN_PORT, session_token
 from .netemu import WAN_PROFILE, LinkProfile
 from .wire import (
-    CloseRequest,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -259,16 +258,12 @@ class ClientHandle:
     # -- close -----------------------------------------------------------------
 
     def close(self) -> HandleCounters:
-        """Stop any stream, tear down connections, freeze and return
-        counters."""
+        """Freeze and return counters, then hang up, which ends the
+        server's session and any stream; takes no virtual time."""
         if self._closed:
             self.double_close = True
             return self.counters
         self._closed = True
-        try:
-            self._control.send(CloseRequest(self.handle_id))
-        except TransportError:
-            pass
         self._sync_wire()
         self._control.close()
         if self._data is not None:

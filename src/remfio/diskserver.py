@@ -13,11 +13,14 @@ loop, charging the disk cost model (seek latency on discontiguous access,
 sequential bandwidth shared byte-fairly across sessions); the sender handles
 per-connection flow-control credits. Jobs and chunks carry the session epoch
 they were made in. A StreamStart on a push session, and the session's
-shutdown on CloseRequest, bump the epoch: the reader abandons the push in
-progress and the sender drops whatever stale chunks are already in the pipe.
-A push that reaches the end of the file sends nothing more; a range read of
-no bytes gets one empty chunk. bytes_sent_wire is the payload that actually
-went out on that connection.
+shutdown, bump the epoch: the reader abandons the push in progress and the
+sender drops whatever stale chunks are already in the pipe. A push that
+reaches the end of the file sends nothing more; a range read of no bytes
+gets one empty chunk. bytes_sent_wire is the payload that actually went out
+on that connection. A session ends when its client closes the control
+connection. Shutdown then forgets it and closes its connections without
+waiting for the pipeline: the reader and sender each end on a None queued
+behind the last job, and the reader closes the file.
 Every refusal is an ErrorReply, counted and sent by one method; one that
 comes before a session exists also closes the connection.
 
@@ -37,7 +40,6 @@ from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
     MAX_CHUNK_PAYLOAD,
-    CloseRequest,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -212,8 +214,8 @@ class DiskServer:
         conn.try_send(refusal)
 
     def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
-        """Open a session and serve its control connection until it closes;
-        the refusal if the open is not admitted."""
+        """Open a session and serve its control connection until the client
+        hangs up; the refusal if the open is not admitted."""
         handle_id = verify_session_token(request.token, self._shared)
         if handle_id is None:
             return ErrorReply(ErrorCode.AUTH, "session token rejected")
@@ -228,7 +230,8 @@ class DiskServer:
         self.counters["opens_ok"] += 1
         conn.try_send(OpenReply(handle_id, pool_file.size))
         try:
-            while not isinstance(msg := conn.recv(), CloseRequest):
+            while True:
+                msg = conn.recv()
                 refusal = None
                 if isinstance(msg, StreamStart):
                     refusal = self._start_stream(session, msg.offset)
@@ -242,8 +245,6 @@ class DiskServer:
                 if refusal is not None:
                     self._refuse(conn, refusal)
         except ConnectionClosedError:
-            pass
-        finally:
             session.shutdown()
         return None
 
@@ -296,10 +297,8 @@ class _Session:
         self._chunks = self._rt.channel(capacity=1)
         self._kicks = self._rt.channel(capacity=1)
         control_conn.on_data_credit = self._kick
-        self._reader = self._rt.spawn(self._read_loop,
-                                      name=f"ds-read-{handle_id}")
-        self._sender = self._rt.spawn(self._send_loop,
-                                      name=f"ds-send-{handle_id}")
+        self._rt.spawn(self._read_loop, name=f"ds-read-{handle_id}")
+        self._rt.spawn(self._send_loop, name=f"ds-send-{handle_id}")
 
     @property
     def bytes_sent_wire(self) -> int:
@@ -330,12 +329,10 @@ class _Session:
 
     def shutdown(self) -> None:
         """Forget the session, stop its pipeline and close its
-        connections."""
+        connections; the reader and sender end on their own."""
         del self._server.sessions[self.handle_id]
         self.interrupt()
         self._jobs.put(None)
-        self._rt.join(self._reader)
-        self._rt.join(self._sender)
         self.control_conn.close()
         if self.data_conn is not None:
             self.data_conn.close()

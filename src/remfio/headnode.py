@@ -11,6 +11,7 @@ reply that waits for the link delays only its own client.
 Two listeners, by default on the conventional ports:
   - 5010: namespace lookups (NsLookup -> NsLookupReply)
   - 5015: open brokering (OpenRequest -> OpenReply after queue + service)
+Each connection carries one request: the headnode answers it and hangs up.
 
 Authorization is a static shared token on the open path. A successful open
 replies with a fresh handle id and nothing else: the headnode does not mint
@@ -163,14 +164,12 @@ class Headnode:
     # -- request handling --------------------------------------------------
 
     def _serve(self, conn, answer) -> None:
-        """Send answer(request) for each request on conn until it closes."""
+        """Send answer(request) for the one request on conn, then hang up."""
         try:
-            while True:
-                conn.try_send(answer(conn.recv()))
+            conn.try_send(answer(conn.recv()))
         except ConnectionClosedError:
-            pass
-        finally:
-            conn.close()
+            pass  # the client hung up first
+        conn.close()
 
     def _answer_lookup(self, msg) -> Message:
         if not isinstance(msg, NsLookup):

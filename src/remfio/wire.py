@@ -46,10 +46,9 @@ class MsgType(enum.IntEnum):
     OPEN_REPLY = 0x02
     READ_REQUEST = 0x03
     DATA_CHUNK = 0x04
-    # 0x05 and 0x07 are reserved: they belonged to retired messages. Never
-    # reuse them.
+    # 0x05, 0x07 and 0x08 are reserved: they belonged to retired messages.
+    # Never reuse them.
     STREAM_START = 0x06
-    CLOSE_REQUEST = 0x08
     ERROR_REPLY = 0x09
     NS_LOOKUP = 0x0A
     NS_LOOKUP_REPLY = 0x0B
@@ -109,11 +108,6 @@ class StreamStart:
 
 
 @dataclass(frozen=True)
-class CloseRequest:
-    handle_id: int
-
-
-@dataclass(frozen=True)
 class ErrorReply:
     code: ErrorCode
     detail: str
@@ -137,7 +131,6 @@ Message = (
     | ReadRequest
     | DataChunk
     | StreamStart
-    | CloseRequest
     | ErrorReply
     | NsLookup
     | NsLookupReply
@@ -166,7 +159,6 @@ _LAYOUTS = {
                                      ("payload", "rest"))),
     MsgType.STREAM_START: (StreamStart, (("handle_id", "u64"),
                                          ("offset", "u64"))),
-    MsgType.CLOSE_REQUEST: (CloseRequest, (("handle_id", "u64"),)),
     MsgType.ERROR_REPLY: (ErrorReply, (("code", "u16"), ("detail", "string"))),
     MsgType.NS_LOOKUP: (NsLookup, (("path", "string"),)),
     MsgType.NS_LOOKUP_REPLY: (NsLookupReply, (("replica_address", "string"),

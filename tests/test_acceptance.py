@@ -17,6 +17,7 @@ import string
 import time
 
 import numpy as np
+import pytest
 
 from remfio.bench import (
     Sequential,
@@ -33,7 +34,6 @@ from remfio.headnode import Headnode, OpenQueueModel
 from remfio.netemu import ZERO_PROFILE, EmulatedNetwork, builtin_profiles
 from remfio.runtime import VirtualRuntime
 from remfio.wire import (
-    CloseRequest,
     DataChunk,
     ErrorCode,
     ErrorReply,
@@ -101,7 +101,6 @@ def test_codec_bulk_roundtrip():
         lambda: DataChunk(handle_id=u32(), offset=u63(),
                           payload=rng.randbytes(rng.randrange(400))),
         lambda: StreamStart(handle_id=u32(), offset=u63()),
-        lambda: CloseRequest(handle_id=u32()),
         lambda: ErrorReply(code=rng.choice(list(ErrorCode)), detail=rand_str()),
         lambda: NsLookup(path=rand_str()),
         lambda: NsLookupReply(replica_address=rand_str(), file_size=u63(),
@@ -183,7 +182,14 @@ def test_every_mode_matches_local_reads(tmp_path):
 # -- throughput ordering under contention -------------------------------------
 
 
-def test_sequential_mode_ordering():
+@pytest.fixture(scope="module")
+def pool_dir(tmp_path_factory):
+    """One pool for the seed-0 sweeps below, so that each of their files is
+    seeded once: runs reuse a pool file of the same path and size."""
+    return tmp_path_factory.mktemp("sweep-pool")
+
+
+def test_sequential_mode_ordering(pool_dir):
     # 16 clients reading 16 MiB files end to end over the contended wan
     # profile: push modes beat the buffered mode, which beats one-request-
     # per-read, with a wide margin between the extremes.
@@ -192,7 +198,7 @@ def test_sequential_mode_ordering():
     order = [ReadMode.NORMAL, ReadMode.READBUF, ReadMode.READAHEAD,
              ReadMode.STREAM]
     t0 = time.perf_counter()
-    series = run_sweep(spec, "mode", order, seed=0)
+    series = run_sweep(spec, "mode", order, seed=0, pool_dir=pool_dir)
     elapsed = time.perf_counter() - t0
     normal, readbuf, readahead, stream = [s.aggregate_rate for s in series]
     ok = (stream >= readahead >= readbuf > normal
@@ -204,14 +210,14 @@ def test_sequential_mode_ordering():
              f"stream/normal={stream / normal:.2f}, {elapsed:.1f}s")
 
 
-def test_skip_reads_reverse_the_ordering():
+def test_skip_reads_reverse_the_ordering(pool_dir):
     # Reading 1 MiB then skipping 9: the push mode drags the whole file over
     # the wire and loses to plain request-per-read, which transfers no waste.
     spec = WorkloadSpec(pattern=Skip(1 * MiB, 9), file_size=32 * MiB,
                         block_size=1 * MiB, clients=16, net_profile="wan")
     t0 = time.perf_counter()
     series = run_sweep(spec, "mode", [ReadMode.NORMAL, ReadMode.READAHEAD],
-                       seed=0)
+                       seed=0, pool_dir=pool_dir)
     elapsed = time.perf_counter() - t0
     normal, readahead = series
     ra_consumed = sum(r.bytes_consumed for r in readahead.successful)
@@ -231,7 +237,7 @@ def test_skip_reads_reverse_the_ordering():
 # -- client buffer sizing -----------------------------------------------------
 
 
-def test_buffer_size_effects(tmp_path):
+def test_buffer_size_effects(pool_dir):
     # Oversized client buffers on skip reads waste bandwidth: the rate at an
     # 8 MiB buffer must fall to half the 128 KiB rate or less. On sequential
     # reads with the application block matched to the buffer, size must not
@@ -241,7 +247,7 @@ def test_buffer_size_effects(tmp_path):
     skip = WorkloadSpec(pattern=Skip(1 * MiB, 9), file_size=32 * MiB,
                         block_size=1 * MiB, mode=ReadMode.READBUF, clients=16,
                         net_profile="wan")
-    series = run_sweep(skip, "iobufsize", sizes, seed=0)
+    series = run_sweep(skip, "iobufsize", sizes, seed=0, pool_dir=pool_dir)
     skip_rates = [s.aggregate_rate for s in series]
     drop = skip_rates[-1] / skip_rates[0]
 
@@ -251,7 +257,7 @@ def test_buffer_size_effects(tmp_path):
     for value in sizes:
         one = run_benchmark(dataclasses.replace(seq, iobufsize=value,
                                                 block_size=value), seed=0,
-                            pool_dir=tmp_path)
+                            pool_dir=pool_dir)
         seq_rates.append(one.aggregate_rate)
     # half-width of the rate band relative to its midpoint
     spread = (max(seq_rates) - min(seq_rates)) / (max(seq_rates) + min(seq_rates))
@@ -265,7 +271,7 @@ def test_buffer_size_effects(tmp_path):
 # -- transport window cap -----------------------------------------------------
 
 
-def test_window_cap_effects():
+def test_window_cap_effects(pool_dir):
     # With ample windows the window size must not matter (30 contending
     # clients, skip reads): max/min aggregate stays within 1.2x. A single
     # client squeezed to a 64 KiB window is capped at window/rtt.
@@ -273,7 +279,7 @@ def test_window_cap_effects():
                         block_size=1 * MiB, mode=ReadMode.NORMAL, clients=30,
                         net_profile="wan")
     windows = [512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB, 16 * MiB]
-    series = run_sweep(spec, "window", windows, seed=0)
+    series = run_sweep(spec, "window", windows, seed=0, pool_dir=pool_dir)
     rates = [s.aggregate_rate for s in series]
     ratio = max(rates) / min(rates)
 
@@ -281,7 +287,7 @@ def test_window_cap_effects():
                           block_size=1 * MiB, mode=ReadMode.STREAM, clients=1,
                           net_profile="wan", window=64 * KiB,
                           stagger_window=0.0)
-    record = run_benchmark(single, seed=0).records[0]
+    record = run_benchmark(single, seed=0, pool_dir=pool_dir).records[0]
     ceiling = 64 * KiB / 0.012  # window drained once per round trip
     error = abs(record.rate - ceiling) / ceiling
 

@@ -37,7 +37,7 @@ from remfio.netemu import (
     EmulatedNetwork,
 )
 from remfio.runtime import VirtualRuntime
-from remfio.wire import CloseRequest, ReadMode, StreamStart
+from remfio.wire import ReadMode, StreamStart
 
 TOKEN = "shared-secret"
 KiB = 1024
@@ -473,7 +473,9 @@ def test_stream_seeks_restart_in_both_directions(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_restart_and_close_send_one_control_frame_each(tmp_path):
+def test_stream_restart_sends_one_control_frame_and_close_none(tmp_path):
+    # a restart is one StreamStart; a close sends nothing on either
+    # connection, and returns at the virtual instant it was called
     rt = VirtualRuntime()
 
     def scenario():
@@ -482,19 +484,23 @@ def test_stream_restart_and_close_send_one_control_frame_each(tmp_path):
                                        profile=WAN_PROFILE))
         data = contents["/pool/a"]
         sent = []
-        send = h._control.send
 
-        def counted_send(msg, **kw):
-            sent.append(msg)
-            send(msg, **kw)
+        def counting(send):
+            def counted_send(msg, **kw):
+                sent.append(msg)
+                send(msg, **kw)
+            return counted_send
 
-        h._control.send = counted_send
+        h._control.send = counting(h._control.send)
+        h._data.send = counting(h._data.send)
         assert rf_read(h, 64 * KiB) == data[:64 * KiB]
         rf_seek(h, 2 * MiB)
         assert sent == [StreamStart(h.handle_id, 2 * MiB)]
         assert rf_read(h, 64 * KiB) == data[2 * MiB:2 * MiB + 64 * KiB]
+        t0 = rt.now()
         rf_close(h)
-        assert sent[1:] == [CloseRequest(h.handle_id)]
+        assert rt.now() == t0
+        assert sent == [StreamStart(h.handle_id, 2 * MiB)]
 
     rt.run(scenario)
 
@@ -739,6 +745,8 @@ def test_per_open_state_does_not_grow_with_opens(tmp_path):
                 assert rf_read(h, 16 * KiB) == contents["/pool/a"][:16 * KiB]
                 rf_close(h)
             rt.sleep(1.0)  # let every teardown settle
+            assert not [t.name for t in rt._tasks
+                        if t.name.startswith(("srv-", "ds-"))]
             sizes.append(_container_sizes(rt, head, srv, net, srv._pump,
                                           *net._pumps.values()))
 

@@ -7,7 +7,6 @@ import pytest
 from remfio import wire
 from remfio.content import checksum_bytes, content_chunks, file_content
 from remfio.diskserver import DiskModel, DiskServer
-from remfio.errors import ConnectionClosedError
 from remfio.headnode import session_token
 from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
 from remfio.runtime import VirtualRuntime
@@ -403,10 +402,9 @@ def test_stream_interrupt_waste_is_bounded(tmp_path):
         assert bytes(got) == data[:sent]
         _assert_quiet(rt, dconn)
         assert session.bytes_sent_wire == sent  # nothing left after the stop
-        control.send(wire.CloseRequest(1))
-        rt.sleep(0.1)
         control.close()
         dconn.close()
+        rt.sleep(0.1)
         assert srv.sessions == {}
         assert session.bytes_sent_wire == sent
 
@@ -509,7 +507,6 @@ def test_stream_session_holds_one_server_task(tmp_path):
                     if t.name.startswith(f"srv-{srv.address}-")]
         assert len(handlers) == 1
         session = srv.sessions[1]
-        control.send(wire.CloseRequest(1))
         control.close()
         dconn.close()
         rt.sleep(1.0)
@@ -560,7 +557,6 @@ def test_two_streams_fair_share_disk_bandwidth(tmp_path):
             while got < size:
                 got += len(dconn.recv().payload)
             rates[handle] = size / (rt.now() - t0)
-            control.send(wire.CloseRequest(handle))
             control.close()
             dconn.close()
 
@@ -637,7 +633,6 @@ def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
             got = 0
             while got < size:
                 got += len(dconn.recv().payload)
-            control.send(wire.CloseRequest(handle))
             control.close()
             dconn.close()
 
@@ -658,7 +653,9 @@ def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
     rt.run(scenario)
 
 
-def test_close_request_records_session_stats(tmp_path):
+def test_hang_up_ends_session_and_keeps_its_stats(tmp_path):
+    # closing the control connection is the whole close: the server forgets
+    # the session, closes its own end, and the session's counters stay
     rt = VirtualRuntime()
 
     def scenario():
@@ -667,12 +664,58 @@ def test_close_request_records_session_stats(tmp_path):
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL)
         _read_range(conn, 1, 0, 256 * KiB, MiB)
-        assert srv.sessions[1].bytes_sent_wire == 256 * KiB
-        conn.send(wire.CloseRequest(1))
+        session = srv.sessions[1]
+        assert session.bytes_sent_wire == 256 * KiB
+        conn.close()
         rt.sleep(0.01)
         assert srv.sessions == {}
-        with pytest.raises(ConnectionClosedError):
-            conn.recv()
-        conn.close()
+        assert session.control_conn._closed  # the server hung up its end
+        assert session.bytes_sent_wire == 256 * KiB
+        assert srv.counters["protocol_errors"] == 0
+
+    rt.run(scenario)
+
+
+@pytest.mark.parametrize("mode", [wire.ReadMode.READAHEAD,
+                                  wire.ReadMode.STREAM],
+                         ids=["readahead", "stream"])
+def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
+    # the client hangs up in the middle of a push, with no message first:
+    # rtt/2 later the session is gone, its pipeline stops sending once the
+    # chunks already on their way are out, and its tasks end and its file
+    # closes without the control handler waiting for them
+    rt = VirtualRuntime()
+    half_rtt = WAN_PROFILE.rtt / 2
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        size = 16 * MiB
+        data = _seed(srv, "/pool/a", size)
+        srv.start()
+        control, _ = _open(net, srv, "/pool/a", mode, profile=WAN_PROFILE)
+        if mode is wire.ReadMode.STREAM:
+            pushed = net.connect(srv.address, WAN_PROFILE,
+                                 first_msg=wire.StreamStart(1, 0))
+        else:
+            control.send(wire.StreamStart(1, 0))
+            pushed = control
+        got = bytearray()
+        while len(got) < MiB:
+            got.extend(pushed.recv().payload)
+        assert bytes(got) == data[:len(got)]
+        session = srv.sessions[1]
+        assert 0 < session.bytes_sent_wire < size  # still pushing
+        control.close()
+        pushed.close()
+        rt.sleep(half_rtt + 1e-9)
+        assert srv.sessions == {}
+        rt.sleep(0.1)  # the chunks that were already being sent are out
+        sent = session.bytes_sent_wire
+        assert sent <= len(got) + 16 * wire.MAX_CHUNK_PAYLOAD
+        rt.sleep(1.0)
+        assert session.bytes_sent_wire == sent
+        assert not [t.name for t in rt._tasks
+                    if t.name in ("ds-read-1", "ds-send-1")]
+        assert session._fh.closed
 
     rt.run(scenario)

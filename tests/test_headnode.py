@@ -9,7 +9,11 @@ import pytest
 
 from remfio import wire
 from remfio.bench import WorkloadSpec, run_benchmark
-from remfio.errors import AlreadyRegisteredError, NotFoundError
+from remfio.errors import (
+    AlreadyRegisteredError,
+    ConnectionClosedError,
+    NotFoundError,
+)
 from remfio.headnode import (
     Headnode,
     OpenQueueModel,
@@ -92,40 +96,72 @@ def test_ns_lookup_over_wire():
         head.register_file("/pool/a", 4096, "ds1:5001", 42)
         head.start()
 
-        conn = net.connect(head.ns_address, ZERO_PROFILE,
-                           first_msg=wire.NsLookup("/pool/a"))
-        reply = conn.recv()
-        assert reply == wire.NsLookupReply("ds1:5001", 4096, 42)
+        def lookup(path):
+            conn = net.connect(head.ns_address, ZERO_PROFILE,
+                               first_msg=wire.NsLookup(path))
+            reply = conn.recv()
+            conn.close()
+            return reply
 
-        conn.send(wire.NsLookup("/pool/nope"))
-        err = conn.recv()
+        assert lookup("/pool/a") == wire.NsLookupReply("ds1:5001", 4096, 42)
+        err = lookup("/pool/nope")
         assert isinstance(err, wire.ErrorReply)
         assert err.code == wire.ErrorCode.NOT_FOUND
-        conn.close()
+        assert head.counters["lookups"] == 2
 
     rt.run(scenario)
 
 
+def _port(head, port):
+    """The address of one headnode port and a request it answers at once."""
+    if port == "ns":
+        return head.ns_address, wire.NsLookup("/pool/a")
+    return head.open_address, _open_request("/pool/a", "bad")
+
+
 @pytest.mark.parametrize("port", ["ns", "open"])
 def test_client_closing_with_a_request_in_flight(port):
-    # the reply to the second request finds the client gone; the handler
-    # drops it instead of crashing the run
+    # the client hangs up right behind its request: the reply finds it gone,
+    # and the handler drops it instead of crashing the run
     rt = VirtualRuntime()
 
     def scenario():
         net, head = _mk_head(rt)
         head.register_file("/pool/a", 1024, "ds1:5001", 1)
         head.start()
-        if port == "ns":
-            address, msg = head.ns_address, wire.NsLookup("/pool/a")
-        else:
-            address, msg = head.open_address, _open_request("/pool/a", "bad")
-        conn = net.connect(address, WAN_PROFILE, first_msg=msg)
+        address, msg = _port(head, port)
+        conn = net.connect(address, WAN_PROFILE)
         conn.send(msg)
         conn.close()
         rt.sleep(1.0)
         served = head.counters["lookups"] + head.counters["auth_failures"]
-        assert served == 2
+        assert served == 1
+        assert conn._peer.sent_bytes == 0  # the reply never went out
+        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+
+    rt.run(scenario)
+
+
+@pytest.mark.parametrize("port", ["ns", "open"])
+def test_second_request_on_a_connection_gets_no_reply(port):
+    # the headnode answers one request per connection and hangs up: a
+    # second request sent behind the first is never answered
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, head = _mk_head(rt)
+        head.register_file("/pool/a", 1024, "ds1:5001", 1)
+        head.start()
+        address, msg = _port(head, port)
+        conn = net.connect(address, WAN_PROFILE, first_msg=msg)
+        conn.send(msg)  # the first reply, and the hang-up, are still on the way
+        assert isinstance(conn.recv(), (wire.NsLookupReply, wire.ErrorReply))
+        with pytest.raises(ConnectionClosedError):
+            conn.recv()
+        rt.sleep(1.0)
+        served = head.counters["lookups"] + head.counters["auth_failures"]
+        assert served == 1
+        conn.close()
 
     rt.run(scenario)
 
@@ -377,26 +413,33 @@ def test_open_unregistered_path_not_found_after_service():
 
 
 def test_ticket_soundness_unique_handles():
-    # 50 opens over the wire: every reply carries a fresh handle id, and the
-    # serialized FIFO hands them out in increasing order
+    # 50 opens over the wire, one per connection, arriving 1 ms apart: every
+    # reply carries a fresh handle id, and the serialized FIFO hands them out
+    # in increasing order of arrival
     rt = VirtualRuntime()
+    replies = [None] * 50
 
     def scenario():
         net, head = _mk_head(rt)
         for i in range(5):
             head.register_file(f"/pool/f{i}", 1024, "ds1:5001", i)
         head.start()
-        conn = net.connect(head.open_address, ZERO_PROFILE)
-        for i in range(50):
-            conn.send(_open_request(f"/pool/f{i % 5}"))
-        replies = [conn.recv() for _ in range(50)]
-        assert all(isinstance(r, wire.OpenReply) for r in replies)
-        handles = [r.handle_id for r in replies]
-        assert len(set(handles)) == 50
-        assert handles == sorted(handles)
-        conn.close()
+
+        def one_open(i):
+            rt.sleep(i * 0.001)
+            conn = net.connect(head.open_address, ZERO_PROFILE,
+                               first_msg=_open_request(f"/pool/f{i % 5}"))
+            replies[i] = conn.recv()
+            conn.close()
+
+        for task in [rt.spawn(one_open, i) for i in range(50)]:
+            rt.join(task)
 
     rt.run(scenario)
+    assert all(isinstance(r, wire.OpenReply) for r in replies)
+    handles = [r.handle_id for r in replies]
+    assert len(set(handles)) == 50
+    assert handles == sorted(handles)
 
 
 def test_session_token_shape():

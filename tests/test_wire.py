@@ -17,15 +17,15 @@ from remfio.errors import EncodeError, ProtocolError
 from util import random_message
 
 
-def test_close_request_exact_bytes():
-    # smallest message, layout forced: header + 8-byte big-endian handle
-    frame = wire.encode_frame(wire.CloseRequest(handle_id=7))
-    assert frame == bytes([0x52, 0x46, 0x01, wire.MsgType.CLOSE_REQUEST, 0, 0, 0, 8]) + (
+def test_stream_start_exact_bytes():
+    # layout forced: header + two 8-byte big-endian fields, handle then offset
+    frame = wire.encode_frame(wire.StreamStart(handle_id=7, offset=0))
+    assert frame == bytes([0x52, 0x46, 0x01, wire.MsgType.STREAM_START, 0, 0, 0, 16]) + (
         7
-    ).to_bytes(8, "big")
+    ).to_bytes(8, "big") + bytes(8)
     msg, consumed = wire.decode_frame(frame)
-    assert msg == wire.CloseRequest(handle_id=7)
-    assert consumed == len(frame) == 16
+    assert msg == wire.StreamStart(handle_id=7, offset=0)
+    assert consumed == len(frame) == 24
 
 
 def test_read_request_roundtrip():
@@ -68,14 +68,14 @@ def test_concatenation_no_residue():
 
 
 def test_trailing_byte_left_alone():
-    frame = wire.encode_frame(wire.CloseRequest(handle_id=3)) + b"\xff"
+    frame = wire.encode_frame(wire.StreamStart(handle_id=3, offset=0)) + b"\xff"
     msg, consumed = wire.decode_frame(frame)
-    assert msg == wire.CloseRequest(handle_id=3)
+    assert msg == wire.StreamStart(handle_id=3, offset=0)
     assert consumed == len(frame) - 1
 
 
 def test_bad_magic():
-    frame = bytearray(wire.encode_frame(wire.CloseRequest(handle_id=1)))
+    frame = bytearray(wire.encode_frame(wire.StreamStart(handle_id=1, offset=0)))
     frame[0] = 0x00
     frame[1] = 0x00
     with pytest.raises(ProtocolError):
@@ -83,25 +83,25 @@ def test_bad_magic():
 
 
 def test_bad_version():
-    frame = bytearray(wire.encode_frame(wire.CloseRequest(handle_id=1)))
+    frame = bytearray(wire.encode_frame(wire.StreamStart(handle_id=1, offset=0)))
     frame[2] = 9
     with pytest.raises(ProtocolError):
         wire.decode_frame(bytes(frame))
 
 
 def test_unknown_msg_type():
-    frame = bytearray(wire.encode_frame(wire.CloseRequest(handle_id=1)))
+    frame = bytearray(wire.encode_frame(wire.StreamStart(handle_id=1, offset=0)))
     frame[3] = 0x7F
     with pytest.raises(ProtocolError):
         wire.decode_frame(bytes(frame))
 
 
-@pytest.mark.parametrize("code,payload_len", [(0x05, 16), (0x07, 8)],
-                         ids=["0x05", "0x07"])
+@pytest.mark.parametrize("code,payload_len", [(0x05, 16), (0x07, 8), (0x08, 8)],
+                         ids=["0x05", "0x07", "0x08"])
 def test_reserved_type_rejected(code, payload_len):
     # each reserved code belonged to a retired message: a well-formed header
     # naming it, with a payload that would fit a schema of one u64 (0x07's
-    # was) or two, is still refused
+    # and 0x08's were) or two, is still refused
     assert code not in set(wire.MsgType)
     frame = (bytes([0x52, 0x46, 0x01, code, 0, 0, 0, payload_len])
              + b"\x00" * payload_len)
@@ -128,6 +128,7 @@ def test_wire_format_doc_matches_codec_table():
     documented = {int(code, 16): (name, layout) for code, name, layout in rows}
     assert documented.pop(0x05)[0] == "reserved"
     assert documented.pop(0x07)[0] == "reserved"
+    assert documented.pop(0x08)[0] == "reserved"
     assert set(documented) == {int(mtype) for mtype in wire._LAYOUTS}
     for mtype, (cls, fields) in wire._LAYOUTS.items():
         name, layout = documented[int(mtype)]
@@ -142,14 +143,14 @@ def test_wire_format_doc_matches_codec_table():
 
 
 def test_payload_shorter_than_schema():
-    # claim payload_len 4 on a CLOSE frame (schema wants 8)
-    bad = bytes([0x52, 0x46, 0x01, wire.MsgType.CLOSE_REQUEST, 0, 0, 0, 4]) + b"\x00" * 4
+    # claim payload_len 8 on a STREAM_START frame (schema wants 16)
+    bad = bytes([0x52, 0x46, 0x01, wire.MsgType.STREAM_START, 0, 0, 0, 8]) + b"\x00" * 8
     with pytest.raises(ProtocolError):
         wire.decode_frame(bad)
 
 
 def test_payload_longer_than_schema():
-    bad = bytes([0x52, 0x46, 0x01, wire.MsgType.CLOSE_REQUEST, 0, 0, 0, 12]) + b"\x00" * 12
+    bad = bytes([0x52, 0x46, 0x01, wire.MsgType.STREAM_START, 0, 0, 0, 20]) + b"\x00" * 20
     with pytest.raises(ProtocolError):
         wire.decode_frame(bad)
 

@@ -17,7 +17,7 @@ def random_path(rng: random.Random, max_len: int = 64) -> str:
 
 def random_message(rng: random.Random) -> wire.Message:
     """One random valid message; payload sizes skew small, occasionally maxed."""
-    kind = rng.randrange(9)
+    kind = rng.randrange(8)
     u64 = lambda: rng.randrange(1 << 64)
     if kind == 0:
         return wire.OpenRequest(
@@ -41,13 +41,11 @@ def random_message(rng: random.Random) -> wire.Message:
     if kind == 4:
         return wire.StreamStart(handle_id=u64(), offset=u64())
     if kind == 5:
-        return wire.CloseRequest(handle_id=u64())
-    if kind == 6:
         return wire.ErrorReply(
             code=rng.choice(list(wire.ErrorCode)),
             detail="".join(rng.choice(string.printable) for _ in range(rng.randrange(80))),
         )
-    if kind == 7:
+    if kind == 6:
         return wire.NsLookup(path=random_path(rng))
     return wire.NsLookupReply(
         replica_address=f"ds{rng.randrange(16)}:{rng.randrange(1 << 16)}",
