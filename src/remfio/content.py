@@ -2,6 +2,10 @@
 
 Every pool file's bytes are a pure function of (seed, file_index), so any
 run can regenerate and verify file content without shipping the data around.
+The bytes are the raw 64-bit draws of Philox4x64 keyed by (seed, index),
+each written little-endian, 8 bytes per draw; a file whose size is not a
+multiple of 8 drops the tail of its last draw. This is the same stream as
+numpy's Generator(Philox(key)).integers(0, 256, dtype=np.uint8).
 Checksums are 64-bit blake2b digests, matching the width of the checksum
 field carried in namespace replies.
 """
@@ -13,25 +17,30 @@ from typing import Iterator
 
 import numpy as np
 
+# a multiple of 8, so only a file's last chunk cuts a draw
 GEN_CHUNK = 4 * 1024 * 1024
 
 _U64 = (1 << 64) - 1
 
 
-def content_chunks(seed: int, index: int, size: int) -> Iterator[bytes]:
-    """Yield the content of pool file `index` as a sequence of byte chunks.
+def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
+    """Yield the content of pool file `index` in chunks of at most GEN_CHUNK
+    bytes.
 
-    Philox is counter-based, so the stream for a given (seed, index) key is
-    identical across platforms and numpy versions.
+    Each chunk is the next ceil(n / 8) raw Philox4x64 draws, little-endian,
+    cut to n bytes. Philox is counter-based, so the stream for a given
+    (seed, index) key is identical across platforms and numpy versions.
+    Every chunk owns its buffer, so a caller may keep them all.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
     key = np.array([seed & _U64, index & _U64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
+    bitgen = np.random.Philox(key=key)
     remaining = size
     while remaining > 0:
         n = min(GEN_CHUNK, remaining)
-        yield rng.integers(0, 256, size=n, dtype=np.uint8).tobytes()
+        draws = bitgen.random_raw(-(-n // 8)).astype("<u8", copy=False)
+        yield memoryview(draws.view(np.uint8)[:n])
         remaining -= n
 
 

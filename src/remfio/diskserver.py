@@ -14,13 +14,15 @@ sequential bandwidth shared byte-fairly across sessions); the sender handles
 per-connection flow-control credits. Jobs and chunks carry the session epoch
 they were made in. A StreamStart on a push session, and the session's
 shutdown, bump the epoch: the reader abandons the push in progress and the
-sender drops whatever stale chunks are already in the pipe. A push that
-reaches the end of the file sends nothing more; a range read of no bytes
-gets one empty chunk. bytes_sent_wire is the payload that actually went out
-on that connection. A session ends when its client closes the control
-connection. Shutdown then forgets it and closes its connections without
-waiting for the pipeline: the reader and sender each end on a None queued
-behind the last job, and the reader closes the file.
+sender drops whatever stale chunks are already in the pipe. The reader also
+stops a job once the connection its chunks go out on has closed, so a STREAM
+client that hangs up only its data connection takes no more disk share. A
+push that reaches the end of the file sends nothing more; a range read of no
+bytes gets one empty chunk. bytes_sent_wire is the payload that actually
+went out on that connection. A session ends when its client closes the
+control connection. Shutdown then forgets it and closes its connections
+without waiting for the pipeline: the reader and sender each end on a None
+queued behind the last job, and the reader closes the file.
 Every refusal is an ErrorReply, counted and sent by one method; one that
 comes before a session exists also closes the connection.
 
@@ -137,9 +139,14 @@ class DiskServer:
         """Filesystem location the pool maps a namespace path to."""
         return self.pool_dir / _pool_filename(path)
 
-    def import_file(self, path: str, chunks: Iterable[bytes],
+    def import_file(self, path: str,
+                    chunks: Iterable[bytes | bytearray | memoryview],
                     *, checksum: int | None = None) -> PoolFile:
         """Write a file into the pool and record it in the sidecar manifest.
+
+        Chunks may be any bytes-like objects (bytes, bytearray, memoryview);
+        each is written and hashed as it comes, the size counts their bytes
+        and the checksum is the blake2b-64 of their concatenation.
 
         Re-importing a path overwrites its bytes; the manifest is append-only
         and the loader keeps the last record per path. The bytes go to a
@@ -157,9 +164,8 @@ class DiskServer:
         try:
             with open(partial, "wb") as f:
                 for chunk in chunks:
-                    f.write(chunk)
+                    size += f.write(chunk)  # bytes, whatever the item size
                     h.update(chunk)
-                    size += len(chunk)
             digest = int.from_bytes(h.digest(), "big")
             if checksum is not None and checksum != digest:
                 raise ValueError(
@@ -363,7 +369,8 @@ class _Session:
     def _serve(self, epoch: int, offset: int, end: int,
                chunk_cap: int) -> None:
         """Queue [offset, end), clamped to the file, for the sender in
-        chunks of at most chunk_cap, until the session epoch moves on.
+        chunks of at most chunk_cap, until the session epoch moves on or
+        the connection the chunks go out on closes.
 
         A range read of no bytes gets one empty chunk; a push of no bytes
         sends nothing.
@@ -372,7 +379,7 @@ class _Session:
         pos = min(offset, end)
         if pos == end and self.mode not in _PUSH_MODES:  # EOF or empty read
             self._chunks.put((epoch, offset, b""))
-        while pos < end and epoch == self.epoch:
+        while pos < end and epoch == self.epoch and not self._out.closed:
             n = min(chunk_cap, end - pos)
             self._chunks.put((epoch, pos, self._disk_read(pos, n)))
             pos += n

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from remfio import wire
@@ -123,6 +124,34 @@ def test_import_rejects_manifest_separators_in_path(tmp_path, char):
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path)  # the pool still reloads
     assert set(srv2.pool) == {"/pool/ok"}
+
+
+@pytest.mark.parametrize("kind", [memoryview, bytearray, bytes])
+def test_import_accepts_bytes_like_chunks(tmp_path, kind):
+    # content_chunks yields memoryviews; any bytes-like chunk gives the
+    # same pool bytes and checksum
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    size = 2 * MiB + 5
+    data = file_content(3, 2, size)
+    chunks = [kind(c) for c in content_chunks(3, 2, size)]
+    pf = srv.import_file("/pool/a", chunks, checksum=checksum_bytes(data))
+    assert pf.size == size
+    assert pf.location.read_bytes() == data
+    cut = [kind(data[i:i + 333 * KiB]) for i in range(0, size, 333 * KiB)]
+    other = srv.import_file("/pool/b", cut)
+    assert (other.size, other.checksum) == (size, pf.checksum)
+    assert other.location.read_bytes() == data
+
+
+def test_import_counts_bytes_of_a_wide_memoryview(tmp_path):
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    words = np.arange(3, dtype="<u8")
+    pf = srv.import_file("/pool/w", [memoryview(words)])
+    assert pf.size == 24
+    assert pf.checksum == checksum_bytes(words.tobytes())
+    assert pf.location.read_bytes() == words.tobytes()
 
 
 # -- open path -------------------------------------------------------------------
@@ -717,5 +746,40 @@ def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
         assert not [t.name for t in rt._tasks
                     if t.name in ("ds-read-1", "ds-send-1")]
         assert session._fh.closed
+
+    rt.run(scenario)
+
+
+def test_closing_the_data_connection_stops_the_push(tmp_path):
+    # a STREAM client that hangs up only its data connection: the reader
+    # stops charging the disk within a few chunks of what went out, though
+    # the control connection and the session stay
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        size = 64 * MiB
+        data = _seed(srv, "/pool/a", size)
+        srv.start()
+        control, _ = _open(net, srv, "/pool/a", wire.ReadMode.STREAM,
+                           profile=WAN_PROFILE)
+        dconn = net.connect(srv.address, WAN_PROFILE,
+                            first_msg=wire.StreamStart(1, 0))
+        got = bytearray()
+        while len(got) < MiB:
+            got.extend(dconn.recv().payload)
+        assert bytes(got) == data[:len(got)]
+        dconn.close()
+        rt.sleep(2.0)
+        session = srv.sessions[1]
+        sent = session.bytes_sent_wire
+        assert sent <= len(got) + 16 * wire.MAX_CHUNK_PAYLOAD
+        assert session.current_offset <= sent + 4 * wire.MAX_CHUNK_PAYLOAD
+        rt.sleep(1.0)
+        assert session.bytes_sent_wire == sent
+        assert session.current_offset <= sent + 4 * wire.MAX_CHUNK_PAYLOAD
+        control.close()
+        rt.sleep(0.1)
+        assert srv.sessions == {}
 
     rt.run(scenario)
