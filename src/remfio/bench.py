@@ -11,9 +11,10 @@ counter RNG in remfio.content, stagger draws come from a Random seeded with
 (seed, repetition), and the virtual scheduler orders all events totally. Two
 runs with the same inputs therefore produce byte-identical CSV files.
 
-The pool directory persists between runs; files are named by seed, size and
-index, so re-running or sweeping reuses already-seeded bytes instead of
-regenerating them.
+Files are named by seed, size and index. Given a pool_dir, the pool persists
+between runs, so re-running or sweeping reuses already-seeded bytes instead of
+regenerating them; without one, each call seeds a temporary pool and deletes
+it afterwards.
 """
 
 from __future__ import annotations
@@ -237,7 +238,6 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
 
 
 def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
-                  paper_fidelity: bool = False,
                   queue_model: OpenQueueModel | None = None) -> RunSummary:
     """Execute one workload; returns per-client records plus aggregates.
 
@@ -247,20 +247,12 @@ def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
     consumed bytes must agree across repetitions, and rates are recomputed
     from the averaged times.
     """
-    _check_fidelity(spec, paper_fidelity)
     if spec.net_profile not in builtin_profiles():
         raise ValueError(f"unknown net profile {spec.net_profile!r}")
     with _pool_dir(pool_dir) as pd:
         reps = [_run_once(spec, seed, rep, pd, queue_model)
                 for rep in range(spec.repetitions)]
     return RunSummary(spec, _merge_reps(reps))
-
-
-def _check_fidelity(spec: WorkloadSpec, paper_fidelity: bool) -> None:
-    if (paper_fidelity and spec.mode is ReadMode.STREAM
-            and isinstance(spec.pattern, Skip)):
-        raise ValueError("paper-fidelity runs exclude STREAM from skip "
-                         "workloads")
 
 
 @contextlib.contextmanager
@@ -365,24 +357,17 @@ def _merge_reps(reps: list[list[ClientRecord]]) -> list[ClientRecord]:
 
 
 def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
-              pool_dir=None, paper_fidelity: bool = False) -> list[RunSummary]:
+              pool_dir=None) -> list[RunSummary]:
     """One run per axis value, fixed seed; every value validated up front."""
     if axis not in SWEEP_AXES:
         raise ValueError(f"bad axis {axis!r}: expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    specs = []
-    for v in values:
-        spec = replace(base_spec, **{axis: v})  # re-runs field validation
-        if (paper_fidelity and axis == "mode" and v is ReadMode.STREAM
-                and isinstance(spec.pattern, Skip)):
-            continue  # replicating the original methodology: no STREAM skips
-        _check_fidelity(spec, paper_fidelity)
-        specs.append((v, spec))
+    # replace() re-runs field validation, so a bad value fails before any run
+    specs = [(v, replace(base_spec, **{axis: v})) for v in values]
     with _pool_dir(pool_dir) as pd:
-        return [replace(run_benchmark(spec, seed=seed, pool_dir=pd,
-                                      paper_fidelity=paper_fidelity),
+        return [replace(run_benchmark(spec, seed=seed, pool_dir=pd),
                         axis_value=v)
                 for v, spec in specs]
 

@@ -1,9 +1,8 @@
-"""`bench` command line: seed pools, run benchmarks, sweep parameters.
+"""`bench` command line: run benchmarks, sweep parameters.
 
 Subcommands:
   bench run    one workload, CSV output + a summary line
   bench sweep  one run per axis value, combined aggregate CSV
-  bench seed   materialize a deterministic file pool for later runs
 
 Outputs land in --out (default ./bench-out): the seeded pool lives in
 <out>/pool and is reused across runs with the same seed and file size.
@@ -26,13 +25,8 @@ from .bench import (
     parse_pattern,
     run_benchmark,
     run_sweep,
-    seed_pool,
 )
-from .diskserver import DiskServer
 from .errors import TransportError
-from .headnode import Headnode
-from .netemu import EmulatedNetwork
-from .runtime import VirtualRuntime
 
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
@@ -55,8 +49,6 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench-out", help="output directory")
     p.add_argument("--repetitions", type=int, default=1)
-    p.add_argument("--paper-fidelity", action="store_true",
-                   help="exclude STREAM from skip workloads")
 
 
 def _spec_from(args) -> WorkloadSpec:
@@ -84,8 +76,7 @@ def _summary_line(s) -> str:
 def _cmd_run(args) -> int:
     spec = _spec_from(args)
     out = Path(args.out)
-    summary = run_benchmark(spec, seed=args.seed, pool_dir=out / "pool",
-                            paper_fidelity=args.paper_fidelity)
+    summary = run_benchmark(spec, seed=args.seed, pool_dir=out / "pool")
     paths = emit_csv(summary, out)
     print(_summary_line(summary))
     for p in paths:
@@ -105,27 +96,12 @@ def _cmd_sweep(args) -> int:
     values = _parse_axis_values(args.axis, args.values)
     out = Path(args.out)
     series = run_sweep(spec, args.axis, values, seed=args.seed,
-                       pool_dir=out / "pool",
-                       paper_fidelity=args.paper_fidelity)
+                       pool_dir=out / "pool")
     paths = emit_csv(series, out)
     for s in series:
         print(f"{args.axis}={axis_label(s.axis_value)}: {_summary_line(s)}")
     for p in paths:
         print(f"wrote {p}")
-    return 0
-
-
-def _cmd_seed(args) -> int:
-    out = Path(args.out)
-    rt = VirtualRuntime()
-    net = EmulatedNetwork(rt)
-    head = Headnode(rt, net, shared_token="bench")
-    srv = DiskServer(rt, net, pool_dir=out / "pool", shared_token="bench")
-    entries = seed_pool(head, srv, args.count, args.file_size, args.seed)
-    print(f"pool {srv.pool_dir}: {len(entries)} files of "
-          f"{args.file_size} bytes (seed {args.seed})")
-    for e in entries:
-        print(f"  {e.path}  checksum={e.checksum:016x}")
     return 0
 
 
@@ -146,13 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--values", required=True,
                        help="comma-separated axis values")
     sweep.set_defaults(func=_cmd_sweep)
-
-    seed = sub.add_parser("seed", help="materialize a deterministic pool")
-    seed.add_argument("--count", type=int, required=True)
-    seed.add_argument("--file-size", type=int, required=True)
-    seed.add_argument("--seed", type=int, default=0)
-    seed.add_argument("--out", default="bench-out", help="output directory")
-    seed.set_defaults(func=_cmd_seed)
     return p
 
 

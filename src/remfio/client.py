@@ -124,7 +124,6 @@ class ClientHandle:
 
     def __init__(self, config: ClientConfig, path: str, handle_id: int,
                  file_size: int, control, data=None) -> None:
-        self._config = config
         self._rt = config.runtime
         self.path = path
         self.handle_id = handle_id

@@ -232,14 +232,6 @@ def test_repetitions_average_wire_bytes_of_push_skips(tmp_path):
             (reps[0][i].bytes_wire + reps[1][i].bytes_wire) / 2)
 
 
-def test_paper_fidelity_rejects_stream_skip(tmp_path):
-    spec = WorkloadSpec(pattern=Skip(MiB, 9), file_size=4 * MiB,
-                        mode=ReadMode.STREAM)
-    with pytest.raises(ValueError):
-        run_benchmark(spec, seed=1, pool_dir=tmp_path / "pool",
-                      paper_fidelity=True)
-
-
 # -- sweeps ----------------------------------------------------------------------
 
 
@@ -268,15 +260,6 @@ def test_sweep_iobufsize_readbuf_skip_rate_declines(tmp_path):
     assert big.aggregate_rate < small.aggregate_rate
     assert big.total_waste > small.total_waste
     assert small.total_waste == 0  # fills never exceed the read block
-
-
-def test_sweep_modes_with_paper_fidelity_drops_stream(tmp_path):
-    spec = WorkloadSpec(pattern=Skip(MiB, 9), file_size=4 * MiB,
-                        block_size=MiB, clients=1, stagger_window=0.0)
-    series = run_sweep(spec, "mode", [ReadMode.NORMAL, ReadMode.STREAM],
-                       seed=1, pool_dir=tmp_path / "pool",
-                       paper_fidelity=True)
-    assert [s.axis_value for s in series] == [ReadMode.NORMAL]
 
 
 # -- CSV -------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import importlib
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from remfio.cli import main
+from remfio.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 KiB = 1024
 
@@ -25,14 +30,6 @@ def test_run_writes_csv_and_reports(tmp_path, capsys):
     assert (tmp_path / "out" / "aggregate.csv").exists()
     lines = (tmp_path / "out" / "clients.csv").read_text().splitlines()
     assert len(lines) == 3
-
-
-def test_run_skip_pattern_and_fidelity_conflict(tmp_path, capsys):
-    rc = main(["run", "--mode", "stream", "--pattern", "skip:65536:9",
-               "--file-size", str(256 * KiB), "--block-size", str(64 * KiB),
-               "--paper-fidelity", "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_mode(tmp_path, capsys):
@@ -66,29 +63,41 @@ def test_sweep_requires_axis(tmp_path):
         main(["sweep", "--values", "1,2"])
 
 
-def test_seed_then_run_reuses_pool(tmp_path, capsys):
-    rc = main(["seed", "--count", "2", "--file-size", str(128 * KiB),
-               "--seed", "5", "--out", str(tmp_path / "out")])
-    assert rc == 0
-    first = capsys.readouterr().out
-    assert "2 files" in first
+def test_seed_then_run_reuses_pool(tmp_path):
+    argv = ["run", "--clients", "2", "--file-size", str(128 * KiB),
+            "--block-size", str(64 * KiB), "--seed", "5",
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
     pool = tmp_path / "out" / "pool"
     dats = sorted(p.name for p in pool.iterdir() if p.suffix == ".dat")
     assert len(dats) == 2
 
-    rc = main(["run", "--clients", "2", "--file-size", str(128 * KiB),
-               "--block-size", str(64 * KiB), "--seed", "5",
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
+    assert main(argv) == 0
     after = sorted(p.name for p in pool.iterdir() if p.suffix == ".dat")
-    assert after == dats  # run found the seeded files and added none
+    assert after == dats  # the second run found the seeded files, added none
 
 
-def test_seed_count_zero(tmp_path, capsys):
-    rc = main(["seed", "--count", "0", "--file-size", "1024",
-               "--out", str(tmp_path / "out")])
-    assert rc == 0
-    assert "0 files" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["seed", "--count", "1", "--file-size", "1024"],
+    ["run", "--paper-fidelity"],
+    ["sweep", "--axis", "mode", "--values", "normal", "--paper-fidelity"],
+], ids=["seed", "run-paper-fidelity", "sweep-paper-fidelity"])
+def test_retired_arguments_exit_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_entry_point_resolves_and_offers_run_and_sweep():
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["bench"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["run", "sweep"]
 
 
 def test_console_script_installed():
@@ -103,8 +112,9 @@ def test_console_script_installed():
 
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
-        [sys.executable, "-m", "remfio.cli", "seed", "--count", "1",
-         "--file-size", "4096", "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "remfio.cli", "run", "--file-size", "4096",
+         "--block-size", "4096", "--out", str(tmp_path / "out")],
         capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0
-    assert "1 files" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    assert "aggregate=" in proc.stdout
+    assert (tmp_path / "out" / "clients.csv").exists()

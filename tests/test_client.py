@@ -24,6 +24,7 @@ from remfio.errors import (
     AuthError,
     ConnectionClosedError,
     NotFoundError,
+    ProtocolError,
     QueueOverflowError,
     RangeError,
     StaleHandleError,
@@ -37,7 +38,7 @@ from remfio.netemu import (
     EmulatedNetwork,
 )
 from remfio.runtime import VirtualRuntime
-from remfio.wire import ReadMode, StreamStart
+from remfio.wire import NsLookupReply, ReadMode, StreamStart
 
 TOKEN = "shared-secret"
 KiB = 1024
@@ -129,6 +130,31 @@ def test_open_wrong_token_raises_auth(tmp_path):
         cfg = ClientConfig(rt, net, token="wrong", mode=ReadMode.NORMAL)
         with pytest.raises(AuthError):
             rf_open("/pool/a", cfg)
+
+    rt.run(scenario)
+
+
+def test_reply_of_the_wrong_type_raises_protocol_error(tmp_path):
+    # a replica that answers the session open with a namespace reply: the
+    # client raises at once and hangs up, rather than waiting for more
+    rt = VirtualRuntime()
+    hung_up = []
+
+    def replica(conn):
+        conn.recv()
+        conn.send(NsLookupReply("fake:1", KiB, 0))
+        with pytest.raises(ConnectionClosedError):
+            conn.recv()
+        hung_up.append(rt.now())
+
+    def scenario():
+        net, head, _, _ = _stack(rt, tmp_path, [])
+        net.listen("fake:1", replica)
+        head.register_file("/pool/a", KiB, "fake:1", 0)
+        with pytest.raises(ProtocolError, match="expected OpenReply"):
+            rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
+        rt.sleep(1.0)
+        assert hung_up
 
     rt.run(scenario)
 

@@ -561,6 +561,81 @@ def test_data_conn_with_unknown_handle_rejected(tmp_path):
     rt.run(scenario)
 
 
+def _stream_start_on_control(mode):
+    def case(net, srv):
+        control, _ = _open(net, srv, "/pool/a", mode)
+        control.send(wire.StreamStart(1, 0))
+        return control, [control]
+    return case
+
+
+def _extra_data_conn(mode):
+    # READAHEAD takes no data connection; STREAM takes exactly one
+    def case(net, srv):
+        control, _ = _open(net, srv, "/pool/a", mode)
+        conns = [control]
+        if mode is wire.ReadMode.STREAM:
+            conns.append(net.connect(srv.address, ZERO_PROFILE,
+                                     first_msg=wire.StreamStart(1, 0)))
+        refused = net.connect(srv.address, ZERO_PROFILE,
+                              first_msg=wire.StreamStart(1, 0))
+        return refused, conns + [refused]
+    return case
+
+
+def _bad_first_message(net, srv):
+    conn = net.connect(srv.address, ZERO_PROFILE,
+                       first_msg=wire.ReadRequest(1, 0, KiB))
+    return conn, [conn]
+
+
+def _hang_up_before_first_message(net, srv):
+    conn = net.connect(srv.address, ZERO_PROFILE)
+    conn.close()
+    return None, []
+
+
+@pytest.mark.parametrize("case", [
+    _bad_first_message,
+    _stream_start_on_control(wire.ReadMode.NORMAL),
+    _stream_start_on_control(wire.ReadMode.READBUF),
+    _stream_start_on_control(wire.ReadMode.STREAM),
+    _extra_data_conn(wire.ReadMode.READAHEAD),
+    _extra_data_conn(wire.ReadMode.STREAM),
+    _hang_up_before_first_message,
+], ids=["first-message-read-request", "stream-start-on-normal",
+        "stream-start-on-readbuf", "stream-start-before-data-conn",
+        "data-conn-for-readahead", "second-data-conn-for-stream",
+        "hang-up-before-first-message"])
+def test_protocol_refusals_leave_no_server_task(tmp_path, case):
+    # each case returns the connection its refusal arrives on (None when
+    # the client hung up first, so nothing can arrive) and every connection
+    # it made; once those close, no handler or pipeline task is left
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        _seed(srv, "/pool/a", MiB)
+        srv.start()
+        refused, conns = case(net, srv)
+        if refused is None:
+            rt.sleep(1.0)
+            assert srv.counters["protocol_errors"] == 0
+        else:
+            err = refused.recv()
+            assert isinstance(err, wire.ErrorReply)
+            assert err.code == wire.ErrorCode.PROTOCOL
+            assert srv.counters["protocol_errors"] == 1
+        for conn in conns:
+            conn.close()
+        rt.sleep(1.0)
+        assert srv.sessions == {}
+        assert not [t.name for t in rt._tasks
+                    if t.name.startswith(("srv-", "ds-"))]
+
+    rt.run(scenario)
+
+
 # -- shared bandwidth ---------------------------------------------------------------
 
 

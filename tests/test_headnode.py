@@ -166,6 +166,31 @@ def test_second_request_on_a_connection_gets_no_reply(port):
     rt.run(scenario)
 
 
+@pytest.mark.parametrize("port", ["ns", "open"])
+def test_request_on_the_wrong_port_is_protocol_error(port):
+    # each port answers only its own request type: the other one is
+    # refused at once, counted as nothing served, and the handler ends
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, head = _mk_head(rt)
+        head.register_file("/pool/a", 1024, "ds1:5001", 1)
+        head.start()
+        address, _ = _port(head, port)
+        _, msg = _port(head, "open" if port == "ns" else "ns")
+        conn = net.connect(address, WAN_PROFILE, first_msg=msg)
+        err = conn.recv()
+        assert isinstance(err, wire.ErrorReply)
+        assert err.code == wire.ErrorCode.PROTOCOL
+        assert rt.now() == pytest.approx(WAN_PROFILE.rtt, abs=1e-3)
+        assert not any(head.counters.values())
+        conn.close()
+        rt.sleep(1.0)
+        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+
+    rt.run(scenario)
+
+
 # -- open brokering timing ----------------------------------------------------
 
 

@@ -450,6 +450,27 @@ def test_close_propagates_to_peer():
     assert outcome["receiver_woken"] == outcome["closed"]
 
 
+def test_recv_after_reported_peer_close_raises_again_at_once():
+    # once a recv has reported the peer's close, every later recv raises
+    # too, without parking on the empty queue
+    rt = VirtualRuntime()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", lambda conn: conn.close())
+        conn = net.connect("svc", WAN_PROFILE)
+        with pytest.raises(ConnectionClosedError):
+            conn.recv()
+        reported = rt.now()
+        for _ in range(2):
+            with pytest.raises(ConnectionClosedError):
+                conn.recv()
+        assert rt.now() == reported
+        conn.close()
+
+    rt.run(main)
+
+
 def test_determinism_identical_delivery_timelines():
     def run_once():
         rt = VirtualRuntime()

@@ -126,6 +126,19 @@ def test_rate_limiter_exact_duration():
     rt.run(main)
 
 
+def test_rate_limiter_zero_bytes_is_free():
+    rt = VirtualRuntime()
+
+    def main():
+        lim = rt.rate_limiter(100.0)
+        lim.acquire("k", 0)
+        assert rt.now() == 0.0
+        assert not lim._requests and not lim._last_tag
+        assert lim._arrivals == 0 and not lim._busy  # nothing queued
+
+    rt.run(main)
+
+
 def test_rate_limiter_round_robin_between_keys():
     rt = VirtualRuntime()
 
