@@ -1,9 +1,13 @@
 """Disk server: serves pool-file bytes under the four read modes.
 
-Every session runs a small three-task pipeline on the server side:
+Every session runs a small pipeline on the server side:
 
-  control loop --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
+  control callback --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
 
+After the OpenReply, the session's control connection is served by a
+callback (EmuConnection.serve) that runs in the event loop, not by a task:
+it turns each request into a job and never blocks, so a refusal it makes
+goes out from a short task of its own. The reader and sender are tasks.
 A job asks for one byte range of the file. In NORMAL and READBUF a
 ReadRequest is a range job; in READAHEAD and STREAM a StreamStart is a push
 job that runs to the end of the file, and a ReadRequest is refused. A
@@ -220,8 +224,8 @@ class DiskServer:
         conn.try_send(refusal)
 
     def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
-        """Open a session and serve its control connection until the client
-        hangs up; the refusal if the open is not admitted."""
+        """Open a session and hand its control connection to _on_control;
+        the refusal if the open is not admitted."""
         handle_id = verify_session_token(request.token, self._shared)
         if handle_id is None:
             return ErrorReply(ErrorCode.AUTH, "session token rejected")
@@ -235,24 +239,28 @@ class DiskServer:
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
         conn.try_send(OpenReply(handle_id, pool_file.size))
-        try:
-            while True:
-                msg = conn.recv()
-                refusal = None
-                if isinstance(msg, StreamStart):
-                    refusal = self._start_stream(session, msg.offset)
-                elif (isinstance(msg, ReadRequest)
-                      and session.mode not in _PUSH_MODES):
-                    session.request_range(msg.offset, msg.length)
-                else:
-                    refusal = ErrorReply(ErrorCode.PROTOCOL, (
-                        f"unexpected {type(msg).__name__} on a "
-                        f"{session.mode.name} control connection"))
-                if refusal is not None:
-                    self._refuse(conn, refusal)
-        except ConnectionClosedError:
-            session.shutdown()
+        conn.serve(lambda msg: self._on_control(session, msg))
         return None
+
+    def _on_control(self, session: "_Session", msg) -> None:
+        """Serve one message on a session's control connection, or end the
+        session at the connection's end. Runs as an event-loop callback:
+        a refusal goes out from a task of its own."""
+        if msg is None:
+            session.shutdown()
+            return
+        refusal = None
+        if isinstance(msg, StreamStart):
+            refusal = self._start_stream(session, msg.offset)
+        elif isinstance(msg, ReadRequest) and session.mode not in _PUSH_MODES:
+            session.request_range(msg.offset, msg.length)
+        else:
+            refusal = ErrorReply(ErrorCode.PROTOCOL, (
+                f"unexpected {type(msg).__name__} on a "
+                f"{session.mode.name} control connection"))
+        if refusal is not None:
+            self._rt.spawn(self._refuse, session.control_conn, refusal,
+                           name=f"ds-refuse-{session.handle_id}")
 
     def _start_stream(self, session: "_Session",
                       offset: int) -> ErrorReply | None:
@@ -318,7 +326,7 @@ class _Session:
         self.data_conn = self._out = conn
         conn.on_data_credit = self._kick
 
-    # -- control-loop entry points (run in the control handler task) -------
+    # -- control entry points (run in the control callback) -----------------
 
     def request_range(self, offset: int, length: int) -> None:
         self._jobs.put((self.epoch, offset, offset + length))

@@ -122,6 +122,7 @@ class Headnode:
             "queue_overflow": 0,
             "not_found": 0,
             "auth_failures": 0,
+            "protocol_errors": 0,  # a request on the wrong port
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -173,6 +174,7 @@ class Headnode:
 
     def _answer_lookup(self, msg) -> Message:
         if not isinstance(msg, NsLookup):
+            self.counters["protocol_errors"] += 1
             return ErrorReply(ErrorCode.PROTOCOL,
                               "namespace port expects NsLookup")
         self.counters["lookups"] += 1
@@ -185,6 +187,7 @@ class Headnode:
         """Broker one open: book the next service slot and sleep until it
         ends, unless the request is refused first."""
         if not isinstance(msg, OpenRequest):
+            self.counters["protocol_errors"] += 1
             return ErrorReply(ErrorCode.PROTOCOL,
                               "open port expects OpenRequest")
         if msg.token != self._shared:

@@ -25,6 +25,7 @@ window/rtt); throughput_cap() computes it for planning and assertions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConnectionClosedError, EndpointRefusedError, TransportError
 from .runtime import VirtualRuntime
@@ -268,10 +269,42 @@ class EmuConnection:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
         if self._peer_closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
-        msg = self._queue.get()
+        msg = self._take(self._queue.get())
+        if msg is None:
+            raise ConnectionClosedError(f"peer closed {self.conn_id}")
+        return msg
+
+    def serve(self, handler: Callable[[Message | None], None]) -> None:
+        """Hand each message to handler(msg) as it arrives, then None once
+        the stream ends or this end closes, in place of a task looping on
+        recv().
+
+        Messages already waiting are handed over at once; after that the
+        handler is called where a parked recv() would wake, inline in the
+        event loop like a timer callback, so it must not block.
+        """
+        queue = self._queue
+
+        def drain() -> None:
+            while not self._closed:
+                if len(queue) == 0:
+                    if self._peer_closed:
+                        break
+                    queue.when_ready(drain)
+                    return
+                msg = self._take(queue.get())
+                if msg is None:
+                    break
+                handler(msg)
+            handler(None)
+
+        drain()
+
+    def _take(self, msg) -> Message | None:
+        """A message just taken off the queue, or None at the stream's end."""
         if msg is _CLOSED:
             self._peer_closed = True
-            raise ConnectionClosedError(f"peer closed {self.conn_id}")
+            return None
         if isinstance(msg, DataChunk):
             peer = self._peer
             self._rt.call_later(self.profile.rtt / 2, peer._return_credit)

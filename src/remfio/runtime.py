@@ -5,17 +5,24 @@ blocking style against this module's small surface: now/sleep/spawn,
 channels and a byte-fair rate limiter. VirtualRuntime provides it as a
 discrete-event scheduler. Tasks are carried by real threads but exactly one
 runs at any time: the running task hands the baton to the next scheduled
-task whenever it sleeps, blocks or exits. Time is a float that jumps
+task whenever it sleeps, blocks or exits. A carrier thread outlives its
+task: once the task finishes, the carrier stays as a spare for the next
+spawn while spares are fewer than unfinished tasks, and exits otherwise, so
+a spawn starts a thread only when no spare is free and idle threads never
+outnumber live tasks. Thread-local state (threading.local, current_thread)
+therefore belongs to the carrier, not to the task, and a task may see what
+an earlier task on its carrier left there. Time is a float that jumps
 straight to the next event, so a simulated minute of transfers costs
 milliseconds, and identical inputs give bit-identical schedules. When the
 root returns, run() unwinds the leftover tasks one at a time in spawn order,
-each raising _TaskShutdown from its blocking call. When nothing can run (a
-deadlock) or a timer callback raises, the world stops: the root raises the
-cause, and from then on any blocking call raises, the cause in the root and
-_TaskShutdown in a task.
+each raising _TaskShutdown from its blocking call, and then ends every
+spare. When nothing can run (a deadlock) or a callback raises, the world
+stops: the root raises the cause, and from then on any blocking call raises,
+the cause in the root and _TaskShutdown in a task.
 
-Timer callbacks (VirtualRuntime.call_at) run inline during dispatch and must
-never block; unbounded channel put and try_put are safe there.
+Timer callbacks (VirtualRuntime.call_at) and channel waiters
+(VirtualChannel.when_ready) run inline during dispatch and must never
+block; spawn and unbounded channel put and try_put are safe there.
 """
 
 from __future__ import annotations
@@ -36,19 +43,37 @@ class _TaskShutdown(BaseException):
 class Task:
     """Handle to a spawned activity; join() re-raises the task's exception."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, baton: threading.Lock,
+                 thread: threading.Thread):
         self.name = name
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
-        self._baton = threading.Lock()  # held while the task may not run
-        self._baton.acquire()
-        self._thread: threading.Thread | None = None
+        self._baton = baton  # its carrier's; held while the task may not run
+        self._thread = thread
         self._join_waiters: list[Task] = []
 
     def __repr__(self) -> str:
         state = "done" if self.finished else "live"
         return f"<Task {self.name} {state}>"
+
+
+class _Carrier:
+    """A thread that carries one task after another, a spare in between."""
+
+    __slots__ = ("baton", "job", "thread")
+
+    def __init__(self, carry: Callable[[_Carrier], None]) -> None:
+        self.baton = threading.Lock()  # released to run the job
+        self.baton.acquire()
+        self.job: tuple | None = None  # (task, fn, args); None ends it
+        self.thread = threading.Thread(target=carry, args=(self,),
+                                       daemon=True, name="vrt-carrier")
+
+    def end(self) -> None:
+        """End a spare; its thread exits without touching the runtime."""
+        self.job = None
+        self.baton.release()
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +92,7 @@ class VirtualRuntime:
         self._root: Task | None = None
         self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
+        self._spares: list[_Carrier] = []  # never more than len(_tasks)
         self._stopping = False
         self._failure: BaseException | None = None
         self._ran = False
@@ -91,21 +117,23 @@ class VirtualRuntime:
     # -- tasks ------------------------------------------------------------
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        task = Task(name)
+        """Schedule fn(*args) as a task, on a spare carrier if one is free."""
+        carrier = self._spares.pop() if self._spares else self._new_carrier()
+        task = Task(name, carrier.baton, carrier.thread)
+        carrier.job = (task, fn, args)
         self._tasks[task] = None
+        self._push(self._now, task)
+        return task
+
+    def _new_carrier(self) -> _Carrier:
+        carrier = _Carrier(self._carry)
         old_stack = threading.stack_size()
         try:
             threading.stack_size(1 << 20)  # many parked carriers; keep VSZ low
-            thread = threading.Thread(
-                target=self._task_main, args=(task, fn, args), daemon=True,
-                name=f"vrt-{name}",
-            )
-            task._thread = thread
-            thread.start()
+            carrier.thread.start()
         finally:
             threading.stack_size(old_stack)
-        self._push(self._now, task)
-        return task
+        return carrier
 
     def join(self, task: Task):
         cur = self._current
@@ -127,7 +155,10 @@ class VirtualRuntime:
         if self._ran:
             raise RuntimeError("runtime instances are single-use")
         self._ran = True
-        self._root = self._current = Task("root")
+        baton = threading.Lock()
+        baton.acquire()
+        self._root = self._current = Task("root", baton,
+                                          threading.current_thread())
         try:
             result = fn(*args)
         finally:
@@ -143,6 +174,10 @@ class VirtualRuntime:
                 if task._thread.is_alive():
                     warnings.warn(f"task {task.name!r} survived shutdown",
                                   RuntimeWarning, stacklevel=2)
+            while self._spares:
+                carrier = self._spares.pop()
+                carrier.end()
+                carrier.thread.join(timeout=5.0)
         if self._pending:
             raise self._pending[0].exc
         return result
@@ -153,8 +188,9 @@ class VirtualRuntime:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, entry))
 
-    def _make_runnable(self, task: Task) -> None:
-        self._push(self._now, task)
+    def _make_runnable(self, entry) -> None:
+        """Schedule a Task, or a callback, to run now."""
+        self._push(self._now, entry)
 
     def _park(self) -> None:
         """Block the current task until someone makes it runnable again."""
@@ -212,25 +248,47 @@ class VirtualRuntime:
         if cur is not None:
             cur._baton.acquire()
 
-    def _task_main(self, task: Task, fn: Callable, args: tuple) -> None:
-        task._baton.acquire()
-        try:
-            if not self._stopping:
-                task.result = fn(*args)
-        except _TaskShutdown:
-            pass
-        except BaseException as exc:
-            task.exc = exc
-            if not task._join_waiters:
-                self._pending.append(task)
-        task.finished = True
-        if self._stopping:
-            return  # run() took this task off _tasks and is joining it
-        del self._tasks[task]
-        for waiter in task._join_waiters:
-            self._make_runnable(waiter)
-        task._join_waiters.clear()
-        self._handoff(None)
+    def _carry(self, carrier: _Carrier) -> None:
+        """Carrier thread: run each job handed to it until one ends it.
+
+        A finished task's carrier becomes a spare while there are fewer
+        spares than unfinished tasks; otherwise it exits, ending one spare
+        too if there are now more spares than unfinished tasks.
+        """
+        baton = carrier.baton
+        while True:
+            baton.acquire()
+            if carrier.job is None:
+                return  # ended as a spare
+            task, fn, args = carrier.job
+            carrier.job = None
+            try:
+                if not self._stopping:
+                    task.result = fn(*args)
+            except _TaskShutdown:
+                pass
+            except BaseException as exc:
+                task.exc = exc
+                if not task._join_waiters:
+                    self._pending.append(task)
+            task.finished = True
+            if self._stopping:
+                return  # run() took this task off _tasks and is joining it
+            tasks = self._tasks
+            del tasks[task]
+            for waiter in task._join_waiters:
+                self._make_runnable(waiter)
+            task._join_waiters.clear()
+            spares = self._spares
+            spare = len(spares) < len(tasks)
+            if spare:
+                spares.append(carrier)
+            elif len(spares) > len(tasks):
+                spares.pop().end()
+            del task, fn, args  # a spare holds nothing of its last task
+            self._handoff(None)
+            if not spare:
+                return
 
     # -- coordination primitives -------------------------------------------
 
@@ -248,7 +306,7 @@ class VirtualChannel:
         self._rt = runtime
         self._capacity = capacity
         self._items: deque = deque()
-        self._getters: deque[Task] = deque()
+        self._getters: deque = deque()  # parked Tasks and when_ready callbacks
         self._putters: deque[Task] = deque()
 
     def __len__(self) -> int:
@@ -281,6 +339,13 @@ class VirtualChannel:
         if self._putters:
             rt._make_runnable(self._putters.popleft())
         return item
+
+    def when_ready(self, fn: Callable[[], None]) -> None:
+        """Call fn() once the next item is put, in place of a task parked in
+        get(): the put schedules it where it would wake that task. fn runs
+        inline in the event loop, like a timer callback, and must not block.
+        """
+        self._getters.append(fn)
 
 
 class VirtualRateLimiter:

@@ -207,11 +207,16 @@ def _pack(msg: Message) -> tuple[MsgType, list]:
                 raise EncodeError(f"{attr} too long: {len(raw)} bytes")
             parts += (_STR_LEN.pack(len(raw)), raw)
         else:
+            enum_type = _ENUMS.get(attr)
+            if enum_type is not None:
+                try:
+                    value = enum_type(value)
+                except ValueError as exc:
+                    raise EncodeError(f"{attr} {value!r} is not a valid "
+                                      f"{enum_type.__name__}") from exc
             try:
-                if attr in _ENUMS:
-                    value = _ENUMS[attr](value)
                 parts.append(_INTS[kind].pack(value))
-            except (ValueError, struct.error) as exc:
+            except struct.error as exc:
                 raise EncodeError(f"{attr} {value!r} does not fit {kind}") from exc
     return mtype, parts
 

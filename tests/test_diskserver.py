@@ -516,9 +516,10 @@ def test_stream_seek_restarts_at_new_offset(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_session_holds_one_server_task(tmp_path):
-    # the data connection is handed to the session; no handler task parks
-    # on it, so a streaming STREAM session runs only its control handler
+def test_stream_session_holds_no_handler_task(tmp_path):
+    # the data connection is handed to the session and the control
+    # connection is served by a callback, so no handler task parks on
+    # either: a streaming STREAM session runs only its reader and sender
     rt = VirtualRuntime()
 
     def scenario():
@@ -534,13 +535,135 @@ def test_stream_session_holds_one_server_task(tmp_path):
         assert first.payload == data[:len(first.payload)]
         handlers = [t.name for t in rt._tasks
                     if t.name.startswith(f"srv-{srv.address}-")]
-        assert len(handlers) == 1
+        assert len(handlers) == 0
         session = srv.sessions[1]
         control.close()
         dconn.close()
         rt.sleep(1.0)
         assert session.data_conn.closed
         assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+
+    rt.run(scenario)
+
+
+# -- control connection served by callback ------------------------------------
+
+
+def _handler_tasks(rt) -> list:
+    return [t.name for t in rt._tasks if t.name.startswith("srv-")]
+
+
+def test_readbuf_requests_are_served_with_no_handler_task(tmp_path):
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        data = _seed(srv, "/pool/a", MiB)
+        srv.start()
+        conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READBUF,
+                        iobufsize=16 * KiB, profile=WAN_PROFILE)
+        for i in range(20):
+            assert not _handler_tasks(rt)
+            offset = i * 48 * KiB
+            got = _read_range(conn, 1, offset, 20 * KiB, MiB)
+            assert got == data[offset:offset + 20 * KiB]
+        assert not _handler_tasks(rt)
+        assert srv.counters["protocol_errors"] == 0
+        conn.close()
+
+    rt.run(scenario)
+
+
+def test_stream_restarts_are_served_with_no_handler_task(tmp_path):
+    # restart offsets off the chunk grid: only the new push can send them
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        size = 4 * MiB
+        data = _seed(srv, "/pool/a", size)
+        srv.start()
+        control, _ = _open(net, srv, "/pool/a", wire.ReadMode.STREAM,
+                           profile=WAN_PROFILE)
+        dconn = net.connect(srv.address, WAN_PROFILE,
+                            first_msg=wire.StreamStart(1, 0))
+        for target in (MiB + 7, 2 * MiB + 7, 3 * MiB + 7):
+            dconn.recv()
+            assert not _handler_tasks(rt)
+            control.send(wire.StreamStart(1, target))
+            while (chunk := dconn.recv()).offset != target:
+                pass
+            assert chunk.payload == data[target:target + len(chunk.payload)]
+        assert not _handler_tasks(rt)
+        assert srv.counters["protocol_errors"] == 0
+        control.close()
+        dconn.close()
+
+    rt.run(scenario)
+
+
+def test_control_hang_up_ends_the_session_from_the_callback(tmp_path):
+    # while open, the session's callback is the only waiter on its control
+    # connection; rtt/2 after the client hangs up it has ended the session
+    # and left nothing waiting
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        _seed(srv, "/pool/a", MiB)
+        srv.start()
+        conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL,
+                        profile=WAN_PROFILE)
+        session = srv.sessions[1]
+        queue = session.control_conn._queue
+        assert not _handler_tasks(rt)
+        assert len(queue._getters) == 1
+        conn.close()
+        rt.sleep(WAN_PROFILE.rtt / 2 + 1e-9)
+        assert srv.sessions == {}
+        assert session.control_conn._closed
+        assert not queue._getters
+        rt.sleep(1.0)
+        assert not [t.name for t in rt._tasks if t.name.startswith("ds-")]
+        assert session._fh.closed
+
+    rt.run(scenario)
+
+
+def test_refusal_after_the_open_goes_out_from_a_short_task(tmp_path):
+    # a ReadRequest on a push session is refused from a task of its own,
+    # which ends once the refusal is out; the session serves on
+    rt = VirtualRuntime()
+    refusers = []
+    spawn = rt.spawn
+
+    def recording_spawn(fn, *args, name="task"):
+        task = spawn(fn, *args, name=name)
+        if name.startswith("ds-refuse-"):
+            refusers.append(task)
+        return task
+
+    rt.spawn = recording_spawn
+
+    def scenario():
+        net, srv = _mk_server(rt, tmp_path)
+        data = _seed(srv, "/pool/a", MiB)
+        srv.start()
+        control, _ = _open(net, srv, "/pool/a", wire.ReadMode.READAHEAD,
+                           profile=WAN_PROFILE)
+        control.send(wire.ReadRequest(1, 0, 64 * KiB))
+        err = control.recv()
+        assert isinstance(err, wire.ErrorReply)
+        assert err.code == wire.ErrorCode.PROTOCOL
+        assert srv.counters["protocol_errors"] == 1
+        assert [t.name for t in refusers] == ["ds-refuse-1"]
+        assert refusers[0].finished and refusers[0].exc is None
+        assert not _handler_tasks(rt)
+        control.send(wire.StreamStart(1, 0))
+        chunk = control.recv()
+        assert chunk.offset == 0
+        assert chunk.payload == data[:len(chunk.payload)]
+        control.close()
 
     rt.run(scenario)
 

@@ -169,7 +169,8 @@ def test_second_request_on_a_connection_gets_no_reply(port):
 @pytest.mark.parametrize("port", ["ns", "open"])
 def test_request_on_the_wrong_port_is_protocol_error(port):
     # each port answers only its own request type: the other one is
-    # refused at once, counted as nothing served, and the handler ends
+    # refused at once, counted as a protocol error and nothing else, and
+    # the handler ends
     rt = VirtualRuntime()
 
     def scenario():
@@ -183,6 +184,7 @@ def test_request_on_the_wrong_port_is_protocol_error(port):
         assert isinstance(err, wire.ErrorReply)
         assert err.code == wire.ErrorCode.PROTOCOL
         assert rt.now() == pytest.approx(WAN_PROFILE.rtt, abs=1e-3)
+        assert head.counters.pop("protocol_errors") == 1
         assert not any(head.counters.values())
         conn.close()
         rt.sleep(1.0)

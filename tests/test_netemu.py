@@ -471,6 +471,52 @@ def test_recv_after_reported_peer_close_raises_again_at_once():
     rt.run(main)
 
 
+def _served_timeline(use_serve: bool) -> list:
+    """(virtual time, message) as a server end hands each one over, None at
+    the end; by serve() or by a task looping on recv()."""
+    rt = VirtualRuntime()
+    seen = []
+
+    def note(msg):
+        seen.append((rt.now(), msg))
+
+    def handler(conn):
+        rt.sleep(0.1)  # the first two messages are waiting by then
+        if use_serve:
+            conn.serve(note)
+            return
+        try:
+            while True:
+                note(conn.recv())
+        except ConnectionClosedError:
+            note(None)
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", handler)
+        conn = net.connect("svc", WAN_PROFILE)
+        conn.send(wire.NsLookup(path="/a"))
+        conn.send(wire.NsLookup(path="/b"))
+        rt.sleep(0.2)
+        conn.send(wire.NsLookup(path="/c"))
+        rt.sleep(0.1)
+        conn.close()
+        rt.sleep(0.1)
+
+    rt.run(main)
+    return seen
+
+
+def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
+    served = _served_timeline(use_serve=True)
+    assert served == _served_timeline(use_serve=False)
+    assert [msg for _, msg in served] == [
+        wire.NsLookup(path="/a"), wire.NsLookup(path="/b"),
+        wire.NsLookup(path="/c"), None]
+    assert served[0][0] == served[1][0] == pytest.approx(
+        WAN_PROFILE.rtt / 2 + 0.1)
+
+
 def test_determinism_identical_delivery_timelines():
     def run_once():
         rt = VirtualRuntime()

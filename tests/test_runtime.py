@@ -417,3 +417,166 @@ def test_identical_seeds_give_identical_schedules():
     assert t1 == t2
     assert len(t1) == 40
     assert _token_ring_trace(99) != t1
+
+
+# -- carrier reuse ---------------------------------------------------------------
+# Carriers are told apart by their Thread objects: glibc may hand a new thread
+# the stack, and so the get_ident(), of one that has just exited.
+
+
+def test_waves_of_tasks_reuse_the_carriers_of_finished_ones():
+    # ten parked tasks keep ten tasks unfinished, so the carriers of each
+    # wave stay as spares for the next: 100 short tasks run on 10 carriers,
+    # where a thread per task would take 100
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    carriers = set()
+
+    def short():
+        carriers.add(threading.current_thread())
+        rt.sleep(0.01)
+
+    def main():
+        ch = rt.channel()
+        parked = [rt.spawn(ch.get, name=f"parked{i}") for i in range(10)]
+        for _ in range(10):
+            wave = [rt.spawn(short) for _ in range(10)]
+            for t in wave:
+                rt.join(t)
+        assert len(rt._spares) == 10
+        for _ in parked:
+            ch.put(None)
+        for t in parked:
+            rt.join(t)
+        assert not rt._spares  # no unfinished task, so no spare
+
+    rt.run(main)
+    assert len(carriers) == 10
+    _assert_threads_reaped(baseline)
+
+
+def test_spares_never_outnumber_unfinished_tasks():
+    rt = VirtualRuntime()
+    seen = []
+
+    def main():
+        ch = rt.channel()
+        parked = rt.spawn(ch.get, name="parked")
+        wave = [rt.spawn(rt.sleep, 0.01 * i) for i in range(1, 9)]
+        for t in wave:
+            rt.join(t)
+            seen.append((len(rt._spares), len(rt._tasks)))
+        ch.put(None)
+        rt.join(parked)
+        seen.append((len(rt._spares), len(rt._tasks)))
+
+    rt.run(main)
+    assert all(spares <= unfinished for spares, unfinished in seen)
+    assert seen[-2:] == [(1, 1), (0, 0)]
+
+
+def test_run_ends_every_spare():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+
+    def main():
+        ch = rt.channel()
+        for i in range(10):
+            rt.spawn(ch.get, name=f"parked{i}")
+        for t in [rt.spawn(rt.sleep, 0.1) for _ in range(10)]:
+            rt.join(t)
+        assert len(rt._spares) == 10  # the root returns with spares left
+
+    rt.run(main)
+    assert not rt._spares and not rt._tasks
+    _assert_threads_reaped(baseline)
+
+
+def _reused_carrier(rt, fn):
+    """Spawn fn on the carrier of a task that has just finished; a parked
+    task keeps one task unfinished, so that carrier stays as a spare."""
+    ch = rt.channel()
+    rt.spawn(ch.get, name="parked")
+    first = rt.spawn(threading.current_thread)
+    carrier = rt.join(first)
+    task = rt.spawn(fn)
+    assert task._thread is carrier
+    return task
+
+
+def test_crash_on_a_reused_carrier_surfaces_at_join():
+    rt = VirtualRuntime()
+
+    def boom():
+        rt.sleep(0.1)
+        raise ValueError("crash on a reused carrier")
+
+    def main():
+        rt.join(_reused_carrier(rt, boom))
+
+    with pytest.raises(ValueError, match="crash on a reused carrier"):
+        rt.run(main)
+
+
+def test_unjoined_crash_on_a_reused_carrier_beats_the_deadlock():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+
+    def main():
+        ch = rt.channel()
+
+        def producer():
+            rt.sleep(0.1)
+            raise ValueError("producer crashed")
+
+        _reused_carrier(rt, producer)
+        rt.spawn(ch.get, name="consumer")
+        ch.get()
+
+    with pytest.raises(ValueError, match="producer crashed"):
+        rt.run(main)
+    _assert_threads_reaped(baseline)
+
+
+def test_carriers_hand_over_under_a_short_switch_interval():
+    # the interpreter switches threads every microsecond while tasks finish,
+    # become spares and board again: every task still runs once, and the
+    # run completes within its time limit
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    ran = []
+
+    def leaf(i):
+        rt.sleep((i % 7) * 1e-3)
+        ran.append(i)
+        return i
+
+    def branch(i):
+        kids = [rt.spawn(leaf, i * 10 + k) for k in range(5)]
+        return sum(rt.join(k) for k in kids)
+
+    def main():
+        ch = rt.channel()
+        parked = rt.spawn(ch.get, name="parked")
+        totals = []
+        for wave in range(10):
+            tasks = [rt.spawn(branch, wave * 8 + j) for j in range(8)]
+            totals += [rt.join(t) for t in tasks]
+        ch.put(None)
+        rt.join(parked)
+        return totals
+
+    result = []
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: result.append(rt.run(main)),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not runner.is_alive()
+    assert result == [[sum(i * 10 + k for k in range(5)) for i in range(80)]]
+    assert sorted(ran) == [i * 10 + k for i in range(80) for k in range(5)]
+    _assert_threads_reaped(baseline)

@@ -112,7 +112,7 @@ def test_reserved_type_rejected(code, payload_len):
 def test_reserved_error_code_6_rejected():
     # error code 6 belonged to a retired code: neither end accepts it
     assert 6 not in set(wire.ErrorCode)
-    with pytest.raises(EncodeError):
+    with pytest.raises(EncodeError, match="code 6 is not a valid ErrorCode"):
         wire.encode_frame(wire.ErrorReply(6, "x"))
     frame = bytearray(wire.encode_frame(
         wire.ErrorReply(wire.ErrorCode.PROTOCOL, "x")))
@@ -174,10 +174,18 @@ def test_string_field_too_long():
 
 
 def test_out_of_range_enums_raise_encode_error():
-    with pytest.raises(EncodeError):
+    # the error names the enumeration, not a size the value fits
+    with pytest.raises(EncodeError, match="mode 9 is not a valid ReadMode"):
         wire.encode_frame(wire.OpenRequest("/a", 9, 1, "t"))
-    with pytest.raises(EncodeError):
+    with pytest.raises(EncodeError, match="code 99 is not a valid ErrorCode"):
         wire.encode_frame(wire.ErrorReply(99, "x"))
+
+
+def test_integer_overflow_raises_does_not_fit():
+    with pytest.raises(EncodeError, match="offset -1 does not fit u64"):
+        wire.encode_frame(wire.ReadRequest(handle_id=1, offset=-1, length=10))
+    with pytest.raises(EncodeError, match="iobufsize 4294967296 does not fit u32"):
+        wire.encode_frame(wire.OpenRequest("/a", 0, 1 << 32, "t"))
 
 
 @pytest.mark.parametrize("msg", [
