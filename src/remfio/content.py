@@ -1,13 +1,22 @@
 """Deterministic pool-file content and checksums.
 
-Every pool file's bytes are a pure function of (seed, file_index), so any
-run can regenerate and verify file content without shipping the data around.
-The bytes are the raw 64-bit draws of Philox4x64 keyed by (seed, index),
-each written little-endian, 8 bytes per draw; a file whose size is not a
-multiple of 8 drops the tail of its last draw. This is the same stream as
-numpy's Generator(Philox(key)).integers(0, 256, dtype=np.uint8).
-Checksums are 64-bit blake2b digests, matching the width of the checksum
-field carried in namespace replies.
+Every pool file's bytes are a pure function of (seed, file_index, size), so
+any run can regenerate and verify file content without shipping the data
+around. docs/pool-content.md states the formula for checkers that rebuild
+the bytes with their own code:
+
+* each seed has one tile: TILE bytes of raw Philox4x64 draws keyed by
+  (seed mod 2^64, 0), each draw written little-endian;
+* a file of `size` bytes is cut into BLOCK-byte blocks, the last one
+  possibly short, and block b of file `index` is the tile read cyclically
+  from rotation r = k * ODD mod TILE, where k = index * ceil(size / BLOCK)
+  + b numbers the blocks of a pool of equal-size files.
+
+ODD is odd, so distinct k below TILE give distinct rotations: every block of
+a pool of up to TILE blocks (256 GiB) starts at its own rotation, and a range
+shifted by a byte, another block of the same file or the same block of
+another file reads other bytes. Checksums are 64-bit blake2b digests, matching the width of the
+checksum field carried in namespace replies.
 """
 
 from __future__ import annotations
@@ -17,31 +26,49 @@ from typing import Iterator
 
 import numpy as np
 
-# a multiple of 8, so only a file's last chunk cuts a draw
+TILE = 1 << 20  # bytes of Philox draws per seed
+BLOCK = 256 * 1024  # bytes read from one rotation of the tile
+ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
+# a multiple of BLOCK, so only a file's last chunk cuts a block
 GEN_CHUNK = 4 * 1024 * 1024
 
 _U64 = (1 << 64) - 1
+
+
+def _tile(seed: int) -> np.ndarray:
+    key = np.array([seed & _U64, 0], dtype=np.uint64)
+    draws = np.random.Philox(key=key).random_raw(TILE // 8)
+    return draws.astype("<u8", copy=False).view(np.uint8)
 
 
 def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
     """Yield the content of pool file `index` in chunks of at most GEN_CHUNK
     bytes.
 
-    Each chunk is the next ceil(n / 8) raw Philox4x64 draws, little-endian,
-    cut to n bytes. Philox is counter-based, so the stream for a given
-    (seed, index) key is identical across platforms and numpy versions.
-    Every chunk owns its buffer, so a caller may keep them all.
+    Each chunk is a run of whole blocks copied from the seed's tile, made
+    once per call; Philox is counter-based, so the tile for a given seed is
+    identical across platforms and numpy versions. Every chunk owns its
+    buffer, so a caller may keep them all.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    key = np.array([seed & _U64, index & _U64], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    remaining = size
-    while remaining > 0:
-        n = min(GEN_CHUNK, remaining)
-        draws = bitgen.random_raw(-(-n // 8)).astype("<u8", copy=False)
-        yield memoryview(draws.view(np.uint8)[:n])
-        remaining -= n
+    tile = None
+    k = index * -(-size // BLOCK)
+    for start in range(0, size, GEN_CHUNK):
+        n = min(GEN_CHUNK, size - start)
+        chunk = np.empty(n, dtype=np.uint8)
+        if tile is None:
+            # made after the first chunk: with glibc's malloc, a tile
+            # allocated first left seeding's resident set 3-4 MiB larger
+            tile = _tile(seed)
+        for off in range(0, n, BLOCK):
+            r = k * ODD % TILE
+            m = min(BLOCK, n - off)
+            head = min(m, TILE - r)
+            chunk[off:off + head] = tile[r:r + head]
+            chunk[off + head:off + m] = tile[:m - head]
+            k += 1
+        yield memoryview(chunk)
 
 
 def checksum_bytes(data: bytes) -> int:

@@ -123,8 +123,11 @@ class EmulatedNetwork:
 
         first_msg, when given, rides the handshake (the reply can arrive as
         soon as 1 rtt after the call, instead of rtt for setup plus another
-        round trip).
+        round trip). A first_msg that send() would refuse raises here before
+        anything is scheduled, so the far end's handler never starts.
         """
+        if window is not None and window <= 0:
+            raise ValueError(f"window must be > 0: {window}")
         rt = self._rt
         t0 = rt.now()
         handler = self._services.get(address)
@@ -138,6 +141,8 @@ class EmulatedNetwork:
         far = EmuConnection(self, profile, w, f"c{cid}a", address)
         near._peer = far
         far._peer = near
+        if first_msg is not None:
+            near._admit(first_msg, False)
         rt.call_later(profile.rtt / 2, lambda: rt.spawn(
             handler, far, name=f"srv-{address}-{cid}"))
         if first_msg is not None:
@@ -209,13 +214,7 @@ class EmuConnection:
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
-        if self._closed:
-            raise TransportError(f"send on closed connection {self.conn_id}")
-        if self._peer_closed:
-            raise TransportError(f"peer closed {self.conn_id}")
-        if isinstance(msg, DataChunk) and not credit_reserved:
-            raise TransportError("DataChunk sends require a reserved credit")
-        frame_len = frame_size(msg)
+        frame_len = self._admit(msg, credit_reserved)
         rt = self._rt
         pump = self._net._pump(self.profile, self._direction)
         remaining = frame_len
@@ -239,6 +238,16 @@ class EmuConnection:
         peer = self._peer
         rt.call_later(self.profile.rtt / 2,
                       lambda: peer._deliver(msg, frame_len))
+
+    def _admit(self, msg: Message, credit_reserved: bool) -> int:
+        """msg's frame length, or the error send() raises before it waits."""
+        if self._closed:
+            raise TransportError(f"send on closed connection {self.conn_id}")
+        if self._peer_closed:
+            raise TransportError(f"peer closed {self.conn_id}")
+        if isinstance(msg, DataChunk) and not credit_reserved:
+            raise TransportError("DataChunk sends require a reserved credit")
+        return frame_size(msg)
 
     def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
         """send(), except that a closed connection drops the frame; returns

@@ -23,6 +23,7 @@ from remfio.diskserver import DiskModel, DiskServer
 from remfio.errors import (
     AuthError,
     ConnectionClosedError,
+    EncodeError,
     NotFoundError,
     ProtocolError,
     QueueOverflowError,
@@ -120,6 +121,23 @@ def test_open_unknown_path_raises_not_found(tmp_path):
             rf_open("/pool/ghost", _config(rt, net, ReadMode.NORMAL))
 
     rt.run(scenario)
+
+
+def test_unencodable_path_leaves_no_server_task(tmp_path):
+    # the lookup riding the handshake cannot be encoded, so the connect
+    # fails before the headnode's handler is started
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, _ = _stack(rt, tmp_path, [])
+        cfg = _config(rt, net, ReadMode.NORMAL)
+        for _ in range(3):
+            with pytest.raises(EncodeError):
+                rf_open("/bad\ud800", cfg)
+        rt.sleep(5.0)
+        return [t.name for t in rt._tasks if t.name.startswith("srv-")]
+
+    assert rt.run(scenario) == []
 
 
 def test_open_wrong_token_raises_auth(tmp_path):

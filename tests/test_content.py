@@ -1,36 +1,71 @@
-"""Pool-file content: the byte stream is pinned, and chunks are independent."""
+"""Pool-file content: the bytes follow the documented tile formula, every
+block of a pool is distinct, and chunks are independent."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from remfio import content
 from remfio.content import (GEN_CHUNK, checksum_bytes, content_chunks,
                             file_content)
 
-SIZES = [0, 1, 7, 8, 9, GEN_CHUNK - 1, GEN_CHUNK, GEN_CHUNK + 5,
-         2 * GEN_CHUNK + 3]
+KiB = 1024
+MiB = 1024 * KiB
+DOC = Path(__file__).resolve().parents[1] / "docs" / "pool-content.md"
+
+# the formula's constants, written out here rather than taken from the
+# module, so that a change to the module shows as a failure
+TILE_BYTES = 1 << 20
+BLOCK_BYTES = 256 * KiB
+ROTATION_STEP = 0x9E377
+
+SIZES = [0, 1, 7, 8, 9, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
+         GEN_CHUNK - 1, GEN_CHUNK, GEN_CHUNK + 5, 2 * GEN_CHUNK + 3]
 KEYS = [(0, 0), (1, 7), ((1 << 64) - 1, 3), (5, (1 << 64) - 1)]
+POOL_SHAPES = [(16, 16 * MiB), (1, 64 * MiB), (32, 16 * MiB),
+               (1024, 16 * MiB)]
+
+
+@functools.lru_cache(maxsize=None)
+def _tile(seed: int) -> bytes:
+    key = np.array([seed, 0], dtype=np.uint64)
+    draws = np.random.Philox(key=key).random_raw(TILE_BYTES // 8)
+    return b"".join(int(d).to_bytes(8, "little") for d in draws)
+
+
+def _rotation(index: int, size: int, block: int) -> int:
+    blocks_per_file = (size + BLOCK_BYTES - 1) // BLOCK_BYTES
+    return (index * blocks_per_file + block) * ROTATION_STEP % TILE_BYTES
+
+
+def _expected(seed: int, index: int, size: int) -> bytes:
+    twice = _tile(seed) * 2
+    out = []
+    for block, start in enumerate(range(0, size, BLOCK_BYTES)):
+        r = _rotation(index, size, block)
+        out.append(twice[r:r + min(BLOCK_BYTES, size - start)])
+    return b"".join(out)
 
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("seed,index", KEYS)
 def test_content_is_philox_uint8_stream(seed, index, size):
-    # the raw little-endian draws are the bytes numpy's full-range uint8
-    # path takes from the same Philox key
-    key = np.array([seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    expected = rng.integers(0, 256, size=size, dtype=np.uint8).tobytes()
-    assert file_content(seed, index, size) == expected
+    # the bytes of docs/pool-content.md's formula, rebuilt by this file's
+    # own code: a Philox tile per seed, read at integer rotations
+    assert file_content(seed, index, size) == _expected(seed, index, size)
 
 
 def test_golden_content():
-    # recorded from the integers(0, 256, uint8) generator this replaced
+    # recorded once from the tile formula
     data = file_content(1, 0, GEN_CHUNK + 5)
-    assert hashlib.sha256(data).hexdigest()[:16] == "993fbc8ea0818b92"
-    assert checksum_bytes(data) == 0xB458738D778F83D5
+    assert hashlib.sha256(data).hexdigest()[:16] == "7fc42e45dd9641fa"
+    assert checksum_bytes(data) == 0x056F1A44984EF99D
 
 
 @pytest.mark.parametrize("size", [GEN_CHUNK + 5, 3 * GEN_CHUNK])
@@ -40,3 +75,64 @@ def test_kept_chunks_do_not_share_a_buffer(size):
         min(GEN_CHUNK, size - off) for off in range(0, size, GEN_CHUNK)]
     assert b"".join(chunks) == file_content(2, 1, size)
 
+
+@pytest.mark.parametrize("offset,length", [
+    (0, 64 * KiB),  # the start of the file
+    (3 * BLOCK_BYTES + 1000, 64 * KiB),  # inside one block
+    (4 * BLOCK_BYTES - 100, 64 * KiB),  # across a block boundary
+    (5 * BLOCK_BYTES, BLOCK_BYTES),  # one whole block
+])
+def test_wrong_bytes_change_a_range_digest(offset, length):
+    size = 16 * MiB
+    mine = file_content(3, 4, size)
+    other_file = file_content(3, 5, size)
+
+    def sha(data: bytes) -> str:
+        assert len(data) == length
+        return hashlib.sha256(data).hexdigest()
+
+    want = sha(mine[offset:offset + length])
+    for shifted in (offset - 1, offset + 1):
+        if shifted >= 0:
+            assert sha(mine[shifted:shifted + length]) != want
+    for other_block in (0, 1, 7, 63):
+        moved = offset + (other_block - offset // BLOCK_BYTES) * BLOCK_BYTES
+        if moved != offset and moved + length <= size:
+            assert sha(mine[moved:moved + length]) != want
+    assert sha(other_file[offset:offset + length]) != want
+
+
+@pytest.mark.parametrize("count,size", POOL_SHAPES)
+@pytest.mark.parametrize("seed", [1, 100001])
+def test_every_block_of_a_pool_is_distinct(seed, count, size):
+    # blocks that start with different 8 bytes differ; the start of each
+    # block comes from the formula, which content follows (tests above)
+    twice = _tile(seed) * 2
+    starts = {twice[r:r + 8]
+              for index in range(count)
+              for block in range(-(-size // BLOCK_BYTES))
+              for r in [_rotation(index, size, block)]}
+    assert len(starts) == count * -(-size // BLOCK_BYTES)
+
+
+def test_pool_content_doc_matches_the_module():
+    doc = DOC.read_text()
+    constants = dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", doc, re.M))
+    assert {name: int(value, 0) for name, value in constants.items()} == {
+        "TILE": content.TILE, "BLOCK": content.BLOCK, "ODD": content.ODD}
+    assert "key (seed mod 2^64, 0)" in doc
+    assert "little-endian" in doc
+    distinct_gib = content.TILE * content.BLOCK // (1 << 30)
+    assert f"{content.TILE:,} blocks ({distinct_gib} GiB)" in doc
+    examples = re.findall(
+        r"^\| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \| "
+        r"`([0-9a-f]{16})` \|$", doc, re.M)
+    assert len(examples) >= 3
+    for seed, index, size, block, k, r, head in examples:
+        seed, index, size, block, k, r = map(
+            int, (seed, index, size, block, k, r))
+        assert k == index * -(-size // content.BLOCK) + block
+        assert r == k * content.ODD % content.TILE
+        start = block * content.BLOCK
+        data = file_content(seed, index, size)
+        assert data[start:start + 8].hex() == head

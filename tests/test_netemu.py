@@ -7,6 +7,7 @@ import pytest
 from remfio import netemu, wire
 from remfio.errors import (
     ConnectionClosedError,
+    EncodeError,
     EndpointRefusedError,
     TransportError,
 )
@@ -112,6 +113,41 @@ def test_connect_unknown_endpoint_refused():
             net.connect("nowhere:1", WAN_PROFILE)
 
     rt.run(main)
+
+
+def test_refused_first_msg_leaves_nothing_scheduled():
+    rt = VirtualRuntime()
+    started = []
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", started.append)
+        with pytest.raises(TransportError, match="reserved credit"):
+            net.connect("svc", WAN_PROFILE, first_msg=_chunk(0, 1024))
+        with pytest.raises(EncodeError):
+            net.connect("svc", WAN_PROFILE,
+                        first_msg=wire.NsLookup(path="/bad\ud800"))
+        assert rt.now() == 0.0
+        assert not rt._heap  # no handler spawn, delivery or window release
+        rt.sleep(1.0)
+
+    rt.run(main)
+    assert started == []
+
+
+@pytest.mark.parametrize("window", [0, -1])
+def test_connect_rejects_a_window_below_one_byte(window):
+    rt = VirtualRuntime()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", _echo_handler)
+        with pytest.raises(ValueError, match="window must be > 0"):
+            net.connect("svc", WAN_PROFILE, window=window,
+                        first_msg=wire.NsLookup(path="/x"))
+        return rt.now()
+
+    assert rt.run(main) == 0.0
 
 
 def test_first_msg_reply_in_one_rtt():
