@@ -55,10 +55,25 @@ def _expected(seed: int, index: int, size: int) -> bytes:
 
 @pytest.mark.parametrize("size", SIZES)
 @pytest.mark.parametrize("seed,index", KEYS)
-def test_content_is_philox_uint8_stream(seed, index, size):
+def test_content_follows_documented_tile_formula(seed, index, size):
     # the bytes of docs/pool-content.md's formula, rebuilt by this file's
     # own code: a Philox tile per seed, read at integer rotations
     assert file_content(seed, index, size) == _expected(seed, index, size)
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_content_is_philox_uint8_stream(seed, index, size):
+    # without the rotation formula: every block is a cyclic window of the
+    # first TILE bytes numpy's full-range uint8 path takes from Philox key
+    # (seed, 0), whatever the file index
+    key = np.array([seed, 0], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    twice = rng.integers(0, 256, size=TILE_BYTES, dtype=np.uint8).tobytes() * 2
+    data = file_content(seed, index, size)
+    assert len(data) == size
+    for start in range(0, size, BLOCK_BYTES):
+        assert data[start:start + BLOCK_BYTES] in twice
 
 
 def test_golden_content():

@@ -2,18 +2,19 @@
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         --run seq-stream-16=1-10 --run skip-mixed-32=0,1,2,3,10 \\
-        [--what TEXT] [--seconds S]
+        [--what TEXT]
 
 The parent's committed files are unpacked with `git archive` into a
 temporary directory. For each workload and seed, `simbench/run.py --workload
-W --seed N --trace 0` runs on both sides back to back, the parent first on a
-workload's 1st, 3rd, 5th... pair and the working tree first on the others;
-workloads take turns, so a drift in the host's speed falls on every
-workload alike. The output holds every run's last line and, per workload and
-end-to-end metric, each side's quartiles, the change/parent ratio of the
-medians and the number of pairs in which the change reads better, with the
-direction of "better" taken from BENCHMARK.json. This script reads
-simbench/ and BENCHMARK.json but never writes to them.
+W --seed N --trace 0` runs at simbench's default length on both sides back
+to back, the parent first on a workload's 1st, 3rd, 5th... pair and the
+working tree first on the others; workloads take turns, so a drift in the
+host's speed falls on every workload alike. The output holds every run's
+last line and, per workload and end-to-end metric, each side's quartiles,
+the change/parent ratio of the medians and the number of pairs in which the
+change reads better, with the direction of "better" taken from
+BENCHMARK.json. This script reads simbench/ and BENCHMARK.json but never
+writes to them.
 """
 
 from __future__ import annotations
@@ -51,12 +52,9 @@ def schedule(plan: dict[str, list[int]]) -> list[tuple[str, int, bool]]:
     return jobs
 
 
-def run_once(tree: Path, workload: str, seed: int,
-             seconds: float | None) -> dict:
+def run_once(tree: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "simbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     digest = re.search(r"csv_sha256 ([0-9a-f]{64})", proc.stdout)
@@ -120,8 +118,6 @@ def main(argv=None) -> int:
                         help="e.g. seq-stream-16=1-10; may repeat")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--what", default="", help="what the change is")
-    parser.add_argument("--seconds", type=float,
-                        help="passed to simbench; its default when omitted")
     args = parser.parse_args(argv)
 
     plan = {}
@@ -144,7 +140,7 @@ def main(argv=None) -> int:
         for workload, seed, parent_first in schedule(plan):
             sides = [("parent", parent), ("change", ROOT)]
             for side, tree in sides if parent_first else sides[::-1]:
-                result = run_once(tree, workload, seed, args.seconds)
+                result = run_once(tree, workload, seed)
                 runs.append({"side": side, "workload": workload,
                              "seed": seed, **result})
                 metrics = result["line"].get("metrics", {})
@@ -158,10 +154,9 @@ def main(argv=None) -> int:
     doc = {
         "what": args.what,
         "parent": parent_rev,
-        "command": "python3 simbench/run.py --workload W --seed N --trace 0"
-                   + (f" --seconds {args.seconds}" if args.seconds else
-                      " (default --seconds)")
-                   + "; each entry is the last line it prints.",
+        "command": "python3 simbench/run.py --workload W --seed N --trace 0 "
+                   "(default --seconds); each entry is the last line it "
+                   "prints.",
         "order": order + ". For each seed and workload the two sides ran "
                  "back to back, the parent first on a workload's 1st, 3rd, "
                  "5th... pair and the change first on the others; "
