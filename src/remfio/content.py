@@ -29,8 +29,6 @@ import numpy as np
 TILE = 1 << 20  # bytes of Philox draws per seed
 BLOCK = 256 * 1024  # bytes read from one rotation of the tile
 ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
-# a multiple of BLOCK, so only a file's last chunk cuts a block
-GEN_CHUNK = 4 * 1024 * 1024
 
 _U64 = (1 << 64) - 1
 
@@ -42,33 +40,27 @@ def _tile(seed: int) -> np.ndarray:
 
 
 def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
-    """Yield the content of pool file `index` in chunks of at most GEN_CHUNK
-    bytes.
+    """Yield the content of pool file `index` as read-only views of the
+    seed's tile, made once per call.
 
-    Each chunk is a run of whole blocks copied from the seed's tile, made
-    once per call; Philox is counter-based, so the tile for a given seed is
-    identical across platforms and numpy versions. Every chunk owns its
-    buffer, so a caller may keep them all.
+    Each block is one view of at most BLOCK bytes, or two where it wraps
+    past the tile's end; Philox is counter-based, so the tile for a given
+    seed is identical across platforms and numpy versions. The tile cannot
+    be written, so a caller may keep every view.
     """
     if size < 0:
         raise ValueError("size must be non-negative")
-    tile = None
+    tile = _tile(seed)
+    tile.flags.writeable = False
+    view = memoryview(tile)
     k = index * -(-size // BLOCK)
-    for start in range(0, size, GEN_CHUNK):
-        n = min(GEN_CHUNK, size - start)
-        chunk = np.empty(n, dtype=np.uint8)
-        if tile is None:
-            # made after the first chunk: with glibc's malloc, a tile
-            # allocated first left seeding's resident set 3-4 MiB larger
-            tile = _tile(seed)
-        for off in range(0, n, BLOCK):
-            r = k * ODD % TILE
-            m = min(BLOCK, n - off)
-            head = min(m, TILE - r)
-            chunk[off:off + head] = tile[r:r + head]
-            chunk[off + head:off + m] = tile[:m - head]
-            k += 1
-        yield memoryview(chunk)
+    for start in range(0, size, BLOCK):
+        r = k * ODD % TILE
+        m = min(BLOCK, size - start)
+        yield view[r:r + m]  # stops at the tile's end
+        if r + m > TILE:
+            yield view[:r + m - TILE]
+        k += 1
 
 
 def checksum_bytes(data: bytes) -> int:

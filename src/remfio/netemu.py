@@ -90,6 +90,7 @@ class EmulatedNetwork:
         self._rt = runtime
         self._services: dict[str, object] = {}
         self._pumps: dict = {}
+        self._links: dict[str, LinkProfile] = {}  # name -> first profile
         self._conn_seq = 0
 
     def listen(self, address: str, handler) -> None:
@@ -125,9 +126,18 @@ class EmulatedNetwork:
         soon as 1 rtt after the call, instead of rtt for setup plus another
         round trip). A first_msg that send() would refuse raises here before
         anything is scheduled, so the far end's handler never starts.
+
+        A link name stands for one rtt and shared_bandwidth in a network:
+        a profile that reuses a name with others raises ValueError. Its
+        per_connection_window may differ, as it belongs to the connection.
         """
         if window is not None and window <= 0:
             raise ValueError(f"window must be > 0: {window}")
+        link = self._links.setdefault(profile.name, profile)
+        if (link.rtt, link.shared_bandwidth) != (profile.rtt,
+                                                 profile.shared_bandwidth):
+            raise ValueError(f"link {profile.name!r} is already shaped as "
+                             f"{link}, not {profile}")
         rt = self._rt
         t0 = rt.now()
         handler = self._services.get(address)

@@ -313,14 +313,9 @@ class VirtualChannel:
         return len(self._items)
 
     def put(self, item) -> None:
-        rt = self._rt
-        while (self._capacity is not None
-               and len(self._items) >= self._capacity):
-            self._putters.append(rt._current)
-            rt._park()
-        self._items.append(item)
-        if self._getters:
-            rt._make_runnable(self._getters.popleft())
+        while not self.try_put(item):
+            self._putters.append(self._rt._current)
+            self._rt._park()
 
     def try_put(self, item) -> bool:
         if self._capacity is not None and len(self._items) >= self._capacity:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -91,6 +92,19 @@ def test_seed_pool_deterministic_and_reused(tmp_path):
     assert [e.checksum for e in third] == sums
     assert [srv.pool_location(e.path).stat().st_mtime_ns
             for e in third] == mtimes
+
+
+def test_seed_pool_allocates_about_one_tile(tmp_path):
+    # file content is handed over as views of one 1 MiB tile per file, so
+    # seeding two 16 MiB files never allocates a file's worth of bytes
+    _, head, srv = _stack(tmp_path)
+    tracemalloc.start()
+    try:
+        seed_pool(head, srv, 2, 16 * MiB, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * MiB
 
 
 def test_seed_pool_hundred_distinct_entries(tmp_path):

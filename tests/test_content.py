@@ -1,5 +1,5 @@
 """Pool-file content: the bytes follow the documented tile formula, every
-block of a pool is distinct, and chunks are independent."""
+block of a pool is distinct, and kept views stay intact."""
 
 from __future__ import annotations
 
@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from remfio import content
-from remfio.content import (GEN_CHUNK, checksum_bytes, content_chunks,
-                            file_content)
+from remfio.content import checksum_bytes, content_chunks, file_content
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -26,7 +25,7 @@ BLOCK_BYTES = 256 * KiB
 ROTATION_STEP = 0x9E377
 
 SIZES = [0, 1, 7, 8, 9, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
-         GEN_CHUNK - 1, GEN_CHUNK, GEN_CHUNK + 5, 2 * GEN_CHUNK + 3]
+         4 * MiB - 1, 4 * MiB, 4 * MiB + 5, 8 * MiB + 3]
 KEYS = [(0, 0), (1, 7), ((1 << 64) - 1, 3), (5, (1 << 64) - 1)]
 POOL_SHAPES = [(16, 16 * MiB), (1, 64 * MiB), (32, 16 * MiB),
                (1024, 16 * MiB)]
@@ -78,17 +77,21 @@ def test_content_is_philox_uint8_stream(seed, index, size):
 
 def test_golden_content():
     # recorded once from the tile formula
-    data = file_content(1, 0, GEN_CHUNK + 5)
+    data = file_content(1, 0, 4 * MiB + 5)
     assert hashlib.sha256(data).hexdigest()[:16] == "7fc42e45dd9641fa"
     assert checksum_bytes(data) == 0x056F1A44984EF99D
 
 
-@pytest.mark.parametrize("size", [GEN_CHUNK + 5, 3 * GEN_CHUNK])
-def test_kept_chunks_do_not_share_a_buffer(size):
-    chunks = list(content_chunks(2, 1, size))
-    assert [len(c) for c in chunks] == [
-        min(GEN_CHUNK, size - off) for off in range(0, size, GEN_CHUNK)]
-    assert b"".join(chunks) == file_content(2, 1, size)
+@pytest.mark.parametrize("size", [4 * MiB + 5, 12 * MiB])
+def test_kept_views_stay_intact_and_read_only(size):
+    views = list(content_chunks(2, 1, size))
+    assert all(0 < len(v) <= BLOCK_BYTES for v in views)
+    for seed, index in ((2, 2), (3, 1)):
+        file_content(seed, index, size)
+    assert b"".join(views) == file_content(2, 1, size)
+    assert all(v.readonly for v in views)
+    with pytest.raises(TypeError):
+        views[0][0] = 0
 
 
 @pytest.mark.parametrize("offset,length", [

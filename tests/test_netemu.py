@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from remfio import netemu, wire
@@ -573,6 +575,89 @@ def test_determinism_identical_delivery_timelines():
         return rt.run(main)
 
     assert run_once() == run_once()
+
+
+def test_a_link_name_keeps_one_rtt_and_rate_per_network():
+    rt = VirtualRuntime()
+    fast = LinkProfile("x", rtt=0.001, shared_bandwidth=100 * MiB,
+                       per_connection_window=1 * MiB)
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", _echo_handler)
+        net.connect("svc", fast).close()
+        for other in (dataclasses.replace(fast, shared_bandwidth=1 * MiB),
+                      dataclasses.replace(fast, rtt=0.002)):
+            with pytest.raises(ValueError, match="'x'"):
+                net.connect("svc", other)
+        # the window belongs to the connection, not to the link
+        wide = dataclasses.replace(fast, per_connection_window=4 * MiB)
+        net.connect("svc", wide).close()
+        rt.sleep(0.01)
+        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+        # another network holds its own names
+        other_net = EmulatedNetwork(rt)
+        other_net.listen("svc", _echo_handler)
+        other_net.connect(
+            "svc", dataclasses.replace(fast, shared_bandwidth=1 * MiB)).close()
+
+    rt.run(main)
+
+
+def test_uneven_windows_each_get_their_own_bound():
+    """A 64 KiB-window flow and a 4 MiB-window flow share wan, each at its
+    closed form over the middle half of a 4 s run."""
+    rt = VirtualRuntime()
+    prof = WAN_PROFILE
+    frame = 64 * KiB
+    payload = frame - 16 - wire.HEADER_LEN  # one frame fills the small window
+    small_window, big_window = frame, 4 * MiB
+    run = 4.0
+    want = {
+        # one frame in flight, sent again as soon as its window returns
+        small_window: small_window / prof.rtt,
+        # 16 credits in flight bind before 4 MiB of window does; a credit
+        # comes back one transmission plus one rtt after it was taken
+        big_window: netemu.DATA_CREDITS * frame
+        / (prof.rtt + frame / prof.shared_bandwidth),
+    }
+
+    def push(conn):
+        kick = rt.channel(capacity=1)
+        conn.on_data_credit = lambda: kick.try_put(None)
+        offset = 0
+        while rt.now() < run:
+            while not conn.try_reserve_data_credit():
+                kick.get()
+            conn.send(wire.DataChunk(1, offset, bytes(payload)),
+                      credit_reserved=True)
+            offset += payload
+        conn.close()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", push)
+        logs = {}
+
+        def drain(window):
+            conn = net.connect("svc", prof, window=window)
+            log = logs[window] = []
+            try:
+                while True:
+                    msg = conn.recv()
+                    log.append((rt.now(), wire.frame_size(msg)))
+            except ConnectionClosedError:
+                pass
+
+        for t in [rt.spawn(drain, w) for w in want]:
+            rt.join(t)
+        return logs
+
+    logs = rt.run(main)
+    for window, log in logs.items():
+        assert {n for _, n in log} == {frame}
+        got = sum(n for t, n in log if run / 4 <= t < 3 * run / 4) / (run / 2)
+        assert got == pytest.approx(want[window], rel=0.05), window
 
 
 def test_builtin_profiles_match_documented_paths():

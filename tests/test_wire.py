@@ -228,3 +228,49 @@ def test_roundtrip_property(rng):
 def test_frame_size_matches_encoded_length(rng):
     m = random_message(rng)
     assert wire.frame_size(m) == len(wire.encode_frame(m))
+
+
+U64_MAX = (1 << 64) - 1
+LONGEST = "x" * 0xFFFF  # the longest string a u16 length prefix allows
+UTF8 = "/dé/€/\U0001d11e"  # 13 bytes: 1-, 2-, 3- and 4-byte characters
+
+# frame sizes recorded once from len(encode_frame(msg)), so that frame_size
+# stays pinned whatever becomes of the encoder
+RECORDED_FRAME_SIZES = {
+    "open-request-empty": (
+        wire.OpenRequest("", wire.ReadMode.NORMAL, 0, ""), 17),
+    "open-request-longest": (
+        wire.OpenRequest(LONGEST, wire.ReadMode.STREAM, (1 << 32) - 1,
+                         LONGEST), 131087),
+    "open-request-utf8": (
+        wire.OpenRequest(UTF8, wire.ReadMode.READAHEAD, 1 << 20,
+                         "é€\U0001d11e"), 39),
+    "open-reply-max": (wire.OpenReply(U64_MAX, U64_MAX), 24),
+    "read-request-max": (wire.ReadRequest(U64_MAX, U64_MAX, U64_MAX), 32),
+    "data-chunk-empty": (wire.DataChunk(U64_MAX, U64_MAX, b""), 24),
+    "data-chunk-256k": (
+        wire.DataChunk(U64_MAX, U64_MAX, bytes(256 * 1024)), 262168),
+    "stream-start-max": (wire.StreamStart(U64_MAX, U64_MAX), 24),
+    "error-reply-empty": (wire.ErrorReply(wire.ErrorCode.PROTOCOL, ""), 12),
+    "error-reply-longest": (
+        wire.ErrorReply(wire.ErrorCode.NOT_FOUND, LONGEST), 65547),
+    "error-reply-utf8": (wire.ErrorReply(wire.ErrorCode.AUTH, UTF8), 25),
+    "ns-lookup-empty": (wire.NsLookup(""), 10),
+    "ns-lookup-longest": (wire.NsLookup(LONGEST), 65545),
+    "ns-lookup-utf8": (wire.NsLookup(UTF8), 23),
+    "ns-lookup-reply-empty": (wire.NsLookupReply("", 0, 0), 26),
+    "ns-lookup-reply-longest": (
+        wire.NsLookupReply(LONGEST, U64_MAX, U64_MAX), 65561),
+    "ns-lookup-reply-utf8": (wire.NsLookupReply(UTF8, U64_MAX, U64_MAX), 39),
+}
+
+
+@pytest.mark.parametrize("case", RECORDED_FRAME_SIZES)
+def test_frame_size_matches_recorded_table(case):
+    msg, size = RECORDED_FRAME_SIZES[case]
+    assert wire.frame_size(msg) == size
+
+
+def test_recorded_frame_sizes_cover_every_variant():
+    assert {wire.msg_type_of(msg)
+            for msg, _ in RECORDED_FRAME_SIZES.values()} == set(wire.MsgType)
