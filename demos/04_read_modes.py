@@ -14,7 +14,6 @@ import tempfile
 from pathlib import Path
 
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read
-from remfio.content import content_chunks
 from remfio.diskserver import DiskServer
 from remfio.headnode import Headnode
 from remfio.netemu import EmulatedNetwork, builtin_profiles
@@ -39,7 +38,7 @@ def scenario():
     with tempfile.TemporaryDirectory() as tmp:
         srv = DiskServer(rt, net, pool_dir=Path(tmp), shared_token=TOKEN)
         srv.start()
-        pf = srv.import_file("/data/events", content_chunks(1, 0, SIZE))
+        pf = srv.seed_file("/data/events", 1, 0, SIZE)
         head.register_file("/data/events", SIZE, srv.address, pf.checksum)
 
         print(f"{'mode':10s} {'open s':>7s} {'read s':>7s} {'requests':>8s} "

@@ -13,7 +13,6 @@ import tempfile
 from pathlib import Path
 
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read, rf_seek
-from remfio.content import content_chunks
 from remfio.diskserver import DiskServer
 from remfio.headnode import Headnode
 from remfio.netemu import EmulatedNetwork, builtin_profiles
@@ -47,7 +46,7 @@ def scenario():
     with tempfile.TemporaryDirectory() as tmp:
         srv = DiskServer(rt, net, pool_dir=Path(tmp), shared_token=TOKEN)
         srv.start()
-        pf = srv.import_file("/data/scan", content_chunks(1, 0, SIZE))
+        pf = srv.seed_file("/data/scan", 1, 0, SIZE)
         head.register_file("/data/scan", SIZE, srv.address, pf.checksum)
 
         cases = [

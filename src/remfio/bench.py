@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .client import ClientConfig, rf_close, rf_open, rf_read, rf_seek
-from .content import content_chunks
 from .diskserver import DiskServer
 from .errors import NotFoundError, OpenError
 from .headnode import Headnode, OpenQueueModel
@@ -193,9 +192,12 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
               file_size: int, seed: int) -> list:
     """Create `count` deterministic files on the server and register them.
 
-    Files already present in the pool (same path, same size) are reused.
-    Aborts before writing anything if the filesystem clearly lacks space;
-    a failure mid-seed removes every file this call created.
+    A file already in the pool is reused only if it has the same path and
+    size and was written by seed_file from this seed and index, so it is
+    served from the seed's tile; any other file at that path, such as one
+    from before its key was kept, is seeded again. Aborts before writing
+    anything if the filesystem clearly lacks space; a failure mid-seed
+    removes every file this call created.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -205,7 +207,8 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
     for i in range(count):
         path = bench_path(seed, file_size, i)
         have = diskserver.pool.get(path)
-        if have is None or have.size != file_size:
+        if (have is None or have.size != file_size
+                or have.key != (seed, i)):
             todo.append((i, path))
     free = shutil.disk_usage(diskserver.pool_dir).free
     need = len(todo) * file_size
@@ -214,7 +217,7 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
 
     try:
         for i, path in todo:
-            diskserver.import_file(path, content_chunks(seed, i, file_size))
+            diskserver.seed_file(path, seed, i, file_size)
     except OSError:
         for _, path in todo:
             diskserver.pool.pop(path, None)

@@ -21,6 +21,7 @@ checksum field carried in namespace replies.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Iterator
 
@@ -61,6 +62,40 @@ def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
         if r + m > TILE:
             yield view[:r + m - TILE]
         k += 1
+
+
+@functools.lru_cache(maxsize=4)
+def _tile_view(seed: int) -> memoryview:
+    """The seed's tile as a read-only view, kept for the few seeds in use."""
+    tile = _tile(seed)
+    tile.flags.writeable = False
+    return memoryview(tile)
+
+
+def content_range(seed: int, index: int, size: int, offset: int,
+                  n: int) -> bytes:
+    """Bytes [offset, offset + n) of pool file `index`, clamped to its size:
+    file_content(seed, index, size)[offset:offset + n] without making the
+    file.
+
+    The range is cut from views of the seed's tile, which is memoized, and
+    joined in one copy.
+    """
+    if offset < 0 or n < 0:
+        raise ValueError("offset and n must be non-negative")
+    end = min(offset + n, size)
+    blocks = -(-size // BLOCK)
+    tile = _tile_view(seed)
+    parts = []
+    while offset < end:
+        b, j = divmod(offset, BLOCK)
+        m = min(BLOCK - j, end - offset)
+        r = ((index * blocks + b) * ODD + j) % TILE
+        parts.append(tile[r:r + m])  # stops at the tile's end
+        if r + m > TILE:
+            parts.append(tile[:r + m - TILE])
+        offset += m
+    return b"".join(parts)
 
 
 def checksum_bytes(data: bytes) -> int:

@@ -23,15 +23,28 @@ stops a job once the connection its chunks go out on has closed, so a STREAM
 client that hangs up only its data connection takes no more disk share. A
 push that reaches the end of the file sends nothing more; a range read of no
 bytes gets one empty chunk. bytes_sent_wire is the payload that actually
-went out on that connection. A session ends when its client closes the
-control connection. Shutdown then forgets it and closes its connections
-without waiting for the pipeline: the reader and sender each end on a None
-queued behind the last job, and the reader closes the file.
+went out on that connection. A session ends when its control connection
+closes, whichever end closes it. Shutdown then forgets it and closes its
+connections without waiting for the pipeline: the reader and sender each
+end on a None queued behind the last job, and the reader closes the file.
 Every refusal is an ErrorReply, counted and sent by one method; one that
 comes before a session exists also closes the connection.
 
+Where a session's bytes come from: the disk model charges a read's time, so
+fetching the bytes is host work only. A file written by seed_file holds
+remfio.content's bytes for its key, so its reads are cut from the seed's
+tile (content_range) and its session opens no file. A file written by
+import_file holds arbitrary bytes, which its session reads from the pool
+file. If that file can no longer be opened, the open is refused with
+STALE_REPLICA; if it reads short, the reader sends STALE_REPLICA on the
+control connection and hangs it up, which ends the session.
+
 Pool layout on disk: flat files named by a hash of the namespace path, plus
-an append-only sidecar manifest (path, filename, size, checksum per line).
+an append-only sidecar manifest, one tab-separated line per write: path,
+filename, size, checksum and, for a seed_file write, the content key
+"seed:index" (empty for import_file). Lines of four columns, from before
+the key was kept, load as imported files. seed_file writes the bytes too,
+so that checkers can read every pool file from disk.
 """
 
 from __future__ import annotations
@@ -42,6 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from .content import content_chunks, content_range
 from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
@@ -97,6 +111,7 @@ class PoolFile:
     location: Path
     size: int
     checksum: int
+    key: tuple[int, int] | None = None  # (seed, index) of a seeded file
 
 
 def _pool_filename(path: str) -> str:
@@ -150,7 +165,8 @@ class DiskServer:
 
         Chunks may be any bytes-like objects (bytes, bytearray, memoryview);
         each is written and hashed as it comes, the size counts their bytes
-        and the checksum is the blake2b-64 of their concatenation.
+        and the checksum is the blake2b-64 of their concatenation. Sessions
+        read the file back from disk.
 
         Re-importing a path overwrites its bytes; the manifest is append-only
         and the loader keeps the last record per path. The bytes go to a
@@ -159,6 +175,18 @@ class DiskServer:
         Paths holding a tab or line break, the manifest's separators, are
         rejected before anything is written.
         """
+        return self._write(path, chunks, checksum, None)
+
+    def seed_file(self, path: str, seed: int, index: int,
+                  size: int) -> PoolFile:
+        """Write pool file `index` of remfio.content's seed `seed` as
+        import_file does, and keep its key (seed, index) on the record and
+        in the manifest: sessions cut its bytes from the seed's tile."""
+        return self._write(path, content_chunks(seed, index, size), None,
+                           (seed, index))
+
+    def _write(self, path: str, chunks, checksum: int | None,
+               key: tuple[int, int] | None) -> PoolFile:
         if any(c in path for c in "\t\n\r"):
             raise ValueError(f"pool path holds a tab or line break: {path!r}")
         location = self.pool_location(path)
@@ -179,10 +207,11 @@ class DiskServer:
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
-        pool_file = PoolFile(path, location, size, digest)
+        pool_file = PoolFile(path, location, size, digest, key)
         self.pool[path] = pool_file
+        column = "" if key is None else f"{key[0]}:{key[1]}"
         with open(self._manifest, "a", encoding="utf-8") as f:
-            f.write(f"{path}\t{location.name}\t{size}\t{digest}\n")
+            f.write(f"{path}\t{location.name}\t{size}\t{digest}\t{column}\n")
         return pool_file
 
     def _load_pool(self) -> None:
@@ -191,12 +220,16 @@ class DiskServer:
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                path, name, size, checksum = line.split("\t")
+                path, name, size, checksum, *column = line.split("\t")
                 location = self.pool_dir / name
                 if not location.exists():
                     continue  # stale record; file was removed underneath us
+                key = None
+                if column and column[0]:
+                    seed, index = column[0].split(":")
+                    key = (int(seed), int(index))
                 self.pool[path] = PoolFile(path, location, int(size),
-                                           int(checksum))
+                                           int(checksum), key)
 
     # -- connection handling ---------------------------------------------------
 
@@ -234,8 +267,15 @@ class DiskServer:
             return ErrorReply(ErrorCode.STALE_REPLICA, request.path)
         if handle_id in self.sessions:
             return ErrorReply(ErrorCode.PROTOCOL, "handle already open")
+        fh = None
+        if pool_file.key is None:
+            try:
+                fh = open(pool_file.location, "rb")
+            except OSError as exc:
+                return ErrorReply(ErrorCode.STALE_REPLICA,
+                                  f"{request.path}: {exc.strerror}")
         session = _Session(self, handle_id, ReadMode(request.mode),
-                           request.iobufsize, pool_file, conn)
+                           request.iobufsize, pool_file, fh, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
         conn.try_send(OpenReply(handle_id, pool_file.size))
@@ -291,7 +331,8 @@ class _Session:
     """Server-side state and pipeline for one open handle."""
 
     def __init__(self, server: DiskServer, handle_id: int, mode: ReadMode,
-                 iobufsize: int, pool_file: PoolFile, control_conn) -> None:
+                 iobufsize: int, pool_file: PoolFile, fh,
+                 control_conn) -> None:
         self._server = server
         self._rt = server._rt
         self.handle_id = handle_id
@@ -304,7 +345,9 @@ class _Session:
         self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
         self.epoch = 0
-        self._fh = open(pool_file.location, "rb")
+        # the open pool file, or None where bytes come from the tile
+        self._fh = fh
+        self._key = pool_file.key
         # jobs are (epoch, offset, end), chunks (epoch, offset, payload);
         # None itself closes
         self._jobs = self._rt.channel()
@@ -362,17 +405,19 @@ class _Session:
                 self._serve(*job, chunk_cap)
             self._chunks.put(None)
         finally:
-            self._fh.close()
+            if self._fh is not None:
+                self._fh.close()
 
     def _disk_read(self, offset: int, n: int) -> bytes:
         """Charge the disk model, then return n bytes at offset."""
         if offset != self.current_offset:
             self._rt.sleep(self._server.disk.seek_latency)
         self._server._pump.acquire(self.handle_id, n)
-        self._fh.seek(offset)
-        data = self._fh.read(n)
         self.current_offset = offset + n
-        return data
+        if self._fh is None:
+            return content_range(*self._key, self.size, offset, n)
+        self._fh.seek(offset)
+        return self._fh.read(n)
 
     def _serve(self, epoch: int, offset: int, end: int,
                chunk_cap: int) -> None:
@@ -389,8 +434,20 @@ class _Session:
             self._chunks.put((epoch, offset, b""))
         while pos < end and epoch == self.epoch and not self._out.closed:
             n = min(chunk_cap, end - pos)
-            self._chunks.put((epoch, pos, self._disk_read(pos, n)))
+            data = self._disk_read(pos, n)
+            if len(data) < n:
+                self._fail(f"pool file ends before byte {pos + n}")
+                return
+            self._chunks.put((epoch, pos, data))
             pos += n
+
+    def _fail(self, detail: str) -> None:
+        """End the session on a pool file that reads short: refuse with
+        STALE_REPLICA, then hang up the control connection, whose callback
+        shuts the session down."""
+        self._server._refuse(self.control_conn,
+                             ErrorReply(ErrorCode.STALE_REPLICA, detail))
+        self.control_conn.close()
 
     # -- sender task ---------------------------------------------------------
 

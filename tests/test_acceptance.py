@@ -28,7 +28,7 @@ from remfio.bench import (
     run_sweep,
 )
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read, rf_seek
-from remfio.content import content_chunks, file_content
+from remfio.content import file_content
 from remfio.diskserver import DiskServer
 from remfio.headnode import Headnode, OpenQueueModel
 from remfio.netemu import ZERO_PROFILE, EmulatedNetwork, builtin_profiles
@@ -66,7 +66,7 @@ def _stack(rt, pool_dir, files):
     srv = DiskServer(rt, net, pool_dir=pool_dir, shared_token=TOKEN)
     srv.start()
     for index, (path, size) in enumerate(files):
-        pf = srv.import_file(path, content_chunks(1, index, size))
+        pf = srv.seed_file(path, 1, index, size)
         head.register_file(path, size, srv.address, pf.checksum)
     return net
 

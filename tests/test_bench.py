@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import tracemalloc
 from collections import Counter
@@ -25,9 +26,11 @@ from remfio.bench import (
     run_sweep,
     seed_pool,
 )
-from remfio.diskserver import DiskServer
+from remfio.client import ClientConfig, rf_close, rf_open, rf_read
+from remfio.content import checksum_bytes, file_content
+from remfio.diskserver import MANIFEST_NAME, DiskServer
 from remfio.headnode import Headnode, OpenQueueModel
-from remfio.netemu import EmuConnection, EmulatedNetwork
+from remfio.netemu import ZERO_PROFILE, EmuConnection, EmulatedNetwork
 from remfio.runtime import VirtualRuntime
 from remfio.wire import DataChunk, ReadMode
 
@@ -42,6 +45,21 @@ def _stack(tmp_path):
     head = Headnode(rt, net, shared_token=TOKEN)
     srv = DiskServer(rt, net, pool_dir=tmp_path / "pool", shared_token=TOKEN)
     return rt, head, srv
+
+
+@pytest.fixture
+def pool_reads(monkeypatch):
+    """The pool files (*.dat) opened for reading while the test runs."""
+    reads = []
+    real_open = builtins.open
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        if str(file).endswith(".dat") and "r" in mode:
+            reads.append(str(file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    return reads
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -132,21 +150,90 @@ def test_seed_pool_insufficient_space_aborts_before_writing(tmp_path):
 
 def test_seed_pool_midway_failure_cleans_up(tmp_path):
     _, head, srv = _stack(tmp_path)
-    real = srv.import_file
+    real = srv.seed_file
     calls = {"n": 0}
 
-    def failing(path, chunks, **kw):
+    def failing(*args):
         calls["n"] += 1
         if calls["n"] == 3:
             raise OSError("disk full")
-        return real(path, chunks, **kw)
+        return real(*args)
 
-    srv.import_file = failing
+    srv.seed_file = failing
     with pytest.raises(OSError):
         seed_pool(head, srv, 4, 8 * KiB, seed=2)
     assert srv.pool == {}
     assert head.namespace_size == 0
     assert not any(p.suffix == ".dat" for p in (tmp_path / "pool").iterdir())
+
+
+def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
+    # a pool kept from before the manifest's key column: its rows load, a
+    # seeded file is written again once, from the tile formula, and served
+    # from the tile from then on; an imported file still reads from disk
+    pool = tmp_path / "pool"
+    pool.mkdir()
+    path = bench_path(9, 64 * KiB, 0)
+    old = bytes(64 * KiB)  # bytes from before the tile formula
+    imported = b"user bytes"
+    rows = []
+    for p, name, data in ((path, "seeded.dat", old),
+                          ("/user/a", "imported.dat", imported)):
+        (pool / name).write_bytes(data)
+        rows.append(f"{p}\t{name}\t{len(data)}\t{checksum_bytes(data)}\n")
+    (pool / MANIFEST_NAME).write_text("".join(rows))
+
+    _, head, srv = _stack(tmp_path)
+    assert srv.pool[path].checksum == checksum_bytes(old)
+    assert srv.pool[path].key is None and srv.pool["/user/a"].key is None
+    [entry] = seed_pool(head, srv, 1, 64 * KiB, seed=9)
+    new = file_content(9, 0, 64 * KiB)
+    assert entry.checksum == srv.pool[path].checksum == checksum_bytes(new)
+    assert srv.pool[path].key == (9, 0)
+    assert srv.pool_location(path).read_bytes() == new
+    rows = (pool / MANIFEST_NAME).read_text().splitlines()
+    assert rows[-1].split("\t")[4] == "9:0"
+
+    rt2, head2, srv2 = _stack(tmp_path)
+    mtime = srv2.pool_location(path).stat().st_mtime_ns
+    seed_pool(head2, srv2, 1, 64 * KiB, seed=9)
+    assert srv2.pool_location(path).stat().st_mtime_ns == mtime
+    assert len((pool / MANIFEST_NAME).read_text().splitlines()) == 3
+    assert srv2.pool[path].key == (9, 0)
+    assert srv2.pool["/user/a"].key is None
+    head2.register_file("/user/a", len(imported), srv2.address,
+                        srv2.pool["/user/a"].checksum)
+
+    def read_whole(p, size):
+        cfg = ClientConfig(rt2, srv2._net, token=TOKEN, profile=ZERO_PROFILE)
+        h = rf_open(p, cfg)
+        data = rf_read(h, size)
+        rf_close(h)
+        return data, list(pool_reads)
+
+    def scenario():
+        head2.start()
+        srv2.start()
+        return (read_whole(path, 64 * KiB),
+                read_whole("/user/a", len(imported)))
+
+    seeded, user = rt2.run(scenario)
+    assert seeded == (new, [])
+    assert user == (imported, [str(pool / "imported.dat")])
+
+
+def test_a_round_after_seeding_opens_no_pool_file(tmp_path, pool_reads):
+    # seeded files are served from the seed's tile in every mode, across
+    # seeks; the on-disk copies are only written
+    spec = WorkloadSpec(pattern=Skip(64 * KiB, 2), file_size=MiB,
+                        block_size=32 * KiB, clients=3, stagger_window=0.0,
+                        net_profile="lan")
+    series = run_sweep(spec, "mode", list(ReadMode), seed=4,
+                       pool_dir=tmp_path / "pool")
+    assert all(r.bytes_consumed == 6 * 64 * KiB
+               for s in series for r in s.records)
+    assert any(p.suffix == ".dat" for p in (tmp_path / "pool").iterdir())
+    assert pool_reads == []
 
 
 # -- single runs ------------------------------------------------------------------

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from remfio import diskserver
 from remfio.client import (
     ClientConfig,
     rf_close,
@@ -18,7 +19,7 @@ from remfio.client import (
     rf_read,
     rf_seek,
 )
-from remfio.content import checksum_bytes, content_chunks, file_content
+from remfio.content import BLOCK, content_range, file_content
 from remfio.diskserver import DiskModel, DiskServer
 from remfio.errors import (
     AuthError,
@@ -28,7 +29,9 @@ from remfio.errors import (
     ProtocolError,
     QueueOverflowError,
     RangeError,
+    RemfioError,
     StaleHandleError,
+    StaleReplicaError,
     TransportError,
 )
 from remfio.headnode import Headnode, OpenQueueModel
@@ -52,8 +55,9 @@ ALL_MODES = [ReadMode.NORMAL, ReadMode.READBUF, ReadMode.READAHEAD,
 def _stack(rt, tmp_path, files, *, queue_model=None, disk=None):
     """Start a headnode and one disk server; seed and register `files`.
 
-    files: iterable of (path, size); content comes from seed 1, index = its
-    position in the list. Returns (net, head, srv, {path: bytes}).
+    files: iterable of (path, size); each is seeded with seed_file from
+    seed 1, index = its position in the list, so sessions serve it from the
+    seed's tile. Returns (net, head, srv, {path: bytes}).
     """
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN,
@@ -64,7 +68,7 @@ def _stack(rt, tmp_path, files, *, queue_model=None, disk=None):
     srv.start()
     contents = {}
     for index, (path, size) in enumerate(files):
-        pf = srv.import_file(path, content_chunks(1, index, size))
+        pf = srv.seed_file(path, 1, index, size)
         head.register_file(path, size, srv.address, pf.checksum)
         contents[path] = file_content(1, index, size)
     return net, head, srv, contents
@@ -636,6 +640,73 @@ def test_random_scripts_match_local_file(tmp_path, mode):
             rf_close(h)
 
     rt.run(scenario)
+
+
+@pytest.mark.parametrize("fault", ["shifted", "wrong block"])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
+        tmp_path, monkeypatch, mode, fault):
+    # a server that cuts a seeded file's range one byte late, or from
+    # another block, is caught by comparing what the client read with the
+    # file's content
+    def faulty(seed, index, size, offset, n):
+        offset = offset + 1 if fault == "shifted" else offset ^ BLOCK
+        return content_range(seed, index, size, offset, n)
+
+    monkeypatch.setattr(diskserver, "content_range", faulty)
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
+        got = rf_read(h, 512 * KiB)
+        rf_close(h)
+        return got, contents["/pool/a"][:512 * KiB]
+
+    got, want = rt.run(scenario)
+    assert len(got) == len(want)
+    assert got != want
+
+
+@pytest.mark.parametrize("fault", ["deleted", "truncated"])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_an_imported_file_changed_on_disk_raises_a_typed_error(
+        tmp_path, mode, fault):
+    # an imported file is read from disk: one deleted after the import is
+    # refused at the open, and one cut short ends the session when a read
+    # reaches the cut; either way the client gets a RemfioError, not a
+    # server crash or a deadlock
+    rt = VirtualRuntime()
+    size = MiB
+    data = file_content(2, 0, size)
+
+    def scenario():
+        net, head, srv, _ = _stack(rt, tmp_path, [])
+        pf = srv.import_file("/pool/a", [data])
+        head.register_file("/pool/a", size, srv.address, pf.checksum)
+        if fault == "deleted":
+            pf.location.unlink()
+        else:
+            with open(pf.location, "r+b") as f:
+                f.truncate(300_000)
+        pos = 0
+        with pytest.raises(RemfioError) as caught:
+            h = rf_open("/pool/a", _config(rt, net, mode,
+                                           profile=WAN_PROFILE))
+            while got := rf_read(h, 64 * KiB):
+                assert got == data[pos:pos + len(got)]
+                pos += len(got)
+        assert pos < 300_000
+        rt.sleep(1.0)
+        assert srv.sessions == {}
+        return caught.value, srv.counters["stale_replicas"]
+
+    error, refusals = rt.run(scenario)
+    expected = StaleReplicaError
+    if fault == "truncated" and mode is ReadMode.STREAM:
+        expected = ConnectionClosedError  # the refusal is on control
+    assert type(error) is expected
+    assert refusals == 1
 
 
 # -- counters and lifecycle ---------------------------------------------------------

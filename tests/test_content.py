@@ -1,5 +1,6 @@
 """Pool-file content: the bytes follow the documented tile formula, every
-block of a pool is distinct, and kept views stay intact."""
+block of a pool is distinct, kept views stay intact, and any range cut from
+the tile equals the same range of the whole file."""
 
 from __future__ import annotations
 
@@ -12,7 +13,12 @@ import numpy as np
 import pytest
 
 from remfio import content
-from remfio.content import checksum_bytes, content_chunks, file_content
+from remfio.content import (
+    checksum_bytes,
+    content_chunks,
+    content_range,
+    file_content,
+)
 
 KiB = 1024
 MiB = 1024 * KiB
@@ -92,6 +98,44 @@ def test_kept_views_stay_intact_and_read_only(size):
     assert all(v.readonly for v in views)
     with pytest.raises(TypeError):
         views[0][0] = 0
+
+
+def _ranges(index: int, size: int) -> tuple[list, int]:
+    """(offset, n) ranges around every block boundary, across the tile's end
+    wherever a block wraps, and reaching or starting past the file's end;
+    and how many of them cross the tile's end."""
+    cases = [(0, 0), (0, size), (0, size + 9), (size, 3), (size + 4, 1)]
+    wrapped = 0
+    for start in range(0, size + 1, BLOCK_BYTES):
+        for offset in (start - 1, start):
+            if offset >= 0:
+                cases += [(offset, 1), (offset, 2), (offset, BLOCK_BYTES + 2)]
+        r = _rotation(index, size, start // BLOCK_BYTES)
+        tile_end = start + TILE_BYTES - r  # file offset that reads tile[0]
+        if tile_end < min(start + BLOCK_BYTES, size):
+            cases += [(tile_end - 1, 2), (tile_end - 3000, 6000)]
+            wrapped += 2
+    return cases, wrapped
+
+
+@pytest.mark.parametrize("size", [0, BLOCK_BYTES - 1, BLOCK_BYTES,
+                                  BLOCK_BYTES + 1, 4 * MiB + 5])
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_content_range_cuts_the_file(seed, index, size):
+    data = file_content(seed, index, size)
+    cases, wrapped = _ranges(index, size)
+    for offset, n in cases:
+        got = content_range(seed, index, size, offset, n)
+        assert type(got) is bytes
+        assert got == data[offset:offset + n], (offset, n)
+    if size > 4 * MiB:
+        assert wrapped  # some block of these files wraps past the tile
+
+
+def test_content_range_rejects_negative_arguments():
+    for offset, n in ((-1, 4), (0, -1)):
+        with pytest.raises(ValueError):
+            content_range(1, 0, MiB, offset, n)
 
 
 @pytest.mark.parametrize("offset,length", [

@@ -78,6 +78,28 @@ def test_import_and_reload_pool(tmp_path):
         assert f.read() == data_a
 
 
+def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
+    # seed_file writes and hashes the content as import_file would, and
+    # records (seed, index) in a fifth column; import_file leaves it empty
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    size = 300 * KiB
+    seeded = srv.seed_file("/pool/s", 7, 3, size)
+    imported = srv.import_file("/pool/i", content_chunks(7, 3, size))
+    data = file_content(7, 3, size)
+    assert seeded.location.read_bytes() == data
+    assert (seeded.size, seeded.checksum) == (size, checksum_bytes(data))
+    assert (imported.size, imported.checksum) == (size, checksum_bytes(data))
+    assert (seeded.key, imported.key) == ((7, 3), None)
+    rows = [line.split("\t") for line in
+            (tmp_path / "pool" / "pool-manifest.tsv").read_text().splitlines()]
+    assert [row[4] for row in rows] == ["7:3", ""]
+
+    rt2 = VirtualRuntime()
+    _, srv2 = _mk_server(rt2, tmp_path)
+    assert srv2.pool == {"/pool/s": seeded, "/pool/i": imported}
+
+
 def test_reimport_keeps_last_record(tmp_path):
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
