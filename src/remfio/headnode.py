@@ -56,12 +56,15 @@ def session_token(handle_id: int, shared_token: str) -> str:
 
 
 def verify_session_token(token: str, shared_token: str) -> int | None:
-    """Return the handle id a session token vouches for, or None if forged."""
+    """Return the handle id a session token vouches for, or None if forged.
+
+    The head must be ASCII decimal below 2**64, the range of a handle id.
+    """
     head, sep, _ = token.partition(":")
-    if not sep or not head.isdigit():
+    if not (sep and head.isascii() and head.isdigit() and len(head) <= 20):
         return None
     handle_id = int(head)
-    if session_token(handle_id, shared_token) != token:
+    if handle_id >> 64 or session_token(handle_id, shared_token) != token:
         return None
     return handle_id
 

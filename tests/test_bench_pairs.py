@@ -48,3 +48,22 @@ def test_summary_quartiles_ratio_and_better_pairs():
     assert out["app_mib_per_s"]["change_better_pairs"] == "1/3"
     assert run_s["per_seed"] == {"parent": [1.0, 2.0, 3.0],
                                  "change": [0.5, 0.9, 3.0]}
+
+
+@pytest.mark.parametrize("unpinned", [False, True])
+def test_run_once_unpinned_keeps_simbench_from_pinning(tmp_path, unpinned):
+    if not hasattr(bench_pairs.os, "sched_setaffinity"):
+        pytest.skip("this platform has no CPU affinity")
+    cpus = bench_pairs.os.sched_getaffinity(0)
+    (tmp_path / "simbench").mkdir()
+    (tmp_path / "simbench" / "run.py").write_text(
+        "import json, os, sys\n"
+        f"os.sched_setaffinity(0, {{{min(cpus)}}})\n"
+        "print(json.dumps({'argv': sys.argv[1:], 'main': __name__,\n"
+        "                  'cpus': sorted(os.sched_getaffinity(0))}))\n")
+    out = bench_pairs.run_once(tmp_path, "w", 3, unpinned)
+    assert out["exit"] == 0
+    assert out["line"] == {
+        "argv": ["--workload", "w", "--seed", "3", "--trace", "0"],
+        "main": "__main__",
+        "cpus": sorted(cpus) if unpinned else [min(cpus)]}

@@ -197,23 +197,26 @@ def test_open_and_first_read_checksum_verified(tmp_path):
 
 
 def test_open_bad_token_rejected(tmp_path):
-    rt = VirtualRuntime()
+    # a forged mac, and heads that str.isdigit() accepts but that are no
+    # u64 handle id: each is refused, none crashes the server
+    for i, head in enumerate(["1", "\u00b2", str(1 << 64)]):
+        rt = VirtualRuntime()
 
-    def scenario():
-        net, srv = _mk_server(rt, tmp_path)
-        _seed(srv, "/pool/a", KiB)
-        srv.start()
-        req = wire.OpenRequest("/pool/a", wire.ReadMode.NORMAL, 128 * KiB,
-                               token="1:0000000000000000")
-        conn = net.connect(srv.address, ZERO_PROFILE, first_msg=req)
-        err = conn.recv()
-        assert isinstance(err, wire.ErrorReply)
-        assert err.code == wire.ErrorCode.AUTH
-        assert srv.sessions == {}
-        assert srv.counters["auth_failures"] == 1
-        conn.close()
+        def scenario():
+            net, srv = _mk_server(rt, tmp_path / str(i))
+            _seed(srv, "/pool/a", KiB)
+            srv.start()
+            req = wire.OpenRequest("/pool/a", wire.ReadMode.NORMAL, 128 * KiB,
+                                   token=f"{head}:0000000000000000")
+            conn = net.connect(srv.address, ZERO_PROFILE, first_msg=req)
+            err = conn.recv()
+            assert isinstance(err, wire.ErrorReply)
+            assert err.code == wire.ErrorCode.AUTH
+            assert srv.sessions == {}
+            assert srv.counters["auth_failures"] == 1
+            conn.close()
 
-    rt.run(scenario)
+        rt.run(scenario)
 
 
 def test_open_unknown_pool_file_stale_replica(tmp_path):

@@ -475,3 +475,7 @@ def test_session_token_shape():
     assert verify_session_token(tok, "s3cret") == 17
     assert verify_session_token("17:deadbeef00112233", "s3cret") is None
     assert verify_session_token("garbage", "s3cret") is None
+    # heads that str.isdigit() accepts but that are no u64 handle id
+    for head in ("\u00b2", str(1 << 64), "9" * 5000):
+        assert verify_session_token(f"{head}:0000000000000000",
+                                    "s3cret") is None

@@ -580,3 +580,98 @@ def test_carriers_hand_over_under_a_short_switch_interval():
     assert result == [[sum(i * 10 + k for k in range(5)) for i in range(80)]]
     assert sorted(ran) == [i * 10 + k for i in range(80) for k in range(5)]
     _assert_threads_reaped(baseline)
+
+
+# -- carrier scheduling policy ---------------------------------------------------
+
+
+def _sched_batch_allowed() -> bool:
+    """Whether a thread here may move itself to SCHED_BATCH; probed in a
+    throwaway thread, so no test thread changes its policy."""
+    allowed = []
+
+    def probe():
+        try:
+            os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
+        except (AttributeError, OSError):
+            return
+        allowed.append(os.sched_getscheduler(0) == os.SCHED_BATCH)
+
+    thread = threading.Thread(target=probe)
+    thread.start()
+    thread.join()
+    return allowed == [True]
+
+
+def test_carriers_run_under_sched_batch():
+    if not _sched_batch_allowed():
+        pytest.skip("this platform lacks or refuses SCHED_BATCH")
+    root_policy = os.sched_getscheduler(0)
+    rt = VirtualRuntime()
+
+    def main():
+        ch = rt.channel()
+        parked = rt.spawn(ch.get, name="parked")  # keeps a spare for wave 2
+        first = rt.join(rt.spawn(os.sched_getscheduler, 0))
+        reused = rt.join(rt.spawn(os.sched_getscheduler, 0))
+        ch.put(None)
+        rt.join(parked)
+        return first, reused, os.sched_getscheduler(0)
+
+    assert rt.run(main) == (os.SCHED_BATCH, os.SCHED_BATCH, root_policy)
+    assert os.sched_getscheduler(0) == root_policy
+
+
+def _mixed_schedule():
+    """(result, [(virtual time, task name)], policies the tasks ran under)
+    of producers sharing a rate limiter and feeding a bounded channel."""
+    rt = VirtualRuntime()
+    events = []
+    policies = set()
+
+    def note():
+        events.append((rt.now(), rt._current.name))
+        if hasattr(os, "sched_getscheduler"):
+            policies.add(os.sched_getscheduler(0))
+
+    def main():
+        ch = rt.channel(capacity=2)
+        link = rt.rate_limiter(1000.0)
+
+        def producer(i):
+            for k in range(4):
+                link.acquire(i, 100 + 50 * i)
+                note()
+                ch.put((i, k))
+
+        def consumer():
+            got = []
+            for _ in range(12):
+                got.append(ch.get())
+                note()
+                rt.sleep(0.01)
+            return got
+
+        producers = [rt.spawn(producer, i, name=f"producer{i}")
+                     for i in range(3)]
+        consumer_task = rt.spawn(consumer, name="consumer")
+        for t in producers:
+            rt.join(t)
+        return rt.join(consumer_task)
+
+    return rt.run(main), events, policies
+
+
+@pytest.mark.parametrize("fallback", ["refused", "missing"])
+def test_schedule_is_the_same_without_sched_batch(monkeypatch, fallback):
+    result, events, _ = _mixed_schedule()
+    assert len(events) == 24
+    if fallback == "refused":
+        def refuse(*_args):
+            raise PermissionError(1, "Operation not permitted")
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setscheduler", raising=False)
+    root_policies = ({os.sched_getscheduler(0)}
+                     if hasattr(os, "sched_getscheduler") else set())
+    assert _mixed_schedule() == (result, events, root_policies)

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         --run seq-stream-16=1-10 --run skip-mixed-32=0,1,2,3,10 \\
-        [--what TEXT]
+        [--what TEXT] [--unpinned]
 
 The parent's committed files are unpacked with `git archive` into a
 temporary directory. For each workload and seed, `simbench/run.py --workload
@@ -13,7 +13,9 @@ host's speed falls on every workload alike. The output holds every run's
 last line and, per workload and end-to-end metric, each side's quartiles,
 the change/parent ratio of the medians and the number of pairs in which the
 change reads better, with the direction of "better" taken from
-BENCHMARK.json. This script reads simbench/ and BENCHMARK.json but never
+BENCHMARK.json. With --unpinned, simbench runs with os.sched_setaffinity
+made a no-op, so its process keeps every CPU it was given instead of pinning
+itself to one. This script reads simbench/ and BENCHMARK.json but never
 writes to them.
 """
 
@@ -31,6 +33,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# Runs simbench/run.py as its own __main__, with pinning disabled.
+UNPINNED = ("import os, runpy; os.sched_setaffinity = lambda *_: None; "
+            "runpy.run_path('simbench/run.py', run_name='__main__')")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -52,9 +57,10 @@ def schedule(plan: dict[str, list[int]]) -> list[tuple[str, int, bool]]:
     return jobs
 
 
-def run_once(tree: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "simbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+def run_once(tree: Path, workload: str, seed: int, unpinned: bool) -> dict:
+    cmd = [sys.executable, *(["-c", UNPINNED] if unpinned
+                             else ["simbench/run.py"]),
+           "--workload", workload, "--seed", str(seed), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     digest = re.search(r"csv_sha256 ([0-9a-f]{64})", proc.stdout)
@@ -118,6 +124,8 @@ def main(argv=None) -> int:
                         help="e.g. seq-stream-16=1-10; may repeat")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--what", default="", help="what the change is")
+    parser.add_argument("--unpinned", action="store_true",
+                        help="keep simbench from pinning itself to one CPU")
     args = parser.parse_args(argv)
 
     plan = {}
@@ -140,7 +148,7 @@ def main(argv=None) -> int:
         for workload, seed, parent_first in schedule(plan):
             sides = [("parent", parent), ("change", ROOT)]
             for side, tree in sides if parent_first else sides[::-1]:
-                result = run_once(tree, workload, seed)
+                result = run_once(tree, workload, seed, args.unpinned)
                 runs.append({"side": side, "workload": workload,
                              "seed": seed, **result})
                 metrics = result["line"].get("metrics", {})
@@ -156,7 +164,8 @@ def main(argv=None) -> int:
         "parent": parent_rev,
         "command": "python3 simbench/run.py --workload W --seed N --trace 0 "
                    "(default --seconds); each entry is the last line it "
-                   "prints.",
+                   "prints." + (" Run unpinned: os.sched_setaffinity was a "
+                                "no-op." if args.unpinned else ""),
         "order": order + ". For each seed and workload the two sides ran "
                  "back to back, the parent first on a workload's 1st, 3rd, "
                  "5th... pair and the change first on the others; "
