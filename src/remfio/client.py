@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     AuthError,
+    HandleBusyError,
     NotFoundError,
     ProtocolError,
     QueueOverflowError,
@@ -120,7 +121,8 @@ class HandleCounters:
 
 
 class ClientHandle:
-    """One open remote file. Single-session: no concurrent calls."""
+    """One open remote file. A read or seek during another call on it
+    raises HandleBusyError; a close may come from any task."""
 
     def __init__(self, config: ClientConfig, path: str, handle_id: int,
                  file_size: int, control, data=None) -> None:
@@ -140,6 +142,7 @@ class ClientHandle:
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
         self._closed = False
+        self._busy = False  # a read or seek is in progress
 
     # -- counters ------------------------------------------------------------
 
@@ -149,6 +152,15 @@ class ClientHandle:
         self.counters.bytes_wire = self._control.delivered_payload + (
             0 if self._data is None else self._data.delivered_payload)
 
+    def _enter(self, call: str) -> None:
+        """Start a read or seek: refuse it on a closed or busy handle."""
+        if self._closed:
+            raise StaleHandleError(f"{call} on closed handle {self.handle_id}")
+        if self._busy:
+            raise HandleBusyError(
+                f"{call} on handle {self.handle_id} during another call")
+        self._busy = True
+
     # -- read ------------------------------------------------------------------
 
     def read(self, length: int) -> bytes:
@@ -156,17 +168,17 @@ class ClientHandle:
 
         Short only at EOF; advances the position by what was returned.
         """
-        if self._closed:
-            raise StaleHandleError(f"read on closed handle {self.handle_id}")
-        if length <= 0:
-            raise ValueError("read length must be positive")
+        self._enter("read")
         t0 = self._rt.now()
         try:
+            if length <= 0:
+                raise ValueError("read length must be positive")
             if self.mode is ReadMode.NORMAL:
                 data = self._request(self.logical_position, length)
             else:
                 data = self._read_buffered(length)
         finally:
+            self._busy = False
             self.counters.read_time += self._rt.now() - t0
             self._sync_wire()
         self.counters.bytes_consumed += len(data)
@@ -228,25 +240,27 @@ class ClientHandle:
     def seek(self, offset: int) -> int:
         """Move the logical position; returns the new (always correct)
         position."""
-        if self._closed:
-            raise StaleHandleError(f"seek on closed handle {self.handle_id}")
-        if not 0 <= offset <= self.file_size:
-            raise RangeError(
-                f"seek to {offset} outside [0, {self.file_size}]")
-        if self.mode is ReadMode.STREAM:
-            if offset != self.logical_position:
-                self._restart_stream(offset)
-        elif self.mode is ReadMode.READAHEAD:
-            start = self._buf_start
-            if start <= offset < start + len(self._buf):
-                pass  # buffer retained; reads keep serving from it
-            elif offset < self._expected:
-                # the stream has already passed this offset
-                self._restart_stream(offset)
-            else:
-                self._buf = b""  # ahead of the stream: let the push catch up
-        self.logical_position = offset
-        return self.logical_position
+        self._enter("seek")
+        try:
+            if not 0 <= offset <= self.file_size:
+                raise RangeError(
+                    f"seek to {offset} outside [0, {self.file_size}]")
+            if self.mode is ReadMode.STREAM:
+                if offset != self.logical_position:
+                    self._restart_stream(offset)
+            elif self.mode is ReadMode.READAHEAD:
+                start = self._buf_start
+                if start <= offset < start + len(self._buf):
+                    pass  # buffer retained; reads keep serving from it
+                elif offset < self._expected:
+                    # the stream has already passed this offset
+                    self._restart_stream(offset)
+                else:
+                    self._buf = b""  # ahead of the stream: let it catch up
+            self.logical_position = offset
+            return self.logical_position
+        finally:
+            self._busy = False
 
     def _restart_stream(self, offset: int) -> None:
         self._control.send(StreamStart(self.handle_id, offset))

@@ -34,68 +34,54 @@ ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
 _U64 = (1 << 64) - 1
 
 
-def _tile(seed: int) -> np.ndarray:
+def _tile(seed: int) -> memoryview:
+    """The seed's tile, as a read-only view."""
     key = np.array([seed & _U64, 0], dtype=np.uint64)
     draws = np.random.Philox(key=key).random_raw(TILE // 8)
-    return draws.astype("<u8", copy=False).view(np.uint8)
+    tile = draws.astype("<u8", copy=False).view(np.uint8)
+    tile.flags.writeable = False
+    return memoryview(tile)
+
+
+# _tile, memoized for the few seeds in use
+_tile_view = functools.lru_cache(maxsize=4)(_tile)
+
+
+def _views(tile: memoryview, index: int, size: int, offset: int,
+           end: int) -> Iterator[memoryview]:
+    """Bytes [offset, end) of pool file `index` of `size` bytes, as views of
+    the seed's tile: one per block touched, or two where it wraps past the
+    tile's end."""
+    blocks = -(-size // BLOCK)
+    while offset < end:
+        b, j = divmod(offset, BLOCK)
+        m = min(BLOCK - j, end - offset)
+        r = ((index * blocks + b) * ODD + j) % TILE
+        yield tile[r:r + m]  # stops at the tile's end
+        if r + m > TILE:
+            yield tile[:r + m - TILE]
+        offset += m
 
 
 def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
-    """Yield the content of pool file `index` as read-only views of the
-    seed's tile, made once per call.
-
-    Each block is one view of at most BLOCK bytes, or two where it wraps
-    past the tile's end; Philox is counter-based, so the tile for a given
-    seed is identical across platforms and numpy versions. The tile cannot
-    be written, so a caller may keep every view.
-    """
+    """The content of pool file `index`, as read-only views of the seed's
+    tile, made once per call; Philox is counter-based, so the tile for a
+    given seed is identical across platforms and numpy versions. The tile
+    cannot be written, so a caller may keep every view."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    tile = _tile(seed)
-    tile.flags.writeable = False
-    view = memoryview(tile)
-    k = index * -(-size // BLOCK)
-    for start in range(0, size, BLOCK):
-        r = k * ODD % TILE
-        m = min(BLOCK, size - start)
-        yield view[r:r + m]  # stops at the tile's end
-        if r + m > TILE:
-            yield view[:r + m - TILE]
-        k += 1
-
-
-@functools.lru_cache(maxsize=4)
-def _tile_view(seed: int) -> memoryview:
-    """The seed's tile as a read-only view, kept for the few seeds in use."""
-    tile = _tile(seed)
-    tile.flags.writeable = False
-    return memoryview(tile)
+    return _views(_tile(seed), index, size, 0, size)
 
 
 def content_range(seed: int, index: int, size: int, offset: int,
                   n: int) -> bytes:
     """Bytes [offset, offset + n) of pool file `index`, clamped to its size:
-    file_content(seed, index, size)[offset:offset + n] without making the
-    file.
-
-    The range is cut from views of the seed's tile, which is memoized, and
-    joined in one copy.
-    """
+    file_content(seed, index, size)[offset:offset + n], joined in one copy
+    from views of the seed's tile, which is memoized."""
     if offset < 0 or n < 0:
         raise ValueError("offset and n must be non-negative")
-    end = min(offset + n, size)
-    blocks = -(-size // BLOCK)
-    tile = _tile_view(seed)
-    parts = []
-    while offset < end:
-        b, j = divmod(offset, BLOCK)
-        m = min(BLOCK - j, end - offset)
-        r = ((index * blocks + b) * ODD + j) % TILE
-        parts.append(tile[r:r + m])  # stops at the tile's end
-        if r + m > TILE:
-            parts.append(tile[:r + m - TILE])
-        offset += m
-    return b"".join(parts)
+    return b"".join(_views(_tile_view(seed), index, size, offset,
+                           min(offset + n, size)))
 
 
 def checksum_bytes(data: bytes) -> int:

@@ -26,36 +26,30 @@ bytes gets one empty chunk. bytes_sent_wire is the payload that actually
 went out on that connection. A session ends when its control connection
 closes, whichever end closes it. Shutdown then forgets it and closes its
 connections without waiting for the pipeline: the reader and sender each
-end on a None queued behind the last job, and the reader closes the file.
-Every refusal is an ErrorReply, counted and sent by one method; one that
-comes before a session exists also closes the connection.
+end on a None queued behind the last job. Every refusal is an ErrorReply,
+counted and sent by one method; one that comes before a session exists
+also closes the connection.
 
 Where a session's bytes come from: the disk model charges a read's time, so
-fetching the bytes is host work only. A file written by seed_file holds
-remfio.content's bytes for its key, so its reads are cut from the seed's
-tile (content_range) and its session opens no file. A file written by
-import_file holds arbitrary bytes, which its session reads from the pool
-file. If that file can no longer be opened, the open is refused with
-STALE_REPLICA; if it reads short, the reader sends STALE_REPLICA on the
-control connection and hangs it up, which ends the session.
+fetching the bytes is host work only, and a session reads no file. A seeded
+file's reads are cut from its seed's tile (content_range); an imported
+file's bytes are kept in memory for the server's life.
 
-Pool layout on disk: flat files named by a hash of the namespace path, plus
-an append-only sidecar manifest, one tab-separated line per write: path,
-filename, size, checksum and, for a seed_file write, the content key
-"seed:index" (empty for import_file). Lines of four columns, from before
-the key was kept, load as imported files. seed_file writes the bytes too,
-so that checkers can read every pool file from disk.
+Pool layout on disk: the seeded files, named by a hash of the namespace
+path so that checkers can read them, plus an append-only manifest with one
+tab-separated line per seed_file write: path, filename, size, checksum and
+the content key "seed:index". Imported files have no line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .content import content_chunks, content_range
+from .content import checksum_bytes, content_chunks, content_range
 from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
@@ -105,13 +99,20 @@ class DiskModel:
 
 @dataclass
 class PoolFile:
-    """One physical file in the pool directory."""
+    """One file in the pool: a seeded file, whose bytes are cut from its
+    seed's tile, or an imported one, whose bytes are kept here."""
 
     path: str
-    location: Path
     size: int
     checksum: int
     key: tuple[int, int] | None = None  # (seed, index) of a seeded file
+    data: bytes = field(default=b"", repr=False)  # an imported file's bytes
+
+    def read(self, offset: int, n: int) -> bytes:
+        """Bytes [offset, offset + n) of the file, clamped to its size."""
+        if self.key is not None:
+            return content_range(*self.key, self.size, offset, n)
+        return self.data[offset:offset + n]
 
 
 def _pool_filename(path: str) -> str:
@@ -161,75 +162,69 @@ class DiskServer:
     def import_file(self, path: str,
                     chunks: Iterable[bytes | bytearray | memoryview],
                     *, checksum: int | None = None) -> PoolFile:
-        """Write a file into the pool and record it in the sidecar manifest.
-
-        Chunks may be any bytes-like objects (bytes, bytearray, memoryview);
-        each is written and hashed as it comes, the size counts their bytes
-        and the checksum is the blake2b-64 of their concatenation. Sessions
-        read the file back from disk.
-
-        Re-importing a path overwrites its bytes; the manifest is append-only
-        and the loader keeps the last record per path. The bytes go to a
-        temporary file that replaces the pool file only once the checksum
-        matches, so a rejected import leaves the old file and record intact.
-        Paths holding a tab or line break, the manifest's separators, are
-        rejected before anything is written.
-        """
-        return self._write(path, chunks, checksum, None)
+        """Add a file of the given bytes to the pool, kept in memory for the
+        server's life. Chunks may be any bytes-like objects; the size counts
+        their bytes and the checksum is the blake2b-64 of their
+        concatenation. A checksum= that does not match raises ValueError and
+        leaves any earlier file at the path in place."""
+        data = b"".join(chunks)
+        digest = checksum_bytes(data)
+        if checksum is not None and checksum != digest:
+            raise ValueError(f"content checksum mismatch for {path}: "
+                             f"expected {checksum:#x}, got {digest:#x}")
+        self.pool[path] = PoolFile(path, len(data), digest, data=data)
+        return self.pool[path]
 
     def seed_file(self, path: str, seed: int, index: int,
                   size: int) -> PoolFile:
-        """Write pool file `index` of remfio.content's seed `seed` as
-        import_file does, and keep its key (seed, index) on the record and
-        in the manifest: sessions cut its bytes from the seed's tile."""
-        return self._write(path, content_chunks(seed, index, size), None,
-                           (seed, index))
-
-    def _write(self, path: str, chunks, checksum: int | None,
-               key: tuple[int, int] | None) -> PoolFile:
+        """Write pool file `index` of remfio.content's seed `seed` to
+        pool_location(path), by way of a temporary file, and record it with
+        its key (seed, index) in the manifest: sessions cut its bytes from
+        the seed's tile. The checksum is the blake2b-64 of the written bytes.
+        A path holding a manifest separator (a tab or line break) is
+        rejected before anything is written."""
         if any(c in path for c in "\t\n\r"):
             raise ValueError(f"pool path holds a tab or line break: {path!r}")
         location = self.pool_location(path)
         partial = location.with_name(location.name + ".partial")
         h = hashlib.blake2b(digest_size=8)
-        size = 0
         try:
             with open(partial, "wb") as f:
-                for chunk in chunks:
-                    size += f.write(chunk)  # bytes, whatever the item size
+                for chunk in content_chunks(seed, index, size):
+                    f.write(chunk)
                     h.update(chunk)
-            digest = int.from_bytes(h.digest(), "big")
-            if checksum is not None and checksum != digest:
-                raise ValueError(
-                    f"content checksum mismatch for {path}: "
-                    f"expected {checksum:#x}, wrote {digest:#x}")
             os.replace(partial, location)
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
-        pool_file = PoolFile(path, location, size, digest, key)
-        self.pool[path] = pool_file
-        column = "" if key is None else f"{key[0]}:{key[1]}"
+        digest = int.from_bytes(h.digest(), "big")
+        self.pool[path] = PoolFile(path, size, digest, (seed, index))
         with open(self._manifest, "a", encoding="utf-8") as f:
-            f.write(f"{path}\t{location.name}\t{size}\t{digest}\t{column}\n")
-        return pool_file
+            f.write(f"{path}\t{location.name}\t{size}\t{digest}"
+                    f"\t{seed}:{index}\n")
+        return self.pool[path]
 
     def _load_pool(self) -> None:
-        with open(self._manifest, "r", encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                path, name, size, checksum, *column = line.split("\t")
-                location = self.pool_dir / name
-                if not location.exists():
-                    continue  # stale record; file was removed underneath us
-                key = None
-                if column and column[0]:
-                    seed, index = column[0].split(":")
-                    key = (int(seed), int(index))
-                self.pool[path] = PoolFile(path, location, int(size),
-                                           int(checksum), key)
+        """Load the manifest's seeded files, the last line per path winning.
+        Any other line is skipped, and seed_pool seeds its path again: one
+        cut short, keyless, or naming a missing or other file. A last line
+        cut short is ended, so that the next append starts a line."""
+        text = self._manifest.read_text(encoding="utf-8", errors="replace")
+        *lines, cut = text.split("\n")
+        if cut:
+            with open(self._manifest, "a", encoding="utf-8") as f:
+                f.write("\n")
+        for line in lines:
+            try:
+                path, name, size, checksum, key = line.split("\t")
+                seed, index = key.split(":")
+                pool_file = PoolFile(path, int(size), int(checksum),
+                                     (int(seed), int(index)))
+            except ValueError:
+                continue
+            location = self.pool_location(path)
+            if location.name == name and location.exists():
+                self.pool[path] = pool_file
 
     # -- connection handling ---------------------------------------------------
 
@@ -267,15 +262,8 @@ class DiskServer:
             return ErrorReply(ErrorCode.STALE_REPLICA, request.path)
         if handle_id in self.sessions:
             return ErrorReply(ErrorCode.PROTOCOL, "handle already open")
-        fh = None
-        if pool_file.key is None:
-            try:
-                fh = open(pool_file.location, "rb")
-            except OSError as exc:
-                return ErrorReply(ErrorCode.STALE_REPLICA,
-                                  f"{request.path}: {exc.strerror}")
         session = _Session(self, handle_id, ReadMode(request.mode),
-                           request.iobufsize, pool_file, fh, conn)
+                           request.iobufsize, pool_file, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
         conn.try_send(OpenReply(handle_id, pool_file.size))
@@ -331,7 +319,7 @@ class _Session:
     """Server-side state and pipeline for one open handle."""
 
     def __init__(self, server: DiskServer, handle_id: int, mode: ReadMode,
-                 iobufsize: int, pool_file: PoolFile, fh,
+                 iobufsize: int, pool_file: PoolFile,
                  control_conn) -> None:
         self._server = server
         self._rt = server._rt
@@ -339,15 +327,13 @@ class _Session:
         self.mode = mode
         self.iobufsize = max(1, iobufsize)
         self.size = pool_file.size
+        self._file = pool_file
         self.control_conn = control_conn
         self.data_conn = None
         # the connection chunks go out on; a STREAM session's is attached
         self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
         self.epoch = 0
-        # the open pool file, or None where bytes come from the tile
-        self._fh = fh
-        self._key = pool_file.key
         # jobs are (epoch, offset, end), chunks (epoch, offset, payload);
         # None itself closes
         self._jobs = self._rt.channel()
@@ -400,13 +386,9 @@ class _Session:
         chunk_cap = MAX_CHUNK_PAYLOAD
         if self.mode in (ReadMode.READBUF, ReadMode.READAHEAD):
             chunk_cap = min(chunk_cap, self.iobufsize)
-        try:
-            while (job := self._jobs.get()) is not None:
-                self._serve(*job, chunk_cap)
-            self._chunks.put(None)
-        finally:
-            if self._fh is not None:
-                self._fh.close()
+        while (job := self._jobs.get()) is not None:
+            self._serve(*job, chunk_cap)
+        self._chunks.put(None)
 
     def _disk_read(self, offset: int, n: int) -> bytes:
         """Charge the disk model, then return n bytes at offset."""
@@ -414,10 +396,7 @@ class _Session:
             self._rt.sleep(self._server.disk.seek_latency)
         self._server._pump.acquire(self.handle_id, n)
         self.current_offset = offset + n
-        if self._fh is None:
-            return content_range(*self._key, self.size, offset, n)
-        self._fh.seek(offset)
-        return self._fh.read(n)
+        return self._file.read(offset, n)
 
     def _serve(self, epoch: int, offset: int, end: int,
                chunk_cap: int) -> None:
@@ -434,20 +413,8 @@ class _Session:
             self._chunks.put((epoch, offset, b""))
         while pos < end and epoch == self.epoch and not self._out.closed:
             n = min(chunk_cap, end - pos)
-            data = self._disk_read(pos, n)
-            if len(data) < n:
-                self._fail(f"pool file ends before byte {pos + n}")
-                return
-            self._chunks.put((epoch, pos, data))
+            self._chunks.put((epoch, pos, self._disk_read(pos, n)))
             pos += n
-
-    def _fail(self, detail: str) -> None:
-        """End the session on a pool file that reads short: refuse with
-        STALE_REPLICA, then hang up the control connection, whose callback
-        shuts the session down."""
-        self._server._refuse(self.control_conn,
-                             ErrorReply(ErrorCode.STALE_REPLICA, detail))
-        self.control_conn.close()
 
     # -- sender task ---------------------------------------------------------
 

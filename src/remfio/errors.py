@@ -56,6 +56,10 @@ class StaleHandleError(RemfioError):
     """Request referenced a handle the server no longer tracks."""
 
 
+class HandleBusyError(RemfioError):
+    """Call on a handle while another call on it is still in progress."""
+
+
 class RangeError(RemfioError):
     """Seek offset outside [0, file_size]."""
 

@@ -168,24 +168,24 @@ def test_seed_pool_midway_failure_cleans_up(tmp_path):
 
 
 def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
-    # a pool kept from before the manifest's key column: its rows load, a
-    # seeded file is written again once, from the tile formula, and served
-    # from the tile from then on; an imported file still reads from disk
+    # a pool kept from before the manifest's key column: its keyless rows
+    # are skipped, so a seeded file is written again once, from the tile
+    # formula, and served from the tile from then on; a file imported then
+    # is not in the pool
     pool = tmp_path / "pool"
-    pool.mkdir()
+    _, _, empty = _stack(tmp_path)  # names the pool files
     path = bench_path(9, 64 * KiB, 0)
     old = bytes(64 * KiB)  # bytes from before the tile formula
-    imported = b"user bytes"
     rows = []
-    for p, name, data in ((path, "seeded.dat", old),
-                          ("/user/a", "imported.dat", imported)):
-        (pool / name).write_bytes(data)
-        rows.append(f"{p}\t{name}\t{len(data)}\t{checksum_bytes(data)}\n")
+    for p, data in ((path, old), ("/user/a", b"user bytes")):
+        location = empty.pool_location(p)
+        location.write_bytes(data)
+        rows.append(f"{p}\t{location.name}\t{len(data)}\t"
+                    f"{checksum_bytes(data)}\n")
     (pool / MANIFEST_NAME).write_text("".join(rows))
 
     _, head, srv = _stack(tmp_path)
-    assert srv.pool[path].checksum == checksum_bytes(old)
-    assert srv.pool[path].key is None and srv.pool["/user/a"].key is None
+    assert srv.pool == {}
     [entry] = seed_pool(head, srv, 1, 64 * KiB, seed=9)
     new = file_content(9, 0, 64 * KiB)
     assert entry.checksum == srv.pool[path].checksum == checksum_bytes(new)
@@ -199,27 +199,47 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
     seed_pool(head2, srv2, 1, 64 * KiB, seed=9)
     assert srv2.pool_location(path).stat().st_mtime_ns == mtime
     assert len((pool / MANIFEST_NAME).read_text().splitlines()) == 3
+    assert set(srv2.pool) == {path}
     assert srv2.pool[path].key == (9, 0)
-    assert srv2.pool["/user/a"].key is None
-    head2.register_file("/user/a", len(imported), srv2.address,
-                        srv2.pool["/user/a"].checksum)
-
-    def read_whole(p, size):
-        cfg = ClientConfig(rt2, srv2._net, token=TOKEN, profile=ZERO_PROFILE)
-        h = rf_open(p, cfg)
-        data = rf_read(h, size)
-        rf_close(h)
-        return data, list(pool_reads)
 
     def scenario():
         head2.start()
         srv2.start()
-        return (read_whole(path, 64 * KiB),
-                read_whole("/user/a", len(imported)))
+        cfg = ClientConfig(rt2, srv2._net, token=TOKEN, profile=ZERO_PROFILE)
+        h = rf_open(path, cfg)
+        data = rf_read(h, 64 * KiB)
+        rf_close(h)
+        return data, list(pool_reads)
 
-    seeded, user = rt2.run(scenario)
-    assert seeded == (new, [])
-    assert user == (imported, [str(pool / "imported.dat")])
+    assert rt2.run(scenario) == (new, [])
+
+
+@pytest.mark.parametrize("cut,lost", [
+    (lambda text: text[:-2], True),  # inside the key, losing the line break
+    (lambda text: text.rsplit("\t", 1)[0], True),  # the whole key column
+    (lambda text: text.rsplit("\t", 1)[0] + "\n", True),  # keyless line
+    (lambda text: text + "/a\tx.dat\t12", False),  # a line of the next append
+], ids=["in-key", "key", "keyless", "next-line"])
+def test_a_manifest_line_cut_short_is_skipped(tmp_path, cut, lost):
+    # an append that fails part way, as on a full disk, leaves the last
+    # manifest line cut short: the pool still loads, without that line,
+    # seed_pool seeds its file again, and the new line is kept
+    pool = tmp_path / "pool"
+    _, head, srv = _stack(tmp_path)
+    seed_pool(head, srv, 2, 4 * KiB, seed=3)
+    first, last = (bench_path(3, 4 * KiB, i) for i in (0, 1))
+    mtime = srv.pool_location(first).stat().st_mtime_ns
+    (pool / MANIFEST_NAME).write_text(cut((pool / MANIFEST_NAME).read_text()))
+
+    _, head2, srv2 = _stack(tmp_path)
+    assert set(srv2.pool) == ({first} if lost else {first, last})
+    seed_pool(head2, srv2, 2, 4 * KiB, seed=3)
+    assert srv2.pool == srv.pool
+    assert srv2.pool_location(first).stat().st_mtime_ns == mtime
+    assert srv2.pool_location(last).read_bytes() == file_content(3, 1, 4 * KiB)
+
+    _, head3, srv3 = _stack(tmp_path)
+    assert srv3.pool == srv.pool
 
 
 def test_a_round_after_seeding_opens_no_pool_file(tmp_path, pool_reads):

@@ -25,11 +25,11 @@ from remfio.errors import (
     AuthError,
     ConnectionClosedError,
     EncodeError,
+    HandleBusyError,
     NotFoundError,
     ProtocolError,
     QueueOverflowError,
     RangeError,
-    RemfioError,
     StaleHandleError,
     StaleReplicaError,
     TransportError,
@@ -668,45 +668,98 @@ def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
     assert got != want
 
 
-@pytest.mark.parametrize("fault", ["deleted", "truncated"])
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_an_imported_file_changed_on_disk_raises_a_typed_error(
-        tmp_path, mode, fault):
-    # an imported file is read from disk: one deleted after the import is
-    # refused at the open, and one cut short ends the session when a read
-    # reaches the cut; either way the client gets a RemfioError, not a
-    # server crash or a deadlock
+def test_an_imported_file_is_served_exactly(tmp_path, mode):
+    # an imported file's bytes are kept in memory, not in the pool
+    # directory, and served exactly in every mode, across seeks both ways
     rt = VirtualRuntime()
-    size = MiB
-    data = file_content(2, 0, size)
+    size = MiB + 3
+    data = random.Random(5).randbytes(size)
 
     def scenario():
         net, head, srv, _ = _stack(rt, tmp_path, [])
-        pf = srv.import_file("/pool/a", [data])
+        pf = srv.import_file("/pool/a", [data[:1000], data[1000:]])
         head.register_file("/pool/a", size, srv.address, pf.checksum)
-        if fault == "deleted":
-            pf.location.unlink()
-        else:
-            with open(pf.location, "r+b") as f:
-                f.truncate(300_000)
-        pos = 0
-        with pytest.raises(RemfioError) as caught:
-            h = rf_open("/pool/a", _config(rt, net, mode,
+        h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=64 * KiB,
+                                       profile=WAN_PROFILE))
+        got = [rf_read(h, 200 * KiB)]
+        rf_seek(h, 700 * KiB + 1)
+        got.append(rf_read(h, size))
+        rf_seek(h, 10)
+        got.append(rf_read(h, 100))
+        rf_close(h)
+        return got, list((tmp_path / "pool").iterdir())
+
+    got, files = rt.run(scenario)
+    assert got == [data[:200 * KiB], data[700 * KiB + 1:], data[10:110]]
+    assert files == []
+
+
+def test_a_file_the_server_lacks_raises_stale_replica(tmp_path):
+    # the namespace names a replica whose server does not hold the file:
+    # the open is refused with STALE_REPLICA, which the client raises as a
+    # typed error, and no session is left
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, head, srv, _ = _stack(rt, tmp_path, [])
+        head.register_file("/pool/ghost", MiB, srv.address, 0)
+        with pytest.raises(StaleReplicaError):
+            rf_open("/pool/ghost", _config(rt, net, ReadMode.NORMAL,
                                            profile=WAN_PROFILE))
-            while got := rf_read(h, 64 * KiB):
-                assert got == data[pos:pos + len(got)]
-                pos += len(got)
-        assert pos < 300_000
         rt.sleep(1.0)
         assert srv.sessions == {}
-        return caught.value, srv.counters["stale_replicas"]
+        return srv.counters["stale_replicas"]
 
-    error, refusals = rt.run(scenario)
-    expected = StaleReplicaError
-    if fault == "truncated" and mode is ReadMode.STREAM:
-        expected = ConnectionClosedError  # the refusal is on control
-    assert type(error) is expected
-    assert refusals == 1
+    assert rt.run(scenario) == 1
+
+
+@pytest.mark.parametrize("call", ["read", "seek"])
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_call_on_a_busy_handle_raises_handle_busy(tmp_path, mode, call):
+    # a second task calls the handle while a read waits on the network:
+    # the call is refused at once, the waiting read returns exact bytes,
+    # the position stays within the file and the handle serves on
+    rt = VirtualRuntime()
+    size = 4 * MiB
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        data = contents["/pool/a"]
+        h = rf_open("/pool/a", _config(rt, net, mode, profile=WAN_PROFILE))
+        reader = rt.spawn(rf_read, h, 2 * MiB, name="reader")
+        rt.sleep(0.001)
+        assert not reader.finished
+        with pytest.raises(HandleBusyError):
+            if call == "read":
+                rf_read(h, 64 * KiB)
+            else:
+                rf_seek(h, 3 * MiB)
+        assert rt.join(reader) == data[:2 * MiB]
+        assert h.logical_position == 2 * MiB
+        assert rf_read(h, 64 * KiB) == data[2 * MiB:2 * MiB + 64 * KiB]
+        assert h.logical_position == 2 * MiB + 64 * KiB <= size
+        rf_close(h)
+
+    rt.run(scenario)
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_close_from_another_task_ends_a_waiting_read(tmp_path, mode):
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        h = rf_open("/pool/a", _config(rt, net, mode, profile=WAN_PROFILE))
+        reader = rt.spawn(rf_read, h, 2 * MiB, name="reader")
+        rt.sleep(0.001)
+        rf_close(h)
+        with pytest.raises(ConnectionClosedError):
+            rt.join(reader)
+        with pytest.raises(StaleHandleError):
+            rf_read(h, KiB)
+
+    rt.run(scenario)
 
 
 # -- counters and lifecycle ---------------------------------------------------------

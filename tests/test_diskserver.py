@@ -63,52 +63,73 @@ def _assert_quiet(rt, conn):
 
 
 def test_import_and_reload_pool(tmp_path):
+    # seeded files reload from the manifest; an imported file lives in the
+    # server's memory only, so a server on the same pool_dir lacks it
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
     data_a = _seed(srv, "/pool/a", 300 * KiB, index=0)
-    _seed(srv, "/pool/b", 77, index=1)
+    seeded = srv.seed_file("/pool/b", 1, 1, 77)
     assert srv.pool["/pool/a"].size == 300 * KiB
     assert srv.pool["/pool/a"].checksum == checksum_bytes(data_a)
 
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path)
-    assert set(srv2.pool) == {"/pool/a", "/pool/b"}
+    assert srv2.pool == {"/pool/b": seeded}
     assert srv2.pool["/pool/b"].size == 77
-    with open(srv2.pool["/pool/a"].location, "rb") as f:
-        assert f.read() == data_a
+    assert srv2.pool_location("/pool/b").read_bytes() == file_content(1, 1, 77)
+
+
+def test_import_writes_nothing_under_pool_dir(tmp_path):
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path)
+    data = _seed(srv, "/pool/a", 300 * KiB)
+    assert list((tmp_path / "pool").iterdir()) == []
+    assert srv.pool["/pool/a"].read(0, 300 * KiB) == data
+    assert srv.pool["/pool/a"].read(100, 7) == data[100:107]
+    assert srv.pool["/pool/a"].read(300 * KiB - 3, 64) == data[-3:]
 
 
 def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
-    # seed_file writes and hashes the content as import_file would, and
-    # records (seed, index) in a fifth column; import_file leaves it empty
+    # seed_file writes and hashes the content, and records (seed, index) in
+    # a fifth column; an import of the same bytes gets the same size and
+    # checksum, no key and no manifest line
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
     size = 300 * KiB
     seeded = srv.seed_file("/pool/s", 7, 3, size)
     imported = srv.import_file("/pool/i", content_chunks(7, 3, size))
     data = file_content(7, 3, size)
-    assert seeded.location.read_bytes() == data
+    location = srv.pool_location("/pool/s")
+    assert location.read_bytes() == data
     assert (seeded.size, seeded.checksum) == (size, checksum_bytes(data))
     assert (imported.size, imported.checksum) == (size, checksum_bytes(data))
     assert (seeded.key, imported.key) == ((7, 3), None)
     rows = [line.split("\t") for line in
             (tmp_path / "pool" / "pool-manifest.tsv").read_text().splitlines()]
-    assert [row[4] for row in rows] == ["7:3", ""]
+    assert rows == [["/pool/s", location.name, str(size),
+                     str(seeded.checksum), "7:3"]]
 
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path)
-    assert srv2.pool == {"/pool/s": seeded, "/pool/i": imported}
+    assert srv2.pool == {"/pool/s": seeded}
 
 
 def test_reimport_keeps_last_record(tmp_path):
+    # a re-import replaces the file in memory; a re-seed appends a manifest
+    # line, and the loader keeps the last line per path
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
     _seed(srv, "/pool/a", 100, index=0)
     newer = _seed(srv, "/pool/a", 200, index=5)
+    assert srv.pool["/pool/a"].size == 200
+    assert srv.pool["/pool/a"].checksum == checksum_bytes(newer)
+    assert srv.pool["/pool/a"].read(0, 300) == newer
+    srv.seed_file("/pool/s", 1, 0, 100)
+    reseeded = srv.seed_file("/pool/s", 1, 5, 200)
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path)
-    assert srv2.pool["/pool/a"].size == 200
-    assert srv2.pool["/pool/a"].checksum == checksum_bytes(newer)
+    assert srv2.pool == {"/pool/s": reseeded}
+    assert reseeded.checksum == checksum_bytes(file_content(1, 5, 200))
 
 
 def test_import_checksum_mismatch_rejected(tmp_path):
@@ -116,6 +137,7 @@ def test_import_checksum_mismatch_rejected(tmp_path):
     _, srv = _mk_server(rt, tmp_path)
     with pytest.raises(ValueError):
         srv.import_file("/pool/x", [b"abc"], checksum=1234)
+    assert srv.pool == {}
 
 
 def test_rejected_reimport_keeps_old_bytes_and_record(tmp_path):
@@ -125,33 +147,31 @@ def test_rejected_reimport_keeps_old_bytes_and_record(tmp_path):
     with pytest.raises(ValueError):
         srv.import_file("/a", [b"NEW"], checksum=123)
     assert srv.pool["/a"] == old
-    assert old.location.read_bytes() == b"old-bytes"
-    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == sorted(
-        [old.location.name, "pool-manifest.tsv"])  # no partial file left
-    rt2 = VirtualRuntime()
-    _, srv2 = _mk_server(rt2, tmp_path)
-    assert srv2.pool["/a"] == old
-    assert srv2.pool["/a"].location.read_bytes() == b"old-bytes"
+    assert srv.pool["/a"].read(0, 64) == b"old-bytes"
 
 
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"],
                          ids=["tab", "newline", "return"])
 def test_import_rejects_manifest_separators_in_path(tmp_path, char):
+    # seed_file, the one writer of manifest lines, refuses a path holding
+    # a separator before it writes anything
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
-    srv.import_file("/pool/ok", [b"ok"])
+    ok = srv.seed_file("/pool/ok", 1, 0, 2)
     with pytest.raises(ValueError):
-        srv.import_file(f"/pool/a{char}b", [b"abc"])
+        srv.seed_file(f"/pool/a{char}b", 1, 1, 3)
     assert set(srv.pool) == {"/pool/ok"}
+    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == sorted(
+        [srv.pool_location("/pool/ok").name, "pool-manifest.tsv"])
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path)  # the pool still reloads
-    assert set(srv2.pool) == {"/pool/ok"}
+    assert srv2.pool == {"/pool/ok": ok}
 
 
 @pytest.mark.parametrize("kind", [memoryview, bytearray, bytes])
 def test_import_accepts_bytes_like_chunks(tmp_path, kind):
     # content_chunks yields memoryviews; any bytes-like chunk gives the
-    # same pool bytes and checksum
+    # same file bytes and checksum
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path)
     size = 2 * MiB + 5
@@ -159,11 +179,11 @@ def test_import_accepts_bytes_like_chunks(tmp_path, kind):
     chunks = [kind(c) for c in content_chunks(3, 2, size)]
     pf = srv.import_file("/pool/a", chunks, checksum=checksum_bytes(data))
     assert pf.size == size
-    assert pf.location.read_bytes() == data
+    assert pf.read(0, size) == data
     cut = [kind(data[i:i + 333 * KiB]) for i in range(0, size, 333 * KiB)]
     other = srv.import_file("/pool/b", cut)
     assert (other.size, other.checksum) == (size, pf.checksum)
-    assert other.location.read_bytes() == data
+    assert other.read(0, size) == data
 
 
 def test_import_counts_bytes_of_a_wide_memoryview(tmp_path):
@@ -173,7 +193,7 @@ def test_import_counts_bytes_of_a_wide_memoryview(tmp_path):
     pf = srv.import_file("/pool/w", [memoryview(words)])
     assert pf.size == 24
     assert pf.checksum == checksum_bytes(words.tobytes())
-    assert pf.location.read_bytes() == words.tobytes()
+    assert pf.read(0, 24) == words.tobytes()
 
 
 # -- open path -------------------------------------------------------------------
@@ -650,7 +670,6 @@ def test_control_hang_up_ends_the_session_from_the_callback(tmp_path):
         assert not queue._getters
         rt.sleep(1.0)
         assert not [t.name for t in rt._tasks if t.name.startswith("ds-")]
-        assert session._fh.closed
 
     rt.run(scenario)
 
@@ -934,8 +953,8 @@ def test_hang_up_ends_session_and_keeps_its_stats(tmp_path):
 def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
     # the client hangs up in the middle of a push, with no message first:
     # rtt/2 later the session is gone, its pipeline stops sending once the
-    # chunks already on their way are out, and its tasks end and its file
-    # closes without the control handler waiting for them
+    # chunks already on their way are out, and its tasks end without the
+    # control handler waiting for them
     rt = VirtualRuntime()
     half_rtt = WAN_PROFILE.rtt / 2
 
@@ -968,7 +987,6 @@ def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
         assert session.bytes_sent_wire == sent
         assert not [t.name for t in rt._tasks
                     if t.name in ("ds-read-1", "ds-send-1")]
-        assert session._fh.closed
 
     rt.run(scenario)
 
