@@ -26,6 +26,12 @@ dropped; because any restarted stream re-reads the same file sequentially,
 this single rule keeps the delivered byte sequence exact across seeks in
 both directions.
 
+rf_read returns a read-only memoryview in every mode, also when it is
+empty: a read that lies inside one received chunk is a view of that chunk's
+payload, which for a seeded pool file is a view of its seed's content tile,
+so no byte is copied between the pool content and the caller. A read across
+chunks is joined once. bytes(result) makes an owned copy.
+
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
 pushed bytes the client later discarded). The transfer rate reported at
@@ -163,10 +169,14 @@ class ClientHandle:
 
     # -- read ------------------------------------------------------------------
 
-    def read(self, length: int) -> bytes:
-        """Return up to `length` bytes from the current position.
+    def read(self, length: int) -> memoryview:
+        """Return up to `length` bytes from the current position, as a
+        read-only memoryview; bytes(result) makes an owned copy.
 
-        Short only at EOF; advances the position by what was returned.
+        Short only at EOF; advances the position by what was returned. A
+        read inside one received chunk is a view of that chunk's payload,
+        which may be shared with the server's pool content; a read across
+        chunks is joined in one copy.
         """
         self._enter("read")
         t0 = self._rt.now()
@@ -183,10 +193,11 @@ class ClientHandle:
             self._sync_wire()
         self.counters.bytes_consumed += len(data)
         self.logical_position += len(data)
-        return data
+        return memoryview(data).toreadonly()
 
-    def _request(self, pos: int, length: int) -> bytes:
-        """One ReadRequest round trip: the bytes before EOF, b"" at EOF."""
+    def _request(self, pos: int, length: int):
+        """One ReadRequest round trip: the bytes before EOF, b"" at EOF;
+        a lone chunk's payload is returned as it is."""
         self._control.send(ReadRequest(self.handle_id, pos, length))
         self.request_count += 1
         expected = min(length, max(0, self.file_size - pos))
@@ -198,13 +209,14 @@ class ClientHandle:
         while expected > 0:
             parts.append(_expect(self._control.recv(), DataChunk).payload)
             expected -= len(parts[-1])
-        return b"".join(parts)  # a lone bytes part is returned as it is
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def _read_buffered(self, length: int) -> bytes:
+    def _read_buffered(self, length: int):
         """Serve from the buffer; refill it on a miss.
 
         READBUF refills with one request of iobufsize, clamped at EOF; the
         push modes take the next pushed chunk that reaches the position.
+        A lone part is returned as a view of the buffer, not a copy.
         """
         pos = self.logical_position
         end = min(pos + length, self.file_size)
@@ -224,9 +236,9 @@ class ClientHandle:
                 if offset + len(payload) > pos:  # else skipped-over bytes
                     self._buf = payload
                     self._buf_start = offset
-        return b"".join(parts)
+        return parts[0] if len(parts) == 1 else b"".join(parts)
 
-    def _next_pushed_chunk(self) -> tuple[int, bytes]:
+    def _next_pushed_chunk(self) -> tuple[int, bytes | memoryview]:
         """Next in-sequence chunk of the live stream."""
         conn = self._data if self.mode is ReadMode.STREAM else self._control
         while True:
@@ -332,7 +344,7 @@ def rf_open(path: str, config: ClientConfig) -> ClientHandle:
     return handle
 
 
-def rf_read(handle: ClientHandle, length: int) -> bytes:
+def rf_read(handle: ClientHandle, length: int) -> memoryview:
     return handle.read(length)
 
 

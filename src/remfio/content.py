@@ -17,6 +17,12 @@ a pool of up to TILE blocks (256 GiB) starts at its own rotation, and a range
 shifted by a byte, another block of the same file or the same block of
 another file reads other bytes. Checksums are 64-bit blake2b digests, matching the width of the
 checksum field carried in namespace replies.
+
+Content is handed out as read-only views, not copies. The stored tile is
+followed by its first BLOCK bytes again, so a block read cyclically from any
+rotation is one slice of it: content_chunks yields one view per block, and
+content_range returns a lone view of the memoized tile for a range inside
+one block. The extra bytes are storage only; the formula is unchanged.
 """
 
 from __future__ import annotations
@@ -35,10 +41,18 @@ _U64 = (1 << 64) - 1
 
 
 def _tile(seed: int) -> memoryview:
-    """The seed's tile, as a read-only view."""
+    """The seed's tile followed by its first BLOCK bytes again, as a
+    read-only view, so that a block read at any rotation is one slice.
+
+    Philox is drawn BLOCK bytes at a time into the one array, so building
+    the tile never holds a second copy of it."""
     key = np.array([seed & _U64, 0], dtype=np.uint64)
-    draws = np.random.Philox(key=key).random_raw(TILE // 8)
-    tile = draws.astype("<u8", copy=False).view(np.uint8)
+    bitgen = np.random.Philox(key=key)
+    tile = np.empty(TILE + BLOCK, dtype=np.uint8)
+    words = tile[:TILE].view("<u8")
+    for i in range(0, TILE // 8, BLOCK // 8):
+        words[i:i + BLOCK // 8] = bitgen.random_raw(BLOCK // 8)
+    tile[TILE:] = tile[:BLOCK]
     tile.flags.writeable = False
     return memoryview(tile)
 
@@ -50,16 +64,13 @@ _tile_view = functools.lru_cache(maxsize=4)(_tile)
 def _views(tile: memoryview, index: int, size: int, offset: int,
            end: int) -> Iterator[memoryview]:
     """Bytes [offset, end) of pool file `index` of `size` bytes, as views of
-    the seed's tile: one per block touched, or two where it wraps past the
-    tile's end."""
+    the seed's tile, one per block touched."""
     blocks = -(-size // BLOCK)
     while offset < end:
         b, j = divmod(offset, BLOCK)
         m = min(BLOCK - j, end - offset)
         r = ((index * blocks + b) * ODD + j) % TILE
-        yield tile[r:r + m]  # stops at the tile's end
-        if r + m > TILE:
-            yield tile[:r + m - TILE]
+        yield tile[r:r + m]  # r < TILE and m <= BLOCK: never past the copy
         offset += m
 
 
@@ -74,14 +85,16 @@ def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
 
 
 def content_range(seed: int, index: int, size: int, offset: int,
-                  n: int) -> bytes:
+                  n: int) -> memoryview:
     """Bytes [offset, offset + n) of pool file `index`, clamped to its size:
-    file_content(seed, index, size)[offset:offset + n], joined in one copy
-    from views of the seed's tile, which is memoized."""
+    file_content(seed, index, size)[offset:offset + n], as a read-only view.
+    A range inside one block is a view of the seed's memoized tile, with no
+    copy; a range across blocks is joined in one copy."""
     if offset < 0 or n < 0:
         raise ValueError("offset and n must be non-negative")
-    return b"".join(_views(_tile_view(seed), index, size, offset,
-                           min(offset + n, size)))
+    views = list(_views(_tile_view(seed), index, size, offset,
+                        min(offset + n, size)))
+    return views[0] if len(views) == 1 else memoryview(b"".join(views))
 
 
 def checksum_bytes(data: bytes) -> int:

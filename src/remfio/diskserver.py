@@ -33,7 +33,10 @@ also closes the connection.
 Where a session's bytes come from: the disk model charges a read's time, so
 fetching the bytes is host work only, and a session reads no file. A seeded
 file's reads are cut from its seed's tile (content_range); an imported
-file's bytes are kept in memory for the server's life.
+file's bytes are kept in memory for the server's life. Either way a read is
+a read-only view, not a copy, and it travels as the DataChunk payload: a
+read inside one block of a seeded file reaches the client as a view of the
+tile itself.
 
 Pool layout on disk: the seeded files, named by a hash of the namespace
 path so that checkers can read them, plus an append-only manifest with one
@@ -108,11 +111,12 @@ class PoolFile:
     key: tuple[int, int] | None = None  # (seed, index) of a seeded file
     data: bytes = field(default=b"", repr=False)  # an imported file's bytes
 
-    def read(self, offset: int, n: int) -> bytes:
-        """Bytes [offset, offset + n) of the file, clamped to its size."""
+    def read(self, offset: int, n: int) -> memoryview:
+        """Bytes [offset, offset + n) of the file, clamped to its size, as a
+        read-only view: of the seed's tile or of the imported bytes."""
         if self.key is not None:
             return content_range(*self.key, self.size, offset, n)
-        return self.data[offset:offset + n]
+        return memoryview(self.data)[offset:offset + n]
 
 
 def _pool_filename(path: str) -> str:
@@ -390,7 +394,7 @@ class _Session:
             self._serve(*job, chunk_cap)
         self._chunks.put(None)
 
-    def _disk_read(self, offset: int, n: int) -> bytes:
+    def _disk_read(self, offset: int, n: int) -> memoryview:
         """Charge the disk model, then return n bytes at offset."""
         if offset != self.current_offset:
             self._rt.sleep(self._server.disk.seek_latency)

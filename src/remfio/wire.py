@@ -96,9 +96,13 @@ class ReadRequest:
 
 @dataclass(frozen=True)
 class DataChunk:
+    """File bytes at offset. The payload is any read-only bytes-like object,
+    often a view of the pool content shared with other chunks; nothing may
+    write through it."""
+
     handle_id: int
     offset: int
-    payload: bytes
+    payload: bytes | memoryview
 
 
 @dataclass(frozen=True)

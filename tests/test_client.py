@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from remfio import diskserver
+from remfio import content, diskserver
 from remfio.client import (
     ClientConfig,
     rf_close,
@@ -42,7 +42,7 @@ from remfio.netemu import (
     EmulatedNetwork,
 )
 from remfio.runtime import VirtualRuntime
-from remfio.wire import NsLookupReply, ReadMode, StreamStart
+from remfio.wire import DataChunk, NsLookupReply, ReadMode, StreamStart
 
 TOKEN = "shared-secret"
 KiB = 1024
@@ -760,6 +760,92 @@ def test_a_close_from_another_task_ends_a_waiting_read(tmp_path, mode):
             rf_read(h, KiB)
 
     rt.run(scenario)
+
+
+# -- what rf_read returns ------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_rf_read_returns_a_read_only_view_in_every_case(tmp_path, mode):
+    # the type never depends on how a read meets the chunks: inside one
+    # chunk, across chunks, cut short at EOF, and the empty read at EOF
+    rt = VirtualRuntime()
+    size = MiB + 3
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=64 * KiB))
+        got = [(rf_read(h, KiB), 0, KiB),
+               (rf_read(h, 300 * KiB), KiB, 301 * KiB)]
+        rf_seek(h, size - 10)
+        got += [(rf_read(h, 100), size - 10, size),
+                (rf_read(h, 100), size, size)]
+        rf_close(h)
+        return got, contents["/pool/a"]
+
+    got, data = rt.run(scenario)
+    for view, start, end in got:
+        assert type(view) is memoryview and view.readonly, (start, end)
+        assert view == data[start:end], (start, end)
+        if len(view):
+            with pytest.raises(TypeError):
+                view[0] = 0
+    assert len(got[-1][0]) == 0
+
+
+def test_a_chunk_aligned_stream_read_is_a_view_of_the_tile(tmp_path):
+    # the mechanism: a 64 KiB read inside one pushed chunk shares memory
+    # with the seed's tile, so no byte was copied on the way
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
+        got = [rf_read(h, 64 * KiB) for _ in range(4)]
+        rf_close(h)
+        return got, contents["/pool/a"]
+
+    got, data = rt.run(scenario)
+    tile = content._tile_view(1).obj
+    for i, view in enumerate(got):
+        assert view.obj is tile
+        assert view == data[i * 64 * KiB:(i + 1) * 64 * KiB]
+
+
+def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(
+        tmp_path, monkeypatch):
+    # a DataChunk payload and an rf_read result keep their tile alive after
+    # the memo forgets the seed, and still equal the file
+    sent = []
+
+    def recording_chunk(*args):
+        sent.append(DataChunk(*args))
+        return sent[-1]
+
+    monkeypatch.setattr(diskserver, "DataChunk", recording_chunk)
+    rt = VirtualRuntime()
+    size = MiB
+
+    def scenario():
+        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", size)])
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
+        rf_seek(h, 2 * BLOCK)
+        got = rf_read(h, 64 * KiB)
+        rf_close(h)
+        return got
+
+    got = rt.run(scenario)
+    chunk = sent[0]
+    old_tile = content._tile_view(1).obj
+    assert got.obj is old_tile and chunk.payload.obj is old_tile
+    content._tile_view.cache_clear()
+    for seed in range(2, 6):
+        content_range(seed, 0, size, 0, 1)
+    assert content._tile_view(1).obj is not old_tile
+    data = file_content(1, 0, size)
+    assert got == data[2 * BLOCK:2 * BLOCK + 64 * KiB]
+    assert chunk.payload == data[chunk.offset:chunk.offset
+                                 + len(chunk.payload)]
 
 
 # -- counters and lifecycle ---------------------------------------------------------

@@ -126,10 +126,45 @@ def test_content_range_cuts_the_file(seed, index, size):
     cases, wrapped = _ranges(index, size)
     for offset, n in cases:
         got = content_range(seed, index, size, offset, n)
-        assert type(got) is bytes
+        assert type(got) is memoryview and got.readonly
         assert got == data[offset:offset + n], (offset, n)
     if size > 4 * MiB:
         assert wrapped  # some block of these files wraps past the tile
+
+
+@pytest.mark.parametrize("size", [BLOCK_BYTES + 1, 4 * MiB + 5, 12 * MiB])
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_content_chunks_yields_one_view_per_block(seed, index, size):
+    # one view per block, also for the blocks whose rotation reads past the
+    # tile's end and so wrap back to its start
+    views = list(content_chunks(seed, index, size))
+    starts = range(0, size, BLOCK_BYTES)
+    assert [len(v) for v in views] == [min(BLOCK_BYTES, size - s)
+                                       for s in starts]
+    wraps = [s for s in starts if _rotation(index, size, s // BLOCK_BYTES)
+             + min(BLOCK_BYTES, size - s) > TILE_BYTES]
+    if size > 4 * MiB:
+        assert wraps
+    data = _expected(seed, index, size)
+    for s, v in zip(starts, views):
+        assert v == data[s:s + len(v)]
+
+
+def test_a_range_inside_one_block_is_a_view_of_the_tile():
+    # no copy: the range shares memory with the memoized tile, also where
+    # its block wraps past the tile's end
+    size = 4 * MiB + 5
+    tile = content._tile_view(1).obj
+    wrapping = [b for b in range(-(-size // BLOCK_BYTES))
+                if _rotation(0, size, b) + BLOCK_BYTES > TILE_BYTES]
+    assert wrapping
+    for offset in (0, 1000, wrapping[0] * BLOCK_BYTES):
+        got = content_range(1, 0, size, offset, 64 * KiB)
+        assert got.obj is tile
+        assert got == file_content(1, 0, size)[offset:offset + 64 * KiB]
+    # across a block boundary, one joined copy
+    got = content_range(1, 0, size, BLOCK_BYTES - 8, 16)
+    assert got.obj is not tile and got.readonly
 
 
 def test_content_range_rejects_negative_arguments():

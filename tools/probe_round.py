@@ -1,0 +1,174 @@
+"""Count what simbench rounds cost the host on the read path.
+
+    python3 tools/probe_round.py --workload seq-stream-16 --seed 1 [--rounds 5]
+
+Seeds a fresh pool with simbench's own seed_fresh_pool, pins the process to
+one CPU as simbench/run.py does, and runs simbench's run_round --rounds
+times, cycling through its stagger draws and collecting garbage before each
+round, as simbench's timed rounds do. Per round it prints, as one JSON
+object per line:
+
+- the bytes the read path copies, by site. A site copies when the bytes it
+  returns live in a `bytes` object that none of its inputs owns:
+  - `content_range` (its input is the seed's tile);
+  - `PoolFile.read` (its inputs are what content_range returned inside the
+    call, and an imported file's bytes);
+  - `ClientHandle.read` (its inputs are the DataChunk payloads the handle
+    received during the call, and its buffer at the call's start);
+- `ru_minflt`, the process's minor page faults during the round.
+
+The last line is the median of each count over the rounds. The probe wraps
+remfio's functions in this process only; it writes nothing under simbench/
+and changes no file there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import os
+import resource
+import statistics
+import sys
+import tempfile
+import threading
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SITES = ("content_range", "PoolFile.read", "ClientHandle.read")
+STAGGER_DRAWS = 8  # simbench's timed rounds cycle through this many draws
+
+
+def base_of(buf):
+    """The object that owns buf's memory: a memoryview's exporter, or buf
+    itself."""
+    return buf.obj if isinstance(buf, memoryview) else buf
+
+
+class ReadPathCopies:
+    """Bytes copied per site, counted by wrapping remfio's read path."""
+
+    def __init__(self) -> None:
+        self.bytes = dict.fromkeys(SITES, 0)
+        self._last_range = None  # base of content_range's latest result
+        self._received = threading.local()  # payload bases, per carrier
+
+    def note(self, site: str, result, inputs) -> None:
+        """Count result at site if its bytes are a copy: held by a bytes
+        object that is none of the inputs."""
+        base = base_of(result)
+        if (isinstance(base, (bytes, bytearray))
+                and not any(base is i for i in inputs)):
+            self.bytes[site] += memoryview(result).nbytes
+
+    def install(self, diskserver, client) -> list:
+        """Wrap the three sites and the client's reply check in the given
+        modules; returns (owner, name, original) for uninstall()."""
+        saved = [(diskserver, "content_range", diskserver.content_range),
+                 (diskserver.PoolFile, "read", diskserver.PoolFile.read),
+                 (client.ClientHandle, "read", client.ClientHandle.read),
+                 (client, "_expect", client._expect)]
+        content_range, pool_read, handle_read, expect = (
+            original for _, _, original in saved)
+
+        def counted_range(*args):
+            got = content_range(*args)
+            self._last_range = base_of(got)
+            self.note("content_range", got, ())
+            return got
+
+        def counted_pool_read(pool_file, offset, n):
+            self._last_range = None
+            got = pool_read(pool_file, offset, n)
+            self.note("PoolFile.read", got,
+                      (self._last_range, pool_file.data))
+            return got
+
+        def counted_expect(msg, want):
+            got = expect(msg, want)
+            received = getattr(self._received, "bases", None)
+            if received is not None and isinstance(got, client.DataChunk):
+                received.append(base_of(got.payload))
+            return got
+
+        def counted_handle_read(handle, length):
+            received = self._received.bases = [base_of(handle._buf)]
+            try:
+                got = handle_read(handle, length)
+            finally:
+                self._received.bases = None
+            self.note("ClientHandle.read", got, received)
+            return got
+
+        diskserver.content_range = counted_range
+        diskserver.PoolFile.read = counted_pool_read
+        client.ClientHandle.read = counted_handle_read
+        client._expect = counted_expect
+        return saved
+
+    @staticmethod
+    def uninstall(saved: list) -> None:
+        for owner, name, original in saved:
+            setattr(owner, name, original)
+
+
+def summarize(rounds: list[dict]) -> dict:
+    """The median of every count over the rounds, with copies also in MiB."""
+    out = {key: statistics.median(r[key] for r in rounds)
+           for key in rounds[0]}
+    out["copied_mib"] = out["copied_bytes"] / (1 << 20)
+    return out
+
+
+def probe(w, seed: int, rounds: int, pool_dir: Path) -> list[dict]:
+    """Seed a fresh pool for workload w and run `rounds` counted rounds."""
+    import remfio.client
+    import remfio.diskserver
+    from workloads import run_round, seed_fresh_pool
+
+    seed_fresh_pool(w, seed, pool_dir)
+    counter = ReadPathCopies()
+    saved = counter.install(remfio.diskserver, remfio.client)
+    rows = []
+    try:
+        for rep in range(rounds):
+            gc.collect()
+            counter.bytes = dict.fromkeys(SITES, 0)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            run_round(w, seed, pool_dir, rep=rep % STAGGER_DRAWS)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            rows.append({**{f"copied_bytes.{s}": n
+                            for s, n in counter.bytes.items()},
+                         "copied_bytes": sum(counter.bytes.values()),
+                         "ru_minflt": faults})
+    finally:
+        counter.uninstall(saved)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
+
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "simbench")]
+    import workloads
+    if hasattr(os, "sched_setaffinity"):  # as simbench/run.py pins itself
+        os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    with tempfile.TemporaryDirectory(prefix="probe-round-") as tmp:
+        rows = probe(workloads.WORKLOADS[args.workload], args.seed,
+                     args.rounds, Path(tmp) / "pool")
+    for i, row in enumerate(rows):
+        print(json.dumps({"round": i, **row}), flush=True)
+    print(json.dumps({"workload": args.workload, "seed": args.seed,
+                      "rounds": args.rounds, "median": summarize(rows)}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
