@@ -6,8 +6,8 @@ Every session runs a small pipeline on the server side:
 
 After the OpenReply, the session's control connection is served by a
 callback (EmuConnection.serve) that runs in the event loop, not by a task:
-it turns each request into a job and never blocks, so a refusal it makes
-goes out from a short task of its own. The reader and sender are tasks.
+it turns each request into a job and never waits, so a refusal it makes
+goes out from a short task of its own. Every task here is a generator task.
 A job asks for one byte range of the file. In NORMAL and READBUF a
 ReadRequest is a range job; in READAHEAD and STREAM a StreamStart is a push
 job that runs to the end of the file, and a ReadRequest is refused. A
@@ -232,30 +232,30 @@ class DiskServer:
 
     # -- connection handling ---------------------------------------------------
 
-    def _serve(self, conn) -> None:
+    def _serve(self, conn):
         try:
-            first = conn.recv()
+            first = yield conn.recv()
         except ConnectionClosedError:
             conn.close()
             return
         if isinstance(first, OpenRequest):
-            refusal = self._run_control(conn, first)
+            refusal = yield from self._run_control(conn, first)
         elif isinstance(first, StreamStart):
             refusal = self._run_data(conn, first)
         else:
             refusal = ErrorReply(ErrorCode.PROTOCOL,
                                  "expected OpenRequest or StreamStart")
         if refusal is not None:
-            self._refuse(conn, refusal)
+            yield from self._refuse(conn, refusal)
             conn.close()
 
-    def _refuse(self, conn, refusal: ErrorReply) -> None:
+    def _refuse(self, conn, refusal: ErrorReply):
         counter = _REFUSAL_COUNTERS.get(refusal.code)
         if counter is not None:
             self.counters[counter] += 1
-        conn.try_send(refusal)
+        yield conn.try_send(refusal)
 
-    def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
+    def _run_control(self, conn, request: OpenRequest):
         """Open a session and hand its control connection to _on_control;
         the refusal if the open is not admitted."""
         handle_id = verify_session_token(request.token, self._shared)
@@ -270,7 +270,7 @@ class DiskServer:
                            request.iobufsize, pool_file, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
-        conn.try_send(OpenReply(handle_id, pool_file.size))
+        yield conn.try_send(OpenReply(handle_id, pool_file.size))
         conn.serve(lambda msg: self._on_control(session, msg))
         return None
 
@@ -386,24 +386,23 @@ class _Session:
 
     # -- reader task ---------------------------------------------------------
 
-    def _read_loop(self) -> None:
+    def _read_loop(self):
         chunk_cap = MAX_CHUNK_PAYLOAD
         if self.mode in (ReadMode.READBUF, ReadMode.READAHEAD):
             chunk_cap = min(chunk_cap, self.iobufsize)
-        while (job := self._jobs.get()) is not None:
-            self._serve(*job, chunk_cap)
-        self._chunks.put(None)
+        while (job := (yield from self._jobs.take())) is not None:
+            yield from self._serve(*job, chunk_cap)
+        yield from self._chunks.give(None)
 
-    def _disk_read(self, offset: int, n: int) -> memoryview:
+    def _disk_read(self, offset: int, n: int):
         """Charge the disk model, then return n bytes at offset."""
         if offset != self.current_offset:
-            self._rt.sleep(self._server.disk.seek_latency)
-        self._server._pump.acquire(self.handle_id, n)
+            yield self._rt.sleep(self._server.disk.seek_latency)
+        yield self._server._pump.acquire(self.handle_id, n)
         self.current_offset = offset + n
         return self._file.read(offset, n)
 
-    def _serve(self, epoch: int, offset: int, end: int,
-               chunk_cap: int) -> None:
+    def _serve(self, epoch: int, offset: int, end: int, chunk_cap: int):
         """Queue [offset, end), clamped to the file, for the sender in
         chunks of at most chunk_cap, until the session epoch moves on or
         the connection the chunks go out on closes.
@@ -414,16 +413,17 @@ class _Session:
         end = min(end, self.size)
         pos = min(offset, end)
         if pos == end and self.mode not in _PUSH_MODES:  # EOF or empty read
-            self._chunks.put((epoch, offset, b""))
+            yield from self._chunks.give((epoch, offset, b""))
         while pos < end and epoch == self.epoch and not self._out.closed:
             n = min(chunk_cap, end - pos)
-            self._chunks.put((epoch, pos, self._disk_read(pos, n)))
+            payload = yield from self._disk_read(pos, n)
+            yield from self._chunks.give((epoch, pos, payload))
             pos += n
 
     # -- sender task ---------------------------------------------------------
 
-    def _send_loop(self) -> None:
-        while (item := self._chunks.get()) is not None:
+    def _send_loop(self):
+        while (item := (yield from self._chunks.take())) is not None:
             epoch, offset, payload = item
             conn = self._out
             msg = DataChunk(self.handle_id, offset, payload)
@@ -433,6 +433,6 @@ class _Session:
                 if conn.closed:
                     break
                 if conn.try_reserve_data_credit():
-                    conn.try_send(msg, credit_reserved=True)
+                    yield conn.try_send(msg, credit_reserved=True)
                     break
-                self._kicks.get()
+                yield from self._kicks.take()

@@ -22,6 +22,7 @@ without a callback to the headnode.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -132,10 +133,10 @@ class Headnode:
 
     def start(self) -> None:
         """Register both listeners."""
-        self._net.listen(self.ns_address,
-                         lambda conn: self._serve(conn, self._answer_lookup))
-        self._net.listen(self.open_address,
-                         lambda conn: self._serve(conn, self._answer_open))
+        self._net.listen(self.ns_address, functools.partial(
+            self._serve, answer=self._answer_lookup))
+        self._net.listen(self.open_address, functools.partial(
+            self._serve, answer=self._answer_open))
 
     @property
     def ns_address(self) -> str:
@@ -167,10 +168,13 @@ class Headnode:
 
     # -- request handling --------------------------------------------------
 
-    def _serve(self, conn, answer) -> None:
+    def _serve(self, conn, answer):
         """Send answer(request) for the one request on conn, then hang up."""
         try:
-            conn.try_send(answer(conn.recv()))
+            reply = answer((yield conn.recv()))
+            if not isinstance(reply, Message):  # a generator of it
+                reply = yield from reply
+            yield conn.try_send(reply)
         except ConnectionClosedError:
             pass  # the client hung up first
         conn.close()
@@ -186,7 +190,7 @@ class Headnode:
             return ErrorReply(ErrorCode.NOT_FOUND, msg.path)
         return NsLookupReply(entry.replica_address, entry.size, entry.checksum)
 
-    def _answer_open(self, msg) -> Message:
+    def _answer_open(self, msg):
         """Broker one open: book the next service slot and sleep until it
         ends, unless the request is refused first."""
         if not isinstance(msg, OpenRequest):
@@ -203,7 +207,7 @@ class Headnode:
         done = self._free_at = (max(now, self._free_at) +
                                 self.queue_model.service_time_per_open)
         self._in_broker += 1
-        self._rt.sleep(done - now)
+        yield self._rt.sleep(done - now)
         self._in_broker -= 1
         entry = self._namespace.get(msg.path)
         if entry is None:

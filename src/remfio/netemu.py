@@ -76,11 +76,7 @@ def throughput_cap(profile: LinkProfile, active_connections: int) -> float:
     return min(share, profile.per_connection_window / profile.rtt)
 
 
-class _ClosedSentinel:
-    pass
-
-
-_CLOSED = _ClosedSentinel()
+_CLOSED = object()  # queued behind a stream's last message
 
 
 class EmulatedNetwork:
@@ -212,7 +208,7 @@ class EmuConnection:
     # -- data path ----------------------------------------------------------
 
     def send(self, msg: Message, *, credit_reserved: bool = False) -> None:
-        """Transmit one frame; blocks for window space and bandwidth share.
+        """Transmit one frame; waits for window space and bandwidth share.
 
         The frame goes out in slices, each as large as the free window allows
         and none smaller than window // 8 unless it ends the frame; it is
@@ -220,19 +216,25 @@ class EmuConnection:
         connection at once interleave whole slices, so each task's frames
         arrive in the order it sent them.
 
+        The waits are one body, _transmit: a carrier task runs it here, a
+        generator task from its yield after send().
+
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
         frame_len = self._admit(msg, credit_reserved)
-        rt = self._rt
         pump = self._net._pump(self.profile, self._direction)
+        self._rt._run(self._transmit(msg, frame_len, pump))
+
+    def _transmit(self, msg: Message, frame_len: int, pump):
+        rt = self._rt
         remaining = frame_len
         while remaining > 0:
             # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
             # an eighth of the window, or the rest of the frame, to be free
             while self._window_avail < min(remaining, self._min_slice):
-                self._window_kick.get()
+                yield from self._window_kick.take()
                 if self._closed or self._peer_closed:
                     self._window_kick.try_put(None)  # wake the next sender
                     raise TransportError(
@@ -240,7 +242,7 @@ class EmuConnection:
             take = min(remaining, self._window_avail)
             self._window_avail -= take
             rt.call_later(self.profile.rtt, self._release_window(take))
-            pump.acquire(self.conn_id, take)  # returns at transmit end
+            yield pump.acquire(self.conn_id, take)  # to transmit end
             remaining -= take
         self.sent_bytes += frame_len
         if isinstance(msg, DataChunk):
@@ -262,8 +264,11 @@ class EmuConnection:
     def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
         """send(), except that a closed connection drops the frame; returns
         whether it went out. For replies whose requester may have gone."""
+        return self._rt._run(self._try_send(msg, credit_reserved))
+
+    def _try_send(self, msg: Message, credit_reserved: bool):
         try:
-            self.send(msg, credit_reserved=credit_reserved)
+            yield self.send(msg, credit_reserved=credit_reserved)
         except TransportError:
             return False
         return True
@@ -283,15 +288,24 @@ class EmuConnection:
         self._queue.put(msg)
 
     def recv(self) -> Message:
-        """Next in-order message; raises ConnectionClosedError at stream end."""
+        """Next in-order message; raises ConnectionClosedError at stream end.
+        A generator task that must wait gets it from a second recv() call."""
         if self._closed:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
         if self._peer_closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
+        if not self._queue and self._rt._current._stack is not None:
+            return self._rt._run(self._recv_queued())
         msg = self._take(self._queue.get())
         if msg is None:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
         return msg
+
+    def _recv_queued(self):
+        while not self._queue:
+            self._queue._getters.append(self._rt._current)
+            yield self._rt._switch(None)
+        return (yield self.recv())
 
     def serve(self, handler: Callable[[Message | None], None]) -> None:
         """Hand each message to handler(msg) as it arrives, then None once

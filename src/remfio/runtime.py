@@ -1,24 +1,26 @@
 """Execution runtime: deterministic virtual time.
 
-Component code (servers, clients, the network emulator) is written in plain
-blocking style against this module's small surface: now/sleep/spawn,
-channels and a byte-fair rate limiter. VirtualRuntime provides it as a
-discrete-event scheduler. Tasks are carried by real threads but exactly one
-runs at any time: the running task hands the baton to the next scheduled
-task whenever it sleeps, blocks or exits. A carrier thread outlives its
-task: once the task finishes, the carrier stays as a spare for the next
-spawn while spares are fewer than unfinished tasks, and exits otherwise, so
-a spawn starts a thread only when no spare is free and idle threads never
-outnumber live tasks. Thread-local state (threading.local, current_thread)
-therefore belongs to the carrier, not to the task, and a task may see what
-an earlier task on its carrier left there. Time is a float that jumps
-straight to the next event, so a simulated minute of transfers costs
-milliseconds, and identical inputs give bit-identical schedules. When the
-root returns, run() unwinds the leftover tasks one at a time in spawn order,
-each raising _TaskShutdown from its blocking call, and then ends every
-spare. When nothing can run (a deadlock) or a callback raises, the world
-stops: the root raises the cause, and from then on any blocking call raises,
-the cause in the root and _TaskShutdown in a task.
+VirtualRuntime is a discrete-event scheduler with a small surface:
+now/sleep/spawn, channels and a byte-fair rate limiter. Time is a float that
+jumps straight to the next event, so a simulated minute of transfers costs
+milliseconds, and identical inputs give bit-identical schedules. One task
+runs at a time. A generator function's task, such as a server's, has no
+thread: the event loop runs it inline up to its next yield. It waits by a
+call and one yield, `x = yield call(...)`: sleep, acquire, and send,
+try_send and recv on a connection queue it where a blocked task would wait,
+keeping one (time, seq) order for both kinds of task, or stack a generator
+body on it to run from the yield, which returns the call's result. Channel
+take and give are bodies, for `yield from`; channel get and put, and join,
+raise RuntimeError where they would block such a task. Any other task, such
+as a client, runs in blocking style on a carrier thread, which hands the
+baton on whenever its task sleeps, blocks or exits, then stays as a spare
+while spares are fewer than unfinished carrier tasks. Thread-local state
+(threading.local, current_thread) belongs to the carrier. When the root
+returns, run() unwinds the leftover tasks one at a time in spawn order, each
+raising _TaskShutdown where it waits, and then ends every spare. When
+nothing can run (a deadlock) or a callback raises, the world stops: the root
+raises the cause, and from then on any blocking call raises, the cause in
+the root and _TaskShutdown in a task.
 
 Each carrier moves itself to Linux's SCHED_BATCH policy when its thread
 starts. A handoff releases the next carrier's baton and then blocks on its
@@ -39,6 +41,7 @@ block; spawn and unbounded channel put and try_put are safe there.
 from __future__ import annotations
 
 import heapq
+import inspect
 import os
 import threading
 import warnings
@@ -55,12 +58,13 @@ class _TaskShutdown(BaseException):
 class Task:
     """Handle to a spawned activity; join() re-raises the task's exception."""
 
-    def __init__(self, name: str, baton: threading.Lock,
-                 thread: threading.Thread):
+    def __init__(self, name: str, gen=None, baton=None, thread=None):
         self.name = name
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
+        self._stack = None if gen is None else [gen]  # + bodies it called
+        self._waiting = False  # a generator task queued to be woken
         self._baton = baton  # its carrier's; held while the task may not run
         self._thread = thread
         self._join_waiters: list[Task] = []
@@ -104,7 +108,8 @@ class VirtualRuntime:
         self._root: Task | None = None
         self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
-        self._spares: list[_Carrier] = []  # never more than len(_tasks)
+        self._spares: list[_Carrier] = []  # never more than _carried
+        self._carried = 0  # unfinished tasks on carriers
         self._stopping = False
         self._failure: BaseException | None = None
         self._ran = False
@@ -129,10 +134,14 @@ class VirtualRuntime:
     # -- tasks ------------------------------------------------------------
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        """Schedule fn(*args) as a task, on a spare carrier if one is free."""
-        carrier = self._spares.pop() if self._spares else self._new_carrier()
-        task = Task(name, carrier.baton, carrier.thread)
-        carrier.job = (task, fn, args)
+        """Schedule fn(*args) as a task, thread-less if fn is a generator."""
+        if inspect.isgeneratorfunction(fn):
+            task = Task(name, fn(*args))
+        else:
+            carrier = self._spares.pop() if self._spares else self._new_carrier()
+            task = Task(name, None, carrier.baton, carrier.thread)
+            carrier.job = (task, fn, args)
+            self._carried += 1
         self._tasks[task] = None
         self._push(self._now, task)
         return task
@@ -169,7 +178,7 @@ class VirtualRuntime:
         self._ran = True
         baton = threading.Lock()
         baton.acquire()
-        self._root = self._current = Task("root", baton,
+        self._root = self._current = Task("root", None, baton,
                                           threading.current_thread())
         try:
             result = fn(*args)
@@ -181,6 +190,9 @@ class VirtualRuntime:
                 task = next(iter(self._tasks))
                 del self._tasks[task]
                 self._current = task
+                if task._stack is not None:
+                    self._step(task, _TaskShutdown())
+                    continue
                 task._baton.release()
                 task._thread.join(timeout=5.0)
                 if task._thread.is_alive():
@@ -206,13 +218,32 @@ class VirtualRuntime:
 
     def _park(self) -> None:
         """Block the current task until someone makes it runnable again."""
+        if self._current._stack is not None:
+            raise RuntimeError(f"generator task {self._current.name!r} made "
+                               "a blocking call; it must yield to wait")
         self._switch(None)
+
+    def _run(self, body):
+        """Stack body on a generator task, or run it to its end on a carrier."""
+        cur = self._current
+        if cur._stack is not None:
+            cur._stack.append(body)
+            return None
+        value = None
+        try:
+            while True:
+                value = body.send(value)  # the call's result, sent back
+        except StopIteration as stop:
+            return stop.value
 
     def _switch(self, reschedule_at: float | None) -> None:
         cur = self._current
         if not self._stopping:
             if reschedule_at is not None:
                 self._push(reschedule_at, cur)
+            if cur._stack is not None:
+                cur._waiting = True
+                return
             self._handoff(cur)
             if not self._stopping:
                 return
@@ -237,8 +268,11 @@ class VirtualRuntime:
             if t > self._now:
                 self._now = t
             if isinstance(entry, Task):
-                nxt = entry
-                break
+                if entry._stack is None:
+                    nxt = entry
+                    break
+                self._step(entry)
+                continue
             try:
                 entry()  # timer callback, runs inline
             except BaseException as exc:
@@ -253,19 +287,60 @@ class VirtualRuntime:
                              else DeadlockError(cause))
             self._stopping = True
             nxt = self._root
+        self._current = nxt
         if nxt is cur:
             return
-        self._current = nxt
         nxt._baton.release()
         if cur is not None:
             cur._baton.acquire()
+
+    def _step(self, task: Task, exc: BaseException | None = None) -> None:
+        """Step a generator task (exc raised at its yield) until it waits or
+        ends: a yield runs a stacked body, waits, or returns what it yields."""
+        self._current = task
+        task._waiting = False
+        stack = task._stack
+        value = None
+        while stack:  # empty once finished: a stale wake-up runs nothing
+            gen = stack[-1]
+            try:
+                value, exc = (gen.send(value) if exc is None
+                              else gen.throw(exc)), None
+            except StopIteration as stop:
+                value, exc = stop.value, None
+            except BaseException as err:
+                value, exc = None, err
+            else:
+                if stack[-1] is not gen:
+                    value = None  # start the body it called
+                elif task._waiting:
+                    return
+                continue
+            stack.pop()
+            if not stack:
+                task.result = value
+                task.exc = None if isinstance(exc, _TaskShutdown) else exc
+                self._finish(task)
+                return
+
+    def _finish(self, task: Task) -> None:
+        """Mark task done; an exception nobody joins for is pending."""
+        task.finished = True
+        if task.exc is not None and not task._join_waiters:
+            self._pending.append(task)
+        if self._stopping:
+            return  # run() took the task off _tasks
+        del self._tasks[task]
+        for waiter in task._join_waiters:
+            self._make_runnable(waiter)
+        task._join_waiters.clear()
 
     def _carry(self, carrier: _Carrier) -> None:
         """Carrier thread: run each job handed to it until one ends it.
 
         A finished task's carrier becomes a spare while there are fewer
-        spares than unfinished tasks; otherwise it exits, ending one spare
-        too if there are now more spares than unfinished tasks.
+        spares than unfinished carrier tasks; otherwise it exits, ending one
+        spare too if there are now more spares than unfinished carrier tasks.
         """
         try:  # pid 0 is this thread; the module docstring says why
             os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
@@ -285,21 +360,15 @@ class VirtualRuntime:
                 pass
             except BaseException as exc:
                 task.exc = exc
-                if not task._join_waiters:
-                    self._pending.append(task)
-            task.finished = True
+            self._finish(task)
             if self._stopping:
-                return  # run() took this task off _tasks and is joining it
-            tasks = self._tasks
-            del tasks[task]
-            for waiter in task._join_waiters:
-                self._make_runnable(waiter)
-            task._join_waiters.clear()
+                return  # run() is joining this carrier
+            self._carried -= 1
             spares = self._spares
-            spare = len(spares) < len(tasks)
+            spare = len(spares) < self._carried
             if spare:
                 spares.append(carrier)
-            elif len(spares) > len(tasks):
+            elif len(spares) > self._carried:
                 spares.pop().end()
             del task, fn, args  # a spare holds nothing of its last task
             self._handoff(None)
@@ -351,6 +420,19 @@ class VirtualChannel:
             rt._make_runnable(self._putters.popleft())
         return item
 
+    def take(self):
+        """get() as a generator body: `item = yield from channel.take()`."""
+        while not self._items:
+            self._getters.append(self._rt._current)
+            yield self._rt._switch(None)
+        return self.get()
+
+    def give(self, item):
+        """put() as a generator body: `yield from channel.give(item)`."""
+        while not self.try_put(item):
+            self._putters.append(self._rt._current)
+            yield self._rt._switch(None)
+
     def when_ready(self, fn: Callable[[], None]) -> None:
         """Call fn() once the next item is put, in place of a task parked in
         get(): the put schedules it where it would wake that task. fn runs
@@ -401,7 +483,7 @@ class VirtualRateLimiter:
             # together, in tag order
             self._busy = True
             rt.call_at(rt.now(), self._serve)
-        rt._park()
+        rt._switch(None)
 
     def _serve(self) -> None:
         """Grant queued requests in tag order until one takes time."""

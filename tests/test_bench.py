@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -546,3 +547,38 @@ def test_every_frame_kind_sent_is_read(monkeypatch, name):
     run_benchmark(_wan_runs()[name], seed=7)
     assert sent["DataChunk"] > 0
     assert {kind: n for kind, n in sent.items() if not read[kind]} == {}
+
+
+@pytest.mark.parametrize("mode, profile", [(ReadMode.STREAM, "wan"),
+                                           (ReadMode.READBUF, "lan")],
+                         ids=["stream-wan", "readbuf-lan"])
+def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
+                                           profile):
+    # the headnode's and disk server's tasks are generator tasks, stepped
+    # by the event loop: a run starts one carrier thread per client at most
+    started = []
+    start = threading.Thread.start
+    servers = []
+    spawn = VirtualRuntime.spawn
+
+    def counted_start(thread, *args, **kwargs):
+        started.append(thread)
+        return start(thread, *args, **kwargs)
+
+    def noted_spawn(rt, *args, **kwargs):
+        task = spawn(rt, *args, **kwargs)
+        servers.extend(t for t in rt._tasks
+                       if t.name.startswith(("ds-", "srv-")))
+        return task
+
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
+    monkeypatch.setattr(VirtualRuntime, "spawn", noted_spawn)
+    spec = WorkloadSpec(file_size=2 * MiB, block_size=256 * KiB, mode=mode,
+                        clients=4, stagger_window=0.05, iobufsize=64 * KiB,
+                        net_profile=profile)
+    summary = run_benchmark(spec, seed=5, pool_dir=tmp_path)
+    assert [r.bytes_consumed for r in summary.records] == [2 * MiB] * 4
+    assert 0 < len(started) <= spec.clients
+    kinds = {t.name.rsplit("-", 1)[0] for t in servers}
+    assert {"srv-head:5015", "srv-ds1:5001", "ds-read", "ds-send"} <= kinds
+    assert all(getattr(t, "_stack", None) is not None for t in servers)

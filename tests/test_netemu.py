@@ -509,9 +509,10 @@ def test_recv_after_reported_peer_close_raises_again_at_once():
     rt.run(main)
 
 
-def _served_timeline(use_serve: bool) -> list:
+def _served_timeline(use_serve: bool, generator: bool = False) -> list:
     """(virtual time, message) as a server end hands each one over, None at
-    the end; by serve() or by a task looping on recv()."""
+    the end; by serve(), by a task looping on recv(), or by a generator
+    task doing so."""
     rt = VirtualRuntime()
     seen = []
 
@@ -529,9 +530,17 @@ def _served_timeline(use_serve: bool) -> list:
         except ConnectionClosedError:
             note(None)
 
+    def generator_handler(conn):
+        yield rt.sleep(0.1)
+        try:
+            while True:
+                note((yield conn.recv()))
+        except ConnectionClosedError:
+            note(None)
+
     def main():
         net = EmulatedNetwork(rt)
-        net.listen("svc", handler)
+        net.listen("svc", generator_handler if generator else handler)
         conn = net.connect("svc", WAN_PROFILE)
         conn.send(wire.NsLookup(path="/a"))
         conn.send(wire.NsLookup(path="/b"))
@@ -548,11 +557,44 @@ def _served_timeline(use_serve: bool) -> list:
 def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
     served = _served_timeline(use_serve=True)
     assert served == _served_timeline(use_serve=False)
+    assert served == _served_timeline(use_serve=False, generator=True)
     assert [msg for _, msg in served] == [
         wire.NsLookup(path="/a"), wire.NsLookup(path="/b"),
         wire.NsLookup(path="/c"), None]
     assert served[0][0] == served[1][0] == pytest.approx(
         WAN_PROFILE.rtt / 2 + 0.1)
+
+
+def test_a_generator_handler_gets_each_result_at_its_yield():
+    # recv and try_send stack a body on the generator task, or answer at
+    # once; either way the result comes back at the task's yield
+    rt = VirtualRuntime()
+    results = []
+
+    def echo(conn):
+        try:
+            while True:
+                msg = yield conn.recv()
+                results.append((msg, (yield conn.try_send(msg)), rt.now()))
+        except ConnectionClosedError:
+            gone = yield conn.try_send(wire.NsLookup(path="/gone"))
+            results.append((None, gone, rt.now()))
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", echo)
+        a, b = wire.NsLookup(path="/a"), wire.NsLookup(path="/b")
+        conn = net.connect("svc", WAN_PROFILE, first_msg=a)
+        assert conn.recv() == a
+        conn.send(b)
+        assert conn.recv() == b
+        conn.close()
+        rt.sleep(0.1)
+        return a, b
+
+    a, b = rt.run(main)
+    assert [r[:2] for r in results] == [(a, True), (b, True), (None, False)]
+    assert [round(r[2], 6) for r in results] == [0.006, 0.018, 0.030]
 
 
 def test_determinism_identical_delivery_timelines():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -99,6 +100,101 @@ def test_summary_takes_medians_and_mib():
         "copied_bytes": 2 << 20, "ru_minflt": 20, "copied_mib": 2.0}
 
 
+def test_summary_counts_a_key_a_round_lacks_as_zero():
+    rows = [{"copied_bytes": 0, "gen_steps.ds-send": 4},
+            {"copied_bytes": 0},
+            {"copied_bytes": 0, "gen_steps.ds-send": 6}]
+    assert probe_round.summarize(rows) == {
+        "copied_bytes": 0, "gen_steps.ds-send": 4, "copied_mib": 0.0}
+
+
+def test_task_kind_cuts_the_trailing_number():
+    assert [probe_round.task_kind(n) for n in (
+        "ds-send-12", "srv-ds1:5001-3", "bench-client-0", "root", "task")
+    ] == ["ds-send", "srv-ds1:5001", "bench-client", "root", "task"]
+
+
+class _StandInRuntime:
+    def __init__(self):
+        self._current = None
+        self.calls = []
+
+    def _handoff(self, cur):
+        self.calls.append(("handoff", cur))
+
+    def _step(self, task):
+        self.calls.append(("step", task.name))
+
+
+def test_scheduler_counts_passes_steps_and_thread_starts():
+    # handoff calls on main, A, A, B (after two steps on B), then the round
+    # closes on main: the baton passed main -> A -> B -> main
+    class Thread(threading.Thread):
+        pass
+
+    rt_cls = _StandInRuntime
+    originals = (rt_cls._handoff, rt_cls._step, Thread.start)
+    sched = probe_round.SchedulerCounts()
+    saved = sched.install(rt_cls, Thread)
+    rt = rt_cls()
+
+    def on_thread(body):
+        thread = Thread(target=body)
+        thread.start()
+        thread.join()
+
+    def as_task(name):
+        rt._current = SimpleNamespace(name=name)
+
+    def client():
+        as_task("bench-client-0")
+        rt._handoff(rt._current)
+        rt._handoff(rt._current)
+
+    def server():
+        rt._step(SimpleNamespace(name="ds-send-1"))
+        rt._step(SimpleNamespace(name="ds-read-1"))
+        rt._step(SimpleNamespace(name="ds-send-1"))
+        as_task("srv-head:5015-2")
+        rt._handoff(None)
+
+    as_task("root")
+    rt._handoff(None)
+    on_thread(client)
+    on_thread(server)
+    counts = sched.close_round()
+    assert counts == {
+        "handoff_calls": 4,
+        "baton_passes": 3,
+        "baton_passes.root": 1,
+        "baton_passes.bench-client": 1,
+        "baton_passes.srv-head:5015": 1,
+        "gen_steps": 3,
+        "gen_steps.ds-send": 2,
+        "gen_steps.ds-read": 1,
+        "thread_starts": 2,
+    }
+    assert len(rt.calls) == 7  # every wrapped call reached the original
+    sched.reset()
+    assert sched.close_round()["handoff_calls"] == 0
+    probe_round.ReadPathCopies.uninstall(saved)
+    assert (rt_cls._handoff, rt_cls._step, Thread.start) == originals
+
+
+def test_a_runtime_without_step_is_probed_for_handoffs_only():
+    # a runtime from before generator tasks has no _step to wrap
+    class Runtime:
+        def _handoff(self, cur):
+            pass
+
+    sched = probe_round.SchedulerCounts()
+    saved = sched.install(Runtime, threading.Thread)
+    probe_round.ReadPathCopies.uninstall(saved)
+    assert [name for _, name, _ in saved] == ["_handoff", "start"]
+    assert not hasattr(Runtime, "_step")
+    assert sched.close_round()["gen_steps"] == 0
+
+
 def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     # simbench's shrunken seq-stream-16: every read lies inside one pushed
     # chunk, so no site copies a byte
@@ -114,5 +210,13 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     for row in rows:
         assert row["copied_bytes"] == 0
         assert row["ru_minflt"] >= 0
-        assert set(row) == {*(f"copied_bytes.{s}" for s in probe_round.SITES),
-                            "copied_bytes", "ru_minflt"}
+        assert {*(f"copied_bytes.{s}" for s in probe_round.SITES),
+                "copied_bytes", "ru_minflt", "handoff_calls", "baton_passes",
+                "gen_steps", "context_switches", "thread_starts"} <= set(row)
+        assert row["handoff_calls"] >= row["baton_passes"] > 0
+        assert row["gen_steps"] == sum(
+            n for k, n in row.items() if k.startswith("gen_steps."))
+        # servers run as generator tasks: only the clients start threads
+        assert row["gen_steps"] > 0
+        assert 0 < row["thread_starts"] <= workloads.SMALL[
+            "seq-stream-16"].clients

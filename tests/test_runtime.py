@@ -675,3 +675,144 @@ def test_schedule_is_the_same_without_sched_batch(monkeypatch, fallback):
     root_policies = ({os.sched_getscheduler(0)}
                      if hasattr(os, "sched_getscheduler") else set())
     assert _mixed_schedule() == (result, events, root_policies)
+
+
+# -- generator tasks ---------------------------------------------------------------
+
+
+def test_a_generator_task_waits_on_every_primitive_without_a_thread():
+    baseline = threading.active_count()
+    rt = VirtualRuntime()
+    seen = []
+
+    def server(ch, lim):
+        yield rt.sleep(0.5)
+        seen.append(("slept", rt.now()))
+        item = yield from ch.take()
+        seen.append(("took", item, rt.now()))
+        yield lim.acquire("k", 100)
+        seen.append(("granted", rt.now()))
+        yield from ch.give("back")
+        return "served"
+
+    def main():
+        ch, lim = rt.channel(capacity=1), rt.rate_limiter(100.0)
+        task = rt.spawn(server, ch, lim, name="server")
+        assert threading.active_count() == baseline  # no carrier for it
+        rt.sleep(1.0)
+        ch.put("job")
+        got = rt.join(task)
+        return got, ch.get(), task._thread
+
+    assert rt.run(main) == ("served", "back", None)
+    assert seen == [("slept", 0.5), ("took", "job", 1.0), ("granted", 2.0)]
+
+
+def test_a_generator_task_crash_surfaces_at_join_not_at_once():
+    rt = VirtualRuntime()
+
+    def crasher():
+        yield rt.sleep(0.1)
+        raise ValueError("generator crashed")
+
+    def main():
+        task = rt.spawn(crasher, name="crasher")
+        rt.sleep(1.0)  # the world goes on after the crash
+        assert task.finished and rt.now() == 1.0
+        with pytest.raises(ValueError, match="generator crashed"):
+            rt.join(task)
+        return "joined"
+
+    assert rt.run(main) == "joined"
+
+
+def test_an_unjoined_generator_task_crash_fails_run_at_its_end():
+    rt = VirtualRuntime()
+    ended = []
+
+    def crasher():
+        yield rt.sleep(0.1)
+        raise ValueError("unjoined generator crash")
+
+    def main():
+        rt.spawn(crasher)
+        rt.sleep(1.0)
+        ended.append(rt.now())
+
+    with pytest.raises(ValueError, match="unjoined generator crash"):
+        rt.run(main)
+    assert ended == [1.0]  # the root ran to its end first
+
+
+def test_run_closes_a_generator_task_still_waiting():
+    rt = VirtualRuntime()
+    closed = []
+    tasks = []
+
+    def waiter(ch):
+        try:
+            yield from ch.take()
+        finally:
+            closed.append(rt.now())
+
+    def main():
+        tasks.append(rt.spawn(waiter, rt.channel(), name="waiter"))
+        rt.sleep(1.0)
+        assert tasks[0] in rt._tasks
+
+    rt.run(main)
+    assert closed == [1.0]
+    assert tasks[0].finished and tasks[0].exc is None
+    assert not rt._tasks
+
+
+@pytest.mark.parametrize("call", ["get", "put", "join"])
+def test_a_blocking_call_in_a_generator_task_raises_naming_it(call):
+    rt = VirtualRuntime()
+
+    def wrong(ch):
+        if call == "get":
+            ch.get()  # an empty channel, and no yield
+        elif call == "put":
+            ch.put(1)
+            ch.put(2)  # capacity 1
+        else:
+            rt.join(rt.spawn(rt.sleep, 1.0))
+        yield
+
+    def main():
+        ch = rt.channel(capacity=1)
+        task = rt.spawn(wrong, ch, name="wrong-gen")
+        rt.sleep(0.1)
+        if call == "get":
+            ch.put(None)  # wakes the getter it left queued: nothing runs
+        with pytest.raises(RuntimeError, match="wrong-gen"):
+            rt.join(task)
+        rt.sleep(2.0)
+        return "unhung"
+
+    assert rt.run(main) == "unhung"
+
+
+def test_generator_and_thread_tasks_waking_at_one_instant_run_in_push_order():
+    rt = VirtualRuntime()
+    order = []
+
+    def gen_task(name, delay):
+        yield rt.sleep(delay)
+        order.append(name)
+
+    def thread_task(name, delay):
+        rt.sleep(delay)
+        order.append(name)
+
+    def main():
+        tasks = [rt.spawn(gen_task, "g1", 0.5),
+                 rt.spawn(thread_task, "t1", 0.5),
+                 rt.spawn(gen_task, "g2", 0.5),
+                 rt.spawn(thread_task, "t2", 0.5)]
+        for t in tasks:
+            rt.join(t)
+
+    rt.run(main)
+    assert order == ["g1", "t1", "g2", "t2"]

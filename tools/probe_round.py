@@ -1,4 +1,4 @@
-"""Count what simbench rounds cost the host on the read path.
+"""Count what simbench rounds cost the host: copies and task switches.
 
     python3 tools/probe_round.py --workload seq-stream-16 --seed 1 [--rounds 5]
 
@@ -15,7 +15,17 @@ object per line:
     call, and an imported file's bytes);
   - `ClientHandle.read` (its inputs are the DataChunk payloads the handle
     received during the call, and its buffer at the call's start);
-- `ru_minflt`, the process's minor page faults during the round.
+- `ru_minflt`, the process's minor page faults during the round;
+- `handoff_calls`, the calls of VirtualRuntime._handoff, and of those
+  `baton_passes`, the ones after which another carrier thread holds the
+  baton: consecutive calls made on different threads. Each pass is also
+  counted under the name of the task that gave the baton up, its trailing
+  `-<number>` cut off (`baton_passes.ds-send`);
+- `gen_steps`, the times a generator task ran (VirtualRuntime._step, where
+  the runtime has one), also by task name;
+- `context_switches`, the process's voluntary and involuntary context
+  switches (`ru_nvcsw + ru_nivcsw`) during the round;
+- `thread_starts`, the calls of threading.Thread.start during the round.
 
 The last line is the median of each count over the rounds. The probe wraps
 remfio's functions in this process only; it writes nothing under simbench/
@@ -28,11 +38,13 @@ import argparse
 import gc
 import json
 import os
+import re
 import resource
 import statistics
 import sys
 import tempfile
 import threading
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,10 +125,83 @@ class ReadPathCopies:
             setattr(owner, name, original)
 
 
+def task_kind(name: str) -> str:
+    """A task's name without its trailing -<number>: ds-send-3 -> ds-send."""
+    return re.sub(r"-\d+$", "", name)
+
+
+class SchedulerCounts:
+    """Handoffs, baton passes, generator steps and thread starts, counted
+    by wrapping a runtime class and threading.Thread."""
+
+    def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        self.handoff_calls = 0
+        self.passes: Counter = Counter()  # by the kind of task giving up
+        self.steps: Counter = Counter()  # by the kind of task stepped
+        self.thread_starts = 0
+        self._last = None  # (thread, task kind) of the latest handoff call
+
+    def _note_handoff(self, name: str) -> None:
+        """A handoff call on this thread by task `name`; the baton passed if
+        the previous call was made on another thread."""
+        self.handoff_calls += 1
+        self._note_thread()
+        self._last = (threading.current_thread(), task_kind(name))
+
+    def _note_thread(self) -> None:
+        last = self._last
+        if last is not None and last[0] is not threading.current_thread():
+            self.passes[last[1]] += 1
+
+    def close_round(self) -> dict:
+        """The round's counts; a last pass back to this thread counts too."""
+        self._note_thread()
+        self._last = None
+        return {"handoff_calls": self.handoff_calls,
+                "baton_passes": sum(self.passes.values()),
+                **{f"baton_passes.{k}": n for k, n in self.passes.items()},
+                "gen_steps": sum(self.steps.values()),
+                **{f"gen_steps.{k}": n for k, n in self.steps.items()},
+                "thread_starts": self.thread_starts}
+
+    def install(self, runtime_cls, thread_cls) -> list:
+        """Wrap runtime_cls._handoff, its _step if it has one, and
+        thread_cls.start; returns (owner, name, original) for uninstall()."""
+        saved = [(runtime_cls, "_handoff", runtime_cls._handoff),
+                 (thread_cls, "start", thread_cls.start)]
+        handoff, start = runtime_cls._handoff, thread_cls.start
+
+        def counted_handoff(rt, cur):
+            self._note_handoff(rt._current.name)
+            return handoff(rt, cur)
+
+        def counted_start(thread, *args, **kwargs):
+            self.thread_starts += 1
+            return start(thread, *args, **kwargs)
+
+        runtime_cls._handoff = counted_handoff
+        thread_cls.start = counted_start
+        step = getattr(runtime_cls, "_step", None)
+        if step is not None:
+            saved.append((runtime_cls, "_step", step))
+
+            def counted_step(rt, task, *args):
+                self.steps[task_kind(task.name)] += 1
+                return step(rt, task, *args)
+
+            runtime_cls._step = counted_step
+        return saved
+
+
 def summarize(rounds: list[dict]) -> dict:
-    """The median of every count over the rounds, with copies also in MiB."""
-    out = {key: statistics.median(r[key] for r in rounds)
-           for key in rounds[0]}
+    """The median of every count over the rounds, a count a round lacks
+    being 0, with copies also in MiB."""
+    keys = dict.fromkeys(k for r in rounds for k in r)
+    out = {key: statistics.median(r.get(key, 0) for r in rounds)
+           for key in keys}
     out["copied_mib"] = out["copied_bytes"] / (1 << 20)
     return out
 
@@ -125,23 +210,31 @@ def probe(w, seed: int, rounds: int, pool_dir: Path) -> list[dict]:
     """Seed a fresh pool for workload w and run `rounds` counted rounds."""
     import remfio.client
     import remfio.diskserver
+    import remfio.runtime
     from workloads import run_round, seed_fresh_pool
 
     seed_fresh_pool(w, seed, pool_dir)
     counter = ReadPathCopies()
+    sched = SchedulerCounts()
     saved = counter.install(remfio.diskserver, remfio.client)
+    saved += sched.install(remfio.runtime.VirtualRuntime, threading.Thread)
     rows = []
     try:
         for rep in range(rounds):
             gc.collect()
             counter.bytes = dict.fromkeys(SITES, 0)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sched.reset()
+            before = resource.getrusage(resource.RUSAGE_SELF)
             run_round(w, seed, pool_dir, rep=rep % STAGGER_DRAWS)
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            after = resource.getrusage(resource.RUSAGE_SELF)
+            switches = (after.ru_nvcsw + after.ru_nivcsw
+                        - before.ru_nvcsw - before.ru_nivcsw)
             rows.append({**{f"copied_bytes.{s}": n
                             for s, n in counter.bytes.items()},
                          "copied_bytes": sum(counter.bytes.values()),
-                         "ru_minflt": faults})
+                         "ru_minflt": after.ru_minflt - before.ru_minflt,
+                         **sched.close_round(),
+                         "context_switches": switches})
     finally:
         counter.uninstall(saved)
     return rows
