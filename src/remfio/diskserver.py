@@ -233,8 +233,9 @@ class DiskServer:
     # -- connection handling ---------------------------------------------------
 
     def _serve(self, conn):
+        yield from conn.wait_recv()
         try:
-            first = yield conn.recv()
+            first = conn.recv()
         except ConnectionClosedError:
             conn.close()
             return

@@ -22,7 +22,6 @@ without a callback to the headnode.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -133,10 +132,8 @@ class Headnode:
 
     def start(self) -> None:
         """Register both listeners."""
-        self._net.listen(self.ns_address, functools.partial(
-            self._serve, answer=self._answer_lookup))
-        self._net.listen(self.open_address, functools.partial(
-            self._serve, answer=self._answer_open))
+        self._net.listen(self.ns_address, self._serve_lookup)
+        self._net.listen(self.open_address, self._serve_open)
 
     @property
     def ns_address(self) -> str:
@@ -168,13 +165,20 @@ class Headnode:
 
     # -- request handling --------------------------------------------------
 
-    def _serve(self, conn, answer):
-        """Send answer(request) for the one request on conn, then hang up."""
+    def _serve_lookup(self, conn):
+        """Answer the one lookup request on conn, then hang up."""
         try:
-            reply = answer((yield conn.recv()))
-            if not isinstance(reply, Message):  # a generator of it
-                reply = yield from reply
-            yield conn.try_send(reply)
+            yield from conn.wait_recv()
+            yield conn.try_send(self._answer_lookup(conn.recv()))
+        except ConnectionClosedError:
+            pass  # the client hung up first
+        conn.close()
+
+    def _serve_open(self, conn):
+        """Broker the one open request on conn, then hang up."""
+        try:
+            yield from conn.wait_recv()
+            yield conn.try_send((yield from self._answer_open(conn.recv())))
         except ConnectionClosedError:
             pass  # the client hung up first
         conn.close()

@@ -122,11 +122,13 @@ class EmulatedNetwork:
         soon as 1 rtt after the call, instead of rtt for setup plus another
         round trip). A first_msg that send() would refuse raises here before
         anything is scheduled, so the far end's handler never starts.
+        Connecting blocks, so a generator task's call raises RuntimeError.
 
         A link name stands for one rtt and shared_bandwidth in a network:
         a profile that reuses a name with others raises ValueError. Its
         per_connection_window may differ, as it belongs to the connection.
         """
+        self._rt._blocking_call()
         if window is not None and window <= 0:
             raise ValueError(f"window must be > 0: {window}")
         link = self._links.setdefault(profile.name, profile)
@@ -288,24 +290,21 @@ class EmuConnection:
         self._queue.put(msg)
 
     def recv(self) -> Message:
-        """Next in-order message; raises ConnectionClosedError at stream end.
-        A generator task that must wait gets it from a second recv() call."""
+        """Next in-order message; raises ConnectionClosedError at stream end."""
         if self._closed:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
         if self._peer_closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
-        if not self._queue and self._rt._current._stack is not None:
-            return self._rt._run(self._recv_queued())
         msg = self._take(self._queue.get())
         if msg is None:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
         return msg
 
-    def _recv_queued(self):
-        while not self._queue:
-            self._queue._getters.append(self._rt._current)
-            yield self._rt._switch(None)
-        return (yield self.recv())
+    def wait_recv(self):
+        """A generator body that returns once recv() would not wait: how a
+        generator task waits for a message."""
+        if not self.closed:
+            yield from self._queue.wait()
 
     def serve(self, handler: Callable[[Message | None], None]) -> None:
         """Hand each message to handler(msg) as it arrives, then None once

@@ -5,16 +5,16 @@ now/sleep/spawn, channels and a byte-fair rate limiter. Time is a float that
 jumps straight to the next event, so a simulated minute of transfers costs
 milliseconds, and identical inputs give bit-identical schedules. One task
 runs at a time. A generator function's task, such as a server's, has no
-thread: the event loop runs it inline up to its next yield. It waits by a
-call and one yield, `x = yield call(...)`: sleep, acquire, and send,
-try_send and recv on a connection queue it where a blocked task would wait,
-keeping one (time, seq) order for both kinds of task, or stack a generator
-body on it to run from the yield, which returns the call's result. Channel
-take and give are bodies, for `yield from`; channel get and put, and join,
-raise RuntimeError where they would block such a task. Any other task, such
-as a client, runs in blocking style on a carrier thread, which hands the
-baton on whenever its task sleeps, blocks or exits, then stays as a spare
-while spares are fewer than unfinished carrier tasks. Thread-local state
+thread: the event loop runs it up to its next yield. It waits by one call
+and one yield: `yield` sleep, acquire, send or try_send, or `yield from`
+channel wait, take or give or a connection's wait_recv. Each queues it
+where a blocked task would wait, in one (time, seq) order for both kinds of
+task. What would block it instead (channel get and put, join, recv on an
+empty queue, connect), a second wait before a yield, and an end with a wait
+pending raise RuntimeError naming it. Any other task, such as a client,
+runs in blocking style on a carrier thread, which hands the baton on
+whenever its task sleeps, blocks or exits, then stays as a spare while
+spares are fewer than unfinished carrier tasks. Thread-local state
 (threading.local, current_thread) belongs to the carrier. When the root
 returns, run() unwinds the leftover tasks one at a time in spawn order, each
 raising _TaskShutdown where it waits, and then ends every spare. When
@@ -64,7 +64,7 @@ class Task:
         self.result: Any = None
         self.exc: BaseException | None = None
         self._stack = None if gen is None else [gen]  # + bodies it called
-        self._waiting = False  # a generator task queued to be woken
+        self._waiting = False  # a generator task's call waits: yield next
         self._baton = baton  # its carrier's; held while the task may not run
         self._thread = thread
         self._join_waiters: list[Task] = []
@@ -157,10 +157,8 @@ class VirtualRuntime:
         return carrier
 
     def join(self, task: Task):
-        cur = self._current
         while not task.finished:
-            task._join_waiters.append(cur)
-            self._park()
+            self._park(task._join_waiters)
         if task.exc is not None:
             if task in self._pending:
                 self._pending.remove(task)
@@ -216,17 +214,25 @@ class VirtualRuntime:
         """Schedule a Task, or a callback, to run now."""
         self._push(self._now, entry)
 
-    def _park(self) -> None:
-        """Block the current task until someone makes it runnable again."""
+    def _blocking_call(self) -> None:
+        """Raise RuntimeError if a generator task, which must yield to wait,
+        calls what blocks a carrier task."""
         if self._current._stack is not None:
             raise RuntimeError(f"generator task {self._current.name!r} made "
                                "a blocking call; it must yield to wait")
+
+    def _park(self, waiters) -> None:
+        """Queue the current carrier task on waiters and block it until
+        someone makes it runnable again."""
+        self._blocking_call()
+        waiters.append(self._current)
         self._switch(None)
 
     def _run(self, body):
         """Stack body on a generator task, or run it to its end on a carrier."""
         cur = self._current
         if cur._stack is not None:
+            self._switch(None)  # marks it waiting
             cur._stack.append(body)
             return None
         value = None
@@ -241,11 +247,14 @@ class VirtualRuntime:
         if not self._stopping:
             if reschedule_at is not None:
                 self._push(reschedule_at, cur)
-            if cur._stack is not None:
+            if cur._stack is None:
+                self._handoff(cur)
+                if not self._stopping:
+                    return
+            elif cur._waiting:  # a generator task waits once per yield
+                raise RuntimeError(f"generator task {cur.name!r} waits twice")
+            else:
                 cur._waiting = True
-                return
-            self._handoff(cur)
-            if not self._stopping:
                 return
         # the world is stopping: a task unwinds, the root sees the failure
         if cur is self._root:
@@ -312,10 +321,14 @@ class VirtualRuntime:
                 value, exc = None, err
             else:
                 if stack[-1] is not gen:
-                    value = None  # start the body it called
+                    value, task._waiting = None, False  # start its body
                 elif task._waiting:
                     return
                 continue
+            if task._waiting:  # it ended inside a waiting call, not at a yield
+                del stack[stack.index(gen) + 1:]
+                task._waiting, value, exc = False, None, RuntimeError(
+                    f"generator task {task.name!r} ended inside a wait")
             stack.pop()
             if not stack:
                 task.result = value
@@ -399,8 +412,7 @@ class VirtualChannel:
 
     def put(self, item) -> None:
         while not self.try_put(item):
-            self._putters.append(self._rt._current)
-            self._rt._park()
+            self._rt._park(self._putters)
 
     def try_put(self, item) -> bool:
         if self._capacity is not None and len(self._items) >= self._capacity:
@@ -411,20 +423,23 @@ class VirtualChannel:
         return True
 
     def get(self):
-        rt = self._rt
         while not self._items:
-            self._getters.append(rt._current)
-            rt._park()
+            self._rt._park(self._getters)
         item = self._items.popleft()
         if self._putters:
-            rt._make_runnable(self._putters.popleft())
+            self._rt._make_runnable(self._putters.popleft())
         return item
 
-    def take(self):
-        """get() as a generator body: `item = yield from channel.take()`."""
+    def wait(self):
+        """A generator body that returns once an item is queued, without
+        taking it: `yield from channel.wait()`."""
         while not self._items:
             self._getters.append(self._rt._current)
             yield self._rt._switch(None)
+
+    def take(self):
+        """get() as a generator body: `item = yield from channel.take()`."""
+        yield from self.wait()
         return self.get()
 
     def give(self, item):

@@ -534,7 +534,8 @@ def _served_timeline(use_serve: bool, generator: bool = False) -> list:
         yield rt.sleep(0.1)
         try:
             while True:
-                note((yield conn.recv()))
+                yield from conn.wait_recv()
+                note(conn.recv())
         except ConnectionClosedError:
             note(None)
 
@@ -566,15 +567,16 @@ def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
 
 
 def test_a_generator_handler_gets_each_result_at_its_yield():
-    # recv and try_send stack a body on the generator task, or answer at
-    # once; either way the result comes back at the task's yield
+    # try_send stacks a body on the generator task, or answers at once;
+    # either way the result comes back at the task's yield
     rt = VirtualRuntime()
     results = []
 
     def echo(conn):
         try:
             while True:
-                msg = yield conn.recv()
+                yield from conn.wait_recv()
+                msg = conn.recv()
                 results.append((msg, (yield conn.try_send(msg)), rt.now()))
         except ConnectionClosedError:
             gone = yield conn.try_send(wire.NsLookup(path="/gone"))
@@ -595,6 +597,50 @@ def test_a_generator_handler_gets_each_result_at_its_yield():
     a, b = rt.run(main)
     assert [r[:2] for r in results] == [(a, True), (b, True), (None, False)]
     assert [round(r[2], 6) for r in results] == [0.006, 0.018, 0.030]
+
+
+@pytest.mark.parametrize("call", ["connect", "connect-first-msg", "recv",
+                                  "send-twice", "send-then-end"])
+def test_a_generator_task_that_does_not_yield_to_wait_raises(call):
+    # each call would block a carrier task; a generator task gets a
+    # RuntimeError naming it, at once or at its end, instead of a schedule
+    # that wakes it twice or never
+    rt = VirtualRuntime()
+    net = EmulatedNetwork(rt)
+    msg = wire.NsLookup(path="/a")
+    tasks = []
+
+    def echo(conn):
+        yield from conn.wait_recv()
+        yield conn.try_send(conn.recv())
+
+    def wrong(conn):
+        tasks.append(rt._current)
+        if call == "connect":
+            net.connect("svc", WAN_PROFILE)
+        elif call == "connect-first-msg":
+            net.connect("svc", WAN_PROFILE, first_msg=msg)
+        elif call == "recv":
+            conn.recv()  # nothing queued yet
+        elif call == "send-twice":
+            conn.send(msg)
+            conn.send(msg)
+        else:
+            conn.send(msg)
+            return
+        yield
+
+    def main():
+        net.listen("svc", echo)
+        net.listen("wrong", wrong)
+        conn = net.connect("wrong", WAN_PROFILE)
+        with pytest.raises(RuntimeError, match="srv-wrong-1"):
+            rt.join(tasks[0])
+        conn.close()
+        rt.sleep(1.0)  # a wake-up the task left behind runs nothing
+
+    rt.run(main)
+    assert not rt._tasks
 
 
 def test_determinism_identical_delivery_timelines():

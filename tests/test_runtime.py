@@ -766,7 +766,7 @@ def test_run_closes_a_generator_task_still_waiting():
     assert not rt._tasks
 
 
-@pytest.mark.parametrize("call", ["get", "put", "join"])
+@pytest.mark.parametrize("call", ["get", "put", "join", "twice", "end"])
 def test_a_blocking_call_in_a_generator_task_raises_naming_it(call):
     rt = VirtualRuntime()
 
@@ -776,8 +776,14 @@ def test_a_blocking_call_in_a_generator_task_raises_naming_it(call):
         elif call == "put":
             ch.put(1)
             ch.put(2)  # capacity 1
-        else:
+        elif call == "join":
             rt.join(rt.spawn(rt.sleep, 1.0))
+        elif call == "twice":
+            rt.sleep(1.0)
+            rt.sleep(1.0)  # a second wait before a yield
+        else:
+            rt.sleep(1.0)
+            return  # it ends inside its sleep, not at a yield
         yield
 
     def main():
@@ -785,7 +791,7 @@ def test_a_blocking_call_in_a_generator_task_raises_naming_it(call):
         task = rt.spawn(wrong, ch, name="wrong-gen")
         rt.sleep(0.1)
         if call == "get":
-            ch.put(None)  # wakes the getter it left queued: nothing runs
+            ch.put(None)  # nothing was left queued to wake
         with pytest.raises(RuntimeError, match="wrong-gen"):
             rt.join(task)
         rt.sleep(2.0)
