@@ -446,29 +446,29 @@ def test_bench_path_shape():
 # -- recorded schedules ------------------------------------------------------------
 
 
-def _wan_runs():
-    """Each mode, read sequentially and skipping, by 4 clients on wan."""
-    return {f"wan-{mode.name.lower()}-{label}": WorkloadSpec(
+def _mode_runs(profile: str, **kw):
+    """Each mode, read sequentially and skipping, by 4 clients on profile."""
+    return {f"{profile}-{mode.name.lower()}-{label}": WorkloadSpec(
                 pattern=pattern, file_size=2 * MiB, block_size=64 * KiB,
-                mode=mode, clients=4)
+                mode=mode, clients=4, net_profile=profile, **kw)
             for mode in ReadMode
             for label, pattern in (("seq", Sequential()),
                                    ("skip", Skip(128 * KiB, 3)))}
 
 
+def _wan_runs():
+    return _mode_runs("wan")
+
+
 def _small_runs():
+    # zero starts every client at once: same-instant ties are densest there
     return {
         **_wan_runs(),
         "wan-stream-window64k": WorkloadSpec(
             file_size=2 * MiB, block_size=MiB, mode=ReadMode.STREAM,
             window=64 * KiB, stagger_window=0.0),
-        "zero-normal-skip": WorkloadSpec(
-            pattern=Skip(128 * KiB, 3), file_size=2 * MiB,
-            block_size=64 * KiB, clients=4, stagger_window=0.0,
-            net_profile="zero"),
-        "lan-stream-seq": WorkloadSpec(
-            file_size=2 * MiB, block_size=64 * KiB, mode=ReadMode.STREAM,
-            clients=4, net_profile="lan"),
+        **_mode_runs("zero", stagger_window=0.0),
+        **_mode_runs("lan"),
     }
 
 
@@ -493,10 +493,38 @@ RECORDED_CSV_DIGESTS = {
         "cea7775853459e97d8adcc3a0d08784a7ccc1ba85583b69237f5b77f5bd6e5c6",
     "wan-stream-window64k":
         "6168faa5f959c95fef7d7b603db8e7e1336dcc0cee4ba73fb8cca409ac8bdc36",
+    "zero-normal-seq":
+        "1f45ed573893dd3b4a3573a2c8b6558204bb4dcca6cee22b7ca9f9f9197dc836",
     "zero-normal-skip":
         "dbcbbd426a5a85d6684178edc7446a5714e2e279c1be082d99a59023087b5d93",
+    "zero-readbuf-seq":
+        "2bf9b424cd26057e37bf53f661b9c5f35a671e5d1d40318fba553189eb0889d6",
+    "zero-readbuf-skip":
+        "4e9459f92c1c2ad5c4bdce1378b1d42a7efc0f37b8ee4efdc3f60f1f66103cb7",
+    "zero-readahead-seq":
+        "6d6f36fd1e075d2f73e674b7111cfa74ef96c3d80e79b7f5c2207f64d75950a4",
+    "zero-readahead-skip":
+        "9fde1be8af5b036ffa310c85fdbb0d752bdb9d1e614fd4422d4ea7d989f1e7f8",
+    "zero-stream-seq":
+        "0d5c72a51ea3eab1cfa50f1959df78a6c0e5c22d77db6f363cd009738ae31c6b",
+    "zero-stream-skip":
+        "0030600b6ba5593999b398a1bb547285dabe64e8bdfba74f1c63d2b95fa46a33",
+    "lan-normal-seq":
+        "bb2928aa409a0f1206442b9f4e8f16117d6f6410d110d4b8abd752a3a98c2169",
+    "lan-normal-skip":
+        "434232740f6a1ac4a75b6e99d3e228098a5a8354014eb0e1cb0460b90e6c2a48",
+    "lan-readbuf-seq":
+        "59c12afe1a4b934da2edd25c50f02d7c7bd0e548bf04fa8f68836d1b9b7866b5",
+    "lan-readbuf-skip":
+        "a0d339680861f9e1540e39d34e980a9eeff3df574886b83cce58124db97e02b5",
+    "lan-readahead-seq":
+        "52f12149aa3dc59c2a2f1f1a89cde2e93332848963145ae0906909998a01e020",
+    "lan-readahead-skip":
+        "457cc7f6df939e4e54df1c5c4e872e69176d804812cf3403c4ba5a8adb7713a6",
     "lan-stream-seq":
         "3b3fcaeba507d39cc8e41ea8894bda7d8647f9add8f38ee78f1a9a1704595b90",
+    "lan-stream-skip":
+        "f83e8cf3f1ae5d3fca13c1000df8bf7f103ab6910121834c868fb5714f07aa4d",
 }
 
 
