@@ -29,8 +29,10 @@ both directions.
 rf_read returns a read-only memoryview in every mode, also when it is
 empty: a read that lies inside one received chunk is a view of that chunk's
 payload, which for a seeded pool file is a view of its seed's content tile,
-so no byte is copied between the pool content and the caller. A read across
-chunks is joined once. bytes(result) makes an owned copy.
+so no byte is copied between the pool content and the caller. The handle
+keeps each chunk or fill it receives as one read-only view, and a read
+inside it is one slice of that view. A read across chunks is joined once.
+bytes(result) makes an owned copy.
 
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
@@ -144,7 +146,7 @@ class ClientHandle:
         self.request_count = 0  # ReadRequests issued (NORMAL calls and fills)
         self._control = control
         self._data = data
-        self._buf = b""
+        self._buf = b""  # or the read-only view of a chunk or fill
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
         self._closed = False
@@ -193,30 +195,32 @@ class ClientHandle:
             self._sync_wire()
         self.counters.bytes_consumed += len(data)
         self.logical_position += len(data)
-        return memoryview(data).toreadonly()
+        return data
 
-    def _request(self, pos: int, length: int):
-        """One ReadRequest round trip: the bytes before EOF, b"" at EOF;
-        a lone chunk's payload is returned as it is."""
+    def _request(self, pos: int, length: int) -> memoryview:
+        """One ReadRequest round trip: a read-only view of the bytes before
+        EOF, empty at EOF; a lone chunk's payload is viewed, not copied."""
         self._control.send(ReadRequest(self.handle_id, pos, length))
         self.request_count += 1
         expected = min(length, max(0, self.file_size - pos))
         if expected == 0:
             if _expect(self._control.recv(), DataChunk).payload != b"":
                 raise ProtocolError("expected empty chunk at EOF")
-            return b""
+            return memoryview(b"")
         parts = []
         while expected > 0:
             parts.append(_expect(self._control.recv(), DataChunk).payload)
             expected -= len(parts[-1])
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        if len(parts) == 1:
+            return memoryview(parts[0]).toreadonly()
+        return memoryview(b"".join(parts))
 
-    def _read_buffered(self, length: int):
+    def _read_buffered(self, length: int) -> memoryview:
         """Serve from the buffer; refill it on a miss.
 
         READBUF refills with one request of iobufsize, clamped at EOF; the
         push modes take the next pushed chunk that reaches the position.
-        A lone part is returned as a view of the buffer, not a copy.
+        A lone part is returned as a slice of the buffer, not a copy.
         """
         pos = self.logical_position
         end = min(pos + length, self.file_size)
@@ -225,7 +229,7 @@ class ClientHandle:
             off = pos - self._buf_start
             if 0 <= off < len(self._buf):
                 take = min(end - pos, len(self._buf) - off)
-                parts.append(memoryview(self._buf)[off:off + take])
+                parts.append(self._buf[off:off + take])
                 pos += take
             elif self.mode is ReadMode.READBUF:
                 self._buf = self._request(
@@ -234,9 +238,11 @@ class ClientHandle:
             else:
                 offset, payload = self._next_pushed_chunk()
                 if offset + len(payload) > pos:  # else skipped-over bytes
-                    self._buf = payload
+                    self._buf = memoryview(payload).toreadonly()
                     self._buf_start = offset
-        return parts[0] if len(parts) == 1 else b"".join(parts)
+        if len(parts) == 1:
+            return parts[0]
+        return memoryview(b"".join(parts))
 
     def _next_pushed_chunk(self) -> tuple[int, bytes | memoryview]:
         """Next in-sequence chunk of the live stream."""

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
@@ -320,6 +321,11 @@ class DiskServer:
         return None
 
 
+# where the reader resumes: at a job's start, after a seek, at a disk
+# grant's end, or handing its chunk to the sender
+_JOB, _SEEK, _DISK, _HAND = range(4)
+
+
 class _Session:
     """Server-side state and pipeline for one open handle."""
 
@@ -339,14 +345,23 @@ class _Session:
         self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
         self.epoch = 0
-        # jobs are (epoch, offset, end), chunks (epoch, offset, payload);
-        # None itself closes
-        self._jobs = self._rt.channel()
-        self._chunks = self._rt.channel(capacity=1)
-        self._kicks = self._rt.channel(capacity=1)
+        self._chunk_cap = MAX_CHUNK_PAYLOAD
+        if mode in (ReadMode.READBUF, ReadMode.READAHEAD):
+            self._chunk_cap = min(MAX_CHUNK_PAYLOAD, iobufsize)
+        # jobs are (epoch, offset, end), chunks (epoch, offset, payload)
+        self._jobs: deque = deque()
+        self._job = None  # [epoch, pos, end] of the job being read
+        self._resume = _JOB
+        self._held = None  # a chunk the reader has read, for the sender
+        self._chunk = None  # the chunk handed over, not yet taken
+        self._msg = None  # the sender's DataChunk, waiting for a credit
+        self._msg_epoch = 0
+        self._msg_conn = None
+        # parked: waiting for an event of the session's own, which pushes
+        # it back on the event loop once
+        self._reader_parked = True  # for a job or, holding a chunk, a hand
+        self._sender_parked = True  # for a chunk or, holding one, a credit
         control_conn.on_data_credit = self._kick
-        self._rt.spawn(self._read_loop, name=f"ds-read-{handle_id}")
-        self._rt.spawn(self._send_loop, name=f"ds-send-{handle_id}")
 
     @property
     def bytes_sent_wire(self) -> int:
@@ -354,7 +369,11 @@ class _Session:
         return 0 if self._out is None else self._out.sent_payload
 
     def _kick(self) -> None:
-        self._kicks.try_put(None)
+        """A credit came back, the epoch moved on or a connection closed:
+        wake the sender if it waits for a credit."""
+        if self._sender_parked and self._msg is not None:
+            self._sender_parked = False
+            self._rt._make_runnable(self._send)
 
     def attach_data(self, conn) -> None:
         self.data_conn = self._out = conn
@@ -363,13 +382,16 @@ class _Session:
     # -- control entry points (run in the control callback) -----------------
 
     def request_range(self, offset: int, length: int) -> None:
-        self._jobs.put((self.epoch, offset, offset + length))
+        self._jobs.append((self.epoch, offset, offset + length))
+        if self._reader_parked and self._resume is _JOB:
+            self._reader_parked = False
+            self._rt._make_runnable(self._read)
 
     def request_stream(self, offset: int) -> None:
         """Push from offset to the end of the file, abandoning any push
         in progress."""
         self.interrupt()
-        self._jobs.put((self.epoch, offset, self.size))
+        self.request_range(offset, self.size - offset)
 
     def interrupt(self) -> None:
         self.epoch += 1
@@ -377,63 +399,99 @@ class _Session:
 
     def shutdown(self) -> None:
         """Forget the session, stop its pipeline and close its
-        connections; the reader and sender end on their own."""
+        connections; the reader and sender park for good."""
         del self._server.sessions[self.handle_id]
         self.interrupt()
-        self._jobs.put(None)
         self.control_conn.close()
         if self.data_conn is not None:
             self.data_conn.close()
 
-    # -- reader task ---------------------------------------------------------
+    # -- reader: event-loop callback -------------------------------------------
 
-    def _read_loop(self):
-        chunk_cap = MAX_CHUNK_PAYLOAD
-        if self.mode in (ReadMode.READBUF, ReadMode.READAHEAD):
-            chunk_cap = min(chunk_cap, self.iobufsize)
-        while (job := (yield from self._jobs.take())) is not None:
-            yield from self._serve(*job, chunk_cap)
-        yield from self._chunks.give(None)
-
-    def _disk_read(self, offset: int, n: int):
-        """Charge the disk model, then return n bytes at offset."""
-        if offset != self.current_offset:
-            yield self._rt.sleep(self._server.disk.seek_latency)
-        yield self._server._pump.acquire(self.handle_id, n)
-        self.current_offset = offset + n
-        return self._file.read(offset, n)
-
-    def _serve(self, epoch: int, offset: int, end: int, chunk_cap: int):
-        """Queue [offset, end), clamped to the file, for the sender in
-        chunks of at most chunk_cap, until the session epoch moves on or
-        the connection the chunks go out on closes.
+    def _read(self) -> None:
+        """Read each job's range, clamped to the file, in chunks of at most
+        the chunk cap, and hand each chunk to the sender, until the session
+        epoch moves on or the connection the chunks go out on closes.
 
         A range read of no bytes gets one empty chunk; a push of no bytes
-        sends nothing.
+        sends nothing. Each read charges the disk model: seek latency on
+        discontiguous access, then a byte-fair share of its bandwidth. The
+        reader runs until it must wait, and is called again where the wait
+        ends: a job's arrival, a seek's end, a disk grant's end or the
+        sender taking the chunk it holds.
         """
-        end = min(end, self.size)
-        pos = min(offset, end)
-        if pos == end and self.mode not in _PUSH_MODES:  # EOF or empty read
-            yield from self._chunks.give((epoch, offset, b""))
-        while pos < end and epoch == self.epoch and not self._out.closed:
-            n = min(chunk_cap, end - pos)
-            payload = yield from self._disk_read(pos, n)
-            yield from self._chunks.give((epoch, pos, payload))
-            pos += n
+        rt = self._rt
+        while True:
+            resume = self._resume
+            if resume is _JOB:
+                if not self._jobs:
+                    self._reader_parked = True
+                    return
+                epoch, offset, end = self._jobs.popleft()
+                end = min(end, self.size)
+                pos = min(offset, end)
+                self._job = [epoch, pos, end]
+                if pos == end and self.mode not in _PUSH_MODES:
+                    self._held = (epoch, offset, b"")  # EOF or empty read
+                    resume = _HAND
+            if resume is _DISK:  # granted
+                epoch, pos, end = job = self._job
+                n = min(self._chunk_cap, end - pos)
+                self.current_offset = job[1] = pos + n
+                self._held = (epoch, pos, self._file.read(pos, n))
+                resume = _HAND
+            if resume is _HAND:
+                if self._chunk is not None:
+                    self._resume = _HAND
+                    self._reader_parked = True
+                    return
+                self._chunk, self._held = self._held, None
+                if self._sender_parked and self._msg is None:
+                    self._sender_parked = False
+                    rt._make_runnable(self._send)
+            epoch, pos, end = self._job
+            if resume is not _SEEK:
+                if not (pos < end and epoch == self.epoch
+                        and not self._out.closed):
+                    self._resume = _JOB
+                    continue
+                if pos != self.current_offset:
+                    self._resume = _SEEK
+                    rt.sleep(self._server.disk.seek_latency)
+                    return
+            self._resume = _DISK
+            self._server._pump.acquire(self.handle_id,
+                                       min(self._chunk_cap, end - pos))
+            return
 
-    # -- sender task ---------------------------------------------------------
+    # -- sender: event-loop callback -------------------------------------------
 
-    def _send_loop(self):
-        while (item := (yield from self._chunks.take())) is not None:
-            epoch, offset, payload = item
-            conn = self._out
-            msg = DataChunk(self.handle_id, offset, payload)
-            while True:
-                if epoch != self.epoch:
-                    break  # stale, interrupted before it left the server
-                if conn.closed:
-                    break
-                if conn.try_reserve_data_credit():
-                    yield conn.try_send(msg, credit_reserved=True)
-                    break
-                yield from self._kicks.take()
+    def _send(self) -> None:
+        """Send each chunk the reader hands over on the session's outgoing
+        connection, once it holds a flow-control credit; drop a chunk whose
+        epoch has passed or whose connection has closed. Called again when
+        a chunk comes, a credit comes back (a kick) or a frame is out."""
+        rt = self._rt
+        while True:
+            if self._msg is None:
+                item = self._chunk
+                if item is None:
+                    self._sender_parked = True
+                    return
+                self._chunk = None
+                if self._reader_parked and self._resume is _HAND:
+                    self._reader_parked = False
+                    rt._make_runnable(self._read)
+                self._msg_epoch, offset, payload = item
+                self._msg_conn = self._out
+                self._msg = DataChunk(self.handle_id, offset, payload)
+            conn = self._msg_conn
+            if self._msg_epoch != self.epoch or conn.closed:
+                self._msg = None  # stale, interrupted before it left
+                continue
+            if not conn.try_reserve_data_credit():
+                self._sender_parked = True
+                return
+            msg, self._msg = self._msg, None
+            if conn.try_send(msg, credit_reserved=True):
+                return  # called again once the frame is out or dropped

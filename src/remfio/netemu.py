@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConnectionClosedError, EndpointRefusedError, TransportError
-from .runtime import VirtualRuntime
+from .runtime import Task, VirtualRuntime
 from .wire import DataChunk, Message, frame_size
 
 MiB = 1024 * 1024
@@ -188,6 +188,7 @@ class EmuConnection:
         self.on_data_credit = None  # callback, fired on credit return
         self._closed = False
         self._peer_closed = False
+        self._trying = False  # try_send is calling send()
         self.sent_bytes = 0
         self.sent_payload = 0
         self.delivered_bytes = 0
@@ -218,40 +219,30 @@ class EmuConnection:
         connection at once interleave whole slices, so each task's frames
         arrive in the order it sent them.
 
-        The waits are one body, _transmit: a carrier task runs it here, a
-        generator task from its yield after send().
+        The waits are one state machine, _Transmit. A carrier task blocks in
+        each wait and steps the frame on itself. A generator task yields
+        after send(), and a callback returns: the frame steps on as a
+        callback, which resumes the task, or calls the callback again, once
+        the frame is out.
 
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
+        trying, self._trying = self._trying, False
         frame_len = self._admit(msg, credit_reserved)
-        pump = self._net._pump(self.profile, self._direction)
-        self._rt._run(self._transmit(msg, frame_len, pump))
-
-    def _transmit(self, msg: Message, frame_len: int, pump):
         rt = self._rt
-        remaining = frame_len
-        while remaining > 0:
-            # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
-            # an eighth of the window, or the rest of the frame, to be free
-            while self._window_avail < min(remaining, self._min_slice):
-                yield from self._window_kick.take()
-                if self._closed or self._peer_closed:
-                    self._window_kick.try_put(None)  # wake the next sender
-                    raise TransportError(
-                        f"connection {self.conn_id} closed mid-send")
-            take = min(remaining, self._window_avail)
-            self._window_avail -= take
-            rt.call_later(self.profile.rtt, self._release_window(take))
-            yield pump.acquire(self.conn_id, take)  # to transmit end
-            remaining -= take
-        self.sent_bytes += frame_len
-        if isinstance(msg, DataChunk):
-            self.sent_payload += len(msg.payload)
-        peer = self._peer
-        rt.call_later(self.profile.rtt / 2,
-                      lambda: peer._deliver(msg, frame_len))
+        cur = rt._current
+        tx = _Transmit(self, msg, frame_len,
+                       self._net._pump(self.profile, self._direction), cur,
+                       trying)
+        if type(cur) is Task and cur._gen is None:
+            tx.step()
+            return
+        rt._switch(None)  # a generator task yields next
+        rt._current = tx
+        tx.step()
+        rt._current = cur
 
     def _admit(self, msg: Message, credit_reserved: bool) -> int:
         """msg's frame length, or the error send() raises before it waits."""
@@ -265,12 +256,14 @@ class EmuConnection:
 
     def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
         """send(), except that a closed connection drops the frame; returns
-        whether it went out. For replies whose requester may have gone."""
-        return self._rt._run(self._try_send(msg, credit_reserved))
+        whether it went out. For replies whose requester may have gone.
 
-    def _try_send(self, msg: Message, credit_reserved: bool):
+        A generator task or callback gets False at once if the frame is
+        refused before it waits; otherwise it waits, and a generator task
+        gets the result at its yield."""
+        self._trying = True  # send() takes it
         try:
-            yield self.send(msg, credit_reserved=credit_reserved)
+            self.send(msg, credit_reserved=credit_reserved)
         except TransportError:
             return False
         return True
@@ -366,3 +359,88 @@ class EmuConnection:
     def closed(self) -> bool:
         """True once either end has closed; sends will fail, recv drains."""
         return self._closed or self._peer_closed
+
+
+class _Transmit:
+    """One frame on its way out: the waits of EmuConnection.send.
+
+    step() goes on until the frame must wait, for window space or a link
+    grant, and queues the runtime's current waiter to run where that wait
+    ends. A carrier task is that waiter, blocked inside each wait; otherwise
+    this object is, called as a callback, and it resumes its caller once the
+    frame is out or has failed.
+    """
+
+    __slots__ = ("conn", "msg", "frame_len", "pump", "remaining", "caller",
+                 "trying", "windowed")
+
+    def __init__(self, conn: EmuConnection, msg: Message, frame_len: int,
+                 pump, caller, trying: bool) -> None:
+        self.conn = conn
+        self.msg = msg
+        self.frame_len = frame_len
+        self.pump = pump
+        self.remaining = frame_len
+        self.caller = caller  # the generator task or callback that sent it
+        self.trying = trying  # try_send: a failure resumes it with False
+        self.windowed = False  # waits for a window kick
+
+    def step(self) -> bool:
+        """Go on to the frame's next wait; True once the frame is out."""
+        conn = self.conn
+        rt = conn._rt
+        kick = conn._window_kick
+        while self.remaining > 0:
+            if self.windowed:
+                if not len(kick):
+                    kick._getters.append(rt._current)
+                    rt._switch(None)
+                    if rt._current is self:
+                        return False
+                    continue
+                kick.get()
+                self.windowed = False
+                if conn.closed:
+                    kick.try_put(None)  # wake the next sender
+                    raise TransportError(
+                        f"connection {conn.conn_id} closed mid-send")
+            # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
+            # an eighth of the window, or the rest of the frame, to be free
+            if conn._window_avail < min(self.remaining, conn._min_slice):
+                self.windowed = True
+                continue
+            take = min(self.remaining, conn._window_avail)
+            conn._window_avail -= take
+            rt.call_later(conn.profile.rtt, conn._release_window(take))
+            self.remaining -= take
+            self.pump.acquire(conn.conn_id, take)  # to transmit end
+            if rt._current is self:
+                return False
+        conn.sent_bytes += self.frame_len
+        msg, frame_len, peer = self.msg, self.frame_len, conn._peer
+        if isinstance(msg, DataChunk):
+            conn.sent_payload += len(msg.payload)
+        rt.call_later(conn.profile.rtt / 2,
+                      lambda: peer._deliver(msg, frame_len))
+        return True
+
+    def __call__(self) -> None:
+        """Step the frame on where a wait ended; once it is out or has
+        failed, resume the caller."""
+        exc = None
+        try:
+            if not self.step():
+                return
+        except TransportError as err:
+            exc = err
+        value = None
+        if self.trying:
+            value, exc = exc is None, None
+        rt, caller = self.conn._rt, self.caller
+        if type(caller) is Task:
+            rt._step(caller, exc, value)
+        elif exc is not None:
+            raise exc
+        else:
+            rt._current = caller
+            caller()

@@ -4,12 +4,12 @@ VirtualRuntime is a discrete-event scheduler with a small surface:
 now/sleep/spawn, channels and a byte-fair rate limiter. Time is a float that
 jumps straight to the next event, so a simulated minute of transfers costs
 milliseconds, and identical inputs give bit-identical schedules. One task
-runs at a time. A generator function's task, such as a server's, has no
-thread: the event loop runs it up to its next yield. It waits by one call
-and one yield: `yield` sleep, acquire, send or try_send, or `yield from`
-channel wait, take or give or a connection's wait_recv. Each queues it
-where a blocked task would wait, in one (time, seq) order for both kinds of
-task. What would block it instead (channel get and put, join, recv on an
+or callback runs at a time. A generator function's task, such as a
+server's, has no thread: the event loop runs it up to its next yield. It
+waits by one call and one yield: `yield` sleep, acquire, send or try_send,
+or `yield from` channel wait or a connection's wait_recv. Each queues it
+where a blocked task would wait, in one (time, seq) order for every kind of
+waiter. What would block it instead (channel get and put, join, recv on an
 empty queue, connect), a second wait before a yield, and an end with a wait
 pending raise RuntimeError naming it. Any other task, such as a client,
 runs in blocking style on a carrier thread, which hands the baton on
@@ -35,7 +35,11 @@ carrier: threads and child processes that a task starts inherit it.
 
 Timer callbacks (VirtualRuntime.call_at) and channel waiters
 (VirtualChannel.when_ready) run inline during dispatch and must never
-block; spawn and unbounded channel put and try_put are safe there.
+block; spawn and unbounded channel put and try_put are safe there. While a
+callback runs it is the runtime's current waiter, so it may wait as a
+generator task does, by a call to sleep, acquire, send or try_send, and
+then return at once: the event loop calls it again where that wait ends.
+A callback must keep its own state to know where it resumes.
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ class Task:
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
-        self._stack = None if gen is None else [gen]  # + bodies it called
+        self._gen = gen  # None on a carrier
         self._waiting = False  # a generator task's call waits: yield next
         self._baton = baton  # its carrier's; held while the task may not run
         self._thread = thread
@@ -104,7 +108,7 @@ class VirtualRuntime:
         self._now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, Any]] = []  # entry: Task or callback
-        self._current: Task | None = None
+        self._current: Any = None  # the Task or callback that runs
         self._root: Task | None = None
         self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
@@ -188,7 +192,7 @@ class VirtualRuntime:
                 task = next(iter(self._tasks))
                 del self._tasks[task]
                 self._current = task
-                if task._stack is not None:
+                if task._gen is not None:
                     self._step(task, _TaskShutdown())
                     continue
                 task._baton.release()
@@ -215,10 +219,13 @@ class VirtualRuntime:
         self._push(self._now, entry)
 
     def _blocking_call(self) -> None:
-        """Raise RuntimeError if a generator task, which must yield to wait,
-        calls what blocks a carrier task."""
-        if self._current._stack is not None:
-            raise RuntimeError(f"generator task {self._current.name!r} made "
+        """Raise RuntimeError if a generator task or a callback, which must
+        not block, calls what blocks a carrier task."""
+        cur = self._current
+        if type(cur) is not Task:
+            raise RuntimeError(f"callback {cur!r} made a blocking call")
+        if cur._gen is not None:
+            raise RuntimeError(f"generator task {cur.name!r} made "
                                "a blocking call; it must yield to wait")
 
     def _park(self, waiters) -> None:
@@ -228,26 +235,14 @@ class VirtualRuntime:
         waiters.append(self._current)
         self._switch(None)
 
-    def _run(self, body):
-        """Stack body on a generator task, or run it to its end on a carrier."""
-        cur = self._current
-        if cur._stack is not None:
-            self._switch(None)  # marks it waiting
-            cur._stack.append(body)
-            return None
-        value = None
-        try:
-            while True:
-                value = body.send(value)  # the call's result, sent back
-        except StopIteration as stop:
-            return stop.value
-
     def _switch(self, reschedule_at: float | None) -> None:
         cur = self._current
         if not self._stopping:
             if reschedule_at is not None:
                 self._push(reschedule_at, cur)
-            if cur._stack is None:
+            if type(cur) is not Task:
+                return  # a callback: called again where its wait ends
+            if cur._gen is None:
                 self._handoff(cur)
                 if not self._stopping:
                     return
@@ -276,14 +271,15 @@ class VirtualRuntime:
             t, _seq, entry = heapq.heappop(heap)
             if t > self._now:
                 self._now = t
-            if isinstance(entry, Task):
-                if entry._stack is None:
+            if type(entry) is Task:
+                if entry._gen is None:
                     nxt = entry
                     break
                 self._step(entry)
                 continue
+            self._current = entry
             try:
-                entry()  # timer callback, runs inline
+                entry()  # a callback, runs inline
             except BaseException as exc:
                 # a crash with no task to carry it: the root raises it
                 self._failure = exc
@@ -303,38 +299,34 @@ class VirtualRuntime:
         if cur is not None:
             cur._baton.acquire()
 
-    def _step(self, task: Task, exc: BaseException | None = None) -> None:
-        """Step a generator task (exc raised at its yield) until it waits or
-        ends: a yield runs a stacked body, waits, or returns what it yields."""
+    def _step(self, task: Task, exc: BaseException | None = None,
+              value: Any = None) -> None:
+        """Step a generator task, value sent or exc raised at its yield,
+        until it waits or ends: a yield that does not wait returns what it
+        yields. A stale wake-up of a finished task runs nothing."""
+        if task.finished:
+            return
         self._current = task
         task._waiting = False
-        stack = task._stack
-        value = None
-        while stack:  # empty once finished: a stale wake-up runs nothing
-            gen = stack[-1]
+        gen = task._gen
+        while True:
             try:
-                value, exc = (gen.send(value) if exc is None
-                              else gen.throw(exc)), None
+                value = gen.send(value) if exc is None else gen.throw(exc)
             except StopIteration as stop:
                 value, exc = stop.value, None
+                break
             except BaseException as err:
                 value, exc = None, err
-            else:
-                if stack[-1] is not gen:
-                    value, task._waiting = None, False  # start its body
-                elif task._waiting:
-                    return
-                continue
-            if task._waiting:  # it ended inside a waiting call, not at a yield
-                del stack[stack.index(gen) + 1:]
-                task._waiting, value, exc = False, None, RuntimeError(
-                    f"generator task {task.name!r} ended inside a wait")
-            stack.pop()
-            if not stack:
-                task.result = value
-                task.exc = None if isinstance(exc, _TaskShutdown) else exc
-                self._finish(task)
+                break
+            exc = None
+            if task._waiting:
                 return
+        if task._waiting:  # it ended inside a waiting call, not at a yield
+            task._waiting, value, exc = False, None, RuntimeError(
+                f"generator task {task.name!r} ended inside a wait")
+        task.result = value
+        task.exc = None if isinstance(exc, _TaskShutdown) else exc
+        self._finish(task)
 
     def _finish(self, task: Task) -> None:
         """Mark task done; an exception nobody joins for is pending."""
@@ -437,17 +429,6 @@ class VirtualChannel:
             self._getters.append(self._rt._current)
             yield self._rt._switch(None)
 
-    def take(self):
-        """get() as a generator body: `item = yield from channel.take()`."""
-        yield from self.wait()
-        return self.get()
-
-    def give(self, item):
-        """put() as a generator body: `yield from channel.give(item)`."""
-        while not self.try_put(item):
-            self._putters.append(self._rt._current)
-            yield self._rt._switch(None)
-
     def when_ready(self, fn: Callable[[], None]) -> None:
         """Call fn() once the next item is put, in place of a task parked in
         get(): the put schedules it where it would wake that task. fn runs
@@ -465,11 +446,14 @@ class VirtualRateLimiter:
     tagged max(V, its key's last queued tag) + n, where V is the tag of the
     request last granted, and the smallest tag goes next, ties in arrival
     order. Keys that keep asking therefore get equal bytes, whatever the size
-    of their requests. A grant wakes its task at the grant's end ahead of the
-    next pick, so a task that asks again at once competes for the next grant;
-    keys with one request outstanding at a time would otherwise be shared
-    per grant. An idle limiter holds no timer, and a key's state is dropped
-    with its last request.
+    of their requests. A grant wakes its waiter at the grant's end ahead of
+    the next pick, so a waiter that asks again at once competes for the next
+    grant; keys with one request outstanding at a time would otherwise be
+    shared per grant. A task's grant ends in two events, its wake-up and
+    then the pick, because a carrier task must run before the pick; a
+    callback's ends in one, which calls it and then picks. An idle limiter
+    holds no timer, and a key's state is dropped with its last request.
+    acquire of no bytes returns at once, without a wait.
     """
 
     def __init__(self, runtime: VirtualRuntime, rate: float):
@@ -477,11 +461,12 @@ class VirtualRateLimiter:
             raise ValueError(f"rate must be positive: {rate}")
         self._rt = runtime
         self._rate = rate
-        self._requests: list = []  # heap of (tag, arrival, key, nbytes, task)
+        self._requests: list = []  # heap of (tag, arrival, key, nbytes, waiter)
         self._last_tag: dict = {}  # key -> tag of its last queued request
         self._vtime = 0  # V: the tag of the request last granted
         self._arrivals = 0
         self._busy = False  # a serve callback is pending
+        self._granted = None  # the callback whose grant is in progress
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
@@ -504,16 +489,28 @@ class VirtualRateLimiter:
         """Grant queued requests in tag order until one takes time."""
         rt = self._rt
         while self._requests:
-            tag, _, key, nbytes, task = heapq.heappop(self._requests)
+            tag, _, key, nbytes, waiter = heapq.heappop(self._requests)
             self._vtime = tag
             if self._last_tag[key] == tag:
                 del self._last_tag[key]
             if self._rate != float("inf"):
-                # the task wakes before the next pick: pushed first, it runs
-                # first at the grant's end
                 end = rt.now() + nbytes / self._rate
-                rt._push(end, task)
-                rt.call_at(end, self._serve)
+                if type(waiter) is Task:
+                    # the task wakes before the next pick: pushed first, it
+                    # runs first at the grant's end
+                    rt._push(end, waiter)
+                    rt.call_at(end, self._serve)
+                else:
+                    self._granted = waiter
+                    rt._push(end, self._end_grant)
                 return
-            rt._make_runnable(task)
+            rt._make_runnable(waiter)
         self._busy = False
+
+    def _end_grant(self) -> None:
+        """End a callback's grant: call it, as the current waiter, then
+        pick the next request."""
+        waiter, self._granted = self._granted, None
+        self._rt._current = waiter
+        waiter()
+        self._serve()

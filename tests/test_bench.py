@@ -582,11 +582,14 @@ def test_every_frame_kind_sent_is_read(monkeypatch, name):
                          ids=["stream-wan", "readbuf-lan"])
 def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
                                            profile):
-    # the headnode's and disk server's tasks are generator tasks, stepped
-    # by the event loop: a run starts one carrier thread per client at most
+    # the headnode's and disk server's connection handlers are generator
+    # tasks and a disk session runs on callbacks, all run by the event loop:
+    # a run starts one carrier thread per client at most, and none while
+    # spawning anything else
     started = []
     start = threading.Thread.start
     servers = []
+    server_starts = []
     spawn = VirtualRuntime.spawn
 
     def counted_start(thread, *args, **kwargs):
@@ -594,7 +597,10 @@ def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
         return start(thread, *args, **kwargs)
 
     def noted_spawn(rt, *args, **kwargs):
+        before = len(started)
         task = spawn(rt, *args, **kwargs)
+        if not task.name.startswith("bench-client"):
+            server_starts.append(len(started) - before)
         servers.extend(t for t in rt._tasks
                        if t.name.startswith(("ds-", "srv-")))
         return task
@@ -607,6 +613,7 @@ def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
     summary = run_benchmark(spec, seed=5, pool_dir=tmp_path)
     assert [r.bytes_consumed for r in summary.records] == [2 * MiB] * 4
     assert 0 < len(started) <= spec.clients
+    assert server_starts and not any(server_starts)
     kinds = {t.name.rsplit("-", 1)[0] for t in servers}
-    assert {"srv-head:5015", "srv-ds1:5001", "ds-read", "ds-send"} <= kinds
-    assert all(getattr(t, "_stack", None) is not None for t in servers)
+    assert kinds == {"srv-head:5010", "srv-head:5015", "srv-ds1:5001"}
+    assert all(t._gen is not None for t in servers)

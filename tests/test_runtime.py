@@ -688,11 +688,11 @@ def test_a_generator_task_waits_on_every_primitive_without_a_thread():
     def server(ch, lim):
         yield rt.sleep(0.5)
         seen.append(("slept", rt.now()))
-        item = yield from ch.take()
-        seen.append(("took", item, rt.now()))
+        yield from ch.wait()
+        seen.append(("took", ch.get(), rt.now()))
         yield lim.acquire("k", 100)
         seen.append(("granted", rt.now()))
-        yield from ch.give("back")
+        assert ch.try_put("back")
         return "served"
 
     def main():
@@ -751,7 +751,7 @@ def test_run_closes_a_generator_task_still_waiting():
 
     def waiter(ch):
         try:
-            yield from ch.take()
+            yield from ch.wait()
         finally:
             closed.append(rt.now())
 
