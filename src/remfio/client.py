@@ -29,10 +29,9 @@ both directions.
 rf_read returns a read-only memoryview in every mode, also when it is
 empty: a read that lies inside one received chunk is a view of that chunk's
 payload, which for a seeded pool file is a view of its seed's content tile,
-so no byte is copied between the pool content and the caller. The handle
-keeps each chunk or fill it receives as one read-only view, and a read
-inside it is one slice of that view. A read across chunks is joined once.
-bytes(result) makes an owned copy.
+so no byte is copied between the pool content and the caller. Each chunk or
+fill is kept as one read-only view, which a read inside it slices; a read
+across chunks is joined once. bytes(result) makes an owned copy.
 
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
@@ -146,7 +145,7 @@ class ClientHandle:
         self.request_count = 0  # ReadRequests issued (NORMAL calls and fills)
         self._control = control
         self._data = data
-        self._buf = b""  # or the read-only view of a chunk or fill
+        self._buf = b""  # or a read-only view of a chunk or fill
         self._buf_start = 0
         self._expected = 0  # next offset the live push stream will deliver
         self._closed = False
@@ -211,9 +210,8 @@ class ClientHandle:
         while expected > 0:
             parts.append(_expect(self._control.recv(), DataChunk).payload)
             expected -= len(parts[-1])
-        if len(parts) == 1:
-            return memoryview(parts[0]).toreadonly()
-        return memoryview(b"".join(parts))
+        return (memoryview(parts[0]).toreadonly() if len(parts) == 1
+                else memoryview(b"".join(parts)))
 
     def _read_buffered(self, length: int) -> memoryview:
         """Serve from the buffer; refill it on a miss.
@@ -240,9 +238,7 @@ class ClientHandle:
                 if offset + len(payload) > pos:  # else skipped-over bytes
                     self._buf = memoryview(payload).toreadonly()
                     self._buf_start = offset
-        if len(parts) == 1:
-            return parts[0]
-        return memoryview(b"".join(parts))
+        return parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
 
     def _next_pushed_chunk(self) -> tuple[int, bytes | memoryview]:
         """Next in-sequence chunk of the live stream."""

@@ -1,34 +1,34 @@
 """Disk server: serves pool-file bytes under the four read modes.
 
-Every session runs a small pipeline on the server side:
+Every session runs a small pipeline of event-loop callbacks, with no task:
 
-  control callback --(jobs)--> reader --(chunks, cap 1)--> sender --> connection
+  control callback --(jobs)--> reader --(one chunk)--> sender --> connection
 
-After the OpenReply, the session's control connection is served by a
-callback (EmuConnection.serve) that runs in the event loop, not by a task:
-it turns each request into a job and never waits, so a refusal it makes
-goes out from a short task of its own. Every task here is a generator task.
-A job asks for one byte range of the file. In NORMAL and READBUF a
-ReadRequest is a range job; in READAHEAD and STREAM a StreamStart is a push
-job that runs to the end of the file, and a ReadRequest is refused. A
-session's chunks go out on one connection: the data connection in STREAM,
-the control connection otherwise. The reader serves every job through one
-loop, charging the disk cost model (seek latency on discontiguous access,
-sequential bandwidth shared byte-fairly across sessions); the sender handles
-per-connection flow-control credits. Jobs and chunks carry the session epoch
-they were made in. A StreamStart on a push session, and the session's
-shutdown, bump the epoch: the reader abandons the push in progress and the
-sender drops whatever stale chunks are already in the pipe. The reader also
-stops a job once the connection its chunks go out on has closed, so a STREAM
-client that hangs up only its data connection takes no more disk share. A
-push that reaches the end of the file sends nothing more; a range read of no
-bytes gets one empty chunk. bytes_sent_wire is the payload that actually
-went out on that connection. A session ends when its control connection
-closes, whichever end closes it. Shutdown then forgets it and closes its
-connections without waiting for the pipeline: the reader and sender each
-end on a None queued behind the last job. Every refusal is an ErrorReply,
-counted and sent by one method; one that comes before a session exists
-also closes the connection.
+The control callback (EmuConnection.serve) turns each request into a job
+and never waits; a refusal it makes goes out from a generator task of its
+own. The reader and the sender run until they must wait, and are called
+again where the wait ends: the reader at a job, a seek's end, a disk
+grant's end or the sender taking its chunk; the sender at a chunk, a kick
+(a credit back, a new epoch, a closed connection) or a frame's end. A job
+asks for one byte range of the file. In NORMAL and READBUF a ReadRequest is
+a range job; in READAHEAD and STREAM a StreamStart is a push job that runs
+to the end of the file, and a ReadRequest is refused. A session's chunks go
+out on one connection: the data connection in STREAM, the control
+connection otherwise. The reader charges the disk cost model (seek latency
+on discontiguous access, sequential bandwidth shared byte-fairly across
+sessions); the sender handles per-connection flow-control credits. Jobs and
+chunks carry the session epoch they were made in. A StreamStart on a push
+session, and the session's shutdown, bump the epoch: the reader abandons
+the push in progress and the sender drops a stale chunk. The reader also
+stops a job once the connection its chunks go out on has closed, so a
+STREAM client that hangs up only its data connection takes no more disk
+share. A push that reaches the end of the file sends nothing more; a range
+read of no bytes gets one empty chunk. bytes_sent_wire is the payload that
+actually went out on that connection. A session ends when its control
+connection closes, whichever end closes it; shutdown forgets it and closes
+its connections, and its reader and sender then park for good. Every
+refusal is an ErrorReply, counted and sent by one method; one that comes
+before a session exists also closes the connection.
 
 Where a session's bytes come from: the disk model charges a read's time, so
 fetching the bytes is host work only, and a session reads no file. A seeded
@@ -321,11 +321,6 @@ class DiskServer:
         return None
 
 
-# where the reader resumes: at a job's start, after a seek, at a disk
-# grant's end, or handing its chunk to the sender
-_JOB, _SEEK, _DISK, _HAND = range(4)
-
-
 class _Session:
     """Server-side state and pipeline for one open handle."""
 
@@ -345,22 +340,17 @@ class _Session:
         self._out = None if mode is ReadMode.STREAM else control_conn
         self.current_offset = 0
         self.epoch = 0
-        self._chunk_cap = MAX_CHUNK_PAYLOAD
-        if mode in (ReadMode.READBUF, ReadMode.READAHEAD):
-            self._chunk_cap = min(MAX_CHUNK_PAYLOAD, iobufsize)
-        # jobs are (epoch, offset, end), chunks (epoch, offset, payload)
-        self._jobs: deque = deque()
+        self._cap = (min(MAX_CHUNK_PAYLOAD, self.iobufsize) if mode in (
+            ReadMode.READBUF, ReadMode.READAHEAD) else MAX_CHUNK_PAYLOAD)
+        self._jobs: deque = deque()  # (epoch, offset, end)
         self._job = None  # [epoch, pos, end] of the job being read
-        self._resume = _JOB
-        self._held = None  # a chunk the reader has read, for the sender
-        self._chunk = None  # the chunk handed over, not yet taken
-        self._msg = None  # the sender's DataChunk, waiting for a credit
-        self._msg_epoch = 0
-        self._msg_conn = None
-        # parked: waiting for an event of the session's own, which pushes
-        # it back on the event loop once
-        self._reader_parked = True  # for a job or, holding a chunk, a hand
-        self._sender_parked = True  # for a chunk or, holding one, a credit
+        self._resume = None  # "seek" or "disk" while the reader waits on one
+        # (epoch, offset, payload) the reader holds, and the one it handed
+        # over; the sender's is (epoch, conn, DataChunk)
+        self._held = self._chunk = self._msg = None
+        # parked until an event of the session pushes it back, once: the
+        # reader for a job or a free hand, the sender for a chunk or credit
+        self._reader_parked = self._sender_parked = True
         control_conn.on_data_credit = self._kick
 
     @property
@@ -368,9 +358,7 @@ class _Session:
         """DataChunk payload bytes that went out on the wire."""
         return 0 if self._out is None else self._out.sent_payload
 
-    def _kick(self) -> None:
-        """A credit came back, the epoch moved on or a connection closed:
-        wake the sender if it waits for a credit."""
+    def _kick(self) -> None:  # a credit back, a new epoch or a close
         if self._sender_parked and self._msg is not None:
             self._sender_parked = False
             self._rt._make_runnable(self._send)
@@ -383,7 +371,7 @@ class _Session:
 
     def request_range(self, offset: int, length: int) -> None:
         self._jobs.append((self.epoch, offset, offset + length))
-        if self._reader_parked and self._resume is _JOB:
+        if self._reader_parked and self._held is None:
             self._reader_parked = False
             self._rt._make_runnable(self._read)
 
@@ -399,99 +387,78 @@ class _Session:
 
     def shutdown(self) -> None:
         """Forget the session, stop its pipeline and close its
-        connections; the reader and sender park for good."""
+        connections."""
         del self._server.sessions[self.handle_id]
         self.interrupt()
         self.control_conn.close()
         if self.data_conn is not None:
             self.data_conn.close()
 
-    # -- reader: event-loop callback -------------------------------------------
+    # -- the reader and the sender: event-loop callbacks ---------------------
 
     def _read(self) -> None:
         """Read each job's range, clamped to the file, in chunks of at most
-        the chunk cap, and hand each chunk to the sender, until the session
-        epoch moves on or the connection the chunks go out on closes.
-
-        A range read of no bytes gets one empty chunk; a push of no bytes
-        sends nothing. Each read charges the disk model: seek latency on
-        discontiguous access, then a byte-fair share of its bandwidth. The
-        reader runs until it must wait, and is called again where the wait
-        ends: a job's arrival, a seek's end, a disk grant's end or the
-        sender taking the chunk it holds.
-        """
-        rt = self._rt
+        _cap, and hand each to the sender."""
         while True:
-            resume = self._resume
-            if resume is _JOB:
-                if not self._jobs:
-                    self._reader_parked = True
-                    return
-                epoch, offset, end = self._jobs.popleft()
-                end = min(end, self.size)
-                pos = min(offset, end)
-                self._job = [epoch, pos, end]
-                if pos == end and self.mode not in _PUSH_MODES:
-                    self._held = (epoch, offset, b"")  # EOF or empty read
-                    resume = _HAND
-            if resume is _DISK:  # granted
+            if self._resume == "disk":  # granted
+                self._resume = None
                 epoch, pos, end = job = self._job
-                n = min(self._chunk_cap, end - pos)
+                n = min(self._cap, end - pos)
                 self.current_offset = job[1] = pos + n
                 self._held = (epoch, pos, self._file.read(pos, n))
-                resume = _HAND
-            if resume is _HAND:
+            if self._held is not None:
                 if self._chunk is not None:
-                    self._resume = _HAND
                     self._reader_parked = True
                     return
                 self._chunk, self._held = self._held, None
                 if self._sender_parked and self._msg is None:
                     self._sender_parked = False
-                    rt._make_runnable(self._send)
-            epoch, pos, end = self._job
-            if resume is not _SEEK:
-                if not (pos < end and epoch == self.epoch
-                        and not self._out.closed):
-                    self._resume = _JOB
+                    self._rt._make_runnable(self._send)
+            if self._resume is None:
+                if self._job is None:
+                    if not self._jobs:
+                        self._reader_parked = True
+                        return
+                    epoch, offset, end = self._jobs.popleft()
+                    end = min(end, self.size)
+                    self._job = [epoch, min(offset, end), end]
+                    if offset >= end and self.mode not in _PUSH_MODES:
+                        self._held = (epoch, offset, b"")  # EOF or empty
+                        continue
+                epoch, pos, end = self._job
+                if pos >= end or epoch != self.epoch or self._out.closed:
+                    self._job = None
                     continue
                 if pos != self.current_offset:
-                    self._resume = _SEEK
-                    rt.sleep(self._server.disk.seek_latency)
+                    self._resume = "seek"
+                    self._rt.sleep(self._server.disk.seek_latency)
                     return
-            self._resume = _DISK
+            self._resume = "disk"
+            _, pos, end = self._job
             self._server._pump.acquire(self.handle_id,
-                                       min(self._chunk_cap, end - pos))
+                                       min(self._cap, end - pos))
             return
 
-    # -- sender: event-loop callback -------------------------------------------
-
     def _send(self) -> None:
-        """Send each chunk the reader hands over on the session's outgoing
-        connection, once it holds a flow-control credit; drop a chunk whose
-        epoch has passed or whose connection has closed. Called again when
-        a chunk comes, a credit comes back (a kick) or a frame is out."""
-        rt = self._rt
+        """Send each chunk handed over once it holds a credit."""
         while True:
             if self._msg is None:
-                item = self._chunk
-                if item is None:
+                if self._chunk is None:
                     self._sender_parked = True
                     return
-                self._chunk = None
-                if self._reader_parked and self._resume is _HAND:
+                (epoch, offset, payload), self._chunk = self._chunk, None
+                if self._reader_parked and self._held is not None:
                     self._reader_parked = False
-                    rt._make_runnable(self._read)
-                self._msg_epoch, offset, payload = item
-                self._msg_conn = self._out
-                self._msg = DataChunk(self.handle_id, offset, payload)
-            conn = self._msg_conn
-            if self._msg_epoch != self.epoch or conn.closed:
+                    self._rt._make_runnable(self._read)
+                self._msg = (epoch, self._out,
+                             DataChunk(self.handle_id, offset, payload))
+            epoch, conn, msg = self._msg
+            if epoch != self.epoch or conn.closed:
                 self._msg = None  # stale, interrupted before it left
-                continue
-            if not conn.try_reserve_data_credit():
+            elif not conn.try_reserve_data_credit():
                 self._sender_parked = True
                 return
-            msg, self._msg = self._msg, None
-            if conn.try_send(msg, credit_reserved=True):
-                return  # called again once the frame is out or dropped
+            else:
+                self._msg = None
+                if conn.try_send(msg, credit_reserved=True):
+                    return  # called again once the frame is out or dropped

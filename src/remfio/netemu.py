@@ -188,7 +188,6 @@ class EmuConnection:
         self.on_data_credit = None  # callback, fired on credit return
         self._closed = False
         self._peer_closed = False
-        self._trying = False  # try_send is calling send()
         self.sent_bytes = 0
         self.sent_payload = 0
         self.delivered_bytes = 0
@@ -210,7 +209,8 @@ class EmuConnection:
 
     # -- data path ----------------------------------------------------------
 
-    def send(self, msg: Message, *, credit_reserved: bool = False) -> None:
+    def send(self, msg: Message, *, credit_reserved: bool = False,
+             _trying: bool = False) -> None:
         """Transmit one frame; waits for window space and bandwidth share.
 
         The frame goes out in slices, each as large as the free window allows
@@ -219,28 +219,18 @@ class EmuConnection:
         connection at once interleave whole slices, so each task's frames
         arrive in the order it sent them.
 
-        The waits are one state machine, _Transmit. A carrier task blocks in
-        each wait and steps the frame on itself. A generator task yields
-        after send(), and a callback returns: the frame steps on as a
-        callback, which resumes the task, or calls the callback again, once
-        the frame is out.
+        The waits are one state machine, _Transmit: a carrier task blocks in
+        each, a generator task yields after send() and a callback returns.
 
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
-        trying, self._trying = self._trying, False
-        frame_len = self._admit(msg, credit_reserved)
-        rt = self._rt
-        cur = rt._current
-        tx = _Transmit(self, msg, frame_len,
-                       self._net._pump(self.profile, self._direction), cur,
-                       trying)
-        if type(cur) is Task and cur._gen is None:
-            tx.step()
-            return
-        rt._switch(None)  # a generator task yields next
-        rt._current = tx
+        tx = _Transmit(self, msg, self._admit(msg, credit_reserved), _trying)
+        rt, cur = self._rt, self._rt._current
+        if type(cur) is not Task or cur._gen is not None:
+            rt._switch(None)  # a generator task yields next
+            rt._current = tx  # and the frame steps on as a callback
         tx.step()
         rt._current = cur
 
@@ -256,14 +246,9 @@ class EmuConnection:
 
     def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
         """send(), except that a closed connection drops the frame; returns
-        whether it went out. For replies whose requester may have gone.
-
-        A generator task or callback gets False at once if the frame is
-        refused before it waits; otherwise it waits, and a generator task
-        gets the result at its yield."""
-        self._trying = True  # send() takes it
+        whether it went out. For replies whose requester may have gone."""
         try:
-            self.send(msg, credit_reserved=credit_reserved)
+            self.send(msg, credit_reserved=credit_reserved, _trying=True)
         except TransportError:
             return False
         return True
@@ -362,34 +347,20 @@ class EmuConnection:
 
 
 class _Transmit:
-    """One frame on its way out: the waits of EmuConnection.send.
+    """A frame on its way out. Each wait, for window space or a link grant,
+    queues the current waiter: a carrier task, blocked in it, or this
+    object, which steps on as a callback and then resumes the sender."""
 
-    step() goes on until the frame must wait, for window space or a link
-    grant, and queues the runtime's current waiter to run where that wait
-    ends. A carrier task is that waiter, blocked inside each wait; otherwise
-    this object is, called as a callback, and it resumes its caller once the
-    frame is out or has failed.
-    """
-
-    __slots__ = ("conn", "msg", "frame_len", "pump", "remaining", "caller",
-                 "trying", "windowed")
-
-    def __init__(self, conn: EmuConnection, msg: Message, frame_len: int,
-                 pump, caller, trying: bool) -> None:
-        self.conn = conn
-        self.msg = msg
-        self.frame_len = frame_len
-        self.pump = pump
-        self.remaining = frame_len
-        self.caller = caller  # the generator task or callback that sent it
-        self.trying = trying  # try_send: a failure resumes it with False
-        self.windowed = False  # waits for a window kick
+    def __init__(self, conn, msg, frame_len: int, trying: bool) -> None:
+        self.conn, self.msg, self.trying = conn, msg, trying
+        self.frame_len = self.remaining = frame_len
+        self.pump = conn._net._pump(conn.profile, conn._direction)
+        self.caller = conn._rt._current
+        self.windowed = False  # waiting for a window kick
 
     def step(self) -> bool:
         """Go on to the frame's next wait; True once the frame is out."""
-        conn = self.conn
-        rt = conn._rt
-        kick = conn._window_kick
+        conn, rt, kick = self.conn, self.conn._rt, self.conn._window_kick
         while self.remaining > 0:
             if self.windowed:
                 if not len(kick):
@@ -416,8 +387,8 @@ class _Transmit:
             self.pump.acquire(conn.conn_id, take)  # to transmit end
             if rt._current is self:
                 return False
-        conn.sent_bytes += self.frame_len
         msg, frame_len, peer = self.msg, self.frame_len, conn._peer
+        conn.sent_bytes += frame_len
         if isinstance(msg, DataChunk):
             conn.sent_payload += len(msg.payload)
         rt.call_later(conn.profile.rtt / 2,
@@ -425,15 +396,13 @@ class _Transmit:
         return True
 
     def __call__(self) -> None:
-        """Step the frame on where a wait ended; once it is out or has
-        failed, resume the caller."""
-        exc = None
+        """Step on where a wait ended; then resume the frame's sender."""
         try:
             if not self.step():
                 return
+            value = exc = None
         except TransportError as err:
-            exc = err
-        value = None
+            value, exc = None, err
         if self.trying:
             value, exc = exc is None, None
         rt, caller = self.conn._rt, self.caller

@@ -35,11 +35,9 @@ carrier: threads and child processes that a task starts inherit it.
 
 Timer callbacks (VirtualRuntime.call_at) and channel waiters
 (VirtualChannel.when_ready) run inline during dispatch and must never
-block; spawn and unbounded channel put and try_put are safe there. While a
-callback runs it is the runtime's current waiter, so it may wait as a
-generator task does, by a call to sleep, acquire, send or try_send, and
-then return at once: the event loop calls it again where that wait ends.
-A callback must keep its own state to know where it resumes.
+block; spawn and unbounded channel put and try_put are safe there. A
+running callback is the current waiter: it may call sleep, acquire, send or
+try_send and return, and the event loop calls it again where that wait ends.
 """
 
 from __future__ import annotations
@@ -222,11 +220,9 @@ class VirtualRuntime:
         """Raise RuntimeError if a generator task or a callback, which must
         not block, calls what blocks a carrier task."""
         cur = self._current
-        if type(cur) is not Task:
-            raise RuntimeError(f"callback {cur!r} made a blocking call")
-        if cur._gen is not None:
-            raise RuntimeError(f"generator task {cur.name!r} made "
-                               "a blocking call; it must yield to wait")
+        if type(cur) is not Task or cur._gen is not None:
+            raise RuntimeError(f"{getattr(cur, 'name', cur)!r} made a "
+                               "blocking call; it must yield to wait")
 
     def _park(self, waiters) -> None:
         """Queue the current carrier task on waiters and block it until
@@ -309,18 +305,16 @@ class VirtualRuntime:
         self._current = task
         task._waiting = False
         gen = task._gen
-        while True:
-            try:
+        try:
+            while True:
                 value = gen.send(value) if exc is None else gen.throw(exc)
-            except StopIteration as stop:
-                value, exc = stop.value, None
-                break
-            except BaseException as err:
-                value, exc = None, err
-                break
-            exc = None
-            if task._waiting:
-                return
+                exc = None
+                if task._waiting:
+                    return
+        except StopIteration as stop:
+            value, exc = stop.value, None
+        except BaseException as err:
+            value, exc = None, err
         if task._waiting:  # it ended inside a waiting call, not at a yield
             task._waiting, value, exc = False, None, RuntimeError(
                 f"generator task {task.name!r} ended inside a wait")
@@ -449,11 +443,10 @@ class VirtualRateLimiter:
     of their requests. A grant wakes its waiter at the grant's end ahead of
     the next pick, so a waiter that asks again at once competes for the next
     grant; keys with one request outstanding at a time would otherwise be
-    shared per grant. A task's grant ends in two events, its wake-up and
-    then the pick, because a carrier task must run before the pick; a
-    callback's ends in one, which calls it and then picks. An idle limiter
-    holds no timer, and a key's state is dropped with its last request.
-    acquire of no bytes returns at once, without a wait.
+    shared per grant. A task's grant ends in two events, its wake-up and the
+    pick, as a carrier must run first; a callback's in one that calls it and
+    picks. An idle limiter holds no timer, and a key's state is dropped with
+    its last request. acquire of no bytes returns at once, without a wait.
     """
 
     def __init__(self, runtime: VirtualRuntime, rate: float):
@@ -466,7 +459,6 @@ class VirtualRateLimiter:
         self._vtime = 0  # V: the tag of the request last granted
         self._arrivals = 0
         self._busy = False  # a serve callback is pending
-        self._granted = None  # the callback whose grant is in progress
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
@@ -501,16 +493,13 @@ class VirtualRateLimiter:
                     rt._push(end, waiter)
                     rt.call_at(end, self._serve)
                 else:
-                    self._granted = waiter
-                    rt._push(end, self._end_grant)
+                    rt._push(end, lambda: self._end_grant(waiter))
                 return
             rt._make_runnable(waiter)
         self._busy = False
 
-    def _end_grant(self) -> None:
-        """End a callback's grant: call it, as the current waiter, then
-        pick the next request."""
-        waiter, self._granted = self._granted, None
+    def _end_grant(self, waiter) -> None:
+        """End a callback's grant: call it, then pick the next request."""
         self._rt._current = waiter
         waiter()
         self._serve()
