@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -67,3 +68,38 @@ def test_run_once_unpinned_keeps_simbench_from_pinning(tmp_path, unpinned):
         "argv": ["--workload", "w", "--seed", "3", "--trace", "0"],
         "main": "__main__",
         "cpus": sorted(cpus) if unpinned else [min(cpus)]}
+
+
+def test_copy_probe_puts_this_trees_probe_into_the_parent(tmp_path):
+    bench_pairs.copy_probe(tmp_path)
+    assert ((tmp_path / "tools" / "probe_round.py").read_bytes()
+            == (bench_pairs.ROOT / "tools" / "probe_round.py").read_bytes())
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_probe_counts_takes_the_median_line(tmp_path, fails):
+    # a stand-in probe that echoes its arguments into its median line, or
+    # fails without printing one
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "probe_round.py").write_text(
+        "import json, sys\n"
+        + ("sys.exit('probe broke')\n" if fails else "")
+        + "print(json.dumps({'round': 0, 'heap_pushes': 5}))\n"
+        "print(json.dumps({'workload': sys.argv[2],\n"
+        "                  'median': {'heap_pushes': 5, 'argv': sys.argv[1:]}}))\n")
+    got = bench_pairs.probe_counts(tmp_path, "w")
+    if fails:
+        assert got == {"error": "probe broke"}
+    else:
+        assert got == {"heap_pushes": 5, "argv": [
+            "--workload", "w", "--seed", str(bench_pairs.COUNT_SEED),
+            "--rounds", str(bench_pairs.COUNT_ROUNDS)]}
+
+
+def test_bench_files_load_with_or_without_counts(tmp_path):
+    old = bench_pairs.load_bench(bench_pairs.ROOT / "BENCH_23.json")
+    assert old["counts"] == {} and old["summary"]
+    path = tmp_path / "BENCH_new.json"
+    counts = {"w": {"parent": {"heap_pushes": 9}, "change": {"heap_pushes": 7}}}
+    path.write_text(json.dumps({"summary": {}, "counts": counts}))
+    assert bench_pairs.load_bench(path)["counts"] == counts

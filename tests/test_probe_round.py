@@ -125,6 +125,9 @@ class _StandInRuntime:
     def _step(self, task):
         self.calls.append(("step", task.name))
 
+    def _push(self, t, entry):
+        self.calls.append(("push", t))
+
 
 def test_scheduler_counts_passes_steps_and_thread_starts():
     # handoff calls on main, A, A, B (after two steps on B), then the round
@@ -133,7 +136,7 @@ def test_scheduler_counts_passes_steps_and_thread_starts():
         pass
 
     rt_cls = _StandInRuntime
-    originals = (rt_cls._handoff, rt_cls._step, Thread.start)
+    originals = (rt_cls._handoff, rt_cls._step, rt_cls._push, Thread.start)
     sched = probe_round.SchedulerCounts()
     saved = sched.install(rt_cls, Thread)
     rt = rt_cls()
@@ -158,6 +161,12 @@ def test_scheduler_counts_passes_steps_and_thread_starts():
         as_task("srv-head:5015-2")
         rt._handoff(None)
 
+    # a heap entry is a carrier task's wake-up, a generator task's step or
+    # a callback, told apart by the task's _thread
+    rt._push(0.0, SimpleNamespace(name="bench-client-0", _thread=object()))
+    rt._push(0.0, SimpleNamespace(name="srv-ds1:5001-3", _thread=None))
+    rt._push(1.0, lambda: None)
+    rt._push(1.0, SimpleNamespace.__init__)
     as_task("root")
     rt._handoff(None)
     on_thread(client)
@@ -172,13 +181,18 @@ def test_scheduler_counts_passes_steps_and_thread_starts():
         "gen_steps": 3,
         "gen_steps.ds-send": 2,
         "gen_steps.ds-read": 1,
+        "heap_pushes": 4,
+        "heap_pushes.carrier": 1,
+        "heap_pushes.generator": 1,
+        "heap_pushes.callback": 2,
         "thread_starts": 2,
     }
-    assert len(rt.calls) == 7  # every wrapped call reached the original
+    assert len(rt.calls) == 11  # every wrapped call reached the original
     sched.reset()
     assert sched.close_round()["handoff_calls"] == 0
     probe_round.ReadPathCopies.uninstall(saved)
-    assert (rt_cls._handoff, rt_cls._step, Thread.start) == originals
+    assert (rt_cls._handoff, rt_cls._step, rt_cls._push,
+            Thread.start) == originals
 
 
 def test_a_runtime_without_step_is_probed_for_handoffs_only():
@@ -210,15 +224,20 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     for row in rows:
         assert row["copied_bytes"] == 0
         assert row["ru_minflt"] >= 0
-        per_kind = ("baton_passes.", "gen_steps.")
+        per_kind = ("baton_passes.", "gen_steps.", "heap_pushes.")
         assert {k for k in row if not k.startswith(per_kind)} == {
             *(f"copied_bytes.{s}" for s in probe_round.SITES),
             "copied_bytes", "ru_minflt", "handoff_calls", "baton_passes",
-            "gen_steps", "context_switches", "thread_starts"}
+            "gen_steps", "heap_pushes", "context_switches", "thread_starts"}
         assert row["handoff_calls"] >= row["baton_passes"] > 0
         assert row["gen_steps"] == sum(
             n for k, n in row.items() if k.startswith("gen_steps."))
-        # servers run as generator tasks: only the clients start threads
+        assert row["heap_pushes"] == sum(
+            n for k, n in row.items() if k.startswith("heap_pushes."))
+        # servers' connection handlers run as generator tasks, and disk
+        # sessions on callbacks: only the clients start threads
         assert row["gen_steps"] > 0
+        assert not any(k.startswith("gen_steps.ds-") for k in row)
+        assert row["heap_pushes.callback"] > row["heap_pushes.generator"]
         assert 0 < row["thread_starts"] <= workloads.SMALL[
             "seq-stream-16"].clients

@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV --out BENCH_<n>.json \\
         --run seq-stream-16=1-10 --run skip-mixed-32=0,1,2,3,10 \\
-        [--what TEXT] [--unpinned]
+        [--what TEXT] [--unpinned] [--counts]
 
 The parent's committed files are unpacked with `git archive` into a
 temporary directory. For each workload and seed, `simbench/run.py --workload
@@ -15,8 +15,12 @@ the change/parent ratio of the medians and the number of pairs in which the
 change reads better, with the direction of "better" taken from
 BENCHMARK.json. With --unpinned, simbench runs with os.sched_setaffinity
 made a no-op, so its process keeps every CPU it was given instead of pinning
-itself to one. This script reads simbench/ and BENCHMARK.json but never
-writes to them.
+itself to one. With --counts, this tree's tools/probe_round.py is copied
+into the parent's archive and run on each side, parent first, for every
+workload at seed 1 over 8 rounds; the output gains both sides' median
+counts per workload under "counts". A BENCH file made without --counts has
+no such key, and load_bench() reads it as having no counts. This script
+reads simbench/ and BENCHMARK.json but never writes to them.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import os
 import platform
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -33,6 +38,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PROBE = Path("tools") / "probe_round.py"
+COUNT_SEED, COUNT_ROUNDS = 1, 8  # the probe's seed and rounds per side
 # Runs simbench/run.py as its own __main__, with pinning disabled.
 UNPINNED = ("import os, runpy; os.sched_setaffinity = lambda *_: None; "
             "runpy.run_path('simbench/run.py', run_name='__main__')")
@@ -70,6 +77,32 @@ def run_once(tree: Path, workload: str, seed: int, unpinned: bool) -> dict:
         line = {"correct": False, "error": proc.stderr.strip()[-2000:]}
     return {"exit": proc.returncode,
             "csv_sha256": digest.group(1) if digest else None, "line": line}
+
+
+def copy_probe(tree: Path) -> None:
+    """Put this tree's round probe into tree, so both sides count alike."""
+    (tree / PROBE).parent.mkdir(parents=True, exist_ok=True)
+    shutil.copyfile(ROOT / PROBE, tree / PROBE)
+
+
+def probe_counts(tree: Path, workload: str) -> dict:
+    """The median counts the probe prints for workload in tree, or the
+    tail of its error output if it printed none."""
+    proc = subprocess.run(
+        [sys.executable, str(PROBE), "--workload", workload, "--seed",
+         str(COUNT_SEED), "--rounds", str(COUNT_ROUNDS)],
+        cwd=tree, capture_output=True, text=True)
+    try:
+        return json.loads(proc.stdout.strip().splitlines()[-1])["median"]
+    except (IndexError, KeyError, json.JSONDecodeError):
+        return {"error": proc.stderr.strip()[-2000:]}
+
+
+def load_bench(path: Path) -> dict:
+    """A BENCH file; one made without --counts reads as having none."""
+    doc = json.loads(Path(path).read_text())
+    doc.setdefault("counts", {})
+    return doc
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -126,6 +159,8 @@ def main(argv=None) -> int:
     parser.add_argument("--what", default="", help="what the change is")
     parser.add_argument("--unpinned", action="store_true",
                         help="keep simbench from pinning itself to one CPU")
+    parser.add_argument("--counts", action="store_true",
+                        help="add both sides' tools/probe_round.py counts")
     args = parser.parse_args(argv)
 
     plan = {}
@@ -139,6 +174,7 @@ def main(argv=None) -> int:
         capture_output=True, text=True).stdout.strip()
 
     runs = []
+    counts = {}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
         archive = subprocess.run(["git", "archive", parent_rev], cwd=ROOT,
@@ -156,6 +192,15 @@ def main(argv=None) -> int:
                       f"{result['exit']} " + " ".join(
                           f"{k}={v['value']:.4g}" for k, v in metrics.items()),
                       flush=True)
+        if args.counts:
+            copy_probe(parent)
+            for workload in plan:
+                counts[workload] = {side: probe_counts(tree, workload)
+                                    for side, tree in (("parent", parent),
+                                                       ("change", ROOT))}
+                print(f"{workload} counts: " + " ".join(
+                    f"{side} heap_pushes={c.get('heap_pushes')}"
+                    for side, c in counts[workload].items()), flush=True)
 
     order = "; ".join(f"{w}: seeds {','.join(map(str, s))}"
                       for w, s in plan.items())
@@ -181,6 +226,12 @@ def main(argv=None) -> int:
                        "neither); csv_sha256_equal_pairs counts the seeds at "
                        "which both sides printed the same CSV digest",
     }
+    if args.counts:
+        doc["counts"] = counts
+        doc["counts_command"] = (
+            f"python3 {PROBE} --workload W --seed {COUNT_SEED} --rounds "
+            f"{COUNT_ROUNDS}, this tree's probe on both sides; each entry "
+            "is the median line it prints")
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

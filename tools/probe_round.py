@@ -23,6 +23,10 @@ object per line:
   `-<number>` cut off (`baton_passes.ds-send`);
 - `gen_steps`, the times a generator task ran (VirtualRuntime._step, where
   the runtime has one), also by task name;
+- `heap_pushes`, the entries pushed on the event heap
+  (VirtualRuntime._push), split by what the entry runs: `.carrier` (a
+  carrier task's wake-up), `.generator` (a generator task's step) and
+  `.callback` (anything else: timers, grants, session continuations);
 - `context_switches`, the process's voluntary and involuntary context
   switches (`ru_nvcsw + ru_nivcsw`) during the round;
 - `thread_starts`, the calls of threading.Thread.start during the round.
@@ -131,8 +135,8 @@ def task_kind(name: str) -> str:
 
 
 class SchedulerCounts:
-    """Handoffs, baton passes, generator steps and thread starts, counted
-    by wrapping a runtime class and threading.Thread."""
+    """Handoffs, baton passes, generator steps, heap pushes and thread
+    starts, counted by wrapping a runtime class and threading.Thread."""
 
     def __init__(self) -> None:
         self.reset()
@@ -141,6 +145,7 @@ class SchedulerCounts:
         self.handoff_calls = 0
         self.passes: Counter = Counter()  # by the kind of task giving up
         self.steps: Counter = Counter()  # by the kind of task stepped
+        self.pushes: Counter = Counter()  # by what the entry runs
         self.thread_starts = 0
         self._last = None  # (thread, task kind) of the latest handoff call
 
@@ -165,17 +170,27 @@ class SchedulerCounts:
                 **{f"baton_passes.{k}": n for k, n in self.passes.items()},
                 "gen_steps": sum(self.steps.values()),
                 **{f"gen_steps.{k}": n for k, n in self.steps.items()},
+                "heap_pushes": sum(self.pushes.values()),
+                **{f"heap_pushes.{k}": n for k, n in self.pushes.items()},
                 "thread_starts": self.thread_starts}
 
+    def note_push(self, entry) -> None:
+        """An entry pushed on the event heap: a task, whose _thread is its
+        carrier's or None for a generator task, or a callback."""
+        thread = getattr(entry, "_thread", False)
+        self.pushes["callback" if thread is False else
+                    "generator" if thread is None else "carrier"] += 1
+
     def install(self, runtime_cls, thread_cls) -> list:
-        """Wrap runtime_cls._handoff, its _step if it has one, and
-        thread_cls.start; returns (owner, name, original) for uninstall()."""
+        """Wrap runtime_cls._handoff, its _step and _push where it has
+        them, and thread_cls.start; returns (owner, name, original) for
+        uninstall()."""
         saved = [(runtime_cls, "_handoff", runtime_cls._handoff),
                  (thread_cls, "start", thread_cls.start)]
         handoff, start = runtime_cls._handoff, thread_cls.start
 
         def counted_handoff(rt, cur):
-            self._note_handoff(rt._current.name)
+            self._note_handoff(getattr(rt._current, "name", "callback"))
             return handoff(rt, cur)
 
         def counted_start(thread, *args, **kwargs):
@@ -193,6 +208,15 @@ class SchedulerCounts:
                 return step(rt, task, *args)
 
             runtime_cls._step = counted_step
+        push = getattr(runtime_cls, "_push", None)
+        if push is not None:
+            saved.append((runtime_cls, "_push", push))
+
+            def counted_push(rt, t, entry):
+                self.note_push(entry)
+                return push(rt, t, entry)
+
+            runtime_cls._push = counted_push
         return saved
 
 
