@@ -222,7 +222,7 @@ class VirtualRuntime:
         cur = self._current
         if type(cur) is not Task or cur._gen is not None:
             raise RuntimeError(f"{getattr(cur, 'name', cur)!r} made a "
-                               "blocking call; it must yield to wait")
+                               "blocking call; only a carrier task may")
 
     def _park(self, waiters) -> None:
         """Queue the current carrier task on waiters and block it until
