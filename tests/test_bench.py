@@ -29,10 +29,11 @@ from remfio.bench import (
 )
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read
 from remfio.content import checksum_bytes, file_content
-from remfio.diskserver import MANIFEST_NAME, DiskServer
+from remfio.diskserver import MANIFEST_NAME, DiskServer, PoolFile
+from remfio.errors import DeadlockError
 from remfio.headnode import Headnode, OpenQueueModel
 from remfio.netemu import ZERO_PROFILE, EmuConnection, EmulatedNetwork
-from remfio.runtime import VirtualRuntime
+from remfio.runtime import VirtualRateLimiter, VirtualRuntime
 from remfio.wire import DataChunk, ReadMode
 
 KiB = 1024
@@ -575,6 +576,82 @@ def test_every_frame_kind_sent_is_read(monkeypatch, name):
     run_benchmark(_wan_runs()[name], seed=7)
     assert sent["DataChunk"] > 0
     assert {kind: n for kind, n in sent.items() if not read[kind]} == {}
+
+
+@pytest.mark.parametrize("mode", [ReadMode.STREAM, ReadMode.READBUF])
+def test_grants_and_frames_go_through_the_traced_entry_points(monkeypatch,
+                                                              mode):
+    # simbench's tracer counts grants by wrapping VirtualRateLimiter.acquire
+    # with exactly (limiter, key, nbytes), keywords refused, and frames by
+    # wrapping EmuConnection.send: a session that asked for a grant or sent
+    # a chunk some other way would crash a traced run or drop its counts
+    grants, counts, servers = Counter(), Counter(), []
+    acquire, send, read = (VirtualRateLimiter.acquire, EmuConnection.send,
+                           PoolFile.read)
+    start = DiskServer.start
+
+    def traced_acquire(limiter, key, nbytes):
+        grants[limiter] += 1
+        return acquire(limiter, key, nbytes)
+
+    def traced_send(conn, msg, **kw):
+        if isinstance(msg, DataChunk):
+            counts["sends"] += 1
+            counts["sent_bytes"] += len(msg.payload)
+        return send(conn, msg, **kw)
+
+    def counted_read(pool_file, offset, n):
+        counts["reads"] += 1
+        return read(pool_file, offset, n)
+
+    def noted_start(srv):
+        servers.append(srv)
+        start(srv)
+
+    def counted_deliver(conn, msg, frame_len):
+        counts["delivered"] += isinstance(msg, DataChunk)
+        deliver(conn, msg, frame_len)
+
+    deliver = EmuConnection._deliver
+    monkeypatch.setattr(VirtualRateLimiter, "acquire", traced_acquire)
+    monkeypatch.setattr(EmuConnection, "send", traced_send)
+    monkeypatch.setattr(EmuConnection, "_deliver", counted_deliver)
+    monkeypatch.setattr(PoolFile, "read", counted_read)
+    monkeypatch.setattr(DiskServer, "start", noted_start)
+    spec = WorkloadSpec(file_size=2 * MiB, block_size=64 * KiB, mode=mode,
+                        clients=3, iobufsize=192 * KiB)
+    summary = run_benchmark(spec, seed=3)
+    assert [r.bytes_consumed for r in summary.records] == [2 * MiB] * 3
+    (srv,) = servers
+    assert counts["reads"] > 0
+    assert grants[srv._pump] == counts["reads"]  # a disk grant per chunk
+    assert counts["sends"] == counts["delivered"] == counts["reads"]
+    assert counts["sent_bytes"] == 3 * 2 * MiB  # whole files, nothing more
+    assert sum(grants.values()) > grants[srv._pump]  # link grants too
+
+
+@pytest.mark.parametrize("fault", ["read", "credit"])
+@pytest.mark.parametrize("mode", [ReadMode.STREAM, ReadMode.READBUF])
+def test_a_session_fault_stops_the_run_with_its_own_exception(monkeypatch,
+                                                              mode, fault):
+    # a session's reader and sender are event-loop callbacks: an exception
+    # in one stops the world and the run raises it, not the deadlock the
+    # stalled clients would otherwise meet
+    class DiskGone(OSError):
+        pass
+
+    def broken(*args, **kwargs):
+        raise DiskGone(fault)
+
+    if fault == "read":
+        monkeypatch.setattr(PoolFile, "read", broken)
+    else:
+        monkeypatch.setattr(EmuConnection, "try_reserve_data_credit", broken)
+    spec = WorkloadSpec(file_size=MiB, block_size=64 * KiB, mode=mode,
+                        clients=2)
+    with pytest.raises(DiskGone, match=fault) as info:
+        run_benchmark(spec, seed=3)
+    assert not isinstance(info.value, DeadlockError)
 
 
 @pytest.mark.parametrize("mode, profile", [(ReadMode.STREAM, "wan"),

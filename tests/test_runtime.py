@@ -822,3 +822,71 @@ def test_generator_and_thread_tasks_waking_at_one_instant_run_in_push_order():
 
     rt.run(main)
     assert order == ["g1", "t1", "g2", "t2"]
+
+
+# -- callbacks that wait -------------------------------------------------------
+
+
+def test_a_callback_that_sleeps_or_acquires_is_called_again_at_its_wake():
+    rt = VirtualRuntime()
+    calls = []
+
+    def main():
+        lim = rt.rate_limiter(100.0)
+
+        def callback():
+            calls.append(rt.now())
+            if len(calls) == 1:
+                rt.sleep(0.5)
+            elif len(calls) == 2:
+                lim.acquire("k", 50)
+            elif len(calls) == 3:
+                lim.acquire("k", 0)  # no bytes: no wait, no call
+
+        rt.call_at(1.0, callback)
+        rt.sleep(5.0)
+
+    rt.run(main)
+    assert calls == [1.0, 1.5, 2.0]
+
+
+def _grant_log(callback: bool) -> list:
+    """(waiter, time) at each grant's end: x asks for 100 bytes three times
+    in a row, as a callback or a generator task, and y for 300 once."""
+    rt = VirtualRuntime()
+    log = []
+
+    def main():
+        lim = rt.rate_limiter(100.0)
+
+        def task(name, nbytes, times):
+            for _ in range(times):
+                yield lim.acquire(name, nbytes)
+                log.append((name, rt.now()))
+
+        asked = []
+
+        def x():
+            if asked:
+                log.append(("x", rt.now()))
+            if len(asked) < 3:
+                asked.append(None)
+                lim.acquire("x", 100)
+
+        if callback:
+            rt.call_at(0.0, x)
+        else:
+            rt.spawn(task, "x", 100, 3)
+        rt.spawn(task, "y", 300, 1)
+        rt.sleep(10.0)
+
+    rt.run(main)
+    return log
+
+
+def test_a_callbacks_grant_ends_by_calling_it_before_the_next_pick():
+    # x asks again at once at each grant's end, so it competes for the next
+    # pick: its tags 200 and 300 against y's 300 (which arrived first), as
+    # for a task; a pick before the waiter ran would grant y at t=1
+    assert _grant_log(callback=True) == _grant_log(callback=False) == [
+        ("x", 1.0), ("x", 2.0), ("y", 5.0), ("x", 6.0)]
