@@ -246,7 +246,7 @@ class EmuConnection:
 
     def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
         """send(), except that a closed connection drops the frame; returns
-        whether it went out. For replies whose requester may have gone."""
+        whether it went out: False at once, with no wait, if refused."""
         try:
             self.send(msg, credit_reserved=credit_reserved, _trying=True)
         except TransportError:

@@ -454,7 +454,7 @@ class VirtualRateLimiter:
             raise ValueError(f"rate must be positive: {rate}")
         self._rt = runtime
         self._rate = rate
-        self._requests: list = []  # heap of (tag, arrival, key, nbytes, waiter)
+        self._requests: list = []  # heap of (tag, arrival, key, n, waiter)
         self._last_tag: dict = {}  # key -> tag of its last queued request
         self._vtime = 0  # V: the tag of the request last granted
         self._arrivals = 0

@@ -85,8 +85,8 @@ def test_probe_counts_takes_the_median_line(tmp_path, fails):
         "import json, sys\n"
         + ("sys.exit('probe broke')\n" if fails else "")
         + "print(json.dumps({'round': 0, 'heap_pushes': 5}))\n"
-        "print(json.dumps({'workload': sys.argv[2],\n"
-        "                  'median': {'heap_pushes': 5, 'argv': sys.argv[1:]}}))\n")
+        "median = {'heap_pushes': 5, 'argv': sys.argv[1:]}\n"
+        "print(json.dumps({'workload': sys.argv[2], 'median': median}))\n")
     got = bench_pairs.probe_counts(tmp_path, "w")
     if fails:
         assert got == {"error": "probe broke"}
@@ -100,6 +100,7 @@ def test_bench_files_load_with_or_without_counts(tmp_path):
     old = bench_pairs.load_bench(bench_pairs.ROOT / "BENCH_23.json")
     assert old["counts"] == {} and old["summary"]
     path = tmp_path / "BENCH_new.json"
-    counts = {"w": {"parent": {"heap_pushes": 9}, "change": {"heap_pushes": 7}}}
+    counts = {"w": {"parent": {"heap_pushes": 9},
+                    "change": {"heap_pushes": 7}}}
     path.write_text(json.dumps({"summary": {}, "counts": counts}))
     assert bench_pairs.load_bench(path)["counts"] == counts
