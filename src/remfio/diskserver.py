@@ -4,12 +4,14 @@ Every session runs a small pipeline of event-loop callbacks, with no task:
 
   control callback --(jobs)--> reader --(one chunk)--> sender --> connection
 
-The control callback (EmuConnection.serve) turns each request into a job
-and never waits; a refusal it makes goes out from a generator task of its
-own. The reader and the sender run until they must wait, and are called
-again where the wait ends: the reader at a job, a seek's end, a disk
-grant's end or the sender taking its chunk; the sender at a chunk, a kick
-(a credit back, a new epoch, a closed connection) or a frame's end. A job
+A connection's first message is read by a callback as well, which opens a
+session, attaches a data connection or sends a refusal. The control
+callback (EmuConnection.serve) turns each request into a job and never
+waits; a refusal it makes goes out from a callback of its own. The reader
+and the sender run until they must wait, and are called again where the
+wait ends: the reader at a job, a seek's end, a disk grant's end or the
+sender taking its chunk; the sender at a chunk, a kick (a credit back, a
+new epoch, a closed connection) or a frame's end. A job
 asks for one byte range of the file. In NORMAL and READBUF a ReadRequest is
 a range job; in READAHEAD and STREAM a StreamStart is a push job that runs
 to the end of the file, and a ReadRequest is refused. A session's chunks go
@@ -152,7 +154,8 @@ class DiskServer:
             self._load_pool()
 
     def start(self) -> None:
-        self._net.listen(self.address, self._serve)
+        self._net.accept(self.address, lambda conn: conn.when_readable(
+            lambda: self._serve(conn)))
 
     @property
     def address(self) -> str:
@@ -233,33 +236,34 @@ class DiskServer:
 
     # -- connection handling ---------------------------------------------------
 
-    def _serve(self, conn):
-        yield from conn.wait_recv()
+    def _serve(self, conn) -> None:
+        """Serve the first message on conn, which is readable."""
         try:
             first = conn.recv()
         except ConnectionClosedError:
             conn.close()
             return
         if isinstance(first, OpenRequest):
-            refusal = yield from self._run_control(conn, first)
+            refusal = self._run_control(conn, first)
         elif isinstance(first, StreamStart):
             refusal = self._run_data(conn, first)
         else:
             refusal = ErrorReply(ErrorCode.PROTOCOL,
                                  "expected OpenRequest or StreamStart")
         if refusal is not None:
-            yield from self._refuse(conn, refusal)
-            conn.close()
+            self._refuse(conn, refusal, conn.close)
 
-    def _refuse(self, conn, refusal: ErrorReply):
+    def _refuse(self, conn, refusal: ErrorReply, then) -> None:
+        """Count and send a refusal, then call then()."""
         counter = _REFUSAL_COUNTERS.get(refusal.code)
         if counter is not None:
             self.counters[counter] += 1
-        yield conn.try_send(refusal)
+        conn.try_send_then(refusal, then)
 
-    def _run_control(self, conn, request: OpenRequest):
-        """Open a session and hand its control connection to _on_control;
-        the refusal if the open is not admitted."""
+    def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
+        """Open a session and, once its OpenReply is out, hand its control
+        connection to _on_control; the refusal if the open is not
+        admitted."""
         handle_id = verify_session_token(request.token, self._shared)
         if handle_id is None:
             return ErrorReply(ErrorCode.AUTH, "session token rejected")
@@ -272,14 +276,16 @@ class DiskServer:
                            request.iobufsize, pool_file, conn)
         self.sessions[handle_id] = session
         self.counters["opens_ok"] += 1
-        yield conn.try_send(OpenReply(handle_id, pool_file.size))
-        conn.serve(lambda msg: self._on_control(session, msg))
+        def serve() -> None:
+            conn.serve(lambda msg: self._on_control(session, msg))
+
+        conn.try_send_then(OpenReply(handle_id, pool_file.size), serve)
         return None
 
     def _on_control(self, session: "_Session", msg) -> None:
         """Serve one message on a session's control connection, or end the
-        session at the connection's end. Runs as an event-loop callback:
-        a refusal goes out from a task of its own."""
+        session at the connection's end. Runs inside serve()'s loop, so a
+        refusal goes out from a callback of its own, pushed to run next."""
         if msg is None:
             session.shutdown()
             return
@@ -293,8 +299,8 @@ class DiskServer:
                 f"unexpected {type(msg).__name__} on a "
                 f"{session.mode.name} control connection"))
         if refusal is not None:
-            self._rt.spawn(self._refuse, session.control_conn, refusal,
-                           name=f"ds-refuse-{session.handle_id}")
+            self._rt._make_runnable(lambda: self._refuse(
+                session.control_conn, refusal, lambda: None))
 
     def _start_stream(self, session: "_Session",
                       offset: int) -> ErrorReply | None:

@@ -4,14 +4,14 @@ The headnode owns the file namespace (logical path -> replica location) and
 brokers every file open through one FIFO with a fixed per-open service time.
 That FIFO is the deliberate bottleneck of the whole system: mean open latency
 grows linearly with the number of clients opening at once, which the
-benchmark harness measures. Each open is brokered in its own connection
-handler, which books the next service slot and sleeps until it ends, so a
+benchmark harness measures. Each open is brokered on its own connection,
+which books the next service slot and replies from a timer at its end, so a
 reply that waits for the link delays only its own client.
 
 Two listeners, by default on the conventional ports:
   - 5010: namespace lookups (NsLookup -> NsLookupReply)
   - 5015: open brokering (OpenRequest -> OpenReply after queue + service)
-Each connection carries one request: the headnode answers it and hangs up.
+Each connection carries one request: a callback answers it and hangs up.
 
 Authorization is a static shared token on the open path. A successful open
 replies with a fresh handle id and nothing else: the headnode does not mint
@@ -132,8 +132,10 @@ class Headnode:
 
     def start(self) -> None:
         """Register both listeners."""
-        self._net.listen(self.ns_address, self._serve_lookup)
-        self._net.listen(self.open_address, self._serve_open)
+        self._net.accept(self.ns_address,
+                         lambda conn: self._serve(conn, self._answer_lookup))
+        self._net.accept(self.open_address,
+                         lambda conn: self._serve(conn, self._answer_open))
 
     @property
     def ns_address(self) -> str:
@@ -165,53 +167,52 @@ class Headnode:
 
     # -- request handling --------------------------------------------------
 
-    def _serve_lookup(self, conn):
-        """Answer the one lookup request on conn, then hang up."""
-        try:
-            yield from conn.wait_recv()
-            yield conn.try_send(self._answer_lookup(conn.recv()))
-        except ConnectionClosedError:
-            pass  # the client hung up first
-        conn.close()
+    def _serve(self, conn, answer) -> None:
+        """Read the one request on conn once it is readable, and call
+        answer(request, reply): reply(msg) sends msg and hangs up once it is
+        out or dropped."""
+        def on_readable() -> None:
+            try:
+                msg = conn.recv()
+            except ConnectionClosedError:
+                conn.close()  # the client hung up first
+                return
+            answer(msg, lambda reply: conn.try_send_then(reply, conn.close))
 
-    def _serve_open(self, conn):
-        """Broker the one open request on conn, then hang up."""
-        try:
-            yield from conn.wait_recv()
-            yield conn.try_send((yield from self._answer_open(conn.recv())))
-        except ConnectionClosedError:
-            pass  # the client hung up first
-        conn.close()
+        conn.when_readable(on_readable)
 
-    def _answer_lookup(self, msg) -> Message:
+    def _answer_lookup(self, msg, reply) -> None:
         if not isinstance(msg, NsLookup):
             self.counters["protocol_errors"] += 1
-            return ErrorReply(ErrorCode.PROTOCOL,
-                              "namespace port expects NsLookup")
+            return reply(ErrorReply(ErrorCode.PROTOCOL,
+                                    "namespace port expects NsLookup"))
         self.counters["lookups"] += 1
         entry = self._namespace.get(msg.path)
         if entry is None:
-            return ErrorReply(ErrorCode.NOT_FOUND, msg.path)
-        return NsLookupReply(entry.replica_address, entry.size, entry.checksum)
+            return reply(ErrorReply(ErrorCode.NOT_FOUND, msg.path))
+        reply(NsLookupReply(entry.replica_address, entry.size, entry.checksum))
 
-    def _answer_open(self, msg):
-        """Broker one open: book the next service slot and sleep until it
-        ends, unless the request is refused first."""
+    def _answer_open(self, msg, reply) -> None:
+        """Broker one open: book the next service slot and reply at its
+        end, unless the request is refused first."""
         if not isinstance(msg, OpenRequest):
             self.counters["protocol_errors"] += 1
-            return ErrorReply(ErrorCode.PROTOCOL,
-                              "open port expects OpenRequest")
+            return reply(ErrorReply(ErrorCode.PROTOCOL,
+                                    "open port expects OpenRequest"))
         if msg.token != self._shared:
-            return self._open_error("auth_failures", ErrorCode.AUTH,
-                                    "token rejected")
+            return reply(self._open_error("auth_failures", ErrorCode.AUTH,
+                                          "token rejected"))
         if self._in_broker >= self.queue_model.queue_cap:
-            return self._open_error("queue_overflow", ErrorCode.QUEUE_OVERFLOW,
-                                    "open queue full")
+            return reply(self._open_error(
+                "queue_overflow", ErrorCode.QUEUE_OVERFLOW, "open queue full"))
         now = self._rt.now()
         done = self._free_at = (max(now, self._free_at) +
                                 self.queue_model.service_time_per_open)
         self._in_broker += 1
-        yield self._rt.sleep(done - now)
+        self._rt.call_later(done - now, lambda: reply(self._end_open(msg)))
+
+    def _end_open(self, msg: OpenRequest) -> Message:
+        """The reply to an open whose service slot has just ended."""
         self._in_broker -= 1
         entry = self._namespace.get(msg.path)
         if entry is None:

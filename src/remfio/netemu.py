@@ -90,10 +90,20 @@ class EmulatedNetwork:
         self._conn_seq = 0
 
     def listen(self, address: str, handler) -> None:
-        """Register handler(conn) to be spawned for each inbound connection."""
+        """Spawn handler(conn) as a task named srv-<address>-<cid> for each
+        inbound connection: a handler that may block."""
+        rt = self._rt
+        self.accept(address, lambda conn: rt.spawn(
+            handler, conn, name=f"srv-{address}-{conn.conn_id[1:-1]}"))
+
+    def accept(self, address: str,
+               on_connect: Callable[["EmuConnection"], None]) -> None:
+        """Call on_connect(conn) for each inbound connection, rtt/2 after
+        the connect, inline in the event loop: like a timer callback, it
+        must not block."""
         if address in self._services:
             raise ValueError(f"address already listening: {address}")
-        self._services[address] = handler
+        self._services[address] = on_connect
 
     def _pump(self, profile: LinkProfile, direction: str):
         """The rate limiter shared by one direction of a named link.
@@ -122,7 +132,7 @@ class EmulatedNetwork:
         soon as 1 rtt after the call, instead of rtt for setup plus another
         round trip). A first_msg that send() would refuse raises here before
         anything is scheduled, so the far end's handler never starts.
-        Connecting blocks, so a generator task's call raises RuntimeError.
+        Connecting blocks, so a callback's call raises RuntimeError.
 
         A link name stands for one rtt and shared_bandwidth in a network:
         a profile that reuses a name with others raises ValueError. Its
@@ -138,8 +148,8 @@ class EmulatedNetwork:
                              f"{link}, not {profile}")
         rt = self._rt
         t0 = rt.now()
-        handler = self._services.get(address)
-        if handler is None:
+        start = self._services.get(address)
+        if start is None:
             rt.sleep(profile.rtt)
             raise EndpointRefusedError(f"no listener at {address}")
         self._conn_seq += 1
@@ -151,8 +161,7 @@ class EmulatedNetwork:
         far._peer = near
         if first_msg is not None:
             near._admit(first_msg, False)
-        rt.call_later(profile.rtt / 2, lambda: rt.spawn(
-            handler, far, name=f"srv-{address}-{cid}"))
+        rt.call_later(profile.rtt / 2, lambda: start(far))
         if first_msg is not None:
             near.send(first_msg)
         elapsed = rt.now() - t0
@@ -219,8 +228,9 @@ class EmuConnection:
         connection at once interleave whole slices, so each task's frames
         arrive in the order it sent them.
 
-        The waits are one state machine, _Transmit: a carrier task blocks in
-        each, a generator task yields after send() and a callback returns.
+        The waits are one state machine, _Transmit: a task blocks in each,
+        and a callback returns from send() and is called again once the
+        frame is out.
 
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
@@ -228,9 +238,8 @@ class EmuConnection:
         """
         tx = _Transmit(self, msg, self._admit(msg, credit_reserved), _trying)
         rt, cur = self._rt, self._rt._current
-        if type(cur) is not Task or cur._gen is not None:
-            rt._switch(None)  # a generator task yields next
-            rt._current = tx  # and the frame steps on as a callback
+        if type(cur) is not Task:
+            rt._current = tx  # the frame steps on as a callback
         tx.step()
         rt._current = cur
 
@@ -252,6 +261,17 @@ class EmuConnection:
         except TransportError:
             return False
         return True
+
+    def try_send_then(self, msg: Message, then: Callable[[], None]) -> None:
+        """try_send() from a callback, which is not called again: then() is,
+        once the frame is out or dropped, or at once if it is refused. A
+        reply sent from serve()'s handler thus does not re-enter serve()."""
+        rt = self._rt
+        cur, rt._current = rt._current, then
+        sent = self.try_send(msg)
+        rt._current = cur
+        if not sent:
+            then()
 
     def _release_window(self, nbytes: int):
         def cb():
@@ -278,11 +298,14 @@ class EmuConnection:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
         return msg
 
-    def wait_recv(self):
-        """A generator body that returns once recv() would not wait: how a
-        generator task waits for a message."""
-        if not self.closed:
-            yield from self._queue.wait()
+    def when_readable(self, fn: Callable[[], None]) -> None:
+        """Call fn() once recv() would not wait: at once if it would not
+        now, else where a parked recv() would wake, inline in the event loop
+        like a timer callback."""
+        if self.closed or len(self._queue):
+            fn()
+        else:
+            self._queue.when_ready(fn)
 
     def serve(self, handler: Callable[[Message | None], None]) -> None:
         """Hand each message to handler(msg) as it arrives, then None once
@@ -396,20 +419,13 @@ class _Transmit:
         return True
 
     def __call__(self) -> None:
-        """Step on where a wait ended; then resume the frame's sender."""
+        """Step on where a wait ended; once the frame is out, or dropped by
+        try_send, call the callback that sent it again."""
         try:
             if not self.step():
                 return
-            value = exc = None
-        except TransportError as err:
-            value, exc = None, err
-        if self.trying:
-            value, exc = exc is None, None
-        rt, caller = self.conn._rt, self.caller
-        if type(caller) is Task:
-            rt._step(caller, exc, value)
-        elif exc is not None:
-            raise exc
-        else:
-            rt._current = caller
-            caller()
+        except TransportError:
+            if not self.trying:
+                raise
+        self.conn._rt._current = self.caller
+        self.caller()

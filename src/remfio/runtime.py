@@ -4,17 +4,11 @@ VirtualRuntime is a discrete-event scheduler with a small surface:
 now/sleep/spawn, channels and a byte-fair rate limiter. Time is a float that
 jumps straight to the next event, so a simulated minute of transfers costs
 milliseconds, and identical inputs give bit-identical schedules. One task
-or callback runs at a time. A generator function's task, such as a
-server's, has no thread: the event loop runs it up to its next yield. It
-waits by one call and one yield: `yield` sleep, acquire, send or try_send,
-or `yield from` channel wait or a connection's wait_recv. Each queues it
-where a blocked task would wait, in one (time, seq) order for every kind of
-waiter. What would block it instead (channel get and put, join, recv on an
-empty queue, connect), a second wait before a yield, and an end with a wait
-pending raise RuntimeError naming it. Any other task, such as a client,
-runs in blocking style on a carrier thread, which hands the baton on
-whenever its task sleeps, blocks or exits, then stays as a spare while
-spares are fewer than unfinished carrier tasks. Thread-local state
+or callback runs at a time, in one (time, seq) order for both.
+
+A task, such as a client, runs in blocking style on a carrier thread, which
+hands the baton on whenever its task sleeps, blocks or exits, then stays as
+a spare while spares are fewer than unfinished tasks. Thread-local state
 (threading.local, current_thread) belongs to the carrier. When the root
 returns, run() unwinds the leftover tasks one at a time in spawn order, each
 raising _TaskShutdown where it waits, and then ends every spare. When
@@ -33,17 +27,18 @@ missing or refused, carriers keep the default. The thread that calls run()
 keeps its own policy. Like thread-local state, the policy belongs to the
 carrier: threads and child processes that a task starts inherit it.
 
-Timer callbacks (VirtualRuntime.call_at) and channel waiters
-(VirtualChannel.when_ready) run inline during dispatch and must never
-block; spawn and unbounded channel put and try_put are safe there. A
-running callback is the current waiter: it may call sleep, acquire, send or
-try_send and return, and the event loop calls it again where that wait ends.
+A callback, such as a server's, has no thread: timers (call_at) and channel
+waiters (VirtualChannel.when_ready) run inline during dispatch. A running
+callback is the current waiter: it may call sleep, acquire, send or try_send
+and return, and the event loop calls it again where that wait ends, queued
+where a blocked task would wake. What would block it instead (channel get
+and put, join, recv on an empty queue, connect) raises RuntimeError naming
+it; spawn and unbounded channel put and try_put are safe.
 """
 
 from __future__ import annotations
 
 import heapq
-import inspect
 import os
 import threading
 import warnings
@@ -60,13 +55,11 @@ class _TaskShutdown(BaseException):
 class Task:
     """Handle to a spawned activity; join() re-raises the task's exception."""
 
-    def __init__(self, name: str, gen=None, baton=None, thread=None):
+    def __init__(self, name: str, baton, thread):
         self.name = name
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
-        self._gen = gen  # None on a carrier
-        self._waiting = False  # a generator task's call waits: yield next
         self._baton = baton  # its carrier's; held while the task may not run
         self._thread = thread
         self._join_waiters: list[Task] = []
@@ -110,8 +103,7 @@ class VirtualRuntime:
         self._root: Task | None = None
         self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
-        self._spares: list[_Carrier] = []  # never more than _carried
-        self._carried = 0  # unfinished tasks on carriers
+        self._spares: list[_Carrier] = []  # never more than _tasks
         self._stopping = False
         self._failure: BaseException | None = None
         self._ran = False
@@ -136,14 +128,10 @@ class VirtualRuntime:
     # -- tasks ------------------------------------------------------------
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        """Schedule fn(*args) as a task, thread-less if fn is a generator."""
-        if inspect.isgeneratorfunction(fn):
-            task = Task(name, fn(*args))
-        else:
-            carrier = self._spares.pop() if self._spares else self._new_carrier()
-            task = Task(name, None, carrier.baton, carrier.thread)
-            carrier.job = (task, fn, args)
-            self._carried += 1
+        """Schedule fn(*args) as a task on a carrier thread."""
+        carrier = self._spares.pop() if self._spares else self._new_carrier()
+        task = Task(name, carrier.baton, carrier.thread)
+        carrier.job = (task, fn, args)
         self._tasks[task] = None
         self._push(self._now, task)
         return task
@@ -178,7 +166,7 @@ class VirtualRuntime:
         self._ran = True
         baton = threading.Lock()
         baton.acquire()
-        self._root = self._current = Task("root", None, baton,
+        self._root = self._current = Task("root", baton,
                                           threading.current_thread())
         try:
             result = fn(*args)
@@ -190,9 +178,6 @@ class VirtualRuntime:
                 task = next(iter(self._tasks))
                 del self._tasks[task]
                 self._current = task
-                if task._gen is not None:
-                    self._step(task, _TaskShutdown())
-                    continue
                 task._baton.release()
                 task._thread.join(timeout=5.0)
                 if task._thread.is_alive():
@@ -217,15 +202,15 @@ class VirtualRuntime:
         self._push(self._now, entry)
 
     def _blocking_call(self) -> None:
-        """Raise RuntimeError if a generator task or a callback, which must
-        not block, calls what blocks a carrier task."""
+        """Raise RuntimeError if a callback, which must not block, calls
+        what blocks a task."""
         cur = self._current
-        if type(cur) is not Task or cur._gen is not None:
+        if type(cur) is not Task:
             raise RuntimeError(f"{getattr(cur, 'name', cur)!r} made a "
-                               "blocking call; only a carrier task may")
+                               "blocking call; only a task may")
 
     def _park(self, waiters) -> None:
-        """Queue the current carrier task on waiters and block it until
+        """Queue the current task on waiters and block it until
         someone makes it runnable again."""
         self._blocking_call()
         waiters.append(self._current)
@@ -238,14 +223,8 @@ class VirtualRuntime:
                 self._push(reschedule_at, cur)
             if type(cur) is not Task:
                 return  # a callback: called again where its wait ends
-            if cur._gen is None:
-                self._handoff(cur)
-                if not self._stopping:
-                    return
-            elif cur._waiting:  # a generator task waits once per yield
-                raise RuntimeError(f"generator task {cur.name!r} waits twice")
-            else:
-                cur._waiting = True
+            self._handoff(cur)
+            if not self._stopping:
                 return
         # the world is stopping: a task unwinds, the root sees the failure
         if cur is self._root:
@@ -268,11 +247,8 @@ class VirtualRuntime:
             if t > self._now:
                 self._now = t
             if type(entry) is Task:
-                if entry._gen is None:
-                    nxt = entry
-                    break
-                self._step(entry)
-                continue
+                nxt = entry
+                break
             self._current = entry
             try:
                 entry()  # a callback, runs inline
@@ -295,33 +271,6 @@ class VirtualRuntime:
         if cur is not None:
             cur._baton.acquire()
 
-    def _step(self, task: Task, exc: BaseException | None = None,
-              value: Any = None) -> None:
-        """Step a generator task, value sent or exc raised at its yield,
-        until it waits or ends: a yield that does not wait returns what it
-        yields. A stale wake-up of a finished task runs nothing."""
-        if task.finished:
-            return
-        self._current = task
-        task._waiting = False
-        gen = task._gen
-        try:
-            while True:
-                value = gen.send(value) if exc is None else gen.throw(exc)
-                exc = None
-                if task._waiting:
-                    return
-        except StopIteration as stop:
-            value, exc = stop.value, None
-        except BaseException as err:
-            value, exc = None, err
-        if task._waiting:  # it ended inside a waiting call, not at a yield
-            task._waiting, value, exc = False, None, RuntimeError(
-                f"generator task {task.name!r} ended inside a wait")
-        task.result = value
-        task.exc = None if isinstance(exc, _TaskShutdown) else exc
-        self._finish(task)
-
     def _finish(self, task: Task) -> None:
         """Mark task done; an exception nobody joins for is pending."""
         task.finished = True
@@ -338,8 +287,8 @@ class VirtualRuntime:
         """Carrier thread: run each job handed to it until one ends it.
 
         A finished task's carrier becomes a spare while there are fewer
-        spares than unfinished carrier tasks; otherwise it exits, ending one
-        spare too if there are now more spares than unfinished carrier tasks.
+        spares than unfinished tasks; otherwise it exits, ending one spare
+        too if there are now more spares than unfinished tasks.
         """
         try:  # pid 0 is this thread; the module docstring says why
             os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
@@ -362,12 +311,11 @@ class VirtualRuntime:
             self._finish(task)
             if self._stopping:
                 return  # run() is joining this carrier
-            self._carried -= 1
-            spares = self._spares
-            spare = len(spares) < self._carried
+            spares, unfinished = self._spares, len(self._tasks)
+            spare = len(spares) < unfinished
             if spare:
                 spares.append(carrier)
-            elif len(spares) > self._carried:
+            elif len(spares) > unfinished:
                 spares.pop().end()
             del task, fn, args  # a spare holds nothing of its last task
             self._handoff(None)
@@ -415,13 +363,6 @@ class VirtualChannel:
         if self._putters:
             self._rt._make_runnable(self._putters.popleft())
         return item
-
-    def wait(self):
-        """A generator body that returns once an item is queued, without
-        taking it: `yield from channel.wait()`."""
-        while not self._items:
-            self._getters.append(self._rt._current)
-            yield self._rt._switch(None)
 
     def when_ready(self, fn: Callable[[], None]) -> None:
         """Call fn() once the next item is put, in place of a task parked in

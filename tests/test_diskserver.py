@@ -578,15 +578,13 @@ def test_stream_session_holds_no_handler_task(tmp_path):
                             first_msg=wire.StreamStart(1, 0))
         first = dconn.recv()
         assert first.payload == data[:len(first.payload)]
-        handlers = [t.name for t in rt._tasks
-                    if t.name.startswith(f"srv-{srv.address}-")]
-        assert len(handlers) == 0
+        assert (_server_getters(control), _server_getters(dconn)) == (1, 0)
         session = srv.sessions[1]
         control.close()
         dconn.close()
         rt.sleep(1.0)
-        assert session.data_conn.closed
-        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+        assert session.data_conn._closed and session.control_conn._closed
+        assert _server_getters(control) == 0
 
     rt.run(scenario)
 
@@ -594,8 +592,11 @@ def test_stream_session_holds_no_handler_task(tmp_path):
 # -- control connection served by callback ------------------------------------
 
 
-def _handler_tasks(rt) -> list:
-    return [t.name for t in rt._tasks if t.name.startswith("srv-")]
+def _server_getters(conn) -> int:
+    """Getters queued on the server end of conn: the one serve() loop on a
+    live control connection, none on a data connection. A reply sent from
+    inside the loop that called the loop again would queue a second."""
+    return len(conn._peer._queue._getters)
 
 
 def test_readbuf_requests_are_served_with_no_handler_task(tmp_path):
@@ -608,11 +609,11 @@ def test_readbuf_requests_are_served_with_no_handler_task(tmp_path):
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READBUF,
                         iobufsize=16 * KiB, profile=WAN_PROFILE)
         for i in range(20):
-            assert not _handler_tasks(rt)
+            assert _server_getters(conn) == 1
             offset = i * 48 * KiB
             got = _read_range(conn, 1, offset, 20 * KiB, MiB)
             assert got == data[offset:offset + 20 * KiB]
-        assert not _handler_tasks(rt)
+        assert _server_getters(conn) == 1
         assert srv.counters["protocol_errors"] == 0
         conn.close()
 
@@ -634,12 +635,12 @@ def test_stream_restarts_are_served_with_no_handler_task(tmp_path):
                             first_msg=wire.StreamStart(1, 0))
         for target in (MiB + 7, 2 * MiB + 7, 3 * MiB + 7):
             dconn.recv()
-            assert not _handler_tasks(rt)
+            assert (_server_getters(control), _server_getters(dconn)) == (1, 0)
             control.send(wire.StreamStart(1, target))
             while (chunk := dconn.recv()).offset != target:
                 pass
             assert chunk.payload == data[target:target + len(chunk.payload)]
-        assert not _handler_tasks(rt)
+        assert (_server_getters(control), _server_getters(dconn)) == (1, 0)
         assert srv.counters["protocol_errors"] == 0
         control.close()
         dconn.close()
@@ -661,31 +662,30 @@ def test_control_hang_up_ends_the_session_from_the_callback(tmp_path):
                         profile=WAN_PROFILE)
         session = srv.sessions[1]
         queue = session.control_conn._queue
-        assert not _handler_tasks(rt)
-        assert len(queue._getters) == 1
+        assert _server_getters(conn) == 1
         conn.close()
         rt.sleep(WAN_PROFILE.rtt / 2 + 1e-9)
         assert srv.sessions == {}
         assert session.control_conn._closed
         assert not queue._getters
         rt.sleep(1.0)
-        assert not [t.name for t in rt._tasks if t.name.startswith("ds-")]
+        assert not rt._tasks and not queue._getters
 
     rt.run(scenario)
 
 
-def test_refusal_after_the_open_goes_out_from_a_short_task(tmp_path):
-    # a ReadRequest on a push session is refused from a task of its own,
-    # which ends once the refusal is out; the session serves on
+def test_refusal_after_the_open_goes_out_from_a_callback_of_its_own(
+        tmp_path):
+    # a ReadRequest on a push session is refused from a callback of its
+    # own, not from the control loop, which would then be called again
+    # once the refusal is out; nothing is spawned and the session serves on
     rt = VirtualRuntime()
-    refusers = []
+    spawned = []
     spawn = rt.spawn
 
     def recording_spawn(fn, *args, name="task"):
-        task = spawn(fn, *args, name=name)
-        if name.startswith("ds-refuse-"):
-            refusers.append(task)
-        return task
+        spawned.append(name)
+        return spawn(fn, *args, name=name)
 
     rt.spawn = recording_spawn
 
@@ -700,9 +700,9 @@ def test_refusal_after_the_open_goes_out_from_a_short_task(tmp_path):
         assert isinstance(err, wire.ErrorReply)
         assert err.code == wire.ErrorCode.PROTOCOL
         assert srv.counters["protocol_errors"] == 1
-        assert [t.name for t in refusers] == ["ds-refuse-1"]
-        assert refusers[0].finished and refusers[0].exc is None
-        assert not _handler_tasks(rt)
+        rt.sleep(WAN_PROFILE.rtt)
+        assert not spawned
+        assert _server_getters(control) == 1
         control.send(wire.StreamStart(1, 0))
         chunk = control.recv()
         assert chunk.offset == 0
@@ -759,7 +759,7 @@ def _bad_first_message(net, srv):
 def _hang_up_before_first_message(net, srv):
     conn = net.connect(srv.address, ZERO_PROFILE)
     conn.close()
-    return None, []
+    return None, [conn]
 
 
 @pytest.mark.parametrize("case", [
@@ -777,7 +777,8 @@ def _hang_up_before_first_message(net, srv):
 def test_protocol_refusals_leave_no_server_task(tmp_path, case):
     # each case returns the connection its refusal arrives on (None when
     # the client hung up first, so nothing can arrive) and every connection
-    # it made; once those close, no handler or pipeline task is left
+    # it made; once those close, every server end is closed and no
+    # callback is left waiting on one
     rt = VirtualRuntime()
 
     def scenario():
@@ -797,8 +798,8 @@ def test_protocol_refusals_leave_no_server_task(tmp_path, case):
             conn.close()
         rt.sleep(1.0)
         assert srv.sessions == {}
-        assert not [t.name for t in rt._tasks
-                    if t.name.startswith(("srv-", "ds-"))]
+        for conn in conns:
+            assert conn._peer._closed and _server_getters(conn) == 0
 
     rt.run(scenario)
 
@@ -985,8 +986,7 @@ def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
         assert sent <= len(got) + 16 * wire.MAX_CHUNK_PAYLOAD
         rt.sleep(1.0)
         assert session.bytes_sent_wire == sent
-        assert not [t.name for t in rt._tasks
-                    if t.name in ("ds-read-1", "ds-send-1")]
+        assert not rt._tasks
 
     rt.run(scenario)
 

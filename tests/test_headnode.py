@@ -136,8 +136,11 @@ def test_client_closing_with_a_request_in_flight(port):
         rt.sleep(1.0)
         served = head.counters["lookups"] + head.counters["auth_failures"]
         assert served == 1
-        assert conn._peer.sent_bytes == 0  # the reply never went out
-        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+        far = conn._peer  # the headnode's end
+        assert far.sent_bytes == 0  # the reply never went out
+        # the callbacks left nothing behind: no getter, no open in the broker
+        assert far._closed and not far._queue._getters
+        assert head._in_broker == 0
 
     rt.run(scenario)
 
@@ -186,9 +189,11 @@ def test_request_on_the_wrong_port_is_protocol_error(port):
         assert rt.now() == pytest.approx(WAN_PROFILE.rtt, abs=1e-3)
         assert head.counters.pop("protocol_errors") == 1
         assert not any(head.counters.values())
+        far = conn._peer  # the headnode's end
         conn.close()
         rt.sleep(1.0)
-        assert not [t for t in rt._tasks if t.name.startswith("srv-")]
+        assert far._closed and not far._queue._getters
+        assert head._in_broker == 0
 
     rt.run(scenario)
 
@@ -292,6 +297,47 @@ def test_open_latency_monotone_and_linear_in_batch_size():
     residual = np.sum((np.array(mean_by_n) - fitted) ** 2)
     total = np.sum((np.array(mean_by_n) - np.mean(mean_by_n)) ** 2)
     assert 1 - residual / total >= 0.8
+
+
+def test_a_client_that_hangs_up_in_the_broker_queue_loses_only_its_reply():
+    # five valid opens arrive together on wan; client 1 hangs up while its
+    # open waits behind client 0's. Its slot is served all the same, its
+    # reply is dropped, the broker empties, and the opens behind it keep
+    # their linear service times
+    rt = VirtualRuntime()
+    service = OpenQueueModel().service_time_per_open
+    ends, far_ends = {}, {}
+
+    def scenario():
+        net, head = _mk_head(rt)
+        head.register_file("/pool/a", 1024, "ds1:5001", 1)
+        head.start()
+
+        def one_client(i):
+            conn = net.connect(head.open_address, WAN_PROFILE,
+                               first_msg=_open_request("/pool/a"))
+            far_ends[i] = conn._peer
+            if i == 1:
+                conn.close()
+                return
+            assert isinstance(conn.recv(), wire.OpenReply)
+            ends[i] = rt.now()
+            conn.close()
+
+        tasks = [rt.spawn(one_client, i, name=f"c{i}") for i in range(5)]
+        for t in tasks:
+            rt.join(t)
+        rt.sleep(1.0)
+        return head
+
+    head = rt.run(scenario)  # no DeadlockError
+    assert far_ends[1].sent_bytes == 0
+    assert head._in_broker == 0
+    assert head.counters["opens_ok"] == 5  # client 1's slot was served
+    assert sorted(ends) == [0, 2, 3, 4]
+    for i, end in ends.items():
+        assert end == pytest.approx(WAN_PROFILE.rtt + (i + 1) * service,
+                                    abs=1e-4)
 
 
 def test_reply_link_wait_delays_only_its_own_open(tmp_path):

@@ -509,10 +509,9 @@ def test_recv_after_reported_peer_close_raises_again_at_once():
     rt.run(main)
 
 
-def _served_timeline(use_serve: bool, generator: bool = False) -> list:
+def _served_timeline(use_serve: bool) -> list:
     """(virtual time, message) as a server end hands each one over, None at
-    the end; by serve(), by a task looping on recv(), or by a generator
-    task doing so."""
+    the end; by serve(), or by a task looping on recv()."""
     rt = VirtualRuntime()
     seen = []
 
@@ -530,18 +529,9 @@ def _served_timeline(use_serve: bool, generator: bool = False) -> list:
         except ConnectionClosedError:
             note(None)
 
-    def generator_handler(conn):
-        yield rt.sleep(0.1)
-        try:
-            while True:
-                yield from conn.wait_recv()
-                note(conn.recv())
-        except ConnectionClosedError:
-            note(None)
-
     def main():
         net = EmulatedNetwork(rt)
-        net.listen("svc", generator_handler if generator else handler)
+        net.listen("svc", handler)
         conn = net.connect("svc", WAN_PROFILE)
         conn.send(wire.NsLookup(path="/a"))
         conn.send(wire.NsLookup(path="/b"))
@@ -558,7 +548,6 @@ def _served_timeline(use_serve: bool, generator: bool = False) -> list:
 def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
     served = _served_timeline(use_serve=True)
     assert served == _served_timeline(use_serve=False)
-    assert served == _served_timeline(use_serve=False, generator=True)
     assert [msg for _, msg in served] == [
         wire.NsLookup(path="/a"), wire.NsLookup(path="/b"),
         wire.NsLookup(path="/c"), None]
@@ -566,25 +555,24 @@ def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
         WAN_PROFILE.rtt / 2 + 0.1)
 
 
-def test_a_generator_handler_gets_each_result_at_its_yield():
-    # try_send stacks a body on the generator task, or answers at once;
-    # either way the result comes back at the task's yield
+def test_a_callback_reply_continues_once_the_frame_is_out():
+    # an echo served by callbacks: try_send_then calls its continuation
+    # once the reply is out, or at once if the connection refuses it, and
+    # never calls the serve() loop again, which would queue a second getter
     rt = VirtualRuntime()
     results = []
 
-    def echo(conn):
-        try:
-            while True:
-                yield from conn.wait_recv()
-                msg = conn.recv()
-                results.append((msg, (yield conn.try_send(msg)), rt.now()))
-        except ConnectionClosedError:
-            gone = yield conn.try_send(wire.NsLookup(path="/gone"))
-            results.append((None, gone, rt.now()))
+    def on_connect(conn):
+        def echo(msg):
+            reply = wire.NsLookup(path="/gone") if msg is None else msg
+            conn.try_send_then(reply, lambda: results.append(
+                (msg, conn.sent_bytes, len(conn._queue._getters), rt.now())))
+
+        conn.serve(echo)
 
     def main():
         net = EmulatedNetwork(rt)
-        net.listen("svc", echo)
+        net.accept("svc", on_connect)
         a, b = wire.NsLookup(path="/a"), wire.NsLookup(path="/b")
         conn = net.connect("svc", WAN_PROFILE, first_msg=a)
         assert conn.recv() == a
@@ -595,51 +583,31 @@ def test_a_generator_handler_gets_each_result_at_its_yield():
         return a, b
 
     a, b = rt.run(main)
-    assert [r[:2] for r in results] == [(a, True), (b, True), (None, False)]
-    assert [round(r[2], 6) for r in results] == [0.006, 0.018, 0.030]
+    n = wire.frame_size(a)
+    assert [r[:3] for r in results] == [(a, n, 1), (b, 2 * n, 1),
+                                        (None, 2 * n, 0)]
+    assert [round(r[3], 6) for r in results] == [0.006, 0.018, 0.030]
 
 
-@pytest.mark.parametrize("call", ["connect", "connect-first-msg", "recv",
-                                  "send-twice", "send-then-end"])
-def test_a_generator_task_that_does_not_yield_to_wait_raises(call):
-    # each call would block a carrier task; a generator task gets a
-    # RuntimeError naming it, at once or at its end, instead of a schedule
-    # that wakes it twice or never
+@pytest.mark.parametrize("first_msg", [False, True],
+                         ids=["connect", "connect-first-msg"])
+def test_a_callback_starter_that_connects_raises(first_msg):
+    # connecting blocks, and a starter runs inline in the event loop: the
+    # run stops with a RuntimeError naming the blocking call instead of
+    # hanging or waking the starter twice
     rt = VirtualRuntime()
     net = EmulatedNetwork(rt)
-    msg = wire.NsLookup(path="/a")
-    tasks = []
-
-    def echo(conn):
-        yield from conn.wait_recv()
-        yield conn.try_send(conn.recv())
-
-    def wrong(conn):
-        tasks.append(rt._current)
-        if call == "connect":
-            net.connect("svc", WAN_PROFILE)
-        elif call == "connect-first-msg":
-            net.connect("svc", WAN_PROFILE, first_msg=msg)
-        elif call == "recv":
-            conn.recv()  # nothing queued yet
-        elif call == "send-twice":
-            conn.send(msg)
-            conn.send(msg)
-        else:
-            conn.send(msg)
-            return
-        yield
+    msg = wire.NsLookup(path="/a") if first_msg else None
 
     def main():
-        net.listen("svc", echo)
-        net.listen("wrong", wrong)
-        conn = net.connect("wrong", WAN_PROFILE)
-        with pytest.raises(RuntimeError, match="srv-wrong-1"):
-            rt.join(tasks[0])
-        conn.close()
-        rt.sleep(1.0)  # a wake-up the task left behind runs nothing
+        net.listen("svc", _echo_handler)
+        net.accept("wrong", lambda conn: net.connect(
+            "svc", WAN_PROFILE, first_msg=msg))
+        net.connect("wrong", WAN_PROFILE)
+        rt.sleep(1.0)
 
-    rt.run(main)
+    with pytest.raises(RuntimeError, match="made a blocking call"):
+        rt.run(main)
     assert not rt._tasks
 
 

@@ -677,151 +677,36 @@ def test_schedule_is_the_same_without_sched_batch(monkeypatch, fallback):
     assert _mixed_schedule() == (result, events, root_policies)
 
 
-# -- generator tasks ---------------------------------------------------------------
-
-
-def test_a_generator_task_waits_on_every_primitive_without_a_thread():
-    baseline = threading.active_count()
-    rt = VirtualRuntime()
-    seen = []
-
-    def server(ch, lim):
-        yield rt.sleep(0.5)
-        seen.append(("slept", rt.now()))
-        yield from ch.wait()
-        seen.append(("took", ch.get(), rt.now()))
-        yield lim.acquire("k", 100)
-        seen.append(("granted", rt.now()))
-        assert ch.try_put("back")
-        return "served"
-
-    def main():
-        ch, lim = rt.channel(capacity=1), rt.rate_limiter(100.0)
-        task = rt.spawn(server, ch, lim, name="server")
-        assert threading.active_count() == baseline  # no carrier for it
-        rt.sleep(1.0)
-        ch.put("job")
-        got = rt.join(task)
-        return got, ch.get(), task._thread
-
-    assert rt.run(main) == ("served", "back", None)
-    assert seen == [("slept", 0.5), ("took", "job", 1.0), ("granted", 2.0)]
-
-
-def test_a_generator_task_crash_surfaces_at_join_not_at_once():
-    rt = VirtualRuntime()
-
-    def crasher():
-        yield rt.sleep(0.1)
-        raise ValueError("generator crashed")
-
-    def main():
-        task = rt.spawn(crasher, name="crasher")
-        rt.sleep(1.0)  # the world goes on after the crash
-        assert task.finished and rt.now() == 1.0
-        with pytest.raises(ValueError, match="generator crashed"):
-            rt.join(task)
-        return "joined"
-
-    assert rt.run(main) == "joined"
-
-
-def test_an_unjoined_generator_task_crash_fails_run_at_its_end():
-    rt = VirtualRuntime()
-    ended = []
-
-    def crasher():
-        yield rt.sleep(0.1)
-        raise ValueError("unjoined generator crash")
-
-    def main():
-        rt.spawn(crasher)
-        rt.sleep(1.0)
-        ended.append(rt.now())
-
-    with pytest.raises(ValueError, match="unjoined generator crash"):
-        rt.run(main)
-    assert ended == [1.0]  # the root ran to its end first
-
-
-def test_run_closes_a_generator_task_still_waiting():
-    rt = VirtualRuntime()
-    closed = []
-    tasks = []
-
-    def waiter(ch):
-        try:
-            yield from ch.wait()
-        finally:
-            closed.append(rt.now())
-
-    def main():
-        tasks.append(rt.spawn(waiter, rt.channel(), name="waiter"))
-        rt.sleep(1.0)
-        assert tasks[0] in rt._tasks
-
-    rt.run(main)
-    assert closed == [1.0]
-    assert tasks[0].finished and tasks[0].exc is None
-    assert not rt._tasks
-
-
-@pytest.mark.parametrize("call", ["get", "put", "join", "twice", "end"])
-def test_a_blocking_call_in_a_generator_task_raises_naming_it(call):
-    rt = VirtualRuntime()
-
-    def wrong(ch):
-        if call == "get":
-            ch.get()  # an empty channel, and no yield
-        elif call == "put":
-            ch.put(1)
-            ch.put(2)  # capacity 1
-        elif call == "join":
-            rt.join(rt.spawn(rt.sleep, 1.0))
-        elif call == "twice":
-            rt.sleep(1.0)
-            rt.sleep(1.0)  # a second wait before a yield
-        else:
-            rt.sleep(1.0)
-            return  # it ends inside its sleep, not at a yield
-        yield
-
-    def main():
-        ch = rt.channel(capacity=1)
-        task = rt.spawn(wrong, ch, name="wrong-gen")
-        rt.sleep(0.1)
-        if call == "get":
-            ch.put(None)  # nothing was left queued to wake
-        with pytest.raises(RuntimeError, match="wrong-gen"):
-            rt.join(task)
-        rt.sleep(2.0)
-        return "unhung"
-
-    assert rt.run(main) == "unhung"
-
-
-def test_generator_and_thread_tasks_waking_at_one_instant_run_in_push_order():
+def test_tasks_and_callbacks_waking_at_one_instant_run_in_push_order():
+    # each sleeps once from t=0 and wakes at 0.5: a task's wake-up and a
+    # callback's are queued alike, in the order they went to sleep
     rt = VirtualRuntime()
     order = []
+    slept = set()
 
-    def gen_task(name, delay):
-        yield rt.sleep(delay)
+    def task(name):
+        rt.sleep(0.5)
         order.append(name)
 
-    def thread_task(name, delay):
-        rt.sleep(delay)
-        order.append(name)
+    def callback(name):
+        def wake():
+            if name in slept:
+                order.append(name)
+            else:
+                slept.add(name)
+                rt.sleep(0.5)
+        return wake
 
     def main():
-        tasks = [rt.spawn(gen_task, "g1", 0.5),
-                 rt.spawn(thread_task, "t1", 0.5),
-                 rt.spawn(gen_task, "g2", 0.5),
-                 rt.spawn(thread_task, "t2", 0.5)]
+        tasks = [rt.spawn(task, "t1")]
+        rt.call_at(0.0, callback("c1"))
+        tasks.append(rt.spawn(task, "t2"))
+        rt.call_at(0.0, callback("c2"))
         for t in tasks:
             rt.join(t)
 
     rt.run(main)
-    assert order == ["g1", "t1", "g2", "t2"]
+    assert order == ["t1", "c1", "t2", "c2"]
 
 
 # -- callbacks that wait -------------------------------------------------------
@@ -852,7 +737,7 @@ def test_a_callback_that_sleeps_or_acquires_is_called_again_at_its_wake():
 
 def _grant_log(callback: bool) -> list:
     """(waiter, time) at each grant's end: x asks for 100 bytes three times
-    in a row, as a callback or a generator task, and y for 300 once."""
+    in a row, as a callback or a task, and y for 300 once."""
     rt = VirtualRuntime()
     log = []
 
@@ -861,7 +746,7 @@ def _grant_log(callback: bool) -> list:
 
         def task(name, nbytes, times):
             for _ in range(times):
-                yield lim.acquire(name, nbytes)
+                lim.acquire(name, nbytes)
                 log.append((name, rt.now()))
 
         asked = []

@@ -26,10 +26,15 @@ object per line:
 - `heap_pushes`, the entries pushed on the event heap
   (VirtualRuntime._push), split by what the entry runs: `.carrier` (a
   carrier task's wake-up), `.generator` (a generator task's step) and
-  `.callback` (anything else: timers, grants, session continuations);
+  `.callback` (anything else: timers, grants, server continuations);
 - `context_switches`, the process's voluntary and involuntary context
   switches (`ru_nvcsw + ru_nivcsw`) during the round;
 - `thread_starts`, the calls of threading.Thread.start during the round.
+
+The runtime in this tree has no generator tasks, so on it `gen_steps` reads
+0 and `heap_pushes.generator` is absent, which summaries read as 0. Both
+count only on an older parent revision that still has them, which
+`bench_pairs.py --counts` probes with this script.
 
 The last line is the median of each count over the rounds. The probe wraps
 remfio's functions in this process only; it writes nothing under simbench/
