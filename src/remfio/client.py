@@ -179,19 +179,25 @@ class ClientHandle:
         which may be shared with the server's pool content; a read across
         chunks is joined in one copy.
         """
-        self._enter("read")
-        t0 = self._rt.now()
-        try:
-            if length <= 0:
-                raise ValueError("read length must be positive")
-            if self.mode is ReadMode.NORMAL:
-                data = self._request(self.logical_position, length)
-            else:
-                data = self._read_buffered(length)
-        finally:
-            self._busy = False
-            self.counters.read_time += self._rt.now() - t0
+        buf, off = self._buf, self.logical_position - self._buf_start
+        if 0 <= off and 0 < length <= len(buf) - off and not (
+                self._busy or self._closed):
+            data = buf[off:off + length]  # inside the held chunk: no wait
             self._sync_wire()
+        else:
+            self._enter("read")
+            t0 = self._rt.now()
+            try:
+                if length <= 0:
+                    raise ValueError("read length must be positive")
+                if self.mode is ReadMode.NORMAL:
+                    data = self._request(self.logical_position, length)
+                else:
+                    data = self._read_buffered(length)
+            finally:
+                self._busy = False
+                self.counters.read_time += self._rt.now() - t0
+                self._sync_wire()
         self.counters.bytes_consumed += len(data)
         self.logical_position += len(data)
         return data

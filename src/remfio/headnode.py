@@ -18,6 +18,11 @@ replies with a fresh handle id and nothing else: the headnode does not mint
 a session token. The client derives session_token(handle_id, shared) itself,
 a keyed MAC over the handle id, and the disk server verifies it on its own,
 without a callback to the headnode.
+
+Security: the static shared token rides every OpenRequest to the headnode,
+across the WAN, in clear. A session token is a MAC over the handle id
+alone: it names no path and no mode, and the disk server does not refuse
+a handle id it has served before.
 """
 
 from __future__ import annotations

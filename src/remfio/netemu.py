@@ -17,6 +17,9 @@ Connections between in-process endpoints are shaped by a LinkProfile:
   the credit returns rtt/2 after the receiver application consumes it.
 
 Runs on a VirtualRuntime: timing is event-driven and bit-deterministic.
+A window or credit return counts once the runtime has run past the position
+its timer would take, and is an event only while a sender waits on it: so
+on_data_credit fires at a credit return only after a reservation failed.
 
 The steady per-connection throughput is min(fair bandwidth share,
 window/rtt); throughput_cap() computes it for planning and assertions.
@@ -108,8 +111,8 @@ class EmulatedNetwork:
     def _pump(self, profile: LinkProfile, direction: str):
         """The rate limiter shared by one direction of a named link.
 
-        Made on first use, so a profile that carries no traffic gets no
-        limiter.
+        Made for the first connection, so a profile that no connection uses
+        gets no limiter.
         """
         key = (profile.name, direction)
         pump = self._pumps.get(key)
@@ -180,7 +183,6 @@ class EmuConnection:
 
     def __init__(self, net: EmulatedNetwork, profile: LinkProfile,
                  window: int, conn_id: str, address: str):
-        self._net = net
         self._rt = net._rt
         self.profile = profile
         self.conn_id = conn_id
@@ -188,13 +190,15 @@ class EmuConnection:
         self._peer: EmuConnection | None = None
         # direction key: frames sent by the initiating end share one pump,
         # frames sent by accepting ends (the servers) share the other
-        self._direction = "fwd" if conn_id.endswith("i") else "rev"
+        self._pump = net._pump(profile, "fwd" if conn_id.endswith("i") else "rev")
         self._queue = net._rt.channel()
         self._window_avail = window
         self._min_slice = max(1, window // 8)
         self._window_kick = net._rt.channel(capacity=1)
+        self._window_back = _Ledger(self._rt, self._window_returned)
         self._credits = DATA_CREDITS
-        self.on_data_credit = None  # callback, fired on credit return
+        self._credit_back = _Ledger(self._rt, self._credits_returned)
+        self.on_data_credit = None  # fired by the next return after a refusal
         self._closed = False
         self._peer_closed = False
         self.sent_bytes = 0
@@ -205,16 +209,27 @@ class EmuConnection:
     # -- flow-control credits (DataChunk frames only) ----------------------
 
     def try_reserve_data_credit(self) -> bool:
+        # only a sender out of credits needs the returns counted
+        self._credits = self._credits or self._credit_back.settle()
         if self._credits > 0:
             self._credits -= 1
             return True
+        self._credit_back.wait()
         return False
 
-    def _return_credit(self) -> None:
-        self._credits += 1
+    def _credits_returned(self, n: int) -> None:
+        """n credits back, or none at a close: wake a refused sender."""
+        self._credits += n
         cb = self.on_data_credit
         if cb is not None:
             cb()
+
+    def _window_returned(self, n: int) -> None:
+        """n bytes of window back: kick, as their timers would have."""
+        self._window_avail += n
+        self._window_kick.try_put(None)
+        if self._window_kick._getters:  # a sender still waits
+            self._window_back.wait()
 
     # -- data path ----------------------------------------------------------
 
@@ -273,19 +288,13 @@ class EmuConnection:
         if not sent:
             then()
 
-    def _release_window(self, nbytes: int):
-        def cb():
-            self._window_avail += nbytes
-            self._window_kick.try_put(None)
-        return cb
-
     def _deliver(self, msg: Message, frame_len: int) -> None:
         if self._closed:
             return  # receiver gone; bytes vanish
         self.delivered_bytes += frame_len
         if isinstance(msg, DataChunk):
             self.delivered_payload += len(msg.payload)
-        self._queue.put(msg)
+        self._queue.try_put(msg)  # unbounded: never refused
 
     def recv(self) -> Message:
         """Next in-order message; raises ConnectionClosedError at stream end."""
@@ -339,8 +348,7 @@ class EmuConnection:
             self._peer_closed = True
             return None
         if isinstance(msg, DataChunk):
-            peer = self._peer
-            self._rt.call_later(self.profile.rtt / 2, peer._return_credit)
+            self._peer._credit_back.add(self.profile.rtt / 2, 1)
         return msg
 
     def close(self) -> None:
@@ -359,14 +367,52 @@ class EmuConnection:
         self._queue.put(_CLOSED)
         # wake anything parked on window space or credits so it can bail out
         self._window_kick.try_put(None)
-        cb = self.on_data_credit
-        if cb is not None:
-            cb()
+        self._credits_returned(0)
 
     @property
     def closed(self) -> bool:
         """True once either end has closed; sends will fail, recv drains."""
         return self._closed or self._peer_closed
+
+
+class _Ledger(list):
+    """What an ack clock owes a connection: (time, seq, amount), FIFO by the
+    position each one's timer would take, reserved as its push would. One
+    is settled, counted as back, once the runtime has run past it; only
+    while a waiter needs it is it armed, pushed there to run fire(amount)."""
+
+    __slots__ = ("_rt", "_fire", "_armed", "_waiting")
+
+    def __init__(self, rt: VirtualRuntime, fire: Callable[[int], None]):
+        super().__init__()
+        self._rt, self._fire = rt, fire
+        self._armed = self._waiting = False
+
+    def add(self, dt: float, amount: int) -> None:
+        rt = self._rt
+        rt._seq += 1
+        self.append((rt._now + dt, rt._seq, amount))
+        if self._waiting:
+            self.wait()
+
+    def settle(self) -> int:
+        """Drop the amounts the runtime has run past; return their sum."""
+        n, passed = 0, (self._rt._now, self._rt._at + 1)
+        while self and self[0] < passed:
+            n += self.pop(0)[2]
+        return n
+
+    def wait(self) -> None:
+        """Arm the first amount, or the next one added; none may be due at
+        this position, so settle() first."""
+        self._waiting = True
+        if self and not self._armed:
+            self._armed = True
+            self._rt._arm(*self[0][:2], self._ring)
+
+    def _ring(self) -> None:
+        self._armed = self._waiting = False
+        self._fire(self.pop(0)[2])  # the armed amount, now first
 
 
 class _Transmit:
@@ -377,17 +423,21 @@ class _Transmit:
     def __init__(self, conn, msg, frame_len: int, trying: bool) -> None:
         self.conn, self.msg, self.trying = conn, msg, trying
         self.frame_len = self.remaining = frame_len
-        self.pump = conn._net._pump(conn.profile, conn._direction)
         self.caller = conn._rt._current
         self.windowed = False  # waiting for a window kick
 
     def step(self) -> bool:
         """Go on to the frame's next wait; True once the frame is out."""
         conn, rt, kick = self.conn, self.conn._rt, self.conn._window_kick
+        back = conn._window_back
         while self.remaining > 0:
+            # returns the runtime has run past come back here, and kick
+            if back and back[0][0] <= rt._now and (n := back.settle()):
+                conn._window_returned(n)
             if self.windowed:
-                if not len(kick):
+                if not kick._items:
                     kick._getters.append(rt._current)
+                    back.wait()
                     rt._switch(None)
                     if rt._current is self:
                         return False
@@ -405,9 +455,9 @@ class _Transmit:
                 continue
             take = min(self.remaining, conn._window_avail)
             conn._window_avail -= take
-            rt.call_later(conn.profile.rtt, conn._release_window(take))
+            back.add(conn.profile.rtt, take)
             self.remaining -= take
-            self.pump.acquire(conn.conn_id, take)  # to transmit end
+            conn._pump.acquire(conn.conn_id, take)  # to transmit end
             if rt._current is self:
                 return False
         msg, frame_len, peer = self.msg, self.frame_len, conn._peer

@@ -14,7 +14,9 @@ returns, run() unwinds the leftover tasks one at a time in spawn order, each
 raising _TaskShutdown where it waits, and then ends every spare. When
 nothing can run (a deadlock) or a callback raises, the world stops: the root
 raises the cause, and from then on any blocking call raises, the cause in
-the root and _TaskShutdown in a task.
+the root and _TaskShutdown in a task. A deadlock is reported at the time of
+the last event that ran: a connection's window and credit returns are not
+events unless a sender waits on them (netemu), so none trails it.
 
 Each carrier moves itself to Linux's SCHED_BATCH policy when its thread
 starts. A handoff releases the next carrier's baton and then blocks on its
@@ -98,6 +100,7 @@ class VirtualRuntime:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
+        self._at = 0  # seq of the entry that runs: (_now, _at) is the position
         self._heap: list[tuple[float, int, Any]] = []  # entry: Task or callback
         self._current: Any = None  # the Task or callback that runs
         self._root: Task | None = None
@@ -197,6 +200,10 @@ class VirtualRuntime:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, entry))
 
+    def _arm(self, t: float, seq: int, entry) -> None:
+        """Push entry at a later position, its seq taken earlier from _seq."""
+        heapq.heappush(self._heap, (t, seq, entry))
+
     def _make_runnable(self, entry) -> None:
         """Schedule a Task, or a callback, to run now."""
         self._push(self._now, entry)
@@ -243,7 +250,7 @@ class VirtualRuntime:
         """
         heap = self._heap
         while heap:
-            t, _seq, entry = heapq.heappop(heap)
+            t, self._at, entry = heapq.heappop(heap)
             if t > self._now:
                 self._now = t
             if type(entry) is Task:
@@ -400,6 +407,7 @@ class VirtualRateLimiter:
         self._vtime = 0  # V: the tag of the request last granted
         self._arrivals = 0
         self._busy = False  # a serve callback is pending
+        self._timed = rate != float("inf")  # a grant takes time
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
@@ -415,7 +423,7 @@ class VirtualRateLimiter:
             # at infinite rate the requests of one instant are granted
             # together, in tag order
             self._busy = True
-            rt.call_at(rt.now(), self._serve)
+            rt.call_at(rt._now, self._serve)
         rt._switch(None)
 
     def _serve(self) -> None:
@@ -426,8 +434,8 @@ class VirtualRateLimiter:
             self._vtime = tag
             if self._last_tag[key] == tag:
                 del self._last_tag[key]
-            if self._rate != float("inf"):
-                end = rt.now() + nbytes / self._rate
+            if self._timed:
+                end = rt._now + nbytes / self._rate
                 if type(waiter) is Task:
                     # the task wakes before the next pick: pushed first, it
                     # runs first at the grant's end

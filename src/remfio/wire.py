@@ -227,6 +227,10 @@ def _pack(msg: Message) -> tuple[MsgType, list]:
 
 def frame_size(msg: Message) -> int:
     """len(encode_frame(msg)), computed without building the frame."""
+    if (type(msg) is DataChunk and type(msg.handle_id) is type(msg.offset) is int
+            and 0 <= msg.handle_id < 1 << 64 and 0 <= msg.offset < 1 << 64
+            and len(msg.payload) <= MAX_CHUNK_PAYLOAD):
+        return HEADER_LEN + 16 + len(msg.payload)  # _pack's checks, no packing
     return HEADER_LEN + sum(map(len, _pack(msg)[1]))
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import shutil
 import string
 import time
 
@@ -185,8 +186,11 @@ def test_every_mode_matches_local_reads(tmp_path):
 @pytest.fixture(scope="module")
 def pool_dir(tmp_path_factory):
     """One pool for the seed-0 sweeps below, so that each of their files is
-    seeded once: runs reuse a pool file of the same path and size."""
-    return tmp_path_factory.mktemp("sweep-pool")
+    seeded once: runs reuse a pool file of the same path and size. It is
+    removed after the last of them, pass or fail, as it holds about 1 GB."""
+    path = tmp_path_factory.mktemp("sweep-pool")
+    yield path
+    shutil.rmtree(path)
 
 
 def test_sequential_mode_ordering(pool_dir):

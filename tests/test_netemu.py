@@ -722,3 +722,139 @@ def test_builtin_profiles_match_documented_paths():
     assert LAN_PROFILE.rtt == pytest.approx(0.0002)
     assert LAN_PROFILE.shared_bandwidth == 119 * MiB
     assert WAN_PROFILE.per_connection_window == 1 * MiB
+
+
+# -- window and credit returns, owed in ledgers ---------------------------------
+
+
+def test_a_sender_refused_before_any_chunk_is_consumed_wakes_at_the_first_return():
+    """The sender holds no credit while all 16 chunks wait unconsumed, so no
+    return is owed when it is refused; it still wakes at the first one, rtt/2
+    after the receiver takes a chunk."""
+    rt = VirtualRuntime()
+    woken = []
+
+    def handler(conn):
+        kick = rt.channel(capacity=1)
+        conn.on_data_credit = lambda: kick.try_put(None)
+        for i in range(netemu.DATA_CREDITS):
+            assert conn.try_reserve_data_credit()
+            conn.send(_chunk(i * KiB, KiB), credit_reserved=True)
+        assert not conn.try_reserve_data_credit()
+        kick.get()
+        woken.append(rt.now())
+        assert conn.try_reserve_data_credit()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", handler)
+        conn = net.connect("svc", LAN_PROFILE)
+        rt.sleep(0.5)  # every chunk has arrived, and none is consumed
+        assert woken == []
+        t0 = rt.now()
+        conn.recv()
+        rt.sleep(0.5)
+        assert woken == [t0 + LAN_PROFILE.rtt / 2]
+
+    rt.run(main)
+
+
+def test_two_senders_on_a_small_window_finish_at_their_recorded_times():
+    """Two tasks share one 64 KiB window on the WAN. Both finish, at the
+    virtual times recorded when every window return was a timer of its own:
+    keeping returns in a ledger moves no event."""
+    rt = VirtualRuntime()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        got = []
+
+        def handler(conn):
+            try:
+                while True:
+                    got.append((rt.now(), conn.recv().path[:6]))
+            except ConnectionClosedError:
+                pass
+
+        net.listen("svc", handler)
+        conn = net.connect("svc", WAN_PROFILE, window=64 * KiB)
+
+        def sender(tag, count, size):
+            for i in range(count):
+                conn.send(wire.NsLookup(path=f"/{tag}/{i:02d}/".ljust(size, "x")))
+            return rt.now()
+
+        tasks = [rt.spawn(sender, "a", 12, 20000),
+                 rt.spawn(sender, "b", 12, 9000)]
+        ends = [rt.join(t) for t in tasks]
+        rt.sleep(1.0)
+        return ends, got
+
+    ends, got = rt.run(main)
+    assert ends == [0.07250100326538085, 0.06065841674804687]
+    assert len(got) == 24
+    assert got[-1] == (0.07823868560791016, "/a/11/")
+
+
+def test_a_return_due_now_counts_only_once_the_entry_that_owed_it_ends():
+    """On a zero-rtt link a credit is due back at the very instant its chunk
+    is consumed, but it counts only after the event that consumed it, where
+    its timer would have run."""
+    rt = VirtualRuntime()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", lambda conn: _push_chunks(
+            conn, netemu.DATA_CREDITS, KiB, rt))
+        conn = net.connect("svc", ZERO_PROFILE)
+        rt.sleep(1.0)  # all 16 chunks have arrived; the server has no credit
+        server_end, t = conn._peer, rt.now()
+        conn.recv()
+        assert not server_end.try_reserve_data_credit()
+        rt.sleep(0)
+        assert rt.now() == t
+        assert server_end.try_reserve_data_credit()
+
+    rt.run(main)
+
+
+@pytest.mark.parametrize("profile, window", [(ZERO_PROFILE, None),
+                                             (WAN_PROFILE, 64 * KiB)],
+                         ids=["zero", "wan-64k"])
+def test_ledgers_hold_no_more_than_is_in_flight(profile, window):
+    """Free window plus the bytes owed back is the window at every send, and
+    over 10,000 frames neither ledger outgrows what can be in flight: the
+    window's amounts, or 16 credits."""
+    rt = VirtualRuntime()
+    frames, size = 10_000, 12 * KiB
+
+    def handler(conn):
+        kick = rt.channel(capacity=1)
+        conn.on_data_credit = lambda: kick.try_put(None)
+        full = conn._window_avail
+        # a slice is at least window // 8 unless it ends its frame, and a
+        # frame that ends in a shorter one also owes a longer one
+        most = 2 * (full // conn._min_slice) + 1
+        longest = [0, 0]  # window and credit ledger lengths
+        for i in range(frames):
+            while not conn.try_reserve_data_credit():
+                kick.get()
+            conn.send(_chunk(i * size, size), credit_reserved=True)
+            owed = conn._window_back
+            assert conn._window_avail + sum(n for _, _, n in owed) == full
+            longest = [max(longest[0], len(owed)),
+                       max(longest[1], len(conn._credit_back))]
+        assert longest[0] <= most and longest[1] <= netemu.DATA_CREDITS
+        conn.close()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.listen("svc", handler)
+        conn = net.connect("svc", profile, window=window)
+        try:
+            while True:
+                conn.recv()
+        except ConnectionClosedError:
+            pass
+
+    rt.run(main)

@@ -209,6 +209,34 @@ def test_a_runtime_without_step_is_probed_for_handoffs_only():
     assert sched.close_round()["gen_steps"] == 0
 
 
+def test_armed_returns_count_as_heap_pushes():
+    # a connection's window or credit return goes on the heap through _arm,
+    # at a position reserved earlier: the probe counts it as a push, by what
+    # it runs, like any other entry
+    class Runtime(_StandInRuntime):
+        def _arm(self, t, seq, entry):
+            self.calls.append(("arm", t, seq))
+
+    arm = Runtime._arm
+    sched = probe_round.SchedulerCounts()
+    saved = sched.install(Runtime, threading.Thread)
+    rt = Runtime()
+    rt._push(0.0, lambda: None)
+    rt._arm(0.5, 7, lambda: None)
+    rt._arm(1.0, 9, SimpleNamespace(name="bench-client-0", _thread=object()))
+    counts = sched.close_round()
+    probe_round.ReadPathCopies.uninstall(saved)
+    assert (counts["heap_pushes"], counts["heap_pushes.callback"],
+            counts["heap_pushes.carrier"]) == (3, 2, 1)
+    assert rt.calls == [("push", 0.0), ("arm", 0.5, 7), ("arm", 1.0, 9)]
+    assert Runtime._arm is arm
+    # and the real runtime has the entry point to wrap
+    import remfio.runtime
+    saved = sched.install(remfio.runtime.VirtualRuntime, threading.Thread)
+    probe_round.ReadPathCopies.uninstall(saved)
+    assert "_arm" in [name for _, name, _ in saved]
+
+
 def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     # simbench's shrunken seq-stream-16: every read lies inside one pushed
     # chunk, so no site copies a byte

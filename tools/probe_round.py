@@ -24,9 +24,14 @@ object per line:
 - `gen_steps`, the times a generator task ran (VirtualRuntime._step, where
   the runtime has one), also by task name;
 - `heap_pushes`, the entries pushed on the event heap
-  (VirtualRuntime._push), split by what the entry runs: `.carrier` (a
-  carrier task's wake-up), `.generator` (a generator task's step) and
-  `.callback` (anything else: timers, grants, server continuations);
+  (VirtualRuntime._push, and VirtualRuntime._arm where the runtime has it,
+  which pushes a connection's window or credit return that a sender waits
+  on), split by what the entry runs: `.carrier` (a carrier task's
+  wake-up), `.generator` (a generator task's step) and `.callback`
+  (anything else: timers, grants, armed returns, server continuations).
+  The runtime's `_seq` is no longer this count: it also numbers every
+  window and credit return, which takes a heap position whether or not it
+  is ever pushed;
 - `context_switches`, the process's voluntary and involuntary context
   switches (`ru_nvcsw + ru_nivcsw`) during the round;
 - `thread_starts`, the calls of threading.Thread.start during the round.
@@ -187,8 +192,8 @@ class SchedulerCounts:
                     "generator" if thread is None else "carrier"] += 1
 
     def install(self, runtime_cls, thread_cls) -> list:
-        """Wrap runtime_cls._handoff, its _step and _push where it has
-        them, and thread_cls.start; returns (owner, name, original) for
+        """Wrap runtime_cls._handoff, its _step, _push and _arm where it
+        has them, and thread_cls.start; returns (owner, name, original) for
         uninstall()."""
         saved = [(runtime_cls, "_handoff", runtime_cls._handoff),
                  (thread_cls, "start", thread_cls.start)]
@@ -222,6 +227,15 @@ class SchedulerCounts:
                 return push(rt, t, entry)
 
             runtime_cls._push = counted_push
+        arm = getattr(runtime_cls, "_arm", None)
+        if arm is not None:
+            saved.append((runtime_cls, "_arm", arm))
+
+            def counted_arm(rt, t, seq, entry):
+                self.note_push(entry)
+                return arm(rt, t, seq, entry)
+
+            runtime_cls._arm = counted_arm
         return saved
 
 
