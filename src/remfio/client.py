@@ -35,8 +35,11 @@ across chunks is joined once. bytes(result) makes an owned copy.
 
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
-pushed bytes the client later discarded). The transfer rate reported at
-close is bytes_consumed / (open_time + read_time).
+pushed bytes the client later discarded). No read updates the last two:
+while the handle is open, handle.counters sets them from the position and
+the seeks, and from what arrived on its connections; close freezes them.
+The transfer rate reported at close is bytes_consumed / (open_time +
+read_time).
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ class ClientHandle:
         self.iobufsize = config.iobufsize
         self.file_size = file_size
         self.logical_position = 0
-        self.counters = HandleCounters()
+        self._rewound = 0  # net bytes seeks moved the position back
+        self._counters = HandleCounters()
         self.double_close = False
         self.request_count = 0  # ReadRequests issued (NORMAL calls and fills)
         self._control = control
@@ -153,11 +157,15 @@ class ClientHandle:
 
     # -- counters ------------------------------------------------------------
 
-    def _sync_wire(self) -> None:
-        """bytes_wire is what arrived on the handle's connections; nothing
-        arrives on a connection once this end has closed it."""
-        self.counters.bytes_wire = self._control.delivered_payload + (
-            0 if self._data is None else self._data.delivered_payload)
+    @property
+    def counters(self) -> HandleCounters:
+        """The handle's counters, brought up to date while it is open."""
+        c = self._counters
+        if not self._closed:
+            c.bytes_consumed = self.logical_position + self._rewound
+            c.bytes_wire = self._control.delivered_payload + (
+                0 if self._data is None else self._data.delivered_payload)
+        return c
 
     def _enter(self, call: str) -> None:
         """Start a read or seek: refuse it on a closed or busy handle."""
@@ -179,27 +187,28 @@ class ClientHandle:
         which may be shared with the server's pool content; a read across
         chunks is joined in one copy.
         """
-        buf, off = self._buf, self.logical_position - self._buf_start
-        if 0 <= off and 0 < length <= len(buf) - off and not (
-                self._busy or self._closed):
+        pos, buf = self.logical_position, self._buf
+        off = pos - self._buf_start
+        if self._busy or self._closed:
+            self._enter("read")  # raises
+        if 0 <= off and 0 < length <= len(buf) - off:
             data = buf[off:off + length]  # inside the held chunk: no wait
-            self._sync_wire()
         else:
-            self._enter("read")
-            t0 = self._rt.now()
+            rt = self._rt
+            t0 = rt._now
+            self._busy = True
             try:
                 if length <= 0:
                     raise ValueError("read length must be positive")
                 if self.mode is ReadMode.NORMAL:
-                    data = self._request(self.logical_position, length)
+                    data = self._request(pos, length)
                 else:
-                    data = self._read_buffered(length)
+                    data = self._read_buffered(pos, length)
             finally:
                 self._busy = False
-                self.counters.read_time += self._rt.now() - t0
-                self._sync_wire()
-        self.counters.bytes_consumed += len(data)
-        self.logical_position += len(data)
+                self._counters.read_time += rt._now - t0
+            length = len(data)
+        self.logical_position = pos + length
         return data
 
     def _request(self, pos: int, length: int) -> memoryview:
@@ -219,41 +228,36 @@ class ClientHandle:
         return (memoryview(parts[0]).toreadonly() if len(parts) == 1
                 else memoryview(b"".join(parts)))
 
-    def _read_buffered(self, length: int) -> memoryview:
-        """Serve from the buffer; refill it on a miss.
+    def _read_buffered(self, pos: int, length: int) -> memoryview:
+        """Serve from the buffer, at pos; refill it on a miss.
 
         READBUF refills with one request of iobufsize, clamped at EOF; the
         push modes take the next pushed chunk that reaches the position.
-        A lone part is returned as a slice of the buffer, not a copy.
+        A lone part is returned as a slice of the buffer, not a copy. A
+        pushed chunk whose offset is not the live stream's next is stale,
+        from before a restart, and is dropped.
         """
-        pos = self.logical_position
         end = min(pos + length, self.file_size)
         parts = []
         while pos < end:
+            buf = self._buf
             off = pos - self._buf_start
-            if 0 <= off < len(self._buf):
-                take = min(end - pos, len(self._buf) - off)
-                parts.append(self._buf[off:off + take])
+            if 0 <= off < len(buf):
+                take = min(end - pos, len(buf) - off)
+                parts.append(buf[off:off + take])
                 pos += take
             elif self.mode is ReadMode.READBUF:
                 self._buf = self._request(
                     pos, min(self.iobufsize, self.file_size - pos))
                 self._buf_start = pos
-            else:
-                offset, payload = self._next_pushed_chunk()
-                if offset + len(payload) > pos:  # else skipped-over bytes
-                    self._buf = memoryview(payload).toreadonly()
-                    self._buf_start = offset
+            else:  # the data connection in STREAM, else the control one
+                msg = _expect((self._data or self._control).recv(), DataChunk)
+                if msg.offset == self._expected:
+                    self._expected += len(msg.payload)
+                    if self._expected > pos:  # else skipped-over bytes
+                        self._buf = memoryview(msg.payload).toreadonly()
+                        self._buf_start = msg.offset
         return parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
-
-    def _next_pushed_chunk(self) -> tuple[int, bytes | memoryview]:
-        """Next in-sequence chunk of the live stream."""
-        conn = self._data if self.mode is ReadMode.STREAM else self._control
-        while True:
-            msg = _expect(conn.recv(), DataChunk)
-            if msg.offset == self._expected:  # else stale, from before restart
-                self._expected = msg.offset + len(msg.payload)
-                return msg.offset, msg.payload
 
     # -- seek ------------------------------------------------------------------
 
@@ -277,6 +281,7 @@ class ClientHandle:
                     self._restart_stream(offset)
                 else:
                     self._buf = b""  # ahead of the stream: let it catch up
+            self._rewound += self.logical_position - offset
             self.logical_position = offset
             return self.logical_position
         finally:
@@ -295,13 +300,13 @@ class ClientHandle:
         server's session and any stream; takes no virtual time."""
         if self._closed:
             self.double_close = True
-            return self.counters
+            return self._counters
+        counters = self.counters
         self._closed = True
-        self._sync_wire()
         self._control.close()
         if self._data is not None:
             self._data.close()
-        return self.counters
+        return counters
 
 
 def _ask(config: ClientConfig, address: str, request, want):
@@ -348,7 +353,7 @@ def rf_open(path: str, config: ClientConfig) -> ClientHandle:
 
     handle = ClientHandle(config, path, handle_id, opened.file_size,
                           control, data)
-    handle.counters.open_time = rt.now() - t0
+    handle._counters.open_time = rt.now() - t0
     return handle
 
 

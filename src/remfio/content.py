@@ -92,9 +92,13 @@ def content_range(seed: int, index: int, size: int, offset: int,
     copy; a range across blocks is joined in one copy."""
     if offset < 0 or n < 0:
         raise ValueError("offset and n must be non-negative")
-    views = list(_views(_tile_view(seed), index, size, offset,
-                        min(offset + n, size)))
-    return views[0] if len(views) == 1 else memoryview(b"".join(views))
+    m = min(offset + n, size) - offset
+    b, j = divmod(offset, BLOCK)
+    if 0 < m <= BLOCK - j:  # inside block b: _views' one slice
+        r = ((index * -(-size // BLOCK) + b) * ODD + j) % TILE
+        return _tile_view(seed)[r:r + m]
+    return memoryview(b"".join(_views(_tile_view(seed), index, size, offset,
+                                      offset + m)))
 
 
 def checksum_bytes(data: bytes) -> int:

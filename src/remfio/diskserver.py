@@ -299,7 +299,7 @@ class DiskServer:
                 f"unexpected {type(msg).__name__} on a "
                 f"{session.mode.name} control connection"))
         if refusal is not None:
-            self._rt._make_runnable(lambda: self._refuse(
+            self._rt._push(self._rt._now, lambda: self._refuse(
                 session.control_conn, refusal, lambda: None))
 
     def _start_stream(self, session: "_Session",
@@ -351,8 +351,8 @@ class _Session:
         self._jobs: deque = deque()  # (epoch, offset, end)
         self._job = None  # [epoch, pos, end] of the job being read
         self._resume = None  # "seek" or "disk" while the reader waits on one
-        # (epoch, offset, payload) the reader holds, and the one it handed
-        # over; the sender's is (epoch, conn, DataChunk)
+        # (epoch, DataChunk) the reader holds, the one it handed over, and
+        # the one the sender took
         self._held = self._chunk = self._msg = None
         # parked until an event of the session pushes it back, once: the
         # reader for a job or a free hand, the sender for a chunk or credit
@@ -367,7 +367,7 @@ class _Session:
     def _kick(self) -> None:  # a credit back, a new epoch or a close
         if self._sender_parked and self._msg is not None:
             self._sender_parked = False
-            self._rt._make_runnable(self._send)
+            self._rt._push(self._rt._now, self._send)
 
     def attach_data(self, conn) -> None:
         self.data_conn = self._out = conn
@@ -379,7 +379,7 @@ class _Session:
         self._jobs.append((self.epoch, offset, offset + length))
         if self._reader_parked and self._held is None:
             self._reader_parked = False
-            self._rt._make_runnable(self._read)
+            self._rt._push(self._rt._now, self._read)
 
     def request_stream(self, offset: int) -> None:
         """Push from offset to the end of the file, abandoning any push
@@ -411,7 +411,8 @@ class _Session:
                 epoch, pos, end = job = self._job
                 n = min(self._cap, end - pos)
                 self.current_offset = job[1] = pos + n
-                self._held = (epoch, pos, self._file.read(pos, n))
+                self._held = (epoch, DataChunk(self.handle_id, pos,
+                                               self._file.read(pos, n)))
             if self._held is not None:
                 if self._chunk is not None:
                     self._reader_parked = True
@@ -419,7 +420,7 @@ class _Session:
                 self._chunk, self._held = self._held, None
                 if self._sender_parked and self._msg is None:
                     self._sender_parked = False
-                    self._rt._make_runnable(self._send)
+                    self._rt._push(self._rt._now, self._send)
             if self._resume is None:
                 if self._job is None:
                     if not self._jobs:
@@ -429,7 +430,8 @@ class _Session:
                     end = min(end, self.size)
                     self._job = [epoch, min(offset, end), end]
                     if offset >= end and self.mode not in _PUSH_MODES:
-                        self._held = (epoch, offset, b"")  # EOF or empty
+                        self._held = (epoch, DataChunk(self.handle_id, offset,
+                                                       b""))  # EOF or empty
                         continue
                 epoch, pos, end = self._job
                 if pos >= end or epoch != self.epoch or self._out.closed:
@@ -452,13 +454,12 @@ class _Session:
                 if self._chunk is None:
                     self._sender_parked = True
                     return
-                (epoch, offset, payload), self._chunk = self._chunk, None
+                self._msg, self._chunk = self._chunk, None
                 if self._reader_parked and self._held is not None:
                     self._reader_parked = False
-                    self._rt._make_runnable(self._read)
-                self._msg = (epoch, self._out,
-                             DataChunk(self.handle_id, offset, payload))
-            epoch, conn, msg = self._msg
+                    self._rt._push(self._rt._now, self._read)
+            epoch, msg = self._msg
+            conn = self._out
             if epoch != self.epoch or conn.closed:
                 self._msg = None  # stale, interrupted before it left
             elif not conn.try_reserve_data_credit():

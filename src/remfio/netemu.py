@@ -27,6 +27,7 @@ window/rtt); throughput_cap() computes it for planning and assertions.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -185,6 +186,7 @@ class EmuConnection:
                  window: int, conn_id: str, address: str):
         self._rt = net._rt
         self.profile = profile
+        self._latency = profile.rtt / 2  # one way
         self.conn_id = conn_id
         self.address = address
         self._peer: EmuConnection | None = None
@@ -194,13 +196,15 @@ class EmuConnection:
         self._queue = net._rt.channel()
         self._window_avail = window
         self._min_slice = max(1, window // 8)
-        self._window_kick = net._rt.channel(capacity=1)
+        self._kicked = False  # a kick left for the window senders
+        self._kick_waiters: deque = deque()
         self._window_back = _Ledger(self._rt, self._window_returned)
         self._credits = DATA_CREDITS
         self._credit_back = _Ledger(self._rt, self._credits_returned)
         self.on_data_credit = None  # fired by the next return after a refusal
         self._closed = False
         self._peer_closed = False
+        self.closed = False  # by either end: sends will fail, recv drains
         self.sent_bytes = 0
         self.sent_payload = 0
         self.delivered_bytes = 0
@@ -227,9 +231,17 @@ class EmuConnection:
     def _window_returned(self, n: int) -> None:
         """n bytes of window back: kick, as their timers would have."""
         self._window_avail += n
-        self._window_kick.try_put(None)
-        if self._window_kick._getters:  # a sender still waits
+        self._kick()
+        if self._kick_waiters:  # a sender still waits
             self._window_back.wait()
+
+    def _kick(self) -> None:
+        """Leave a kick for the window senders, waking the first that waits;
+        while one is left, as before the sender it woke runs, none wakes."""
+        if not self._kicked:
+            self._kicked = True
+            if self._kick_waiters:
+                self._rt._push(self._rt._now, self._kick_waiters.popleft())
 
     # -- data path ----------------------------------------------------------
 
@@ -252,8 +264,9 @@ class EmuConnection:
         types bypass credits.
         """
         tx = _Transmit(self, msg, self._admit(msg, credit_reserved), _trying)
-        rt, cur = self._rt, self._rt._current
-        if type(cur) is not Task:
+        rt = self._rt
+        cur = tx.caller
+        if cur.__class__ is not Task:
             rt._current = tx  # the frame steps on as a callback
         tx.step()
         rt._current = cur
@@ -345,34 +358,29 @@ class EmuConnection:
     def _take(self, msg) -> Message | None:
         """A message just taken off the queue, or None at the stream's end."""
         if msg is _CLOSED:
-            self._peer_closed = True
+            self._peer_closed = self.closed = True
             return None
         if isinstance(msg, DataChunk):
-            self._peer._credit_back.add(self.profile.rtt / 2, 1)
+            self._peer._credit_back.add(self._latency, 1)
         return msg
 
     def close(self) -> None:
         if self._closed:
             return
-        self._closed = True
+        self._closed = self.closed = True
         self._queue.put(_CLOSED)  # wake a recv() parked on this end
         peer = self._peer
-        self._rt.call_later(self.profile.rtt / 2, lambda: peer._notify_closed())
-        self._window_kick.try_put(None)  # unwedge a blocked sender
+        self._rt.call_later(self._latency, lambda: peer._notify_closed())
+        self._kick()  # unwedge a blocked sender
 
     def _notify_closed(self) -> None:
         if self._closed:
             return
-        self._peer_closed = True
+        self._peer_closed = self.closed = True
         self._queue.put(_CLOSED)
         # wake anything parked on window space or credits so it can bail out
-        self._window_kick.try_put(None)
+        self._kick()
         self._credits_returned(0)
-
-    @property
-    def closed(self) -> bool:
-        """True once either end has closed; sends will fail, recv drains."""
-        return self._closed or self._peer_closed
 
 
 class _Ledger(list):
@@ -390,8 +398,7 @@ class _Ledger(list):
 
     def add(self, dt: float, amount: int) -> None:
         rt = self._rt
-        rt._seq += 1
-        self.append((rt._now + dt, rt._seq, amount))
+        self.append((rt._now + dt, next(rt._seqs), amount))
         if self._waiting:
             self.wait()
 
@@ -428,24 +435,23 @@ class _Transmit:
 
     def step(self) -> bool:
         """Go on to the frame's next wait; True once the frame is out."""
-        conn, rt, kick = self.conn, self.conn._rt, self.conn._window_kick
-        back = conn._window_back
+        conn = self.conn
+        rt, back = conn._rt, conn._window_back
         while self.remaining > 0:
             # returns the runtime has run past come back here, and kick
             if back and back[0][0] <= rt._now and (n := back.settle()):
                 conn._window_returned(n)
             if self.windowed:
-                if not kick._items:
-                    kick._getters.append(rt._current)
+                if not conn._kicked:
+                    conn._kick_waiters.append(rt._current)
                     back.wait()
                     rt._switch(None)
                     if rt._current is self:
                         return False
                     continue
-                kick.get()
-                self.windowed = False
+                conn._kicked = self.windowed = False  # the kick is taken
                 if conn.closed:
-                    kick.try_put(None)  # wake the next sender
+                    conn._kick()  # wake the next sender
                     raise TransportError(
                         f"connection {conn.conn_id} closed mid-send")
             # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
@@ -460,13 +466,15 @@ class _Transmit:
             conn._pump.acquire(conn.conn_id, take)  # to transmit end
             if rt._current is self:
                 return False
-        msg, frame_len, peer = self.msg, self.frame_len, conn._peer
-        conn.sent_bytes += frame_len
-        if isinstance(msg, DataChunk):
-            conn.sent_payload += len(msg.payload)
-        rt.call_later(conn.profile.rtt / 2,
-                      lambda: peer._deliver(msg, frame_len))
+        conn.sent_bytes += self.frame_len
+        if isinstance(self.msg, DataChunk):
+            conn.sent_payload += len(self.msg.payload)
+        rt._push(rt._now + conn._latency, self._arrive)
         return True
+
+    def _arrive(self) -> None:
+        """The frame reaches the far end, rtt/2 after its last slice."""
+        self.conn._peer._deliver(self.msg, self.frame_len)
 
     def __call__(self) -> None:
         """Step on where a wait ended; once the frame is out, or dropped by

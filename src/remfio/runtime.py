@@ -40,11 +40,12 @@ it; spawn and unbounded channel put and try_put are safe.
 
 from __future__ import annotations
 
-import heapq
 import os
 import threading
 import warnings
 from collections import deque
+from heapq import heappop, heappush
+from itertools import count
 from typing import Any, Callable
 
 from .errors import DeadlockError
@@ -99,7 +100,7 @@ class VirtualRuntime:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._seq = 0
+        self._seqs = count(1)  # the heap positions' seqs, in push order
         self._at = 0  # seq of the entry that runs: (_now, _at) is the position
         self._heap: list[tuple[float, int, Any]] = []  # entry: Task or callback
         self._current: Any = None  # the Task or callback that runs
@@ -197,30 +198,27 @@ class VirtualRuntime:
     # -- scheduler internals ------------------------------------------------
 
     def _push(self, t: float, entry) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, entry))
+        heappush(self._heap, (t, next(self._seqs), entry))
 
     def _arm(self, t: float, seq: int, entry) -> None:
-        """Push entry at a later position, its seq taken earlier from _seq."""
-        heapq.heappush(self._heap, (t, seq, entry))
-
-    def _make_runnable(self, entry) -> None:
-        """Schedule a Task, or a callback, to run now."""
-        self._push(self._now, entry)
+        """Push entry at a later position, its seq drawn earlier."""
+        heappush(self._heap, (t, seq, entry))
 
     def _blocking_call(self) -> None:
         """Raise RuntimeError if a callback, which must not block, calls
         what blocks a task."""
         cur = self._current
-        if type(cur) is not Task:
+        if cur.__class__ is not Task:
             raise RuntimeError(f"{getattr(cur, 'name', cur)!r} made a "
                                "blocking call; only a task may")
 
     def _park(self, waiters) -> None:
         """Queue the current task on waiters and block it until
         someone makes it runnable again."""
-        self._blocking_call()
-        waiters.append(self._current)
+        cur = self._current
+        if cur.__class__ is not Task:
+            self._blocking_call()  # raises
+        waiters.append(cur)
         self._switch(None)
 
     def _switch(self, reschedule_at: float | None) -> None:
@@ -228,7 +226,7 @@ class VirtualRuntime:
         if not self._stopping:
             if reschedule_at is not None:
                 self._push(reschedule_at, cur)
-            if type(cur) is not Task:
+            if cur.__class__ is not Task:
                 return  # a callback: called again where its wait ends
             self._handoff(cur)
             if not self._stopping:
@@ -250,10 +248,10 @@ class VirtualRuntime:
         """
         heap = self._heap
         while heap:
-            t, self._at, entry = heapq.heappop(heap)
+            t, self._at, entry = heappop(heap)
             if t > self._now:
                 self._now = t
-            if type(entry) is Task:
+            if entry.__class__ is Task:
                 nxt = entry
                 break
             self._current = entry
@@ -287,7 +285,7 @@ class VirtualRuntime:
             return  # run() took the task off _tasks
         del self._tasks[task]
         for waiter in task._join_waiters:
-            self._make_runnable(waiter)
+            self._push(self._now, waiter)
         task._join_waiters.clear()
 
     def _carry(self, carrier: _Carrier) -> None:
@@ -360,7 +358,7 @@ class VirtualChannel:
             return False
         self._items.append(item)
         if self._getters:
-            self._rt._make_runnable(self._getters.popleft())
+            self._rt._push(self._rt._now, self._getters.popleft())
         return True
 
     def get(self):
@@ -368,7 +366,7 @@ class VirtualChannel:
             self._rt._park(self._getters)
         item = self._items.popleft()
         if self._putters:
-            self._rt._make_runnable(self._putters.popleft())
+            self._rt._push(self._rt._now, self._putters.popleft())
         return item
 
     def when_ready(self, fn: Callable[[], None]) -> None:
@@ -408,6 +406,7 @@ class VirtualRateLimiter:
         self._arrivals = 0
         self._busy = False  # a serve callback is pending
         self._timed = rate != float("inf")  # a grant takes time
+        self._granted = None  # the callback of the one grant outstanding
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
@@ -416,39 +415,41 @@ class VirtualRateLimiter:
         tag = max(self._vtime, self._last_tag.get(key, 0)) + nbytes
         self._last_tag[key] = tag
         self._arrivals += 1
-        heapq.heappush(self._requests,
-                       (tag, self._arrivals, key, nbytes, rt._current))
+        waiter = rt._current
+        heappush(self._requests, (tag, self._arrivals, key, nbytes, waiter))
         if not self._busy:
             # serve once the event loop has run everything else due now, so
             # at infinite rate the requests of one instant are granted
             # together, in tag order
             self._busy = True
-            rt.call_at(rt._now, self._serve)
-        rt._switch(None)
+            rt._push(rt._now, self._serve)
+        if waiter.__class__ is Task or rt._stopping:
+            rt._switch(None)  # a callback returns; its grant's end calls it
 
     def _serve(self) -> None:
         """Grant queued requests in tag order until one takes time."""
-        rt = self._rt
-        while self._requests:
-            tag, _, key, nbytes, waiter = heapq.heappop(self._requests)
+        rt, requests = self._rt, self._requests
+        while requests:
+            tag, _, key, nbytes, waiter = heappop(requests)
             self._vtime = tag
             if self._last_tag[key] == tag:
                 del self._last_tag[key]
             if self._timed:
                 end = rt._now + nbytes / self._rate
-                if type(waiter) is Task:
+                if waiter.__class__ is Task:
                     # the task wakes before the next pick: pushed first, it
                     # runs first at the grant's end
                     rt._push(end, waiter)
-                    rt.call_at(end, self._serve)
+                    rt._push(end, self._serve)
                 else:
-                    rt._push(end, lambda: self._end_grant(waiter))
+                    self._granted = waiter
+                    rt._push(end, self._end_grant)
                 return
-            rt._make_runnable(waiter)
+            rt._push(rt._now, waiter)
         self._busy = False
 
-    def _end_grant(self, waiter) -> None:
+    def _end_grant(self) -> None:
         """End a callback's grant: call it, then pick the next request."""
-        self._rt._current = waiter
+        waiter = self._rt._current = self._granted
         waiter()
         self._serve()

@@ -40,9 +40,16 @@ from remfio.netemu import (
     WAN_PROFILE,
     ZERO_PROFILE,
     EmulatedNetwork,
+    LinkProfile,
 )
 from remfio.runtime import VirtualRuntime
-from remfio.wire import DataChunk, NsLookupReply, ReadMode, StreamStart
+from remfio.wire import (
+    MAX_CHUNK_PAYLOAD,
+    DataChunk,
+    NsLookupReply,
+    ReadMode,
+    StreamStart,
+)
 
 TOKEN = "shared-secret"
 KiB = 1024
@@ -548,6 +555,46 @@ def test_stream_restart_sends_one_control_frame_and_close_none(tmp_path):
         rf_close(h)
         assert rt.now() == t0
         assert sent == [StreamStart(h.handle_id, 2 * MiB)]
+
+    rt.run(scenario)
+
+
+def test_stream_bytes_wire_is_exact_after_a_seek_that_waits(tmp_path):
+    # a seek's StreamStart waits for its share of a client-to-server link
+    # that bulk senders keep busy, while the old push's chunks still arrive
+    # on the other direction: bytes_wire counts them as soon as the seek
+    # returns, though no read ran, and stops changing at close
+    rt = VirtualRuntime()
+    slow = LinkProfile("slow", rtt=0.012, shared_bandwidth=2 * MiB,
+                       per_connection_window=MiB)
+
+    def scenario():
+        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 8 * MiB)])
+        net.accept("sink", lambda conn: conn.serve(lambda msg: None))
+
+        def flood():
+            conn = net.connect("sink", slow)
+            for i in range(8):
+                assert conn.try_reserve_data_credit()
+                conn.send(DataChunk(0, i, bytes(MAX_CHUNK_PAYLOAD)),
+                          credit_reserved=True)
+
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
+                                       profile=slow))
+        assert rf_read(h, 64 * KiB) == contents["/pool/a"][:64 * KiB]
+        rt.spawn(flood, name="flood")
+        rt.sleep(0.1)  # the flood holds the link
+        t0, arrived = rt.now(), h._data.delivered_payload
+        rf_seek(h, 4 * MiB)
+        assert rt.now() > t0  # the StreamStart waited ...
+        assert h._data.delivered_payload > arrived  # ... as chunks came in
+        wire = h._control.delivered_payload + h._data.delivered_payload
+        assert h.counters.bytes_wire == wire
+        assert h.counters.bytes_consumed == 64 * KiB
+        counters = rf_close(h)
+        assert counters.bytes_wire == wire
+        rt.sleep(1.0)
+        assert h.counters is counters and counters.bytes_wire == wire
 
     rt.run(scenario)
 

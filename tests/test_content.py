@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from remfio import content
 from remfio.content import (
@@ -165,6 +167,39 @@ def test_a_range_inside_one_block_is_a_view_of_the_tile():
     # across a block boundary, one joined copy
     got = content_range(1, 0, size, BLOCK_BYTES - 8, 16)
     assert got.obj is not tile and got.readonly
+
+
+_EDGE_SIZES = [0, 1, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
+               3 * BLOCK_BYTES, 3 * BLOCK_BYTES + 77]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.sampled_from([1, 7]), index=st.integers(0, 40),
+       size=st.sampled_from(_EDGE_SIZES), block=st.integers(0, 4),
+       j=st.sampled_from([0, 1, BLOCK_BYTES - 1])
+       | st.integers(0, BLOCK_BYTES - 1),
+       n=st.sampled_from(["zero", "to_edge", "across"])
+       | st.integers(0, 2 * BLOCK_BYTES))
+@example(seed=1, index=3, size=3 * BLOCK_BYTES, block=1, j=100,
+         n="to_edge")  # j + n == BLOCK
+@example(seed=1, index=3, size=3 * BLOCK_BYTES, block=1, j=100, n="zero")
+@example(seed=1, index=3, size=3 * BLOCK_BYTES + 77, block=3, j=77,
+         n=5)  # offset == size
+@example(seed=1, index=3, size=3 * BLOCK_BYTES, block=1, j=100,
+         n="across")  # into the next block
+def test_content_range_at_block_edges(seed, index, size, block, j, n):
+    # offset is j bytes into block `block`, clamped to the file's end; n
+    # reaches that block's end exactly, stops short of it or crosses it
+    offset = min(block * BLOCK_BYTES + j, size)
+    j = offset % BLOCK_BYTES
+    n = {"zero": 0, "to_edge": BLOCK_BYTES - j,
+         "across": BLOCK_BYTES - j + 1}.get(n, n)
+    want = file_content(seed, index, size)[offset:offset + n]
+    got = content_range(seed, index, size, offset, n)
+    assert type(got) is memoryview and got.readonly
+    assert got == want
+    if want and j + len(want) <= BLOCK_BYTES:  # inside one block: no copy
+        assert got.obj is content._tile_view(seed).obj
 
 
 def test_content_range_rejects_negative_arguments():

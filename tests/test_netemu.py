@@ -858,3 +858,56 @@ def test_ledgers_hold_no_more_than_is_in_flight(profile, window):
             pass
 
     rt.run(main)
+
+
+def test_a_kick_left_untaken_wakes_no_second_window_sender():
+    # a kick wakes the first waiting window sender; another, while the woken
+    # sender has not yet taken the first, wakes nobody, as the one-slot
+    # channel it replaced did
+    rt = VirtualRuntime()
+    net = EmulatedNetwork(rt)
+    net.accept("svc", lambda conn: None)
+    woken = []
+
+    def main():
+        conn = net.connect("svc", WAN_PROFILE)
+        conn._kick_waiters.extend([lambda: woken.append("a"),
+                                   lambda: woken.append("b")])
+        conn._kick()
+        conn._kick()
+        rt.sleep(0.001)
+        assert woken == ["a"] and conn._kicked
+        conn._kicked = False  # "a" took it
+        conn._kick()
+        rt.sleep(0.001)
+        assert woken == ["a", "b"] and not conn._kick_waiters
+
+    rt.run(main)
+
+
+def test_a_frame_sent_from_a_callback_raises_once_the_run_stops():
+    # a callback's grant request returns without a switch, except once the
+    # run stops: then it raises, as a task's does, in the task unwinding
+    rt = VirtualRuntime()
+    net = EmulatedNetwork(rt)
+    net.accept("svc", lambda conn: None)
+    outcome = []
+
+    def client():
+        conn = net.connect("svc", WAN_PROFILE)
+        try:
+            rt.channel().get()  # parked until the run stops
+        finally:
+            try:
+                conn.try_send_then(wire.NsLookup(path="/a"),
+                                   lambda: outcome.append("sent"))
+            except BaseException as exc:
+                outcome.append(type(exc).__name__)
+                raise
+
+    def main():
+        rt.spawn(client, name="client")
+        rt.sleep(1.0)
+
+    rt.run(main)
+    assert outcome == ["_TaskShutdown"]

@@ -269,3 +269,26 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
         assert row["heap_pushes.callback"] > row["heap_pushes.carrier"] > 0
         assert 0 < row["thread_starts"] <= workloads.SMALL[
             "seq-stream-16"].clients
+
+
+def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
+                                                              monkeypatch):
+    # the opcode count of a round is deterministic: tracing the same round
+    # twice gives the same bytecodes, Python calls and top functions
+    monkeypatch.syspath_prepend(str(ROOT / "simbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    w = workloads.SMALL["seq-stream-16"]
+    traces = sys.gettrace(), threading.gettrace()
+    counts = []
+    for rep in range(2):
+        bytecodes = probe_round.Bytecodes()
+        probe_round.probe(w, 1, 1, tmp_path / f"pool-{rep}", bytecodes)
+        counts.append(bytecodes.counts())
+    assert (sys.gettrace(), threading.gettrace()) == traces  # restored
+    assert counts[0] == counts[1]
+    assert counts[0]["bytecodes"] > counts[0]["py_calls"] > 0
+    top = counts[0]["bytecodes_top"]
+    assert len(top) == probe_round.TOP_FUNCTIONS
+    assert list(top.values()) == sorted(top.values(), reverse=True)
+    assert "runtime.py:VirtualRuntime._handoff" in top

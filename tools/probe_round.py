@@ -1,6 +1,7 @@
-"""Count what simbench rounds cost the host: copies and task switches.
+"""Count what simbench rounds cost the host: copies, switches, bytecodes.
 
-    python3 tools/probe_round.py --workload seq-stream-16 --seed 1 [--rounds 5]
+    python3 tools/probe_round.py --workload seq-stream-16 --seed 1 \\
+        [--rounds 5] [--bytecodes]
 
 Seeds a fresh pool with simbench's own seed_fresh_pool, pins the process to
 one CPU as simbench/run.py does, and runs simbench's run_round --rounds
@@ -29,12 +30,24 @@ object per line:
   on), split by what the entry runs: `.carrier` (a carrier task's
   wake-up), `.generator` (a generator task's step) and `.callback`
   (anything else: timers, grants, armed returns, server continuations).
-  The runtime's `_seq` is no longer this count: it also numbers every
+  The runtime's seq numbers are not this count: they also number every
   window and credit return, which takes a heap position whether or not it
   is ever pushed;
 - `context_switches`, the process's voluntary and involuntary context
   switches (`ru_nvcsw + ru_nivcsw`) during the round;
 - `thread_starts`, the calls of threading.Thread.start during the round.
+
+With --bytecodes, one more round runs after the counted ones, with no
+wrapper installed, under sys.settrace and threading.settrace with
+f_trace_opcodes set, and the last line gains `bytecodes` (opcodes
+executed), `py_calls` (Python frames entered, a generator's resumption
+included) and `bytecodes_top` (the 10 functions that executed the most
+opcodes). The round's threads are joined before the count ends, so their
+last opcodes count too. The threading module's own code, and the weak-set
+callbacks by which it forgets finished threads, are left out: how much of
+them runs depends on which thread wins a race, such as whether a new
+thread has started before Thread.start waits for it. What is left repeats
+exactly from round to round and from run to run.
 
 The runtime in this tree has no generator tasks, so on it `gen_steps` reads
 0 and `heap_pushes.generator` is absent, which summaries read as 0. Both
@@ -48,6 +61,7 @@ and changes no file there.
 
 from __future__ import annotations
 
+import _weakrefset
 import argparse
 import gc
 import json
@@ -64,6 +78,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SITES = ("content_range", "PoolFile.read", "ClientHandle.read")
 STAGGER_DRAWS = 8  # simbench's timed rounds cycle through this many draws
+TOP_FUNCTIONS = 10  # functions listed under bytecodes_top
 
 
 def base_of(buf):
@@ -239,6 +254,53 @@ class SchedulerCounts:
         return saved
 
 
+class Bytecodes:
+    """Opcodes executed, by function, and Python frames entered, counted by
+    a trace function on every thread started while it is installed and on
+    the thread that installs it."""
+
+    def __init__(self) -> None:
+        self.per_code: Counter = Counter()  # opcodes by code object
+        self.py_calls = 0
+        self._skip = {threading.__file__, _weakrefset.__file__}
+
+    def _call(self, frame, event, arg):
+        code = frame.f_code
+        if code.co_filename in self._skip:
+            return None
+        self.py_calls += 1
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return self._opcode
+
+    def _opcode(self, frame, event, arg):
+        if event == "opcode":
+            self.per_code[frame.f_code] += 1
+        return self._opcode
+
+    def run(self, fn, *args):
+        """fn(*args), counted; returns its result."""
+        before = set(threading.enumerate())
+        traces = sys.gettrace(), threading.gettrace()
+        threading.settrace(self._call)
+        sys.settrace(self._call)
+        try:
+            return fn(*args)
+        finally:
+            for thread in set(threading.enumerate()) - before:
+                thread.join(timeout=5.0)
+            sys.settrace(traces[0])
+            threading.settrace(traces[1])
+
+    def counts(self) -> dict:
+        top: Counter = Counter()
+        for code, n in self.per_code.items():
+            top[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n
+        return {"bytecodes": sum(self.per_code.values()),
+                "py_calls": self.py_calls,
+                "bytecodes_top": dict(top.most_common(TOP_FUNCTIONS))}
+
+
 def summarize(rounds: list[dict]) -> dict:
     """The median of every count over the rounds, a count a round lacks
     being 0, with copies also in MiB."""
@@ -249,8 +311,10 @@ def summarize(rounds: list[dict]) -> dict:
     return out
 
 
-def probe(w, seed: int, rounds: int, pool_dir: Path) -> list[dict]:
-    """Seed a fresh pool for workload w and run `rounds` counted rounds."""
+def probe(w, seed: int, rounds: int, pool_dir: Path,
+          bytecodes: Bytecodes | None = None) -> list[dict]:
+    """Seed a fresh pool for workload w and run `rounds` counted rounds;
+    then, given bytecodes, one more round that it counts."""
     import remfio.client
     import remfio.diskserver
     import remfio.runtime
@@ -280,6 +344,9 @@ def probe(w, seed: int, rounds: int, pool_dir: Path) -> list[dict]:
                          "context_switches": switches})
     finally:
         counter.uninstall(saved)
+    if bytecodes is not None:
+        gc.collect()
+        bytecodes.run(run_round, w, seed, pool_dir)
     return rows
 
 
@@ -288,6 +355,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--bytecodes", action="store_true",
+                        help="count the opcodes of one more round")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -296,13 +365,17 @@ def main(argv=None) -> int:
     import workloads
     if hasattr(os, "sched_setaffinity"):  # as simbench/run.py pins itself
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    bytecodes = Bytecodes() if args.bytecodes else None
     with tempfile.TemporaryDirectory(prefix="probe-round-") as tmp:
         rows = probe(workloads.WORKLOADS[args.workload], args.seed,
-                     args.rounds, Path(tmp) / "pool")
+                     args.rounds, Path(tmp) / "pool", bytecodes)
     for i, row in enumerate(rows):
         print(json.dumps({"round": i, **row}), flush=True)
+    median = summarize(rows)
+    if bytecodes is not None:
+        median.update(bytecodes.counts())
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "rounds": args.rounds, "median": summarize(rows)}))
+                      "rounds": args.rounds, "median": median}))
     return 0
 
 
