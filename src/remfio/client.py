@@ -37,9 +37,8 @@ Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
 pushed bytes the client later discarded). No read updates the last two:
 while the handle is open, handle.counters sets them from the position and
-the seeks, and from what arrived on its connections; close freezes them.
-The transfer rate reported at close is bytes_consumed / (open_time +
-read_time).
+seeks and from what arrived on its connections; close freezes them. The
+transfer rate reported at close is bytes_consumed / (open_time + read_time).
 """
 
 from __future__ import annotations

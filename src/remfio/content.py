@@ -61,15 +61,19 @@ def _tile(seed: int) -> memoryview:
 _tile_view = functools.lru_cache(maxsize=4)(_tile)
 
 
+def _place(index: int, size: int, offset: int) -> tuple[int, int]:
+    """Byte `offset` of file `index`: its tile position, its block's rest."""
+    b, j = divmod(offset, BLOCK)
+    return ((index * -(-size // BLOCK) + b) * ODD + j) % TILE, BLOCK - j
+
+
 def _views(tile: memoryview, index: int, size: int, offset: int,
            end: int) -> Iterator[memoryview]:
     """Bytes [offset, end) of pool file `index` of `size` bytes, as views of
     the seed's tile, one per block touched."""
-    blocks = -(-size // BLOCK)
     while offset < end:
-        b, j = divmod(offset, BLOCK)
-        m = min(BLOCK - j, end - offset)
-        r = ((index * blocks + b) * ODD + j) % TILE
+        r, m = _place(index, size, offset)
+        m = min(m, end - offset)
         yield tile[r:r + m]  # r < TILE and m <= BLOCK: never past the copy
         offset += m
 
@@ -93,9 +97,8 @@ def content_range(seed: int, index: int, size: int, offset: int,
     if offset < 0 or n < 0:
         raise ValueError("offset and n must be non-negative")
     m = min(offset + n, size) - offset
-    b, j = divmod(offset, BLOCK)
-    if 0 < m <= BLOCK - j:  # inside block b: _views' one slice
-        r = ((index * -(-size // BLOCK) + b) * ODD + j) % TILE
+    r, room = _place(index, size, offset)
+    if 0 < m <= room:  # inside one block: _views' one slice
         return _tile_view(seed)[r:r + m]
     return memoryview(b"".join(_views(_tile_view(seed), index, size, offset,
                                       offset + m)))

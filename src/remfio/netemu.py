@@ -202,8 +202,7 @@ class EmuConnection:
         self._credits = DATA_CREDITS
         self._credit_back = _Ledger(self._rt, self._credits_returned)
         self.on_data_credit = None  # fired by the next return after a refusal
-        self._closed = False
-        self._peer_closed = False
+        self._closed = False  # by this end
         self.closed = False  # by either end: sends will fail, recv drains
         self.sent_bytes = 0
         self.sent_payload = 0
@@ -275,7 +274,7 @@ class EmuConnection:
         """msg's frame length, or the error send() raises before it waits."""
         if self._closed:
             raise TransportError(f"send on closed connection {self.conn_id}")
-        if self._peer_closed:
+        if self.closed:
             raise TransportError(f"peer closed {self.conn_id}")
         if isinstance(msg, DataChunk) and not credit_reserved:
             raise TransportError("DataChunk sends require a reserved credit")
@@ -313,7 +312,7 @@ class EmuConnection:
         """Next in-order message; raises ConnectionClosedError at stream end."""
         if self._closed:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
-        if self._peer_closed and len(self._queue) == 0:
+        if self.closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
         msg = self._take(self._queue.get())
         if msg is None:
@@ -343,7 +342,7 @@ class EmuConnection:
         def drain() -> None:
             while not self._closed:
                 if len(queue) == 0:
-                    if self._peer_closed:
+                    if self.closed:
                         break
                     queue.when_ready(drain)
                     return
@@ -358,7 +357,7 @@ class EmuConnection:
     def _take(self, msg) -> Message | None:
         """A message just taken off the queue, or None at the stream's end."""
         if msg is _CLOSED:
-            self._peer_closed = self.closed = True
+            self.closed = True
             return None
         if isinstance(msg, DataChunk):
             self._peer._credit_back.add(self._latency, 1)
@@ -376,7 +375,7 @@ class EmuConnection:
     def _notify_closed(self) -> None:
         if self._closed:
             return
-        self._peer_closed = self.closed = True
+        self.closed = True
         self._queue.put(_CLOSED)
         # wake anything parked on window space or credits so it can bail out
         self._kick()

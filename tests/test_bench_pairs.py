@@ -93,7 +93,7 @@ def test_probe_counts_takes_the_median_line(tmp_path, fails):
     else:
         assert got == {"heap_pushes": 5, "argv": [
             "--workload", "w", "--seed", str(bench_pairs.COUNT_SEED),
-            "--rounds", str(bench_pairs.COUNT_ROUNDS), "--bytecodes"]}
+            "--rounds", str(bench_pairs.COUNT_ROUNDS)]}
 
 
 def test_bench_files_load_with_or_without_counts(tmp_path):

@@ -17,9 +17,9 @@ BENCHMARK.json. With --unpinned, simbench runs with os.sched_setaffinity
 made a no-op, so its process keeps every CPU it was given instead of pinning
 itself to one. With --counts, this tree's tools/probe_round.py is copied
 into the parent's archive and run on each side, parent first, for every
-workload at seed 1 over 8 rounds and with --bytecodes; the output gains
-both sides' median counts, and the opcode counts of one more round, per
-workload under "counts". A BENCH file made without --counts has
+workload at seed 1 over 8 rounds; the output gains both sides' median
+counts, and the opcode counts of one more round, per workload under
+"counts". A BENCH file made without --counts has
 no such key, and load_bench() reads it as having no counts. This script
 reads simbench/ and BENCHMARK.json but never writes to them.
 """
@@ -91,7 +91,7 @@ def probe_counts(tree: Path, workload: str) -> dict:
     tail of its error output if it printed none."""
     proc = subprocess.run(
         [sys.executable, str(PROBE), "--workload", workload, "--seed",
-         str(COUNT_SEED), "--rounds", str(COUNT_ROUNDS), "--bytecodes"],
+         str(COUNT_SEED), "--rounds", str(COUNT_ROUNDS)],
         cwd=tree, capture_output=True, text=True)
     try:
         return json.loads(proc.stdout.strip().splitlines()[-1])["median"]
@@ -232,8 +232,8 @@ def main(argv=None) -> int:
         doc["counts"] = counts
         doc["counts_command"] = (
             f"python3 {PROBE} --workload W --seed {COUNT_SEED} --rounds "
-            f"{COUNT_ROUNDS} --bytecodes, this tree's probe on both sides; "
-            "each entry is the median line it prints")
+            f"{COUNT_ROUNDS}, this tree's probe on both sides; each entry "
+            "is the median line it prints")
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -1,7 +1,6 @@
 """Count what simbench rounds cost the host: copies, switches, bytecodes.
 
-    python3 tools/probe_round.py --workload seq-stream-16 --seed 1 \\
-        [--rounds 5] [--bytecodes]
+    python3 tools/probe_round.py --workload seq-stream-16 --seed 1 [--rounds 5]
 
 Seeds a fresh pool with simbench's own seed_fresh_pool, pins the process to
 one CPU as simbench/run.py does, and runs simbench's run_round --rounds
@@ -37,17 +36,18 @@ object per line:
   switches (`ru_nvcsw + ru_nivcsw`) during the round;
 - `thread_starts`, the calls of threading.Thread.start during the round.
 
-With --bytecodes, one more round runs after the counted ones, with no
-wrapper installed, under sys.settrace and threading.settrace with
-f_trace_opcodes set, and the last line gains `bytecodes` (opcodes
-executed), `py_calls` (Python frames entered, a generator's resumption
-included) and `bytecodes_top` (the 10 functions that executed the most
-opcodes). The round's threads are joined before the count ends, so their
-last opcodes count too. The threading module's own code, and the weak-set
-callbacks by which it forgets finished threads, are left out: how much of
-them runs depends on which thread wins a race, such as whether a new
-thread has started before Thread.start waits for it. What is left repeats
-exactly from round to round and from run to run.
+After the counted rounds, one more round runs with no wrapper installed,
+under sys.settrace and threading.settrace with f_trace_opcodes set, and the
+last line gains `bytecodes` (opcodes executed), `py_calls` (Python frames
+entered, a generator's resumption included) and `bytecodes_top` (the 10
+functions that executed the most opcodes, each named `file:qualname`, or
+`file:name` before Python 3.11). The traced round takes about 2 s more
+than the counted ones. The round's threads are joined before the count
+ends, so their last opcodes count too. The threading module's own code,
+and the weak-set callbacks by which it forgets finished threads, are left
+out: how much of them runs depends on which thread wins a race, such as
+whether a new thread has started before Thread.start waits for it. What is
+left repeats exactly from round to round and from run to run.
 
 The runtime in this tree has no generator tasks, so on it `gen_steps` reads
 0 and `heap_pushes.generator` is absent, which summaries read as 0. Both
@@ -254,6 +254,11 @@ class SchedulerCounts:
         return saved
 
 
+def qualname(code) -> str:
+    """code's qualified name; its bare name before Python 3.11."""
+    return getattr(code, "co_qualname", code.co_name)
+
+
 class Bytecodes:
     """Opcodes executed, by function, and Python frames entered, counted by
     a trace function on every thread started while it is installed and on
@@ -295,7 +300,7 @@ class Bytecodes:
     def counts(self) -> dict:
         top: Counter = Counter()
         for code, n in self.per_code.items():
-            top[f"{Path(code.co_filename).name}:{code.co_qualname}"] += n
+            top[f"{Path(code.co_filename).name}:{qualname(code)}"] += n
         return {"bytecodes": sum(self.per_code.values()),
                 "py_calls": self.py_calls,
                 "bytecodes_top": dict(top.most_common(TOP_FUNCTIONS))}
@@ -355,8 +360,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--bytecodes", action="store_true",
-                        help="count the opcodes of one more round")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -365,17 +368,15 @@ def main(argv=None) -> int:
     import workloads
     if hasattr(os, "sched_setaffinity"):  # as simbench/run.py pins itself
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
-    bytecodes = Bytecodes() if args.bytecodes else None
+    bytecodes = Bytecodes()
     with tempfile.TemporaryDirectory(prefix="probe-round-") as tmp:
         rows = probe(workloads.WORKLOADS[args.workload], args.seed,
                      args.rounds, Path(tmp) / "pool", bytecodes)
     for i, row in enumerate(rows):
         print(json.dumps({"round": i, **row}), flush=True)
-    median = summarize(rows)
-    if bytecodes is not None:
-        median.update(bytecodes.counts())
     print(json.dumps({"workload": args.workload, "seed": args.seed,
-                      "rounds": args.rounds, "median": median}))
+                      "rounds": args.rounds,
+                      "median": summarize(rows) | bytecodes.counts()}))
     return 0
 
 
