@@ -10,9 +10,6 @@ data-only connection and streams over that. Same file, same bytes, very
 different traffic patterns.
 """
 
-import tempfile
-from pathlib import Path
-
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read
 from remfio.diskserver import DiskServer
 from remfio.headnode import Headnode
@@ -35,24 +32,23 @@ def scenario():
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN)
     head.start()
-    with tempfile.TemporaryDirectory() as tmp:
-        srv = DiskServer(rt, net, pool_dir=Path(tmp), shared_token=TOKEN)
-        srv.start()
-        pf = srv.seed_file("/data/events", 1, 0, SIZE)
-        head.register_file("/data/events", SIZE, srv.address, pf.checksum)
+    srv = DiskServer(rt, net, shared_token=TOKEN)
+    srv.start()
+    pf = srv.seed_file("/data/events", 1, 0, SIZE)
+    head.register_file("/data/events", SIZE, srv.address, pf.checksum)
 
-        print(f"{'mode':10s} {'open s':>7s} {'read s':>7s} {'requests':>8s} "
-              f"{'wire MiB':>8s} {'rate MiB/s':>10s}")
-        for mode in ReadMode:
-            cfg = ClientConfig(rt, net, token=TOKEN, mode=mode, profile=wan)
-            h = rf_open("/data/events", cfg)
-            # the application reads 64 KiB at a time, start to finish
-            while rf_read(h, 64 * KiB):
-                pass
-            c = rf_close(h)
-            print(f"{mode.name:10s} {c.open_time:7.3f} {c.read_time:7.3f} "
-                  f"{h.request_count:8d} {c.bytes_wire / MiB:8.1f} "
-                  f"{c.rate / MiB:10.2f}")
+    print(f"{'mode':10s} {'open s':>7s} {'read s':>7s} {'requests':>8s} "
+          f"{'wire MiB':>8s} {'rate MiB/s':>10s}")
+    for mode in ReadMode:
+        cfg = ClientConfig(rt, net, token=TOKEN, mode=mode, profile=wan)
+        h = rf_open("/data/events", cfg)
+        # the application reads 64 KiB at a time, start to finish
+        while rf_read(h, 64 * KiB):
+            pass
+        c = rf_close(h)
+        print(f"{mode.name:10s} {c.open_time:7.3f} {c.read_time:7.3f} "
+              f"{h.request_count:8d} {c.bytes_wire / MiB:8.1f} "
+              f"{c.rate / MiB:10.2f}")
 
 
 # NORMAL pays one 12 ms round trip per 64 KiB read (128 of them); READBUF

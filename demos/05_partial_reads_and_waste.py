@@ -9,9 +9,6 @@ skipped file. The waste column below is exactly bytes_wire minus
 bytes_consumed: data paid for on the network and thrown away.
 """
 
-import tempfile
-from pathlib import Path
-
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read, rf_seek
 from remfio.diskserver import DiskServer
 from remfio.headnode import Headnode
@@ -43,31 +40,30 @@ def scenario():
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN)
     head.start()
-    with tempfile.TemporaryDirectory() as tmp:
-        srv = DiskServer(rt, net, pool_dir=Path(tmp), shared_token=TOKEN)
-        srv.start()
-        pf = srv.seed_file("/data/scan", 1, 0, SIZE)
-        head.register_file("/data/scan", SIZE, srv.address, pf.checksum)
+    srv = DiskServer(rt, net, shared_token=TOKEN)
+    srv.start()
+    pf = srv.seed_file("/data/scan", 1, 0, SIZE)
+    head.register_file("/data/scan", SIZE, srv.address, pf.checksum)
 
-        cases = [
-            ("NORMAL", dict(mode=ReadMode.NORMAL)),
-            ("READBUF 128 KiB buf", dict(mode=ReadMode.READBUF)),
-            ("READBUF 8 MiB buf", dict(mode=ReadMode.READBUF,
-                                       iobufsize=8 * MiB)),
-            ("READAHEAD", dict(mode=ReadMode.READAHEAD)),
-            ("STREAM", dict(mode=ReadMode.STREAM)),
-        ]
-        print(f"{'case':20s} {'consumed':>9s} {'wire':>9s} {'waste':>9s} "
-              f"{'rate MiB/s':>10s}")
-        for label, kw in cases:
-            cfg = ClientConfig(rt, net, token=TOKEN, profile=wan, **kw)
-            h = rf_open("/data/scan", cfg)
-            skip_scan(h)
-            c = rf_close(h)
-            waste = c.bytes_wire - c.bytes_consumed
-            print(f"{label:20s} {c.bytes_consumed / MiB:8.1f}M "
-                  f"{c.bytes_wire / MiB:8.1f}M {waste / MiB:8.1f}M "
-                  f"{c.rate / MiB:10.2f}")
+    cases = [
+        ("NORMAL", dict(mode=ReadMode.NORMAL)),
+        ("READBUF 128 KiB buf", dict(mode=ReadMode.READBUF)),
+        ("READBUF 8 MiB buf", dict(mode=ReadMode.READBUF,
+                                   iobufsize=8 * MiB)),
+        ("READAHEAD", dict(mode=ReadMode.READAHEAD)),
+        ("STREAM", dict(mode=ReadMode.STREAM)),
+    ]
+    print(f"{'case':20s} {'consumed':>9s} {'wire':>9s} {'waste':>9s} "
+          f"{'rate MiB/s':>10s}")
+    for label, kw in cases:
+        cfg = ClientConfig(rt, net, token=TOKEN, profile=wan, **kw)
+        h = rf_open("/data/scan", cfg)
+        skip_scan(h)
+        c = rf_close(h)
+        waste = c.bytes_wire - c.bytes_consumed
+        print(f"{label:20s} {c.bytes_consumed / MiB:8.1f}M "
+              f"{c.bytes_wire / MiB:8.1f}M {waste / MiB:8.1f}M "
+              f"{c.rate / MiB:10.2f}")
 
 
 # NORMAL transfers only what was asked for and wins outright. The push

@@ -11,19 +11,16 @@ counter RNG in remfio.content, stagger draws come from a Random seeded with
 (seed, repetition), and the virtual scheduler orders all events totally. Two
 runs with the same inputs therefore produce byte-identical CSV files.
 
-Files are named by seed, size and index. Given a pool_dir, the pool persists
-between runs, so re-running or sweeping reuses already-seeded bytes instead of
-regenerating them; without one, each call seeds a temporary pool and deletes
-it afterwards.
+Files are named by seed, size and index. Seeding writes them only into a
+given pool_dir, for later runs and sweeps to reuse; without one, a file
+seeded before in the process is not hashed again.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import random
 import shutil
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -196,24 +193,24 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
     size and was written by seed_file from this seed and index, so it is
     served from the seed's tile; any other file at that path, such as one
     from before its key was kept, is seeded again. Aborts before writing
-    anything if the filesystem clearly lacks space; a failure mid-seed
-    removes every file this call created.
+    anything if the pool_dir's filesystem clearly lacks space; a failure
+    mid-seed removes every file this call created.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if file_size < 0:
         raise ValueError("file_size must be >= 0")
+    paths = [bench_path(seed, file_size, i) for i in range(count)]
     todo = []
-    for i in range(count):
-        path = bench_path(seed, file_size, i)
+    for i, path in enumerate(paths):
         have = diskserver.pool.get(path)
-        if (have is None or have.size != file_size
-                or have.key != (seed, i)):
+        if have is None or (have.size, have.key) != (file_size, (seed, i)):
             todo.append((i, path))
-    free = shutil.disk_usage(diskserver.pool_dir).free
     need = len(todo) * file_size
-    if need and free < need + 64 * MiB:
-        raise OSError(f"seeding needs {need} bytes free, found {free}")
+    if need and diskserver.pool_dir is not None:
+        free = shutil.disk_usage(diskserver.pool_dir).free
+        if free < need + 64 * MiB:
+            raise OSError(f"seeding needs {need} bytes free, found {free}")
 
     try:
         for i, path in todo:
@@ -225,8 +222,7 @@ def seed_pool(headnode: Headnode, diskserver: DiskServer, count: int,
         raise
 
     entries = []
-    for i in range(count):
-        path = bench_path(seed, file_size, i)
+    for path in paths:
         pf = diskserver.pool[path]
         try:
             entry = headnode.lookup(path)
@@ -252,20 +248,9 @@ def run_benchmark(spec: WorkloadSpec, *, seed: int = 0, pool_dir=None,
     """
     if spec.net_profile not in builtin_profiles():
         raise ValueError(f"unknown net profile {spec.net_profile!r}")
-    with _pool_dir(pool_dir) as pd:
-        reps = [_run_once(spec, seed, rep, pd, queue_model)
-                for rep in range(spec.repetitions)]
+    reps = [_run_once(spec, seed, rep, pool_dir, queue_model)
+            for rep in range(spec.repetitions)]
     return RunSummary(spec, _merge_reps(reps))
-
-
-@contextlib.contextmanager
-def _pool_dir(path):
-    """The given pool directory, or a temporary one for the run."""
-    if path is not None:
-        yield Path(path)
-        return
-    with tempfile.TemporaryDirectory(prefix="remfio-pool-") as tmp:
-        yield Path(tmp)
 
 
 def _run_once(spec, seed, rep, pool_dir, queue_model):
@@ -369,10 +354,9 @@ def run_sweep(base_spec: WorkloadSpec, axis: str, values, *, seed: int = 0,
         raise ValueError("sweep needs at least one value")
     # replace() re-runs field validation, so a bad value fails before any run
     specs = [(v, replace(base_spec, **{axis: v})) for v in values]
-    with _pool_dir(pool_dir) as pd:
-        return [replace(run_benchmark(spec, seed=seed, pool_dir=pd),
-                        axis_value=v)
-                for v, spec in specs]
+    return [replace(run_benchmark(spec, seed=seed, pool_dir=pool_dir),
+                    axis_value=v)
+            for v, spec in specs]
 
 
 # -- CSV emission -----------------------------------------------------------------

@@ -109,6 +109,20 @@ def checksum_bytes(data: bytes) -> int:
     return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
+def file_checksum(seed: int, index: int, size: int, write=None) -> int:
+    """Pool file `index`'s checksum, its blake2b-64; each chunk goes to write
+    first, if given, so that a file can be written and hashed in one pass."""
+    h = hashlib.blake2b(digest_size=8)
+    for chunk in content_chunks(seed, index, size):
+        if write is not None:
+            write(chunk)
+        h.update(chunk)
+    return int.from_bytes(h.digest(), "big")
+
+
+cached_file_checksum = functools.lru_cache(maxsize=4096)(file_checksum)
+
+
 def file_content(seed: int, index: int, size: int) -> bytes:
     """Materialize a whole file; convenience for tests and small pools."""
     return b"".join(content_chunks(seed, index, size))

@@ -40,10 +40,10 @@ a read-only view, not a copy, and it travels as the DataChunk payload: a
 read inside one block of a seeded file reaches the client as a view of the
 tile itself.
 
-Pool layout on disk: the seeded files, named by a hash of the namespace
-path so that checkers can read them, plus an append-only manifest with one
-tab-separated line per seed_file write: path, filename, size, checksum and
-the content key "seed:index". Imported files have no line.
+Pool layout on disk, only given a pool_dir: the seeded files, named by a hash
+of the namespace path so that checkers can read them, plus an append-only
+manifest with one line per seed_file write: path, filename, size, checksum
+and the content key "seed:index", tab-separated. Imported files have none.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .content import checksum_bytes, content_chunks, content_range
+from .content import (cached_file_checksum, checksum_bytes, content_range,
+                      file_checksum)
 from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
@@ -129,7 +130,7 @@ def _pool_filename(path: str) -> str:
 class DiskServer:
     """Serves file bytes over one data port with a modelled disk cost."""
 
-    def __init__(self, runtime, network, *, pool_dir, shared_token: str,
+    def __init__(self, runtime, network, *, pool_dir=None, shared_token: str,
                  host: str = "ds1", port: int = DEFAULT_DATA_PORT,
                  disk: DiskModel = DiskModel()) -> None:
         self._rt = runtime
@@ -138,9 +139,7 @@ class DiskServer:
         self.host = host
         self.port = port
         self.disk = disk
-        self.pool_dir = Path(pool_dir)
-        self.pool_dir.mkdir(parents=True, exist_ok=True)
-        self._manifest = self.pool_dir / MANIFEST_NAME
+        self.pool_dir = None if pool_dir is None else Path(pool_dir)
         self.pool: dict[str, PoolFile] = {}
         self._pump = runtime.rate_limiter(disk.sequential_bandwidth)
         self.sessions: dict[int, _Session] = {}
@@ -150,8 +149,11 @@ class DiskServer:
             "stale_replicas": 0,
             "protocol_errors": 0,
         }
-        if self._manifest.exists():
-            self._load_pool()
+        if self.pool_dir is not None:
+            self.pool_dir.mkdir(parents=True, exist_ok=True)
+            self._manifest = self.pool_dir / MANIFEST_NAME
+            if self._manifest.exists():
+                self._load_pool()
 
     def start(self) -> None:
         self._net.accept(self.address, lambda conn: conn.when_readable(
@@ -164,7 +166,7 @@ class DiskServer:
     # -- pool management -----------------------------------------------------
 
     def pool_location(self, path: str) -> Path:
-        """Filesystem location the pool maps a namespace path to."""
+        """Filesystem location the pool_dir maps a namespace path to."""
         return self.pool_dir / _pool_filename(path)
 
     def import_file(self, path: str,
@@ -185,27 +187,27 @@ class DiskServer:
 
     def seed_file(self, path: str, seed: int, index: int,
                   size: int) -> PoolFile:
-        """Write pool file `index` of remfio.content's seed `seed` to
-        pool_location(path), by way of a temporary file, and record it with
-        its key (seed, index) in the manifest: sessions cut its bytes from
-        the seed's tile. The checksum is the blake2b-64 of the written bytes.
-        A path holding a manifest separator (a tab or line break) is
-        rejected before anything is written."""
+        """Add pool file `index` of remfio.content's seed `seed` with its key
+        (seed, index): sessions cut its bytes from the seed's tile. Without
+        a pool_dir its checksum is memoized; with one, the file is written
+        to pool_location(path) by way of a temporary file, hashed in the same
+        pass and recorded in the manifest. A path holding a tab or a line
+        break is rejected before anything is written."""
         if any(c in path for c in "\t\n\r"):
             raise ValueError(f"pool path holds a tab or line break: {path!r}")
+        if self.pool_dir is None:
+            digest = cached_file_checksum(seed, index, size)
+            self.pool[path] = PoolFile(path, size, digest, (seed, index))
+            return self.pool[path]
         location = self.pool_location(path)
         partial = location.with_name(location.name + ".partial")
-        h = hashlib.blake2b(digest_size=8)
         try:
             with open(partial, "wb") as f:
-                for chunk in content_chunks(seed, index, size):
-                    f.write(chunk)
-                    h.update(chunk)
+                digest = file_checksum(seed, index, size, f.write)
             os.replace(partial, location)
         except BaseException:
             partial.unlink(missing_ok=True)
             raise
-        digest = int.from_bytes(h.digest(), "big")
         self.pool[path] = PoolFile(path, size, digest, (seed, index))
         with open(self._manifest, "a", encoding="utf-8") as f:
             f.write(f"{path}\t{location.name}\t{size}\t{digest}"

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import dataclasses
 import random
-import shutil
 import string
 import time
 
 import numpy as np
-import pytest
 
 from remfio.bench import (
     Sequential,
@@ -59,12 +57,12 @@ def _verdict(label: str, ok: bool, detail: str) -> None:
     assert ok, f"{label}: {detail}"
 
 
-def _stack(rt, pool_dir, files):
+def _stack(rt, files):
     """One headnode plus one disk server, seeded with `files` (path, size)."""
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN)
     head.start()
-    srv = DiskServer(rt, net, pool_dir=pool_dir, shared_token=TOKEN)
+    srv = DiskServer(rt, net, shared_token=TOKEN)
     srv.start()
     for index, (path, size) in enumerate(files):
         pf = srv.seed_file(path, 1, index, size)
@@ -129,7 +127,7 @@ def test_codec_bulk_roundtrip():
 # -- data fidelity ------------------------------------------------------------
 
 
-def test_every_mode_matches_local_reads(tmp_path):
+def test_every_mode_matches_local_reads():
     # 200 random read/seek scripts per mode against one 4 MiB file, each read
     # compared byte-for-byte with a local copy of the same content.
     size = 4 * MiB
@@ -143,7 +141,7 @@ def test_every_mode_matches_local_reads(tmp_path):
         rt = VirtualRuntime()
 
         def scenario():
-            net = _stack(rt, tmp_path / f"pool-{mode.name}", [("/f", size)])
+            net = _stack(rt, [("/f", size)])
             cfg = ClientConfig(rt, net, token=TOKEN, mode=mode,
                                profile=ZERO_PROFILE)
             for script in range(scripts):
@@ -183,17 +181,7 @@ def test_every_mode_matches_local_reads(tmp_path):
 # -- throughput ordering under contention -------------------------------------
 
 
-@pytest.fixture(scope="module")
-def pool_dir(tmp_path_factory):
-    """One pool for the seed-0 sweeps below, so that each of their files is
-    seeded once: runs reuse a pool file of the same path and size. It is
-    removed after the last of them, pass or fail, as it holds about 1 GB."""
-    path = tmp_path_factory.mktemp("sweep-pool")
-    yield path
-    shutil.rmtree(path)
-
-
-def test_sequential_mode_ordering(pool_dir):
+def test_sequential_mode_ordering():
     # 16 clients reading 16 MiB files end to end over the contended wan
     # profile: push modes beat the buffered mode, which beats one-request-
     # per-read, with a wide margin between the extremes.
@@ -202,7 +190,7 @@ def test_sequential_mode_ordering(pool_dir):
     order = [ReadMode.NORMAL, ReadMode.READBUF, ReadMode.READAHEAD,
              ReadMode.STREAM]
     t0 = time.perf_counter()
-    series = run_sweep(spec, "mode", order, seed=0, pool_dir=pool_dir)
+    series = run_sweep(spec, "mode", order, seed=0)
     elapsed = time.perf_counter() - t0
     normal, readbuf, readahead, stream = [s.aggregate_rate for s in series]
     ok = (stream >= readahead >= readbuf > normal
@@ -214,14 +202,14 @@ def test_sequential_mode_ordering(pool_dir):
              f"stream/normal={stream / normal:.2f}, {elapsed:.1f}s")
 
 
-def test_skip_reads_reverse_the_ordering(pool_dir):
+def test_skip_reads_reverse_the_ordering():
     # Reading 1 MiB then skipping 9: the push mode drags the whole file over
     # the wire and loses to plain request-per-read, which transfers no waste.
     spec = WorkloadSpec(pattern=Skip(1 * MiB, 9), file_size=32 * MiB,
                         block_size=1 * MiB, clients=16, net_profile="wan")
     t0 = time.perf_counter()
     series = run_sweep(spec, "mode", [ReadMode.NORMAL, ReadMode.READAHEAD],
-                       seed=0, pool_dir=pool_dir)
+                       seed=0)
     elapsed = time.perf_counter() - t0
     normal, readahead = series
     ra_consumed = sum(r.bytes_consumed for r in readahead.successful)
@@ -241,7 +229,7 @@ def test_skip_reads_reverse_the_ordering(pool_dir):
 # -- client buffer sizing -----------------------------------------------------
 
 
-def test_buffer_size_effects(pool_dir):
+def test_buffer_size_effects():
     # Oversized client buffers on skip reads waste bandwidth: the rate at an
     # 8 MiB buffer must fall to half the 128 KiB rate or less. On sequential
     # reads with the application block matched to the buffer, size must not
@@ -251,7 +239,7 @@ def test_buffer_size_effects(pool_dir):
     skip = WorkloadSpec(pattern=Skip(1 * MiB, 9), file_size=32 * MiB,
                         block_size=1 * MiB, mode=ReadMode.READBUF, clients=16,
                         net_profile="wan")
-    series = run_sweep(skip, "iobufsize", sizes, seed=0, pool_dir=pool_dir)
+    series = run_sweep(skip, "iobufsize", sizes, seed=0)
     skip_rates = [s.aggregate_rate for s in series]
     drop = skip_rates[-1] / skip_rates[0]
 
@@ -260,8 +248,7 @@ def test_buffer_size_effects(pool_dir):
     seq_rates = []
     for value in sizes:
         one = run_benchmark(dataclasses.replace(seq, iobufsize=value,
-                                                block_size=value), seed=0,
-                            pool_dir=pool_dir)
+                                                block_size=value), seed=0)
         seq_rates.append(one.aggregate_rate)
     # half-width of the rate band relative to its midpoint
     spread = (max(seq_rates) - min(seq_rates)) / (max(seq_rates) + min(seq_rates))
@@ -275,7 +262,7 @@ def test_buffer_size_effects(pool_dir):
 # -- transport window cap -----------------------------------------------------
 
 
-def test_window_cap_effects(pool_dir):
+def test_window_cap_effects():
     # With ample windows the window size must not matter (30 contending
     # clients, skip reads): max/min aggregate stays within 1.2x. A single
     # client squeezed to a 64 KiB window is capped at window/rtt.
@@ -283,7 +270,7 @@ def test_window_cap_effects(pool_dir):
                         block_size=1 * MiB, mode=ReadMode.NORMAL, clients=30,
                         net_profile="wan")
     windows = [512 * KiB, 1 * MiB, 2 * MiB, 4 * MiB, 8 * MiB, 16 * MiB]
-    series = run_sweep(spec, "window", windows, seed=0, pool_dir=pool_dir)
+    series = run_sweep(spec, "window", windows, seed=0)
     rates = [s.aggregate_rate for s in series]
     ratio = max(rates) / min(rates)
 
@@ -291,7 +278,7 @@ def test_window_cap_effects(pool_dir):
                           block_size=1 * MiB, mode=ReadMode.STREAM, clients=1,
                           net_profile="wan", window=64 * KiB,
                           stagger_window=0.0)
-    record = run_benchmark(single, seed=0, pool_dir=pool_dir).records[0]
+    record = run_benchmark(single, seed=0).records[0]
     ceiling = 64 * KiB / 0.012  # window drained once per round trip
     error = abs(record.rate - ceiling) / ceiling
 
@@ -305,7 +292,7 @@ def test_window_cap_effects(pool_dir):
 # -- open brokering under load ------------------------------------------------
 
 
-def test_open_time_scales_linearly_with_batch(tmp_path):
+def test_open_time_scales_linearly_with_batch():
     # Simultaneous opens serialize behind the broker's fixed 50 ms service
     # time, so the batch mean must grow linearly with batch size and predict
     # the analytic value service * (n + 1) / 2 at n = 20.
@@ -314,7 +301,7 @@ def test_open_time_scales_linearly_with_batch(tmp_path):
         times = []
 
         def scenario():
-            net = _stack(rt, tmp_path / f"pool-{n}", [("/f", 64 * KiB)])
+            net = _stack(rt, [("/f", 64 * KiB)])
             cfg = ClientConfig(rt, net, token=TOKEN, profile=ZERO_PROFILE)
             done = rt.channel(capacity=n)
 
@@ -353,7 +340,7 @@ def test_open_time_scales_linearly_with_batch(tmp_path):
 # -- bandwidth accounting -----------------------------------------------------
 
 
-def test_bandwidth_conservation_and_fair_shares(tmp_path):
+def test_bandwidth_conservation_and_fair_shares():
     # 8 clients streaming concurrently through one 100 MiB/s pipe: the wire
     # never carries more than the pipe allows, and every client gets an equal
     # share. Handles are opened first so the measurement window covers only
@@ -366,8 +353,7 @@ def test_bandwidth_conservation_and_fair_shares(tmp_path):
     span = {}
 
     def scenario():
-        net = _stack(rt, tmp_path / "pool",
-                     [(f"/f{i}", size) for i in range(n)])
+        net = _stack(rt, [(f"/f{i}", size) for i in range(n)])
         cfg = ClientConfig(rt, net, token=TOKEN, mode=ReadMode.STREAM,
                            profile=wan)
         handles = [rf_open(f"/f{i}", cfg) for i in range(n)]
@@ -411,7 +397,7 @@ def test_identical_seeds_identical_csv(tmp_path):
                         net_profile="wan")
     paths = {}
     for tag in ("a", "b"):
-        result = run_benchmark(spec, seed=7, pool_dir=tmp_path / f"pool-{tag}")
+        result = run_benchmark(spec, seed=7)
         paths[tag] = emit_csv(result, tmp_path / tag)
     pairs = list(zip(paths["a"], paths["b"]))
     same = all(x.read_bytes() == y.read_bytes() for x, y in pairs)

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import os
+import shutil
 import threading
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -27,6 +30,7 @@ from remfio.bench import (
     run_sweep,
     seed_pool,
 )
+from remfio import content
 from remfio.client import ClientConfig, rf_close, rf_open, rf_read
 from remfio.content import checksum_bytes, file_content
 from remfio.diskserver import MANIFEST_NAME, DiskServer, PoolFile
@@ -41,11 +45,11 @@ MiB = 1024 * 1024
 TOKEN = "bench"
 
 
-def _stack(tmp_path):
+def _stack(pool_dir=None):
     rt = VirtualRuntime()
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN)
-    srv = DiskServer(rt, net, pool_dir=tmp_path / "pool", shared_token=TOKEN)
+    srv = DiskServer(rt, net, pool_dir=pool_dir, shared_token=TOKEN)
     return rt, head, srv
 
 
@@ -98,11 +102,11 @@ def test_workload_spec_validation():
 
 
 def test_seed_pool_deterministic_and_reused(tmp_path):
-    _, head, srv = _stack(tmp_path)
+    _, head, srv = _stack(tmp_path / "pool")
     first = seed_pool(head, srv, 4, 64 * KiB, seed=9)
     sums = [e.checksum for e in first]
 
-    _, head2, srv2 = _stack(tmp_path / "other")
+    _, head2, srv2 = _stack(tmp_path / "other" / "pool")
     again = seed_pool(head2, srv2, 4, 64 * KiB, seed=9)
     assert [e.checksum for e in again] == sums
 
@@ -116,8 +120,11 @@ def test_seed_pool_deterministic_and_reused(tmp_path):
 
 def test_seed_pool_allocates_about_one_tile(tmp_path):
     # file content is handed over as views of one 1 MiB tile per file, so
-    # seeding two 16 MiB files never allocates a file's worth of bytes
-    _, head, srv = _stack(tmp_path)
+    # seeding two 16 MiB files never allocates a file's worth of bytes; a
+    # file of another seed is seeded first, so that the imports seeding
+    # makes on first use are not counted
+    _, head, srv = _stack(tmp_path / "pool")
+    seed_pool(head, srv, 1, 64 * KiB, seed=2)
     tracemalloc.start()
     try:
         seed_pool(head, srv, 2, 16 * MiB, seed=1)
@@ -127,8 +134,8 @@ def test_seed_pool_allocates_about_one_tile(tmp_path):
     assert peak <= 2 * MiB
 
 
-def test_seed_pool_hundred_distinct_entries(tmp_path):
-    _, head, srv = _stack(tmp_path)
+def test_seed_pool_hundred_distinct_entries():
+    _, head, srv = _stack()
     entries = seed_pool(head, srv, 100, 4 * KiB, seed=3)
     assert len({e.path for e in entries}) == 100
     assert len({e.checksum for e in entries}) == 100
@@ -136,14 +143,14 @@ def test_seed_pool_hundred_distinct_entries(tmp_path):
     assert head.namespace_size == 100
 
 
-def test_seed_pool_count_zero(tmp_path):
-    _, head, srv = _stack(tmp_path)
+def test_seed_pool_count_zero():
+    _, head, srv = _stack()
     assert seed_pool(head, srv, 0, MiB, seed=1) == []
     assert head.namespace_size == 0
 
 
 def test_seed_pool_insufficient_space_aborts_before_writing(tmp_path):
-    _, head, srv = _stack(tmp_path)
+    _, head, srv = _stack(tmp_path / "pool")
     with pytest.raises(OSError):
         seed_pool(head, srv, 2, 1 << 60, seed=1)
     assert srv.pool == {}
@@ -151,7 +158,7 @@ def test_seed_pool_insufficient_space_aborts_before_writing(tmp_path):
 
 
 def test_seed_pool_midway_failure_cleans_up(tmp_path):
-    _, head, srv = _stack(tmp_path)
+    _, head, srv = _stack(tmp_path / "pool")
     real = srv.seed_file
     calls = {"n": 0}
 
@@ -175,7 +182,7 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
     # formula, and served from the tile from then on; a file imported then
     # is not in the pool
     pool = tmp_path / "pool"
-    _, _, empty = _stack(tmp_path)  # names the pool files
+    _, _, empty = _stack(pool)  # names the pool files
     path = bench_path(9, 64 * KiB, 0)
     old = bytes(64 * KiB)  # bytes from before the tile formula
     rows = []
@@ -186,7 +193,7 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
                     f"{checksum_bytes(data)}\n")
     (pool / MANIFEST_NAME).write_text("".join(rows))
 
-    _, head, srv = _stack(tmp_path)
+    _, head, srv = _stack(pool)
     assert srv.pool == {}
     [entry] = seed_pool(head, srv, 1, 64 * KiB, seed=9)
     new = file_content(9, 0, 64 * KiB)
@@ -196,7 +203,7 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
     rows = (pool / MANIFEST_NAME).read_text().splitlines()
     assert rows[-1].split("\t")[4] == "9:0"
 
-    rt2, head2, srv2 = _stack(tmp_path)
+    rt2, head2, srv2 = _stack(pool)
     mtime = srv2.pool_location(path).stat().st_mtime_ns
     seed_pool(head2, srv2, 1, 64 * KiB, seed=9)
     assert srv2.pool_location(path).stat().st_mtime_ns == mtime
@@ -227,20 +234,20 @@ def test_a_manifest_line_cut_short_is_skipped(tmp_path, cut, lost):
     # manifest line cut short: the pool still loads, without that line,
     # seed_pool seeds its file again, and the new line is kept
     pool = tmp_path / "pool"
-    _, head, srv = _stack(tmp_path)
+    _, head, srv = _stack(pool)
     seed_pool(head, srv, 2, 4 * KiB, seed=3)
     first, last = (bench_path(3, 4 * KiB, i) for i in (0, 1))
     mtime = srv.pool_location(first).stat().st_mtime_ns
     (pool / MANIFEST_NAME).write_text(cut((pool / MANIFEST_NAME).read_text()))
 
-    _, head2, srv2 = _stack(tmp_path)
+    _, head2, srv2 = _stack(pool)
     assert set(srv2.pool) == ({first} if lost else {first, last})
     seed_pool(head2, srv2, 2, 4 * KiB, seed=3)
     assert srv2.pool == srv.pool
     assert srv2.pool_location(first).stat().st_mtime_ns == mtime
     assert srv2.pool_location(last).read_bytes() == file_content(3, 1, 4 * KiB)
 
-    _, head3, srv3 = _stack(tmp_path)
+    _, head3, srv3 = _stack(pool)
     assert srv3.pool == srv.pool
 
 
@@ -258,14 +265,60 @@ def test_a_round_after_seeding_opens_no_pool_file(tmp_path, pool_reads):
     assert pool_reads == []
 
 
+def test_a_run_without_a_pool_dir_touches_no_disk(tmp_path, monkeypatch):
+    # without a pool_dir, seeding only registers files: no directory is
+    # made and no file is written, so a full disk stops nothing, and each
+    # file's bytes are made once in the process, however many runs, sweep
+    # points and repetitions seed it
+    made, written, generated = [], [], Counter()
+    real_open, real_replace, real_mkdir = builtins.open, os.replace, os.mkdir
+    real_chunks = content.content_chunks
+
+    def watched_open(file, mode="r", *args, **kwargs):
+        if any(c in mode for c in "wax+"):
+            written.append(file)
+        return real_open(file, mode, *args, **kwargs)
+
+    def watched_replace(src, dst, *args, **kwargs):
+        written.append(dst)
+        return real_replace(src, dst, *args, **kwargs)
+
+    def watched_mkdir(path, *args, **kwargs):
+        made.append(path)
+        return real_mkdir(path, *args, **kwargs)
+
+    def counted_chunks(seed, index, size):
+        generated[seed, index, size] += 1
+        return real_chunks(seed, index, size)
+
+    monkeypatch.setattr(shutil, "disk_usage",
+                        lambda path: SimpleNamespace(total=0, used=0, free=0))
+    monkeypatch.setattr(builtins, "open", watched_open)
+    monkeypatch.setattr(os, "replace", watched_replace)
+    monkeypatch.setattr(os, "mkdir", watched_mkdir)
+    monkeypatch.setattr(content, "content_chunks", counted_chunks)
+    monkeypatch.chdir(tmp_path)
+    content.cached_file_checksum.cache_clear()
+    spec = WorkloadSpec(file_size=MiB + 5, block_size=256 * KiB, clients=3,
+                        stagger_window=0.1, repetitions=2)
+    one = run_benchmark(spec, seed=11)
+    series = run_sweep(spec, "mode", [ReadMode.NORMAL, ReadMode.READBUF,
+                                      ReadMode.STREAM], seed=11)
+    assert all(r.bytes_consumed == MiB + 5
+               for s in (one, *series) for r in s.records)
+    assert made == written == []
+    assert list(tmp_path.iterdir()) == []
+    assert generated == {(11, i, MiB + 5): 1 for i in range(3)}
+
+
 # -- single runs ------------------------------------------------------------------
 
 
-def test_single_client_lan_sequential_near_disk_rate(tmp_path):
+def test_single_client_lan_sequential_near_disk_rate():
     spec = WorkloadSpec(file_size=64 * MiB, block_size=MiB,
                         mode=ReadMode.NORMAL, clients=1, stagger_window=0.0,
                         net_profile="lan")
-    s = run_benchmark(spec, seed=1, pool_dir=tmp_path / "pool")
+    s = run_benchmark(spec, seed=1)
     assert len(s.records) == 1
     r = s.records[0]
     assert r.bytes_consumed == 64 * MiB
@@ -273,11 +326,11 @@ def test_single_client_lan_sequential_near_disk_rate(tmp_path):
     assert r.rate == pytest.approx(80 * MiB, rel=0.20)
 
 
-def test_skip_pattern_consumes_a_tenth(tmp_path):
+def test_skip_pattern_consumes_a_tenth():
     spec = WorkloadSpec(pattern=Skip(MiB, 9), file_size=16 * MiB,
                         block_size=MiB, mode=ReadMode.NORMAL, clients=2,
                         stagger_window=0.5)
-    s = run_benchmark(spec, seed=1, pool_dir=tmp_path / "pool")
+    s = run_benchmark(spec, seed=1)
     for r in s.records:
         assert abs(r.bytes_consumed - 16 * MiB // 10) <= MiB
         assert r.waste == 0  # request-reply mode moves only what is read
@@ -285,19 +338,18 @@ def test_skip_pattern_consumes_a_tenth(tmp_path):
             r.bytes_consumed, rel=1e-9)
 
 
-def test_zero_byte_files_give_zero_rate(tmp_path):
+def test_zero_byte_files_give_zero_rate():
     spec = WorkloadSpec(file_size=0, clients=2, stagger_window=0.0)
-    s = run_benchmark(spec, seed=1, pool_dir=tmp_path / "pool")
+    s = run_benchmark(spec, seed=1)
     assert [r.rate for r in s.records] == [0.0, 0.0]
     assert s.error_count == 0
     assert s.aggregate_rate == 0.0
 
 
-def test_open_errors_recorded_not_raised(tmp_path):
+def test_open_errors_recorded_not_raised():
     spec = WorkloadSpec(file_size=64 * KiB, block_size=64 * KiB, clients=8,
                         stagger_window=0.0)
-    s = run_benchmark(spec, seed=1, pool_dir=tmp_path / "pool",
-                      queue_model=OpenQueueModel(queue_cap=2))
+    s = run_benchmark(spec, seed=1, queue_model=OpenQueueModel(queue_cap=2))
     assert 1 <= s.error_count <= 7
     ok = s.successful
     assert len(ok) + s.error_count == 8
@@ -311,42 +363,41 @@ def test_open_errors_recorded_not_raised(tmp_path):
 def test_identical_seeds_identical_records_and_csv(tmp_path):
     spec = WorkloadSpec(file_size=MiB, block_size=128 * KiB,
                         mode=ReadMode.READBUF, clients=3)
-    a = run_benchmark(spec, seed=7, pool_dir=tmp_path / "pool-a")
-    b = run_benchmark(spec, seed=7, pool_dir=tmp_path / "pool-b")
+    a = run_benchmark(spec, seed=7)
+    b = run_benchmark(spec, seed=7)
     assert a.records == b.records
     pa = emit_csv(a, tmp_path / "out-a")
     pb = emit_csv(b, tmp_path / "out-b")
     for fa, fb in zip(pa, pb):
         assert fa.read_bytes() == fb.read_bytes()
-    c = run_benchmark(spec, seed=8, pool_dir=tmp_path / "pool-a")
+    c = run_benchmark(spec, seed=8)
     assert c.records != a.records  # stagger draws moved
 
 
-def test_repetitions_average_per_client_times(tmp_path):
+def test_repetitions_average_per_client_times():
     spec = WorkloadSpec(file_size=MiB, block_size=256 * KiB, clients=2,
                         repetitions=3)
-    s = run_benchmark(spec, seed=4, pool_dir=tmp_path / "pool")
+    s = run_benchmark(spec, seed=4)
     assert len(s.records) == 2
     for r in s.records:
         assert r.bytes_consumed == MiB
         assert r.rate * (r.open_time + r.read_time) == pytest.approx(
             r.bytes_consumed, rel=1e-9)
     one = run_benchmark(WorkloadSpec(file_size=MiB, block_size=256 * KiB,
-                                     clients=2),
-                        seed=4, pool_dir=tmp_path / "pool")
+                                     clients=2), seed=4)
     # averaged times differ from any single repetition's draw
     assert s.records[0].open_time != one.records[0].open_time
 
 
-def test_repetitions_average_wire_bytes_of_push_skips(tmp_path):
+def test_repetitions_average_wire_bytes_of_push_skips():
     # a STREAM reader's waste depends on how the stagger draw overlaps the
     # clients, so repetitions agree on consumed bytes only; wire bytes are
     # averaged to the nearest byte
     spec = WorkloadSpec(pattern=Skip(64 * KiB, 7), file_size=4 * MiB,
                         block_size=64 * KiB, mode=ReadMode.STREAM, clients=2,
                         stagger_window=0.2, repetitions=2)
-    s = run_benchmark(spec, seed=0, pool_dir=tmp_path / "pool")
-    reps = [_run_once(spec, 0, rep, tmp_path / "pool", None)
+    s = run_benchmark(spec, seed=0)
+    reps = [_run_once(spec, 0, rep, None, None)
             for rep in range(2)]
     assert any(a.bytes_wire != b.bytes_wire for a, b in zip(*reps))
     for i, r in enumerate(s.records):
@@ -358,7 +409,7 @@ def test_repetitions_average_wire_bytes_of_push_skips(tmp_path):
 # -- sweeps ----------------------------------------------------------------------
 
 
-def test_sweep_validates_before_running(tmp_path):
+def test_sweep_validates_before_running():
     spec = WorkloadSpec(file_size=MiB)
     with pytest.raises(ValueError):
         run_sweep(spec, "chunkiness", [1])
@@ -370,14 +421,13 @@ def test_sweep_validates_before_running(tmp_path):
         run_sweep(spec, "iobufsize", [128 * KiB, -1])
 
 
-def test_sweep_iobufsize_readbuf_skip_rate_declines(tmp_path):
+def test_sweep_iobufsize_readbuf_skip_rate_declines():
     # needs enough clients that the waste contends for shared bandwidth;
     # with an idle pipe, fewer round trips would win instead
     spec = WorkloadSpec(pattern=Skip(MiB, 9), file_size=16 * MiB,
                         block_size=MiB, mode=ReadMode.READBUF, clients=8,
                         stagger_window=0.2)
-    series = run_sweep(spec, "iobufsize", [128 * KiB, 4 * MiB], seed=5,
-                       pool_dir=tmp_path / "pool")
+    series = run_sweep(spec, "iobufsize", [128 * KiB, 4 * MiB], seed=5)
     assert [s.axis_value for s in series] == [128 * KiB, 4 * MiB]
     small, big = series
     assert big.aggregate_rate < small.aggregate_rate
@@ -391,7 +441,7 @@ def test_sweep_iobufsize_readbuf_skip_rate_declines(tmp_path):
 def test_emit_csv_layout(tmp_path):
     spec = WorkloadSpec(file_size=256 * KiB, block_size=64 * KiB, clients=4,
                         stagger_window=0.1)
-    s = run_benchmark(spec, seed=2, pool_dir=tmp_path / "pool")
+    s = run_benchmark(spec, seed=2)
     paths = emit_csv(s, tmp_path / "out")
     names = sorted(p.name for p in paths)
     assert names == ["aggregate.csv", "clients.csv"]
@@ -409,8 +459,7 @@ def test_emit_csv_sweep_series(tmp_path):
     spec = WorkloadSpec(file_size=256 * KiB, block_size=64 * KiB,
                         stagger_window=0.0)
     series = run_sweep(spec, "mode",
-                       [ReadMode.NORMAL, ReadMode.STREAM], seed=2,
-                       pool_dir=tmp_path / "pool")
+                       [ReadMode.NORMAL, ReadMode.STREAM], seed=2)
     paths = emit_csv(series, tmp_path / "out")
     names = sorted(p.name for p in paths)
     assert names == ["aggregate.csv", "clients-normal.csv",
@@ -657,8 +706,7 @@ def test_a_session_fault_stops_the_run_with_its_own_exception(monkeypatch,
 @pytest.mark.parametrize("mode, profile", [(ReadMode.STREAM, "wan"),
                                            (ReadMode.READBUF, "lan")],
                          ids=["stream-wan", "readbuf-lan"])
-def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
-                                           profile):
+def test_only_clients_take_carrier_threads(monkeypatch, mode, profile):
     # the headnode's and disk server's connections are served by event-loop
     # callbacks: a run spawns only its clients, and starts one carrier
     # thread per client at most
@@ -681,7 +729,7 @@ def test_only_clients_take_carrier_threads(monkeypatch, tmp_path, mode,
     spec = WorkloadSpec(file_size=2 * MiB, block_size=256 * KiB, mode=mode,
                         clients=4, stagger_window=0.05, iobufsize=64 * KiB,
                         net_profile=profile)
-    summary = run_benchmark(spec, seed=5, pool_dir=tmp_path)
+    summary = run_benchmark(spec, seed=5)
     assert [r.bytes_consumed for r in summary.records] == [2 * MiB] * 4
     assert 0 < len(started) <= spec.clients
     assert sorted(spawned) == [f"bench-client-{i}"

@@ -59,18 +59,19 @@ ALL_MODES = [ReadMode.NORMAL, ReadMode.READBUF, ReadMode.READAHEAD,
              ReadMode.STREAM]
 
 
-def _stack(rt, tmp_path, files, *, queue_model=None, disk=None):
+def _stack(rt, pool_dir, files, *, queue_model=None, disk=None):
     """Start a headnode and one disk server; seed and register `files`.
 
-    files: iterable of (path, size); each is seeded with seed_file from
-    seed 1, index = its position in the list, so sessions serve it from the
-    seed's tile. Returns (net, head, srv, {path: bytes}).
+    pool_dir: the server's, None for a pool that writes no file. files:
+    iterable of (path, size); each is seeded with seed_file from seed 1,
+    index = its position in the list, so sessions serve it from the seed's
+    tile. Returns (net, head, srv, {path: bytes}).
     """
     net = EmulatedNetwork(rt)
     head = Headnode(rt, net, shared_token=TOKEN,
                     queue_model=queue_model or OpenQueueModel())
     head.start()
-    srv = DiskServer(rt, net, pool_dir=tmp_path / "pool", shared_token=TOKEN,
+    srv = DiskServer(rt, net, pool_dir=pool_dir, shared_token=TOKEN,
                      disk=disk or DiskModel())
     srv.start()
     contents = {}
@@ -89,11 +90,11 @@ def _config(rt, net, mode, **kw):
 # -- open path ----------------------------------------------------------------
 
 
-def test_open_reports_size_and_costs_service_time(tmp_path):
+def test_open_reports_size_and_costs_service_time():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", 64 * KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", 64 * KiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         assert h.file_size == 64 * KiB
         assert h.logical_position == 0
@@ -110,11 +111,11 @@ def test_open_reports_size_and_costs_service_time(tmp_path):
     (ReadMode.READAHEAD, 3),
     (ReadMode.STREAM, 4),  # extra round trip to set up the data connection
 ])
-def test_open_time_counts_connection_legs(tmp_path, mode, legs):
+def test_open_time_counts_connection_legs(mode, legs):
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", 256 * KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", 256 * KiB)])
         h = rf_open("/pool/a", _config(rt, net, mode, profile=WAN_PROFILE))
         expected = legs * WAN_PROFILE.rtt + SERVICE
         assert h.counters.open_time == pytest.approx(expected, rel=1e-4)
@@ -123,24 +124,24 @@ def test_open_time_counts_connection_legs(tmp_path, mode, legs):
     rt.run(scenario)
 
 
-def test_open_unknown_path_raises_not_found(tmp_path):
+def test_open_unknown_path_raises_not_found():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [])
+        net, _, _, _ = _stack(rt, None, [])
         with pytest.raises(NotFoundError):
             rf_open("/pool/ghost", _config(rt, net, ReadMode.NORMAL))
 
     rt.run(scenario)
 
 
-def test_unencodable_path_leaves_no_server_task(tmp_path):
+def test_unencodable_path_leaves_no_server_task():
     # the lookup riding the handshake cannot be encoded, so the connect
     # fails before the headnode's handler is started
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [])
+        net, _, _, _ = _stack(rt, None, [])
         cfg = _config(rt, net, ReadMode.NORMAL)
         for _ in range(3):
             with pytest.raises(EncodeError):
@@ -150,11 +151,11 @@ def test_unencodable_path_leaves_no_server_task(tmp_path):
     assert rt.run(scenario) == []
 
 
-def test_open_wrong_token_raises_auth(tmp_path):
+def test_open_wrong_token_raises_auth():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         cfg = ClientConfig(rt, net, token="wrong", mode=ReadMode.NORMAL)
         with pytest.raises(AuthError):
             rf_open("/pool/a", cfg)
@@ -162,7 +163,7 @@ def test_open_wrong_token_raises_auth(tmp_path):
     rt.run(scenario)
 
 
-def test_reply_of_the_wrong_type_raises_protocol_error(tmp_path):
+def test_reply_of_the_wrong_type_raises_protocol_error():
     # a replica that answers the session open with a namespace reply: the
     # client raises at once and hangs up, rather than waiting for more
     rt = VirtualRuntime()
@@ -176,7 +177,7 @@ def test_reply_of_the_wrong_type_raises_protocol_error(tmp_path):
         hung_up.append(rt.now())
 
     def scenario():
-        net, head, _, _ = _stack(rt, tmp_path, [])
+        net, head, _, _ = _stack(rt, None, [])
         net.listen("fake:1", replica)
         head.register_file("/pool/a", KiB, "fake:1", 0)
         with pytest.raises(ProtocolError, match="expected OpenReply"):
@@ -187,12 +188,12 @@ def test_reply_of_the_wrong_type_raises_protocol_error(tmp_path):
     rt.run(scenario)
 
 
-def test_open_queue_overflow_surfaces_to_caller(tmp_path):
+def test_open_queue_overflow_surfaces_to_caller():
     rt = VirtualRuntime()
 
     def scenario():
         net, _, _, _ = _stack(
-            rt, tmp_path, [("/pool/a", KiB)],
+            rt, None, [("/pool/a", KiB)],
             queue_model=OpenQueueModel(queue_cap=1))
         outcome = []
 
@@ -216,11 +217,11 @@ def test_open_queue_overflow_surfaces_to_caller(tmp_path):
 # -- NORMAL mode ----------------------------------------------------------------
 
 
-def test_normal_one_request_per_read_and_no_prefetch(tmp_path):
+def test_normal_one_request_per_read_and_no_prefetch():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 16 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         data = contents["/pool/a"]
         for i in range(16):
@@ -235,11 +236,11 @@ def test_normal_one_request_per_read_and_no_prefetch(tmp_path):
     rt.run(scenario)
 
 
-def test_normal_reads_at_eof_still_issue_requests(tmp_path):
+def test_normal_reads_at_eof_still_issue_requests():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 100)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 100)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         assert rf_read(h, 64) == contents["/pool/a"][:64]
         assert rf_read(h, 64) == contents["/pool/a"][64:]  # short at EOF
@@ -252,11 +253,11 @@ def test_normal_reads_at_eof_still_issue_requests(tmp_path):
     rt.run(scenario)
 
 
-def test_normal_skip_pattern_has_zero_waste(tmp_path):
+def test_normal_skip_pattern_has_zero_waste():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 8 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 8 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         data = contents["/pool/a"]
         pos = 0
@@ -270,11 +271,11 @@ def test_normal_skip_pattern_has_zero_waste(tmp_path):
     rt.run(scenario)
 
 
-def test_normal_read_time_is_disk_bound_on_free_link(tmp_path):
+def test_normal_read_time_is_disk_bound_on_free_link():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         rf_read(h, MiB)
         # zero-rtt, infinite-bandwidth link: only the disk pump charges time
@@ -290,11 +291,11 @@ def test_normal_read_time_is_disk_bound_on_free_link(tmp_path):
 # -- READBUF mode ----------------------------------------------------------------
 
 
-def test_readbuf_fill_law_sequential(tmp_path):
+def test_readbuf_fill_law_sequential():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 16 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READBUF, iobufsize=128 * KiB))
         out = bytearray()
@@ -311,11 +312,11 @@ def test_readbuf_fill_law_sequential(tmp_path):
     rt.run(scenario)
 
 
-def test_readbuf_buffer_hit_causes_no_traffic(tmp_path):
+def test_readbuf_buffer_hit_causes_no_traffic():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READBUF, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -330,11 +331,11 @@ def test_readbuf_buffer_hit_causes_no_traffic(tmp_path):
     rt.run(scenario)
 
 
-def test_readbuf_fill_clamped_at_eof(tmp_path):
+def test_readbuf_fill_clamped_at_eof():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 100 * KiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 100 * KiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READBUF, iobufsize=128 * KiB))
         assert rf_read(h, 1) == contents["/pool/a"][:1]
@@ -346,11 +347,11 @@ def test_readbuf_fill_clamped_at_eof(tmp_path):
     rt.run(scenario)
 
 
-def test_readbuf_seek_outside_buffer_invalidates(tmp_path):
+def test_readbuf_seek_outside_buffer_invalidates():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READBUF, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -366,11 +367,11 @@ def test_readbuf_seek_outside_buffer_invalidates(tmp_path):
     rt.run(scenario)
 
 
-def test_readbuf_oversized_buffer_on_skip_pattern_wastes_wire(tmp_path):
+def test_readbuf_oversized_buffer_on_skip_pattern_wastes_wire():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 64 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 64 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READBUF, iobufsize=8 * MiB))
         data = contents["/pool/a"]
@@ -391,11 +392,11 @@ def test_readbuf_oversized_buffer_on_skip_pattern_wastes_wire(tmp_path):
 # -- READAHEAD mode ---------------------------------------------------------------
 
 
-def test_readahead_sequential_never_requests(tmp_path):
+def test_readahead_sequential_never_requests():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READAHEAD, iobufsize=128 * KiB))
         out = bytearray()
@@ -413,11 +414,11 @@ def test_readahead_sequential_never_requests(tmp_path):
     rt.run(scenario)
 
 
-def test_readahead_forward_seek_discards_pushed_bytes(tmp_path):
+def test_readahead_forward_seek_discards_pushed_bytes():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 8 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 8 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READAHEAD, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -433,11 +434,11 @@ def test_readahead_forward_seek_discards_pushed_bytes(tmp_path):
     rt.run(scenario)
 
 
-def test_readahead_backward_seek_restarts_stream(tmp_path):
+def test_readahead_backward_seek_restarts_stream():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 2 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 2 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READAHEAD, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -450,11 +451,11 @@ def test_readahead_backward_seek_restarts_stream(tmp_path):
     rt.run(scenario)
 
 
-def test_readahead_seek_within_buffer_is_free(tmp_path):
+def test_readahead_seek_within_buffer_is_free():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READAHEAD, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -468,11 +469,11 @@ def test_readahead_seek_within_buffer_is_free(tmp_path):
     rt.run(scenario)
 
 
-def test_readahead_reread_after_eof(tmp_path):
+def test_readahead_reread_after_eof():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 512 * KiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 512 * KiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, ReadMode.READAHEAD, iobufsize=128 * KiB))
         data = contents["/pool/a"]
@@ -488,11 +489,11 @@ def test_readahead_reread_after_eof(tmp_path):
 # -- STREAM mode -----------------------------------------------------------------
 
 
-def test_stream_sequential_never_requests(tmp_path):
+def test_stream_sequential_never_requests():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
         out = bytearray()
         while True:
@@ -508,11 +509,11 @@ def test_stream_sequential_never_requests(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_seeks_restart_in_both_directions(tmp_path):
+def test_stream_seeks_restart_in_both_directions():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
         data = contents["/pool/a"]
         assert rf_read(h, 64 * KiB) == data[:64 * KiB]
@@ -527,13 +528,13 @@ def test_stream_seeks_restart_in_both_directions(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_restart_sends_one_control_frame_and_close_none(tmp_path):
+def test_stream_restart_sends_one_control_frame_and_close_none():
     # a restart is one StreamStart; a close sends nothing on either
     # connection, and returns at the virtual instant it was called
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
                                        profile=WAN_PROFILE))
         data = contents["/pool/a"]
@@ -559,7 +560,7 @@ def test_stream_restart_sends_one_control_frame_and_close_none(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_bytes_wire_is_exact_after_a_seek_that_waits(tmp_path):
+def test_stream_bytes_wire_is_exact_after_a_seek_that_waits():
     # a seek's StreamStart waits for its share of a client-to-server link
     # that bulk senders keep busy, while the old push's chunks still arrive
     # on the other direction: bytes_wire counts them as soon as the seek
@@ -569,7 +570,7 @@ def test_stream_bytes_wire_is_exact_after_a_seek_that_waits(tmp_path):
                        per_connection_window=MiB)
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 8 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 8 * MiB)])
         net.accept("sink", lambda conn: conn.serve(lambda msg: None))
 
         def flood():
@@ -601,11 +602,11 @@ def test_stream_bytes_wire_is_exact_after_a_seek_that_waits(tmp_path):
 
 @pytest.mark.parametrize("profile", [ZERO_PROFILE, WAN_PROFILE],
                          ids=lambda p: p.name)
-def test_stream_intake_is_bounded_by_credits(tmp_path, profile):
+def test_stream_intake_is_bounded_by_credits(profile):
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 16 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
                                        profile=profile))
         assert rf_read(h, MiB) == contents["/pool/a"][:MiB]
@@ -619,13 +620,12 @@ def test_stream_intake_is_bounded_by_credits(tmp_path, profile):
     rt.run(scenario)
 
 
-def test_stream_open_spawns_no_more_tasks_than_readahead(tmp_path):
+def test_stream_open_spawns_no_more_tasks_than_readahead():
     def live_tasks_after_open(mode):
         rt = VirtualRuntime()
 
         def scenario():
-            net, _, _, _ = _stack(rt, tmp_path / mode.name,
-                                  [("/pool/a", 4 * MiB)])
+            net, _, _, _ = _stack(rt, None, [("/pool/a", 4 * MiB)])
             h = rf_open("/pool/a", _config(rt, net, mode))
             rt.sleep(0.001)  # let the server's connection handlers settle
             names = sorted(t.name for t in rt._tasks)
@@ -643,12 +643,12 @@ def test_stream_open_spawns_no_more_tasks_than_readahead(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_one_byte_read_correct_after_any_seek(tmp_path, mode):
+def test_one_byte_read_correct_after_any_seek(mode):
     rt = VirtualRuntime()
     size = 3 * MiB + 17
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", size)])
         h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
         data = contents["/pool/a"]
         offsets = [17, 2 * MiB, 0, MiB - 1, size - 1, 128 * KiB, size,
@@ -664,12 +664,12 @@ def test_one_byte_read_correct_after_any_seek(tmp_path, mode):
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_random_scripts_match_local_file(tmp_path, mode):
+def test_random_scripts_match_local_file(mode):
     rt = VirtualRuntime()
     size = MiB
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", size)])
         data = contents["/pool/a"]
         rng = random.Random(77)
         for script in range(6):
@@ -691,7 +691,7 @@ def test_random_scripts_match_local_file(tmp_path, mode):
 @pytest.mark.parametrize("fault", ["shifted", "wrong block"])
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
-        tmp_path, monkeypatch, mode, fault):
+        monkeypatch, mode, fault):
     # a server that cuts a seeded file's range one byte late, or from
     # another block, is caught by comparing what the client read with the
     # file's content
@@ -703,7 +703,7 @@ def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
         got = rf_read(h, 512 * KiB)
         rf_close(h)
@@ -723,7 +723,7 @@ def test_an_imported_file_is_served_exactly(tmp_path, mode):
     data = random.Random(5).randbytes(size)
 
     def scenario():
-        net, head, srv, _ = _stack(rt, tmp_path, [])
+        net, head, srv, _ = _stack(rt, tmp_path / "pool", [])
         pf = srv.import_file("/pool/a", [data[:1000], data[1000:]])
         head.register_file("/pool/a", size, srv.address, pf.checksum)
         h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=64 * KiB,
@@ -741,14 +741,14 @@ def test_an_imported_file_is_served_exactly(tmp_path, mode):
     assert files == []
 
 
-def test_a_file_the_server_lacks_raises_stale_replica(tmp_path):
+def test_a_file_the_server_lacks_raises_stale_replica():
     # the namespace names a replica whose server does not hold the file:
     # the open is refused with STALE_REPLICA, which the client raises as a
     # typed error, and no session is left
     rt = VirtualRuntime()
 
     def scenario():
-        net, head, srv, _ = _stack(rt, tmp_path, [])
+        net, head, srv, _ = _stack(rt, None, [])
         head.register_file("/pool/ghost", MiB, srv.address, 0)
         with pytest.raises(StaleReplicaError):
             rf_open("/pool/ghost", _config(rt, net, ReadMode.NORMAL,
@@ -762,7 +762,7 @@ def test_a_file_the_server_lacks_raises_stale_replica(tmp_path):
 
 @pytest.mark.parametrize("call", ["read", "seek"])
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_a_call_on_a_busy_handle_raises_handle_busy(tmp_path, mode, call):
+def test_a_call_on_a_busy_handle_raises_handle_busy(mode, call):
     # a second task calls the handle while a read waits on the network:
     # the call is refused at once, the waiting read returns exact bytes,
     # the position stays within the file and the handle serves on
@@ -770,7 +770,7 @@ def test_a_call_on_a_busy_handle_raises_handle_busy(tmp_path, mode, call):
     size = 4 * MiB
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", size)])
         data = contents["/pool/a"]
         h = rf_open("/pool/a", _config(rt, net, mode, profile=WAN_PROFILE))
         reader = rt.spawn(rf_read, h, 2 * MiB, name="reader")
@@ -791,11 +791,11 @@ def test_a_call_on_a_busy_handle_raises_handle_busy(tmp_path, mode, call):
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_a_close_from_another_task_ends_a_waiting_read(tmp_path, mode):
+def test_a_close_from_another_task_ends_a_waiting_read(mode):
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", 4 * MiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", 4 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, mode, profile=WAN_PROFILE))
         reader = rt.spawn(rf_read, h, 2 * MiB, name="reader")
         rt.sleep(0.001)
@@ -812,14 +812,14 @@ def test_a_close_from_another_task_ends_a_waiting_read(tmp_path, mode):
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_rf_read_returns_a_read_only_view_in_every_case(tmp_path, mode):
+def test_rf_read_returns_a_read_only_view_in_every_case(mode):
     # the type never depends on how a read meets the chunks: inside one
     # chunk, across chunks, cut short at EOF, and the empty read at EOF
     rt = VirtualRuntime()
     size = MiB + 3
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", size)])
         h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=64 * KiB))
         got = [(rf_read(h, KiB), 0, KiB),
                (rf_read(h, 300 * KiB), KiB, 301 * KiB)]
@@ -839,13 +839,13 @@ def test_rf_read_returns_a_read_only_view_in_every_case(tmp_path, mode):
     assert len(got[-1][0]) == 0
 
 
-def test_a_chunk_aligned_stream_read_is_a_view_of_the_tile(tmp_path):
+def test_a_chunk_aligned_stream_read_is_a_view_of_the_tile():
     # the mechanism: a 64 KiB read inside one pushed chunk shares memory
     # with the seed's tile, so no byte was copied on the way
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
         got = [rf_read(h, 64 * KiB) for _ in range(4)]
         rf_close(h)
@@ -858,8 +858,7 @@ def test_a_chunk_aligned_stream_read_is_a_view_of_the_tile(tmp_path):
         assert view == data[i * 64 * KiB:(i + 1) * 64 * KiB]
 
 
-def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(
-        tmp_path, monkeypatch):
+def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(monkeypatch):
     # a DataChunk payload and an rf_read result keep their tile alive after
     # the memo forgets the seed, and still equal the file
     sent = []
@@ -873,7 +872,7 @@ def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(
     size = MiB
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", size)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
         rf_seek(h, 2 * BLOCK)
         got = rf_read(h, 64 * KiB)
@@ -898,11 +897,11 @@ def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(
 
 
 @pytest.mark.parametrize("mode", ALL_MODES)
-def test_rate_identity_holds_exactly(tmp_path, mode):
+def test_rate_identity_holds_exactly(mode):
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", 2 * MiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", 2 * MiB)])
         h = rf_open("/pool/a",
                     _config(rt, net, mode, profile=WAN_PROFILE,
                             iobufsize=128 * KiB))
@@ -915,11 +914,11 @@ def test_rate_identity_holds_exactly(tmp_path, mode):
     rt.run(scenario)
 
 
-def test_close_without_reads_reports_zero_rate(tmp_path):
+def test_close_without_reads_reports_zero_rate():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         c = rf_close(h)
         assert c.rate == 0.0
@@ -928,11 +927,11 @@ def test_close_without_reads_reports_zero_rate(tmp_path):
     rt.run(scenario)
 
 
-def test_double_close_is_flagged_noop(tmp_path):
+def test_double_close_is_flagged_noop():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         rf_read(h, 100)
         first = rf_close(h)
@@ -944,11 +943,11 @@ def test_double_close_is_flagged_noop(tmp_path):
     rt.run(scenario)
 
 
-def test_use_after_close_raises_stale_handle(tmp_path):
+def test_use_after_close_raises_stale_handle():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         rf_close(h)
         with pytest.raises(StaleHandleError):
@@ -959,11 +958,11 @@ def test_use_after_close_raises_stale_handle(tmp_path):
     rt.run(scenario)
 
 
-def test_bad_read_and_seek_arguments(tmp_path):
+def test_bad_read_and_seek_arguments():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         with pytest.raises(ValueError):
             rf_read(h, 0)
@@ -977,11 +976,11 @@ def test_bad_read_and_seek_arguments(tmp_path):
     rt.run(scenario)
 
 
-def test_connection_loss_preserves_position(tmp_path):
+def test_connection_loss_preserves_position():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
         assert rf_read(h, 100) == contents["/pool/a"][:100]
         h._control.close()  # simulated transport failure under the handle
@@ -992,11 +991,11 @@ def test_connection_loss_preserves_position(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_data_connection_loss_raises_transport_error(tmp_path):
+def test_stream_data_connection_loss_raises_transport_error():
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, srv, contents = _stack(rt, tmp_path, [("/pool/a", 16 * MiB)])
+        net, _, srv, contents = _stack(rt, None, [("/pool/a", 16 * MiB)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
         assert rf_read(h, 100) == contents["/pool/a"][:100]
         srv.sessions[h.handle_id].data_conn.close()  # server end goes away
@@ -1009,7 +1008,7 @@ def test_stream_data_connection_loss_raises_transport_error(tmp_path):
     rt.run(scenario)
 
 
-def test_config_rejects_bad_sizes(tmp_path):
+def test_config_rejects_bad_sizes():
     rt = VirtualRuntime()
     net = EmulatedNetwork(rt)
     with pytest.raises(ValueError):
@@ -1028,7 +1027,7 @@ def _container_sizes(*objs) -> dict:
             if isinstance(value, (dict, list, set))}
 
 
-def test_per_open_state_does_not_grow_with_opens(tmp_path):
+def test_per_open_state_does_not_grow_with_opens():
     # servers, rate limiters and the runtime keep nothing per closed handle:
     # the containers they hold are the same size after 10 open/read/close
     # cycles as after 100
@@ -1036,7 +1035,7 @@ def test_per_open_state_does_not_grow_with_opens(tmp_path):
     sizes = []
 
     def scenario():
-        net, head, srv, contents = _stack(rt, tmp_path, [("/pool/a", 64 * KiB)])
+        net, head, srv, contents = _stack(rt, None, [("/pool/a", 64 * KiB)])
 
         def cycles(first, last):
             for i in range(first, last):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from remfio import wire
-from remfio.content import checksum_bytes, content_chunks, file_content
+from remfio.content import BLOCK, checksum_bytes, content_chunks, file_content
 from remfio.diskserver import DiskModel, DiskServer
 from remfio.headnode import session_token
 from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
@@ -17,9 +17,9 @@ KiB = 1024
 MiB = 1024 * 1024
 
 
-def _mk_server(rt, tmp_path, *, disk=None):
+def _mk_server(rt, pool_dir=None, *, disk=None):
     net = EmulatedNetwork(rt)
-    srv = DiskServer(rt, net, pool_dir=tmp_path / "pool", shared_token=TOKEN,
+    srv = DiskServer(rt, net, pool_dir=pool_dir, shared_token=TOKEN,
                      disk=disk or DiskModel())
     return net, srv
 
@@ -66,14 +66,14 @@ def test_import_and_reload_pool(tmp_path):
     # seeded files reload from the manifest; an imported file lives in the
     # server's memory only, so a server on the same pool_dir lacks it
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt, tmp_path / "pool")
     data_a = _seed(srv, "/pool/a", 300 * KiB, index=0)
     seeded = srv.seed_file("/pool/b", 1, 1, 77)
     assert srv.pool["/pool/a"].size == 300 * KiB
     assert srv.pool["/pool/a"].checksum == checksum_bytes(data_a)
 
     rt2 = VirtualRuntime()
-    _, srv2 = _mk_server(rt2, tmp_path)
+    _, srv2 = _mk_server(rt2, tmp_path / "pool")
     assert srv2.pool == {"/pool/b": seeded}
     assert srv2.pool["/pool/b"].size == 77
     assert srv2.pool_location("/pool/b").read_bytes() == file_content(1, 1, 77)
@@ -81,7 +81,7 @@ def test_import_and_reload_pool(tmp_path):
 
 def test_import_writes_nothing_under_pool_dir(tmp_path):
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt, tmp_path / "pool")
     data = _seed(srv, "/pool/a", 300 * KiB)
     assert list((tmp_path / "pool").iterdir()) == []
     assert srv.pool["/pool/a"].read(0, 300 * KiB) == data
@@ -94,7 +94,7 @@ def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
     # a fifth column; an import of the same bytes gets the same size and
     # checksum, no key and no manifest line
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt, tmp_path / "pool")
     size = 300 * KiB
     seeded = srv.seed_file("/pool/s", 7, 3, size)
     imported = srv.import_file("/pool/i", content_chunks(7, 3, size))
@@ -110,7 +110,7 @@ def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
                      str(seeded.checksum), "7:3"]]
 
     rt2 = VirtualRuntime()
-    _, srv2 = _mk_server(rt2, tmp_path)
+    _, srv2 = _mk_server(rt2, tmp_path / "pool")
     assert srv2.pool == {"/pool/s": seeded}
 
 
@@ -118,7 +118,7 @@ def test_reimport_keeps_last_record(tmp_path):
     # a re-import replaces the file in memory; a re-seed appends a manifest
     # line, and the loader keeps the last line per path
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt, tmp_path / "pool")
     _seed(srv, "/pool/a", 100, index=0)
     newer = _seed(srv, "/pool/a", 200, index=5)
     assert srv.pool["/pool/a"].size == 200
@@ -127,22 +127,22 @@ def test_reimport_keeps_last_record(tmp_path):
     srv.seed_file("/pool/s", 1, 0, 100)
     reseeded = srv.seed_file("/pool/s", 1, 5, 200)
     rt2 = VirtualRuntime()
-    _, srv2 = _mk_server(rt2, tmp_path)
+    _, srv2 = _mk_server(rt2, tmp_path / "pool")
     assert srv2.pool == {"/pool/s": reseeded}
     assert reseeded.checksum == checksum_bytes(file_content(1, 5, 200))
 
 
-def test_import_checksum_mismatch_rejected(tmp_path):
+def test_import_checksum_mismatch_rejected():
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt)
     with pytest.raises(ValueError):
         srv.import_file("/pool/x", [b"abc"], checksum=1234)
     assert srv.pool == {}
 
 
-def test_rejected_reimport_keeps_old_bytes_and_record(tmp_path):
+def test_rejected_reimport_keeps_old_bytes_and_record():
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt)
     old = srv.import_file("/a", [b"old-bytes"])
     with pytest.raises(ValueError):
         srv.import_file("/a", [b"NEW"], checksum=123)
@@ -156,7 +156,7 @@ def test_import_rejects_manifest_separators_in_path(tmp_path, char):
     # seed_file, the one writer of manifest lines, refuses a path holding
     # a separator before it writes anything
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt, tmp_path / "pool")
     ok = srv.seed_file("/pool/ok", 1, 0, 2)
     with pytest.raises(ValueError):
         srv.seed_file(f"/pool/a{char}b", 1, 1, 3)
@@ -164,16 +164,36 @@ def test_import_rejects_manifest_separators_in_path(tmp_path, char):
     assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == sorted(
         [srv.pool_location("/pool/ok").name, "pool-manifest.tsv"])
     rt2 = VirtualRuntime()
-    _, srv2 = _mk_server(rt2, tmp_path)  # the pool still reloads
+    _, srv2 = _mk_server(rt2, tmp_path / "pool")  # the pool still reloads
     assert srv2.pool == {"/pool/ok": ok}
 
 
+@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                  3 * MiB + 5])
+def test_a_seeded_file_has_one_checksum_with_or_without_a_pool_dir(tmp_path,
+                                                                   size):
+    # a server given a pool_dir hashes a seeded file as it writes it, and
+    # one without hashes nothing it has hashed before: both register the
+    # one checksum of the file's bytes
+    rt = VirtualRuntime()
+    _, on_disk = _mk_server(rt, tmp_path / "pool")
+    _, in_memory = _mk_server(rt)
+    for index in (0, 1, 7):
+        path = f"/pool/{index}"
+        written = on_disk.seed_file(path, 5, index, size)
+        registered = in_memory.seed_file(path, 5, index, size)
+        data = file_content(5, index, size)
+        assert registered == written
+        assert written.checksum == checksum_bytes(data)
+        assert on_disk.pool_location(path).read_bytes() == data
+
+
 @pytest.mark.parametrize("kind", [memoryview, bytearray, bytes])
-def test_import_accepts_bytes_like_chunks(tmp_path, kind):
+def test_import_accepts_bytes_like_chunks(kind):
     # content_chunks yields memoryviews; any bytes-like chunk gives the
     # same file bytes and checksum
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt)
     size = 2 * MiB + 5
     data = file_content(3, 2, size)
     chunks = [kind(c) for c in content_chunks(3, 2, size)]
@@ -186,9 +206,9 @@ def test_import_accepts_bytes_like_chunks(tmp_path, kind):
     assert other.read(0, size) == data
 
 
-def test_import_counts_bytes_of_a_wide_memoryview(tmp_path):
+def test_import_counts_bytes_of_a_wide_memoryview():
     rt = VirtualRuntime()
-    _, srv = _mk_server(rt, tmp_path)
+    _, srv = _mk_server(rt)
     words = np.arange(3, dtype="<u8")
     pf = srv.import_file("/pool/w", [memoryview(words)])
     assert pf.size == 24
@@ -199,11 +219,11 @@ def test_import_counts_bytes_of_a_wide_memoryview(tmp_path):
 # -- open path -------------------------------------------------------------------
 
 
-def test_open_and_first_read_checksum_verified(tmp_path):
+def test_open_and_first_read_checksum_verified():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         data = _seed(srv, "/pool/a", 4 * MiB)
         srv.start()
         conn, reply = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL)
@@ -216,14 +236,14 @@ def test_open_and_first_read_checksum_verified(tmp_path):
     rt.run(scenario)
 
 
-def test_open_bad_token_rejected(tmp_path):
+def test_open_bad_token_rejected():
     # a forged mac, and heads that str.isdigit() accepts but that are no
     # u64 handle id: each is refused, none crashes the server
     for i, head in enumerate(["1", "\u00b2", str(1 << 64)]):
         rt = VirtualRuntime()
 
         def scenario():
-            net, srv = _mk_server(rt, tmp_path / str(i))
+            net, srv = _mk_server(rt)
             _seed(srv, "/pool/a", KiB)
             srv.start()
             req = wire.OpenRequest("/pool/a", wire.ReadMode.NORMAL, 128 * KiB,
@@ -239,11 +259,11 @@ def test_open_bad_token_rejected(tmp_path):
         rt.run(scenario)
 
 
-def test_open_unknown_pool_file_stale_replica(tmp_path):
+def test_open_unknown_pool_file_stale_replica():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         srv.start()
         conn, err = _open(net, srv, "/pool/ghost", wire.ReadMode.NORMAL)
         assert isinstance(err, wire.ErrorReply)
@@ -253,11 +273,11 @@ def test_open_unknown_pool_file_stale_replica(tmp_path):
     rt.run(scenario)
 
 
-def test_same_handle_twice_is_protocol_error(tmp_path):
+def test_same_handle_twice_is_protocol_error():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", KiB)
         srv.start()
         conn1, ok = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL, handle=7)
@@ -274,11 +294,11 @@ def test_same_handle_twice_is_protocol_error(tmp_path):
 # -- reads: clamping, isolation ----------------------------------------------------
 
 
-def test_eof_clamp_and_empty_reads(tmp_path):
+def test_eof_clamp_and_empty_reads():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 1 * MiB + 10
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -291,12 +311,12 @@ def test_eof_clamp_and_empty_reads(tmp_path):
     rt.run(scenario)
 
 
-def test_two_sessions_keep_independent_offsets(tmp_path):
+def test_two_sessions_keep_independent_offsets():
     # interleaved reads from two handles on the same file never interfere
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         data = _seed(srv, "/pool/a", 2 * MiB)
         srv.start()
         c1, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL, handle=1)
@@ -318,11 +338,11 @@ def test_two_sessions_keep_independent_offsets(tmp_path):
 # -- disk cost model ---------------------------------------------------------------
 
 
-def test_sequential_read_costs_only_bandwidth_time(tmp_path):
+def test_sequential_read_costs_only_bandwidth_time():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", MiB)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL)
@@ -336,11 +356,11 @@ def test_sequential_read_costs_only_bandwidth_time(tmp_path):
     rt.run(scenario)
 
 
-def test_k_discontiguous_reads_charge_k_seeks(tmp_path):
+def test_k_discontiguous_reads_charge_k_seeks():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", 4 * MiB)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL)
@@ -360,11 +380,11 @@ def test_k_discontiguous_reads_charge_k_seeks(tmp_path):
 # -- streams -----------------------------------------------------------------------
 
 
-def test_readahead_stream_pushes_whole_file_in_order(tmp_path):
+def test_readahead_stream_pushes_whole_file_in_order():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 2 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -388,11 +408,11 @@ def test_readahead_stream_pushes_whole_file_in_order(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_from_eof_sends_nothing(tmp_path):
+def test_stream_from_eof_sends_nothing():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 256 * KiB
         _seed(srv, "/pool/a", size)
         srv.start()
@@ -405,14 +425,14 @@ def test_stream_from_eof_sends_nothing(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_start_on_live_push_restarts_it(tmp_path):
+def test_stream_start_on_live_push_restarts_it():
     # a second StreamStart abandons the push in progress: what still arrives
     # of the old push lies within its in-flight allowance, and the new push
     # then delivers the file from its own offset to the end, in order
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 8 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -444,7 +464,7 @@ def test_stream_start_on_live_push_restarts_it(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_interrupt_waste_is_bounded(tmp_path):
+def test_stream_interrupt_waste_is_bounded():
     # consume 1 MiB then restart the push at the end of the file, which
     # stops it: the server may already have sent at most the 16-chunk
     # in-flight allowance beyond what was consumed, and consuming that
@@ -452,7 +472,7 @@ def test_stream_interrupt_waste_is_bounded(tmp_path):
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 8 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -488,13 +508,13 @@ def test_stream_interrupt_waste_is_bounded(tmp_path):
 @pytest.mark.parametrize("mode", [wire.ReadMode.READAHEAD,
                                   wire.ReadMode.STREAM],
                          ids=["readahead", "stream"])
-def test_read_request_on_push_session_is_protocol_error(tmp_path, mode):
+def test_read_request_on_push_session_is_protocol_error(mode):
     # push sessions take no ReadRequest: it is refused, and the push it
     # arrives in the middle of goes on to deliver the whole file in order
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 4 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -529,11 +549,11 @@ def test_read_request_on_push_session_is_protocol_error(tmp_path, mode):
     rt.run(scenario)
 
 
-def test_stream_seek_restarts_at_new_offset(tmp_path):
+def test_stream_seek_restarts_at_new_offset():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 16 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -561,14 +581,14 @@ def test_stream_seek_restarts_at_new_offset(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_session_holds_no_handler_task(tmp_path):
+def test_stream_session_holds_no_handler_task():
     # the data connection is handed to the session and the control
     # connection is served by a callback, so no handler task parks on
     # either: a streaming STREAM session runs only its reader and sender
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 4 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -599,11 +619,11 @@ def _server_getters(conn) -> int:
     return len(conn._peer._queue._getters)
 
 
-def test_readbuf_requests_are_served_with_no_handler_task(tmp_path):
+def test_readbuf_requests_are_served_with_no_handler_task():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         data = _seed(srv, "/pool/a", MiB)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.READBUF,
@@ -620,12 +640,12 @@ def test_readbuf_requests_are_served_with_no_handler_task(tmp_path):
     rt.run(scenario)
 
 
-def test_stream_restarts_are_served_with_no_handler_task(tmp_path):
+def test_stream_restarts_are_served_with_no_handler_task():
     # restart offsets off the chunk grid: only the new push can send them
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 4 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -648,14 +668,14 @@ def test_stream_restarts_are_served_with_no_handler_task(tmp_path):
     rt.run(scenario)
 
 
-def test_control_hang_up_ends_the_session_from_the_callback(tmp_path):
+def test_control_hang_up_ends_the_session_from_the_callback():
     # while open, the session's callback is the only waiter on its control
     # connection; rtt/2 after the client hangs up it has ended the session
     # and left nothing waiting
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", MiB)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL,
@@ -674,8 +694,7 @@ def test_control_hang_up_ends_the_session_from_the_callback(tmp_path):
     rt.run(scenario)
 
 
-def test_refusal_after_the_open_goes_out_from_a_callback_of_its_own(
-        tmp_path):
+def test_refusal_after_the_open_goes_out_from_a_callback_of_its_own():
     # a ReadRequest on a push session is refused from a callback of its
     # own, not from the control loop, which would then be called again
     # once the refusal is out; nothing is spawned and the session serves on
@@ -690,7 +709,7 @@ def test_refusal_after_the_open_goes_out_from_a_callback_of_its_own(
     rt.spawn = recording_spawn
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         data = _seed(srv, "/pool/a", MiB)
         srv.start()
         control, _ = _open(net, srv, "/pool/a", wire.ReadMode.READAHEAD,
@@ -712,11 +731,11 @@ def test_refusal_after_the_open_goes_out_from_a_callback_of_its_own(
     rt.run(scenario)
 
 
-def test_data_conn_with_unknown_handle_rejected(tmp_path):
+def test_data_conn_with_unknown_handle_rejected():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         srv.start()
         conn = net.connect(srv.address, ZERO_PROFILE,
                            first_msg=wire.StreamStart(99, 0))
@@ -774,7 +793,7 @@ def _hang_up_before_first_message(net, srv):
         "stream-start-on-readbuf", "stream-start-before-data-conn",
         "data-conn-for-readahead", "second-data-conn-for-stream",
         "hang-up-before-first-message"])
-def test_protocol_refusals_leave_no_server_task(tmp_path, case):
+def test_protocol_refusals_leave_no_server_task(case):
     # each case returns the connection its refusal arrives on (None when
     # the client hung up first, so nothing can arrive) and every connection
     # it made; once those close, every server end is closed and no
@@ -782,7 +801,7 @@ def test_protocol_refusals_leave_no_server_task(tmp_path, case):
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", MiB)
         srv.start()
         refused, conns = case(net, srv)
@@ -807,13 +826,13 @@ def test_protocol_refusals_leave_no_server_task(tmp_path, case):
 # -- shared bandwidth ---------------------------------------------------------------
 
 
-def test_two_streams_fair_share_disk_bandwidth(tmp_path):
+def test_two_streams_fair_share_disk_bandwidth():
     # 80 MiB/s disk, two concurrent streams: each sees about 40 MiB/s
     rt = VirtualRuntime()
     rates = {}
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 8 * MiB
         _seed(srv, "/pool/a", size, index=0)
         _seed(srv, "/pool/b", size, index=1)
@@ -842,13 +861,13 @@ def test_two_streams_fair_share_disk_bandwidth(tmp_path):
         assert rate == pytest.approx(40 * MiB, rel=0.15)
 
 
-def test_disk_shared_by_byte_whatever_the_slice_size(tmp_path):
+def test_disk_shared_by_byte_whatever_the_slice_size():
     # a READBUF session with iobufsize 1 KiB reads a long range in 1 KiB
     # disk slices; a push session reads 256 KiB ones; each gets half the disk
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 16 * MiB
         _seed(srv, "/pool/a", size, index=0)
         _seed(srv, "/pool/b", size, index=1)
@@ -879,11 +898,11 @@ def test_disk_shared_by_byte_whatever_the_slice_size(tmp_path):
     assert rt.run(scenario) == pytest.approx(0.5, abs=0.05)
 
 
-def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
+def test_aggregate_disk_rate_never_exceeds_cap():
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         grants = []
         acquire = srv._pump.acquire
 
@@ -925,13 +944,13 @@ def test_aggregate_disk_rate_never_exceeds_cap(tmp_path):
     rt.run(scenario)
 
 
-def test_hang_up_ends_session_and_keeps_its_stats(tmp_path):
+def test_hang_up_ends_session_and_keeps_its_stats():
     # closing the control connection is the whole close: the server forgets
     # the session, closes its own end, and the session's counters stay
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         _seed(srv, "/pool/a", MiB)
         srv.start()
         conn, _ = _open(net, srv, "/pool/a", wire.ReadMode.NORMAL)
@@ -951,7 +970,7 @@ def test_hang_up_ends_session_and_keeps_its_stats(tmp_path):
 @pytest.mark.parametrize("mode", [wire.ReadMode.READAHEAD,
                                   wire.ReadMode.STREAM],
                          ids=["readahead", "stream"])
-def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
+def test_hang_up_mid_push_ends_the_session(mode):
     # the client hangs up in the middle of a push, with no message first:
     # rtt/2 later the session is gone, its pipeline stops sending once the
     # chunks already on their way are out, and its tasks end without the
@@ -960,7 +979,7 @@ def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
     half_rtt = WAN_PROFILE.rtt / 2
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 16 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()
@@ -991,14 +1010,14 @@ def test_hang_up_mid_push_ends_the_session(tmp_path, mode):
     rt.run(scenario)
 
 
-def test_closing_the_data_connection_stops_the_push(tmp_path):
+def test_closing_the_data_connection_stops_the_push():
     # a STREAM client that hangs up only its data connection: the reader
     # stops charging the disk within a few chunks of what went out, though
     # the control connection and the session stay
     rt = VirtualRuntime()
 
     def scenario():
-        net, srv = _mk_server(rt, tmp_path)
+        net, srv = _mk_server(rt)
         size = 64 * MiB
         data = _seed(srv, "/pool/a", size)
         srv.start()

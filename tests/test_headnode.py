@@ -340,7 +340,7 @@ def test_a_client_that_hangs_up_in_the_broker_queue_loses_only_its_reply():
                                     abs=1e-4)
 
 
-def test_reply_link_wait_delays_only_its_own_open(tmp_path):
+def test_reply_link_wait_delays_only_its_own_open():
     # 12 STREAM clients open at once on wan, so the k-th shortest open
     # (from 0) queued behind k others. Its three replies (lookup, brokered
     # open, disk open) share the servers' link with the 256 KiB chunks
@@ -348,7 +348,7 @@ def test_reply_link_wait_delays_only_its_own_open(tmp_path):
     # time; that wait must not push back the opens queued behind it
     spec = WorkloadSpec(file_size=2 * MiB, mode=wire.ReadMode.STREAM,
                         clients=12, stagger_window=0.0, net_profile="wan")
-    summary = run_benchmark(spec, seed=0, pool_dir=tmp_path / "pool")
+    summary = run_benchmark(spec, seed=0)
     service = OpenQueueModel().service_time_per_open
     link_wait = 3 * 256 * KiB / WAN_PROFILE.shared_bandwidth
     opens = sorted(r.open_time for r in summary.records)

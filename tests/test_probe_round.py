@@ -101,11 +101,12 @@ def test_summary_takes_medians_and_mib():
 
 
 def test_summary_counts_a_key_a_round_lacks_as_zero():
-    rows = [{"copied_bytes": 0, "gen_steps.ds-send": 4},
+    rows = [{"copied_bytes": 0, "baton_passes.bench-client": 4},
             {"copied_bytes": 0},
-            {"copied_bytes": 0, "gen_steps.ds-send": 6}]
+            {"copied_bytes": 0, "baton_passes.bench-client": 6}]
     assert probe_round.summarize(rows) == {
-        "copied_bytes": 0, "gen_steps.ds-send": 4, "copied_mib": 0.0}
+        "copied_bytes": 0, "baton_passes.bench-client": 4,
+        "copied_mib": 0.0}
 
 
 def test_task_kind_cuts_the_trailing_number():
@@ -122,21 +123,21 @@ class _StandInRuntime:
     def _handoff(self, cur):
         self.calls.append(("handoff", cur))
 
-    def _step(self, task):
-        self.calls.append(("step", task.name))
-
     def _push(self, t, entry):
         self.calls.append(("push", t))
 
+    def _arm(self, t, seq, entry):
+        self.calls.append(("arm", t, seq))
 
-def test_scheduler_counts_passes_steps_and_thread_starts():
-    # handoff calls on main, A, A, B (after two steps on B), then the round
-    # closes on main: the baton passed main -> A -> B -> main
+
+def test_scheduler_counts_passes_pushes_and_thread_starts():
+    # handoff calls on main, A, A, B, then the round closes on main: the
+    # baton passed main -> A -> B -> main
     class Thread(threading.Thread):
         pass
 
     rt_cls = _StandInRuntime
-    originals = (rt_cls._handoff, rt_cls._step, rt_cls._push, Thread.start)
+    originals = (rt_cls._handoff, rt_cls._push, rt_cls._arm, Thread.start)
     sched = probe_round.SchedulerCounts()
     saved = sched.install(rt_cls, Thread)
     rt = rt_cls()
@@ -155,16 +156,12 @@ def test_scheduler_counts_passes_steps_and_thread_starts():
         rt._handoff(rt._current)
 
     def server():
-        rt._step(SimpleNamespace(name="ds-send-1"))
-        rt._step(SimpleNamespace(name="ds-read-1"))
-        rt._step(SimpleNamespace(name="ds-send-1"))
         as_task("srv-head:5015-2")
         rt._handoff(None)
 
-    # a heap entry is a carrier task's wake-up, a generator task's step or
-    # a callback, told apart by the task's _thread
+    # a heap entry is a carrier task's wake-up, which has a _thread, or a
+    # callback
     rt._push(0.0, SimpleNamespace(name="bench-client-0", _thread=object()))
-    rt._push(0.0, SimpleNamespace(name="srv-ds1:5001-3", _thread=None))
     rt._push(1.0, lambda: None)
     rt._push(1.0, SimpleNamespace.__init__)
     as_task("root")
@@ -178,49 +175,27 @@ def test_scheduler_counts_passes_steps_and_thread_starts():
         "baton_passes.root": 1,
         "baton_passes.bench-client": 1,
         "baton_passes.srv-head:5015": 1,
-        "gen_steps": 3,
-        "gen_steps.ds-send": 2,
-        "gen_steps.ds-read": 1,
-        "heap_pushes": 4,
+        "heap_pushes": 3,
         "heap_pushes.carrier": 1,
-        "heap_pushes.generator": 1,
         "heap_pushes.callback": 2,
         "thread_starts": 2,
     }
-    assert len(rt.calls) == 11  # every wrapped call reached the original
+    assert len(rt.calls) == 7  # every wrapped call reached the original
     sched.reset()
     assert sched.close_round()["handoff_calls"] == 0
     probe_round.ReadPathCopies.uninstall(saved)
-    assert (rt_cls._handoff, rt_cls._step, rt_cls._push,
+    assert (rt_cls._handoff, rt_cls._push, rt_cls._arm,
             Thread.start) == originals
-
-
-def test_a_runtime_without_step_is_probed_for_handoffs_only():
-    # a runtime from before generator tasks has no _step to wrap
-    class Runtime:
-        def _handoff(self, cur):
-            pass
-
-    sched = probe_round.SchedulerCounts()
-    saved = sched.install(Runtime, threading.Thread)
-    probe_round.ReadPathCopies.uninstall(saved)
-    assert [name for _, name, _ in saved] == ["_handoff", "start"]
-    assert not hasattr(Runtime, "_step")
-    assert sched.close_round()["gen_steps"] == 0
 
 
 def test_armed_returns_count_as_heap_pushes():
     # a connection's window or credit return goes on the heap through _arm,
     # at a position reserved earlier: the probe counts it as a push, by what
     # it runs, like any other entry
-    class Runtime(_StandInRuntime):
-        def _arm(self, t, seq, entry):
-            self.calls.append(("arm", t, seq))
-
-    arm = Runtime._arm
+    arm = _StandInRuntime._arm
     sched = probe_round.SchedulerCounts()
-    saved = sched.install(Runtime, threading.Thread)
-    rt = Runtime()
+    saved = sched.install(_StandInRuntime, threading.Thread)
+    rt = _StandInRuntime()
     rt._push(0.0, lambda: None)
     rt._arm(0.5, 7, lambda: None)
     rt._arm(1.0, 9, SimpleNamespace(name="bench-client-0", _thread=object()))
@@ -229,7 +204,7 @@ def test_armed_returns_count_as_heap_pushes():
     assert (counts["heap_pushes"], counts["heap_pushes.callback"],
             counts["heap_pushes.carrier"]) == (3, 2, 1)
     assert rt.calls == [("push", 0.0), ("arm", 0.5, 7), ("arm", 1.0, 9)]
-    assert Runtime._arm is arm
+    assert _StandInRuntime._arm is arm
     # and the real runtime has the entry point to wrap
     import remfio.runtime
     saved = sched.install(remfio.runtime.VirtualRuntime, threading.Thread)
@@ -252,20 +227,15 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     for row in rows:
         assert row["copied_bytes"] == 0
         assert row["ru_minflt"] >= 0
-        per_kind = ("baton_passes.", "gen_steps.", "heap_pushes.")
+        per_kind = ("baton_passes.", "heap_pushes.")
         assert {k for k in row if not k.startswith(per_kind)} == {
             *(f"copied_bytes.{s}" for s in probe_round.SITES),
             "copied_bytes", "ru_minflt", "handoff_calls", "baton_passes",
-            "gen_steps", "heap_pushes", "context_switches", "thread_starts"}
+            "heap_pushes", "context_switches", "thread_starts"}
         assert row["handoff_calls"] >= row["baton_passes"] > 0
-        assert row["gen_steps"] == sum(
-            n for k, n in row.items() if k.startswith("gen_steps."))
         assert row["heap_pushes"] == sum(
             n for k, n in row.items() if k.startswith("heap_pushes."))
-        # the servers run on callbacks, so no generator task is stepped or
-        # queued, and only the clients start threads
-        assert row["gen_steps"] == 0
-        assert "heap_pushes.generator" not in row
+        # the servers run on callbacks, so only the clients start threads
         assert row["heap_pushes.callback"] > row["heap_pushes.carrier"] > 0
         assert 0 < row["thread_starts"] <= workloads.SMALL[
             "seq-stream-16"].clients

@@ -21,14 +21,12 @@ object per line:
   baton: consecutive calls made on different threads. Each pass is also
   counted under the name of the task that gave the baton up, its trailing
   `-<number>` cut off (`baton_passes.ds-send`);
-- `gen_steps`, the times a generator task ran (VirtualRuntime._step, where
-  the runtime has one), also by task name;
 - `heap_pushes`, the entries pushed on the event heap
-  (VirtualRuntime._push, and VirtualRuntime._arm where the runtime has it,
-  which pushes a connection's window or credit return that a sender waits
-  on), split by what the entry runs: `.carrier` (a carrier task's
-  wake-up), `.generator` (a generator task's step) and `.callback`
-  (anything else: timers, grants, armed returns, server continuations).
+  (VirtualRuntime._push, and VirtualRuntime._arm, which pushes a
+  connection's window or credit return that a sender waits on), split by
+  what the entry runs: `.carrier` (a carrier task's wake-up) and
+  `.callback` (anything else: timers, grants, armed returns, server
+  continuations).
   The runtime's seq numbers are not this count: they also number every
   window and credit return, which takes a heap position whether or not it
   is ever pushed;
@@ -48,11 +46,6 @@ and the weak-set callbacks by which it forgets finished threads, are left
 out: how much of them runs depends on which thread wins a race, such as
 whether a new thread has started before Thread.start waits for it. What is
 left repeats exactly from round to round and from run to run.
-
-The runtime in this tree has no generator tasks, so on it `gen_steps` reads
-0 and `heap_pushes.generator` is absent, which summaries read as 0. Both
-count only on an older parent revision that still has them, which
-`bench_pairs.py --counts` probes with this script.
 
 The last line is the median of each count over the rounds. The probe wraps
 remfio's functions in this process only; it writes nothing under simbench/
@@ -160,8 +153,8 @@ def task_kind(name: str) -> str:
 
 
 class SchedulerCounts:
-    """Handoffs, baton passes, generator steps, heap pushes and thread
-    starts, counted by wrapping a runtime class and threading.Thread."""
+    """Handoffs, baton passes, heap pushes and thread starts, counted by
+    wrapping a runtime class and threading.Thread."""
 
     def __init__(self) -> None:
         self.reset()
@@ -169,7 +162,6 @@ class SchedulerCounts:
     def reset(self) -> None:
         self.handoff_calls = 0
         self.passes: Counter = Counter()  # by the kind of task giving up
-        self.steps: Counter = Counter()  # by the kind of task stepped
         self.pushes: Counter = Counter()  # by what the entry runs
         self.thread_starts = 0
         self._last = None  # (thread, task kind) of the latest handoff call
@@ -193,64 +185,46 @@ class SchedulerCounts:
         return {"handoff_calls": self.handoff_calls,
                 "baton_passes": sum(self.passes.values()),
                 **{f"baton_passes.{k}": n for k, n in self.passes.items()},
-                "gen_steps": sum(self.steps.values()),
-                **{f"gen_steps.{k}": n for k, n in self.steps.items()},
                 "heap_pushes": sum(self.pushes.values()),
                 **{f"heap_pushes.{k}": n for k, n in self.pushes.items()},
                 "thread_starts": self.thread_starts}
 
     def note_push(self, entry) -> None:
-        """An entry pushed on the event heap: a task, whose _thread is its
-        carrier's or None for a generator task, or a callback."""
-        thread = getattr(entry, "_thread", False)
-        self.pushes["callback" if thread is False else
-                    "generator" if thread is None else "carrier"] += 1
+        """An entry pushed on the event heap: a carrier task, which has a
+        _thread, or a callback."""
+        self.pushes["carrier" if hasattr(entry, "_thread")
+                    else "callback"] += 1
 
     def install(self, runtime_cls, thread_cls) -> list:
-        """Wrap runtime_cls._handoff, its _step, _push and _arm where it
-        has them, and thread_cls.start; returns (owner, name, original) for
-        uninstall()."""
-        saved = [(runtime_cls, "_handoff", runtime_cls._handoff),
-                 (thread_cls, "start", thread_cls.start)]
-        handoff, start = runtime_cls._handoff, thread_cls.start
+        """Wrap runtime_cls._handoff, _push and _arm, and thread_cls.start;
+        returns (owner, name, original) for uninstall()."""
+        handoff, push, arm = (runtime_cls._handoff, runtime_cls._push,
+                              runtime_cls._arm)
+        start = thread_cls.start
+        saved = [(runtime_cls, "_handoff", handoff),
+                 (runtime_cls, "_push", push), (runtime_cls, "_arm", arm),
+                 (thread_cls, "start", start)]
 
         def counted_handoff(rt, cur):
             self._note_handoff(getattr(rt._current, "name", "callback"))
             return handoff(rt, cur)
+
+        def counted_push(rt, t, entry):
+            self.note_push(entry)
+            return push(rt, t, entry)
+
+        def counted_arm(rt, t, seq, entry):
+            self.note_push(entry)
+            return arm(rt, t, seq, entry)
 
         def counted_start(thread, *args, **kwargs):
             self.thread_starts += 1
             return start(thread, *args, **kwargs)
 
         runtime_cls._handoff = counted_handoff
+        runtime_cls._push = counted_push
+        runtime_cls._arm = counted_arm
         thread_cls.start = counted_start
-        step = getattr(runtime_cls, "_step", None)
-        if step is not None:
-            saved.append((runtime_cls, "_step", step))
-
-            def counted_step(rt, task, *args):
-                self.steps[task_kind(task.name)] += 1
-                return step(rt, task, *args)
-
-            runtime_cls._step = counted_step
-        push = getattr(runtime_cls, "_push", None)
-        if push is not None:
-            saved.append((runtime_cls, "_push", push))
-
-            def counted_push(rt, t, entry):
-                self.note_push(entry)
-                return push(rt, t, entry)
-
-            runtime_cls._push = counted_push
-        arm = getattr(runtime_cls, "_arm", None)
-        if arm is not None:
-            saved.append((runtime_cls, "_arm", arm))
-
-            def counted_arm(rt, t, seq, entry):
-                self.note_push(entry)
-                return arm(rt, t, seq, entry)
-
-            runtime_cls._arm = counted_arm
         return saved
 
 
