@@ -40,7 +40,7 @@ for r in summary.records:
           f"open {r.open_time:.3f}s waste {r.waste}B")
 
 # Now sweep the mode axis on a skip-read workload. One call runs the four
-# single-axis experiments off a shared seeded pool.
+# single-axis experiments on the same seeded files.
 skip = WorkloadSpec(pattern=Skip(1 * MiB, 9), file_size=32 * MiB,
                     block_size=1 * MiB, clients=8, net_profile="wan")
 series = run_sweep(skip, "mode", list(ReadMode), seed=42)
