@@ -29,31 +29,36 @@ from .bench import (
 from .errors import TransportError
 
 
+_DEFAULT = WorkloadSpec()  # a flag left out keeps this spec's value
+
+
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mode", default="normal",
+    d = _DEFAULT
+    p.add_argument("--mode", default=axis_label(d.mode),
                    help="normal | readbuf | readahead | stream")
-    p.add_argument("--clients", type=int, default=1)
-    p.add_argument("--file-size", type=int, default=16 * MiB,
+    p.add_argument("--clients", type=int, default=d.clients)
+    p.add_argument("--file-size", type=int, default=d.file_size,
                    help="bytes per seeded file")
-    p.add_argument("--block-size", type=int, default=MiB,
+    p.add_argument("--block-size", type=int, default=d.block_size,
                    help="bytes per client read call")
-    p.add_argument("--iobufsize", type=int, default=131072,
+    p.add_argument("--iobufsize", type=int, default=d.iobufsize,
                    help="client buffer size for the buffered modes")
-    p.add_argument("--pattern", default="seq",
-                   help="seq | skip:READBYTES:SKIPBLOCKS")
-    p.add_argument("--net-profile", default="wan", help="wan | lan | zero")
-    p.add_argument("--window", type=int, default=MiB,
+    p.add_argument("--pattern", help="seq | skip:READBYTES:SKIPBLOCKS")
+    p.add_argument("--net-profile", default=d.net_profile,
+                   help="wan | lan | zero")
+    p.add_argument("--window", type=int, default=d.window,
                    help="emulated per-connection window, bytes")
-    p.add_argument("--stagger", type=float, default=1.0,
+    p.add_argument("--stagger", type=float, default=d.stagger_window,
                    help="client start window, seconds")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench-out", help="output directory")
-    p.add_argument("--repetitions", type=int, default=1)
+    p.add_argument("--repetitions", type=int, default=d.repetitions)
 
 
 def _spec_from(args) -> WorkloadSpec:
     return WorkloadSpec(
-        pattern=parse_pattern(args.pattern),
+        pattern=(_DEFAULT.pattern if args.pattern is None
+                 else parse_pattern(args.pattern)),
         file_size=args.file_size,
         block_size=args.block_size,
         mode=parse_mode(args.mode),

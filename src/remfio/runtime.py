@@ -6,17 +6,17 @@ jumps straight to the next event, so a simulated minute of transfers costs
 milliseconds, and identical inputs give bit-identical schedules. One task
 or callback runs at a time, in one (time, seq) order for both.
 
-A task, such as a client, runs in blocking style on a carrier thread, which
-hands the baton on whenever its task sleeps, blocks or exits, then stays as
-a spare while spares are fewer than unfinished tasks. Thread-local state
-(threading.local, current_thread) belongs to the carrier. When the root
-returns, run() unwinds the leftover tasks one at a time in spawn order, each
-raising _TaskShutdown where it waits, and then ends every spare. When
-nothing can run (a deadlock) or a callback raises, the world stops: the root
-raises the cause, and from then on any blocking call raises, the cause in
-the root and _TaskShutdown in a task. A deadlock is reported at the time of
-the last event that ran: a connection's window and credit returns are not
-events unless a sender waits on them (netemu), so none trails it.
+A task, such as a client, runs in blocking style on a carrier thread of its
+own, which hands the baton on whenever its task sleeps, blocks or exits, and
+ends with the task. Thread-local state (threading.local, current_thread)
+belongs to the carrier. When the root returns, run() unwinds the leftover
+tasks one at a time in spawn order, each raising _TaskShutdown where it
+waits. When nothing can run (a deadlock) or a callback raises, the world
+stops: the root raises the cause, and from then on any blocking call
+raises, the cause in the root and _TaskShutdown in a task. A deadlock is
+reported at the time of the last event that ran: a connection's window and
+credit returns are not events unless a sender waits on them (netemu), so
+none trails it.
 
 Each carrier moves itself to Linux's SCHED_BATCH policy when its thread
 starts. A handoff releases the next carrier's baton and then blocks on its
@@ -58,36 +58,19 @@ class _TaskShutdown(BaseException):
 class Task:
     """Handle to a spawned activity; join() re-raises the task's exception."""
 
-    def __init__(self, name: str, baton, thread):
+    def __init__(self, name: str):
         self.name = name
         self.finished = False
         self.result: Any = None
         self.exc: BaseException | None = None
-        self._baton = baton  # its carrier's; held while the task may not run
-        self._thread = thread
+        self._baton = threading.Lock()  # held while the task may not run
+        self._baton.acquire()
+        self._thread: threading.Thread | None = None  # the thread it runs on
         self._join_waiters: list[Task] = []
 
     def __repr__(self) -> str:
         state = "done" if self.finished else "live"
         return f"<Task {self.name} {state}>"
-
-
-class _Carrier:
-    """A thread that carries one task after another, a spare in between."""
-
-    __slots__ = ("baton", "job", "thread")
-
-    def __init__(self, carry: Callable[[_Carrier], None]) -> None:
-        self.baton = threading.Lock()  # released to run the job
-        self.baton.acquire()
-        self.job: tuple | None = None  # (task, fn, args); None ends it
-        self.thread = threading.Thread(target=carry, args=(self,),
-                                       daemon=True, name="vrt-carrier")
-
-    def end(self) -> None:
-        """End a spare; its thread exits without touching the runtime."""
-        self.job = None
-        self.baton.release()
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +90,6 @@ class VirtualRuntime:
         self._root: Task | None = None
         self._tasks: dict[Task, None] = {}  # unfinished tasks, spawn order
         self._pending: list[Task] = []  # crashed, exception not yet observed
-        self._spares: list[_Carrier] = []  # never more than _tasks
         self._stopping = False
         self._failure: BaseException | None = None
         self._ran = False
@@ -132,23 +114,20 @@ class VirtualRuntime:
     # -- tasks ------------------------------------------------------------
 
     def spawn(self, fn: Callable, *args, name: str = "task") -> Task:
-        """Schedule fn(*args) as a task on a carrier thread."""
-        carrier = self._spares.pop() if self._spares else self._new_carrier()
-        task = Task(name, carrier.baton, carrier.thread)
-        carrier.job = (task, fn, args)
-        self._tasks[task] = None
-        self._push(self._now, task)
-        return task
-
-    def _new_carrier(self) -> _Carrier:
-        carrier = _Carrier(self._carry)
+        """Schedule fn(*args) as a task on a carrier thread of its own."""
+        task = Task(name)
+        task._thread = thread = threading.Thread(
+            target=self._carry, args=(task, fn, args), daemon=True,
+            name="vrt-carrier")
         old_stack = threading.stack_size()
         try:
             threading.stack_size(1 << 20)  # many parked carriers; keep VSZ low
-            carrier.thread.start()
+            thread.start()
         finally:
             threading.stack_size(old_stack)
-        return carrier
+        self._tasks[task] = None
+        self._push(self._now, task)
+        return task
 
     def join(self, task: Task):
         while not task.finished:
@@ -168,10 +147,8 @@ class VirtualRuntime:
         if self._ran:
             raise RuntimeError("runtime instances are single-use")
         self._ran = True
-        baton = threading.Lock()
-        baton.acquire()
-        self._root = self._current = Task("root", baton,
-                                          threading.current_thread())
+        self._root = self._current = Task("root")
+        self._root._thread = threading.current_thread()
         try:
             result = fn(*args)
         finally:
@@ -187,10 +164,6 @@ class VirtualRuntime:
                 if task._thread.is_alive():
                     warnings.warn(f"task {task.name!r} survived shutdown",
                                   RuntimeWarning, stacklevel=2)
-            while self._spares:
-                carrier = self._spares.pop()
-                carrier.end()
-                carrier.thread.join(timeout=5.0)
         if self._pending:
             raise self._pending[0].exc
         return result
@@ -288,44 +261,24 @@ class VirtualRuntime:
             self._push(self._now, waiter)
         task._join_waiters.clear()
 
-    def _carry(self, carrier: _Carrier) -> None:
-        """Carrier thread: run each job handed to it until one ends it.
-
-        A finished task's carrier becomes a spare while there are fewer
-        spares than unfinished tasks; otherwise it exits, ending one spare
-        too if there are now more spares than unfinished tasks.
-        """
+    def _carry(self, task: Task, fn: Callable, args: tuple) -> None:
+        """Carrier thread: run task once it holds the baton, hand the baton
+        on, and end."""
         try:  # pid 0 is this thread; the module docstring says why
             os.sched_setscheduler(0, os.SCHED_BATCH, os.sched_param(0))
         except (AttributeError, OSError):
             pass  # no such policy here, or refused: keep the default
-        baton = carrier.baton
-        while True:
-            baton.acquire()
-            if carrier.job is None:
-                return  # ended as a spare
-            task, fn, args = carrier.job
-            carrier.job = None
-            try:
-                if not self._stopping:
-                    task.result = fn(*args)
-            except _TaskShutdown:
-                pass
-            except BaseException as exc:
-                task.exc = exc
-            self._finish(task)
-            if self._stopping:
-                return  # run() is joining this carrier
-            spares, unfinished = self._spares, len(self._tasks)
-            spare = len(spares) < unfinished
-            if spare:
-                spares.append(carrier)
-            elif len(spares) > unfinished:
-                spares.pop().end()
-            del task, fn, args  # a spare holds nothing of its last task
+        task._baton.acquire()
+        try:
+            if not self._stopping:
+                task.result = fn(*args)
+        except _TaskShutdown:
+            pass
+        except BaseException as exc:
+            task.exc = exc
+        self._finish(task)
+        if not self._stopping:  # else run() is joining this carrier
             self._handoff(None)
-            if not spare:
-                return
 
     # -- coordination primitives -------------------------------------------
 

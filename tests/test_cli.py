@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from remfio.cli import build_parser, main
+from remfio.bench import WorkloadSpec
+from remfio.cli import _spec_from, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,6 +31,11 @@ def test_run_writes_csv_and_reports(tmp_path, capsys):
     assert (tmp_path / "out" / "aggregate.csv").exists()
     lines = (tmp_path / "out" / "clients.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+def test_run_without_spec_flags_builds_the_default_spec():
+    args = build_parser().parse_args(["run"])
+    assert _spec_from(args) == WorkloadSpec()
 
 
 def test_run_rejects_unknown_mode(tmp_path, capsys):

@@ -14,9 +14,6 @@ with the closed forms of the link, disk and broker models.
 
 from __future__ import annotations
 
-import tempfile
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -66,7 +63,7 @@ def _programs(draw):
 READ_LENGTHS = [1, 1000, 4 * KiB, 64 * KiB + 3, 200 * KiB]
 
 
-def _run_program(pool_dir: Path, sizes, queue_cap, clients) -> None:
+def _run_program(sizes, queue_cap, clients) -> None:
     rt = VirtualRuntime()
     files = [(f"/pool/f{i}", size) for i, size in enumerate(sizes)]
     errors = []
@@ -115,7 +112,7 @@ def _run_program(pool_dir: Path, sizes, queue_cap, clients) -> None:
 
     def scenario():
         net, head, srv, contents = _stack(
-            rt, pool_dir, files,
+            rt, None, files,
             queue_model=OpenQueueModel(queue_cap=queue_cap))
         # one warm-up cycle per mode creates the lazily made link pumps
         for mode in ALL_MODES:
@@ -143,15 +140,14 @@ def _run_program(pool_dir: Path, sizes, queue_cap, clients) -> None:
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(_programs())
 def test_generated_programs_keep_the_model_invariants(program):
-    with tempfile.TemporaryDirectory() as tmp:
-        _run_program(Path(tmp), *program)
+    _run_program(*program)
 
 
 # -- closed forms for a solo client --------------------------------------------
 
 
 @pytest.mark.parametrize("window", [64 * KiB, 256 * KiB])
-def test_solo_stream_read_time_matches_throughput_cap(tmp_path, window):
+def test_solo_stream_read_time_matches_throughput_cap(window):
     # tolerance half an rtt: the push starts while the open's last leg is
     # under way, and the first chunk's one-way delay is not part of the
     # steady rate
@@ -161,7 +157,7 @@ def test_solo_stream_read_time_matches_throughput_cap(tmp_path, window):
                           window)
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", size)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", size)])
         h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM,
                                        profile=WAN_PROFILE,
                                        emulated_window=window))
@@ -173,7 +169,7 @@ def test_solo_stream_read_time_matches_throughput_cap(tmp_path, window):
                                       abs=WAN_PROFILE.rtt / 2)
 
 
-def test_solo_normal_read_costs_rtt_plus_disk_plus_link(tmp_path):
+def test_solo_normal_read_costs_rtt_plus_disk_plus_link():
     # exact up to float rounding: a read of one chunk or less is the request's
     # link grant and leg, one disk grant, then the reply's link grant and leg,
     # none overlapped
@@ -182,7 +178,7 @@ def test_solo_normal_read_costs_rtt_plus_disk_plus_link(tmp_path):
     lengths = [KiB, 64 * KiB, 256 * KiB, 1]
 
     def scenario():
-        net, _, _, contents = _stack(rt, tmp_path, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
         data = contents["/pool/a"]
         h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL,
                                        profile=WAN_PROFILE))
@@ -202,14 +198,14 @@ def test_solo_normal_read_costs_rtt_plus_disk_plus_link(tmp_path):
     rt.run(scenario)
 
 
-def test_simultaneous_opens_queue_linearly(tmp_path):
+def test_simultaneous_opens_queue_linearly():
     # the i-th open to finish waited for i earlier services and its own;
     # tolerance 0.1 ms covers the serialized sub-microsecond frame grants
     rt = VirtualRuntime()
     k = 8
 
     def scenario():
-        net, _, _, _ = _stack(rt, tmp_path, [("/pool/a", KiB)])
+        net, _, _, _ = _stack(rt, None, [("/pool/a", KiB)])
         times = []
 
         def opener():

@@ -419,89 +419,45 @@ def test_identical_seeds_give_identical_schedules():
     assert _token_ring_trace(99) != t1
 
 
-# -- carrier reuse ---------------------------------------------------------------
-# Carriers are told apart by their Thread objects: glibc may hand a new thread
-# the stack, and so the get_ident(), of one that has just exited.
+# -- carrier lifetime ------------------------------------------------------------
 
 
-def test_waves_of_tasks_reuse_the_carriers_of_finished_ones():
-    # ten parked tasks keep ten tasks unfinished, so the carriers of each
-    # wave stay as spares for the next: 100 short tasks run on 10 carriers,
-    # where a thread per task would take 100
+def test_a_carrier_ends_with_its_task():
+    # ten parked tasks stay unfinished while ten waves of ten short tasks
+    # run: once the waves are joined, only the parked tasks' carriers live
     baseline = threading.active_count()
     rt = VirtualRuntime()
-    carriers = set()
-
-    def short():
-        carriers.add(threading.current_thread())
-        rt.sleep(0.01)
+    live = []
 
     def main():
         ch = rt.channel()
         parked = [rt.spawn(ch.get, name=f"parked{i}") for i in range(10)]
         for _ in range(10):
-            wave = [rt.spawn(short) for _ in range(10)]
+            wave = [rt.spawn(rt.sleep, 0.01) for _ in range(10)]
             for t in wave:
                 rt.join(t)
-        assert len(rt._spares) == 10
+        deadline = time.monotonic() + 5.0
+        while (threading.active_count() > baseline + 10
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        live.append(threading.active_count() - baseline)
         for _ in parked:
             ch.put(None)
         for t in parked:
             rt.join(t)
-        assert not rt._spares  # no unfinished task, so no spare
 
     rt.run(main)
-    assert len(carriers) == 10
+    assert live == [10]
     _assert_threads_reaped(baseline)
 
 
-def test_spares_never_outnumber_unfinished_tasks():
-    rt = VirtualRuntime()
-    seen = []
-
-    def main():
-        ch = rt.channel()
-        parked = rt.spawn(ch.get, name="parked")
-        wave = [rt.spawn(rt.sleep, 0.01 * i) for i in range(1, 9)]
-        for t in wave:
-            rt.join(t)
-            seen.append((len(rt._spares), len(rt._tasks)))
-        ch.put(None)
-        rt.join(parked)
-        seen.append((len(rt._spares), len(rt._tasks)))
-
-    rt.run(main)
-    assert all(spares <= unfinished for spares, unfinished in seen)
-    assert seen[-2:] == [(1, 1), (0, 0)]
-
-
-def test_run_ends_every_spare():
-    baseline = threading.active_count()
-    rt = VirtualRuntime()
-
-    def main():
-        ch = rt.channel()
-        for i in range(10):
-            rt.spawn(ch.get, name=f"parked{i}")
-        for t in [rt.spawn(rt.sleep, 0.1) for _ in range(10)]:
-            rt.join(t)
-        assert len(rt._spares) == 10  # the root returns with spares left
-
-    rt.run(main)
-    assert not rt._spares and not rt._tasks
-    _assert_threads_reaped(baseline)
-
-
-def _reused_carrier(rt, fn):
-    """Spawn fn on the carrier of a task that has just finished; a parked
-    task keeps one task unfinished, so that carrier stays as a spare."""
+def _spawned_after_a_finish(rt, fn):
+    """Spawn fn after another task has finished, while a parked task keeps
+    one task unfinished."""
     ch = rt.channel()
     rt.spawn(ch.get, name="parked")
-    first = rt.spawn(threading.current_thread)
-    carrier = rt.join(first)
-    task = rt.spawn(fn)
-    assert task._thread is carrier
-    return task
+    rt.join(rt.spawn(rt.sleep, 0.01))
+    return rt.spawn(fn)
 
 
 def test_crash_on_a_reused_carrier_surfaces_at_join():
@@ -509,12 +465,12 @@ def test_crash_on_a_reused_carrier_surfaces_at_join():
 
     def boom():
         rt.sleep(0.1)
-        raise ValueError("crash on a reused carrier")
+        raise ValueError("crash after a finished task")
 
     def main():
-        rt.join(_reused_carrier(rt, boom))
+        rt.join(_spawned_after_a_finish(rt, boom))
 
-    with pytest.raises(ValueError, match="crash on a reused carrier"):
+    with pytest.raises(ValueError, match="crash after a finished task"):
         rt.run(main)
 
 
@@ -529,7 +485,7 @@ def test_unjoined_crash_on_a_reused_carrier_beats_the_deadlock():
             rt.sleep(0.1)
             raise ValueError("producer crashed")
 
-        _reused_carrier(rt, producer)
+        _spawned_after_a_finish(rt, producer)
         rt.spawn(ch.get, name="consumer")
         ch.get()
 
@@ -539,9 +495,9 @@ def test_unjoined_crash_on_a_reused_carrier_beats_the_deadlock():
 
 
 def test_carriers_hand_over_under_a_short_switch_interval():
-    # the interpreter switches threads every microsecond while tasks finish,
-    # become spares and board again: every task still runs once, and the
-    # run completes within its time limit
+    # the interpreter switches threads every microsecond while carriers
+    # start, hand over and end: every task still runs once, and the run
+    # completes within its time limit
     baseline = threading.active_count()
     rt = VirtualRuntime()
     ran = []
@@ -610,13 +566,9 @@ def test_carriers_run_under_sched_batch():
     rt = VirtualRuntime()
 
     def main():
-        ch = rt.channel()
-        parked = rt.spawn(ch.get, name="parked")  # keeps a spare for wave 2
         first = rt.join(rt.spawn(os.sched_getscheduler, 0))
-        reused = rt.join(rt.spawn(os.sched_getscheduler, 0))
-        ch.put(None)
-        rt.join(parked)
-        return first, reused, os.sched_getscheduler(0)
+        second = rt.join(rt.spawn(os.sched_getscheduler, 0))
+        return first, second, os.sched_getscheduler(0)
 
     assert rt.run(main) == (os.SCHED_BATCH, os.SCHED_BATCH, root_policy)
     assert os.sched_getscheduler(0) == root_policy

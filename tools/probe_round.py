@@ -20,7 +20,7 @@ object per line:
   `baton_passes`, the ones after which another carrier thread holds the
   baton: consecutive calls made on different threads. Each pass is also
   counted under the name of the task that gave the baton up, its trailing
-  `-<number>` cut off (`baton_passes.ds-send`);
+  `-<number>` cut off (`baton_passes.bench-client`);
 - `heap_pushes`, the entries pushed on the event heap
   (VirtualRuntime._push, and VirtualRuntime._arm, which pushes a
   connection's window or credit return that a sender waits on), split by
@@ -148,7 +148,8 @@ class ReadPathCopies:
 
 
 def task_kind(name: str) -> str:
-    """A task's name without its trailing -<number>: ds-send-3 -> ds-send."""
+    """A task's name without its trailing -<number>: bench-client-3 ->
+    bench-client."""
     return re.sub(r"-\d+$", "", name)
 
 
