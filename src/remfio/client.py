@@ -27,11 +27,13 @@ this single rule keeps the delivered byte sequence exact across seeks in
 both directions.
 
 rf_read returns a read-only memoryview in every mode, also when it is
-empty: a read that lies inside one received chunk is a view of that chunk's
-payload, which for a seeded pool file is a view of its seed's content tile,
-so no byte is copied between the pool content and the caller. Each chunk or
-fill is kept as one read-only view, which a read inside it slices; a read
-across chunks is joined once. bytes(result) makes an owned copy.
+empty. Each chunk or fill is kept as one read-only view, which a read inside
+it slices. The parts of a read that spans chunks or fills are returned as
+one view of their buffer when they lie end to end in one: the payloads of a
+seeded pool file are views of its seed's content tile, and a read that lies
+inside one content block is one view of the tile, so no byte is copied
+between the pool content and the caller. Only a read across content blocks
+is joined, once. bytes(result) makes an owned copy.
 
 Counters per handle: open_time, read_time, bytes_consumed, bytes_wire
 (DataChunk payload bytes that actually arrived over the network, including
@@ -44,6 +46,8 @@ transfer rate reported at close is bytes_consumed / (open_time + read_time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     AuthError,
@@ -183,8 +187,10 @@ class ClientHandle:
 
         Short only at EOF; advances the position by what was returned. A
         read inside one received chunk is a view of that chunk's payload,
-        which may be shared with the server's pool content; a read across
-        chunks is joined in one copy.
+        which may be shared with the server's pool content. A read across
+        chunks is one view of their buffer when they lie end to end in one,
+        as a seeded file's do inside one content block; only a read across
+        content blocks is joined in one copy.
         """
         pos, buf = self.logical_position, self._buf
         off = pos - self._buf_start
@@ -212,7 +218,7 @@ class ClientHandle:
 
     def _request(self, pos: int, length: int) -> memoryview:
         """One ReadRequest round trip: a read-only view of the bytes before
-        EOF, empty at EOF; a lone chunk's payload is viewed, not copied."""
+        EOF, empty at EOF; the chunks are joined by _joined."""
         self._control.send(ReadRequest(self.handle_id, pos, length))
         self.request_count += 1
         expected = min(length, max(0, self.file_size - pos))
@@ -224,17 +230,16 @@ class ClientHandle:
         while expected > 0:
             parts.append(_expect(self._control.recv(), DataChunk).payload)
             expected -= len(parts[-1])
-        return (memoryview(parts[0]).toreadonly() if len(parts) == 1
-                else memoryview(b"".join(parts)))
+        return _joined(parts)
 
     def _read_buffered(self, pos: int, length: int) -> memoryview:
         """Serve from the buffer, at pos; refill it on a miss.
 
         READBUF refills with one request of iobufsize, clamped at EOF; the
         push modes take the next pushed chunk that reaches the position.
-        A lone part is returned as a slice of the buffer, not a copy. A
-        pushed chunk whose offset is not the live stream's next is stale,
-        from before a restart, and is dropped.
+        A lone part is returned as a slice of the buffer, not a copy; more
+        are joined by _joined. A pushed chunk whose offset is not the live
+        stream's next is stale, from before a restart, and is dropped.
         """
         end = min(pos + length, self.file_size)
         parts = []
@@ -256,7 +261,7 @@ class ClientHandle:
                     if self._expected > pos:  # else skipped-over bytes
                         self._buf = memoryview(msg.payload).toreadonly()
                         self._buf_start = msg.offset
-        return parts[0] if len(parts) == 1 else memoryview(b"".join(parts))
+        return parts[0] if len(parts) == 1 else _joined(parts)
 
     # -- seek ------------------------------------------------------------------
 
@@ -306,6 +311,33 @@ class ClientHandle:
         if self._data is not None:
             self._data.close()
         return counters
+
+
+def _address(data) -> int:
+    """The address of data's first byte."""
+    return np.frombuffer(data, np.uint8).ctypes.data
+
+
+def _joined(parts: list) -> memoryview:
+    """The parts, in order, as one read-only memoryview. Parts that lie end
+    to end in one buffer, each starting where the one before it ended, are
+    one view of that buffer, with no copy; any others are joined in one
+    copy."""
+    if len(parts) == 1:
+        return memoryview(parts[0]).toreadonly()
+    views = [memoryview(p) for p in parts]
+    if views:
+        obj = views[0].obj
+        start = end = _address(views[0])
+        for v in views:
+            if v.obj is not obj or _address(v) != end:
+                break
+            end += v.nbytes
+        else:
+            base = _address(obj)
+            return memoryview(obj).cast("B")[start - base:end - base
+                                             ].toreadonly()
+    return memoryview(b"".join(views))
 
 
 def _ask(config: ClientConfig, address: str, request, want):

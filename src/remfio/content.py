@@ -13,16 +13,18 @@ the bytes with their own code:
   + b numbers the blocks of a pool of equal-size files.
 
 ODD is odd, so distinct k below TILE give distinct rotations: every block of
-a pool of up to TILE blocks (256 GiB) starts at its own rotation, and a range
+a pool of up to TILE blocks (1 TiB) starts at its own rotation, and a range
 shifted by a byte, another block of the same file or the same block of
 another file reads other bytes. Checksums are 64-bit blake2b digests, matching the width of the
 checksum field carried in namespace replies.
 
-Content is handed out as read-only views, not copies. The stored tile is
-followed by its first BLOCK bytes again, so a block read cyclically from any
-rotation is one slice of it: content_chunks yields one view per block, and
-content_range returns a lone view of the memoized tile for a range inside
-one block. The extra bytes are storage only; the formula is unchanged.
+Content is handed out as read-only views, not copies. A block is a whole
+rotation of the tile, and the stored tile is followed by a second copy of
+itself, so every block is one slice of the stored bytes: content_chunks
+yields one view per block, and content_range returns a lone view of the
+memoized tile for a range inside one block. The chunks of one block are
+then consecutive slices of one buffer, which the client returns as one view.
+The extra bytes are storage only; the formula is unchanged.
 """
 
 from __future__ import annotations
@@ -34,37 +36,36 @@ from typing import Iterator
 import numpy as np
 
 TILE = 1 << 20  # bytes of Philox draws per seed
-BLOCK = 256 * 1024  # bytes read from one rotation of the tile
+BLOCK = TILE  # bytes read from one rotation of the tile
 ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
+_DRAW = 256 * 1024  # bytes of Philox drawn at a time
 
 _U64 = (1 << 64) - 1
 
 
-def _tile(seed: int) -> memoryview:
-    """The seed's tile followed by its first BLOCK bytes again, as a
-    read-only view, so that a block read at any rotation is one slice.
+@functools.lru_cache(maxsize=4)  # the few seeds in use
+def _tile_view(seed: int) -> memoryview:
+    """The seed's tile followed by a second copy of itself, as a read-only
+    view, so that a block read at any rotation is one slice.
 
-    Philox is drawn BLOCK bytes at a time into the one array, so building
-    the tile never holds a second copy of it."""
+    Philox is drawn _DRAW bytes at a time into the one array, so building
+    the tile makes no whole-tile temporary."""
     key = np.array([seed & _U64, 0], dtype=np.uint64)
     bitgen = np.random.Philox(key=key)
-    tile = np.empty(TILE + BLOCK, dtype=np.uint8)
+    tile = np.empty(2 * TILE, dtype=np.uint8)
     words = tile[:TILE].view("<u8")
-    for i in range(0, TILE // 8, BLOCK // 8):
-        words[i:i + BLOCK // 8] = bitgen.random_raw(BLOCK // 8)
-    tile[TILE:] = tile[:BLOCK]
+    for i in range(0, TILE // 8, _DRAW // 8):
+        words[i:i + _DRAW // 8] = bitgen.random_raw(_DRAW // 8)
+    tile[TILE:] = tile[:TILE]
     tile.flags.writeable = False
     return memoryview(tile)
 
 
-# _tile, memoized for the few seeds in use
-_tile_view = functools.lru_cache(maxsize=4)(_tile)
-
-
 def _place(index: int, size: int, offset: int) -> tuple[int, int]:
-    """Byte `offset` of file `index`: its tile position, its block's rest."""
+    """Byte `offset` of file `index`: its position in the stored tile, below
+    2 * TILE, and its block's rest."""
     b, j = divmod(offset, BLOCK)
-    return ((index * -(-size // BLOCK) + b) * ODD + j) % TILE, BLOCK - j
+    return (index * -(-size // BLOCK) + b) * ODD % TILE + j, BLOCK - j
 
 
 def _views(tile: memoryview, index: int, size: int, offset: int,
@@ -74,18 +75,18 @@ def _views(tile: memoryview, index: int, size: int, offset: int,
     while offset < end:
         r, m = _place(index, size, offset)
         m = min(m, end - offset)
-        yield tile[r:r + m]  # r < TILE and m <= BLOCK: never past the copy
+        yield tile[r:r + m]  # r + m <= rotation + BLOCK < 2 * TILE
         offset += m
 
 
 def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
     """The content of pool file `index`, as read-only views of the seed's
-    tile, made once per call; Philox is counter-based, so the tile for a
+    memoized tile, one per block; Philox is counter-based, so the tile for a
     given seed is identical across platforms and numpy versions. The tile
     cannot be written, so a caller may keep every view."""
     if size < 0:
         raise ValueError("size must be non-negative")
-    return _views(_tile(seed), index, size, 0, size)
+    return _views(_tile_view(seed), index, size, 0, size)
 
 
 def content_range(seed: int, index: int, size: int, offset: int,

@@ -119,19 +119,25 @@ def test_seed_pool_deterministic_and_reused(tmp_path):
 
 
 def test_seed_pool_allocates_about_one_tile(tmp_path):
-    # file content is handed over as views of one 1 MiB tile per file, so
-    # seeding two 16 MiB files never allocates a file's worth of bytes; a
-    # file of another seed is seeded first, so that the imports seeding
-    # makes on first use are not counted
+    # file content is handed over as views of one memoized tile per seed,
+    # stored as two copies of its 1 MiB, so seeding two 16 MiB files
+    # allocates that tile once and never a file's worth of bytes, and
+    # seeding two more from the same seed builds no tile; a file of another
+    # seed is seeded first, so that the imports seeding makes on first use
+    # are not counted
     _, head, srv = _stack(tmp_path / "pool")
     seed_pool(head, srv, 1, 64 * KiB, seed=2)
-    tracemalloc.start()
-    try:
-        seed_pool(head, srv, 2, 16 * MiB, seed=1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * MiB
+    content._tile_view.cache_clear()
+    peaks = []
+    for count in (2, 4):
+        tracemalloc.start()
+        try:
+            seed_pool(head, srv, count, 16 * MiB, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 2 * content.TILE + 512 * KiB
+    assert peaks[1] <= 64 * KiB
 
 
 def test_seed_pool_hundred_distinct_entries():

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from remfio import content, diskserver
 from remfio.client import (
     ClientConfig,
+    _joined,
     rf_close,
     rf_open,
     rf_read,
@@ -693,8 +695,8 @@ def test_random_scripts_match_local_file(mode):
 def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
         monkeypatch, mode, fault):
     # a server that cuts a seeded file's range one byte late, or from
-    # another block, is caught by comparing what the client read with the
-    # file's content
+    # another block of the 2-block file, is caught by comparing what the
+    # client read with the file's content
     def faulty(seed, index, size, offset, n):
         offset = offset + 1 if fault == "shifted" else offset ^ BLOCK
         return content_range(seed, index, size, offset, n)
@@ -703,7 +705,7 @@ def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 2 * BLOCK)])
         h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
         got = rf_read(h, 512 * KiB)
         rf_close(h)
@@ -840,22 +842,95 @@ def test_rf_read_returns_a_read_only_view_in_every_case(mode):
 
 
 def test_a_chunk_aligned_stream_read_is_a_view_of_the_tile():
-    # the mechanism: a 64 KiB read inside one pushed chunk shares memory
-    # with the seed's tile, so no byte was copied on the way
+    # the mechanism, in every mode: a 64 KiB read inside one chunk or fill
+    # shares memory with the seed's tile, and so does a 1 MiB read of a
+    # whole content block, which several chunks or fills carried: no byte
+    # was copied on the way
+    tile = content._tile_view(1).obj
+    for mode in ALL_MODES:
+        rt = VirtualRuntime()
+
+        def scenario():
+            net, _, _, contents = _stack(rt, None, [("/pool/a", 3 * BLOCK)])
+            h = rf_open("/pool/a", _config(rt, net, mode,
+                                           iobufsize=128 * KiB))
+            got = [(rf_read(h, 64 * KiB), i * 64 * KiB) for i in range(4)]
+            rf_seek(h, BLOCK)
+            got.append((rf_read(h, BLOCK), BLOCK))
+            rf_close(h)
+            return got, contents["/pool/a"]
+
+        got, data = rt.run(scenario)
+        for view, start in got:
+            assert view.obj is tile and view.readonly, (mode, start)
+            assert view == data[start:start + len(view)], (mode, start)
+        assert len(got[-1][0]) == BLOCK
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_read_across_a_content_block_is_exact(mode):
+    # a read across a content block's end joins two rotations of the tile
+    # in one copy, and still holds the file's bytes
     rt = VirtualRuntime()
 
     def scenario():
-        net, _, _, contents = _stack(rt, None, [("/pool/a", MiB)])
-        h = rf_open("/pool/a", _config(rt, net, ReadMode.STREAM))
-        got = [rf_read(h, 64 * KiB) for _ in range(4)]
+        net, _, _, contents = _stack(rt, None, [("/pool/a", 3 * BLOCK)])
+        h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
+        rf_seek(h, BLOCK - 300 * KiB)
+        got = rf_read(h, BLOCK)
         rf_close(h)
         return got, contents["/pool/a"]
 
     got, data = rt.run(scenario)
-    tile = content._tile_view(1).obj
-    for i, view in enumerate(got):
-        assert view.obj is tile
-        assert view == data[i * 64 * KiB:(i + 1) * 64 * KiB]
+    assert got.obj is not content._tile_view(1).obj and got.readonly
+    assert got == data[BLOCK - 300 * KiB:2 * BLOCK - 300 * KiB]
+
+
+@pytest.mark.parametrize("mode", ALL_MODES)
+def test_a_spanning_read_of_an_imported_file_is_a_view_of_its_bytes(mode):
+    # an imported file's chunks are slices of its one bytes object, so a
+    # read across them is one view of that object, holding the file's bytes
+    rt = VirtualRuntime()
+    size = 3 * MiB + 3
+    data = random.Random(6).randbytes(size)
+
+    def scenario():
+        net, head, srv, _ = _stack(rt, None, [])
+        pf = srv.import_file("/pool/a", [data[:1000], data[1000:]])
+        head.register_file("/pool/a", size, srv.address, pf.checksum)
+        h = rf_open("/pool/a", _config(rt, net, mode, iobufsize=128 * KiB))
+        rf_seek(h, 5000)
+        got = rf_read(h, 2 * MiB)
+        rf_close(h)
+        return got, pf.data
+
+    got, kept = rt.run(scenario)
+    assert got.obj is kept and got.readonly
+    assert got == data[5000:5000 + 2 * MiB]
+
+
+def test_parts_are_one_view_only_where_they_lie_end_to_end():
+    buf = bytes(range(256)) * 4
+    other = bytes(reversed(buf))
+    view, far = memoryview(buf), memoryview(other)
+    got = _joined([view[10:20], view[20:50], view[50:51]])
+    assert got.obj is buf and got.readonly and got == buf[10:51]
+    words = np.arange(16, dtype="<u8")  # a buffer of 8-byte items
+    wide = memoryview(words).cast("B")
+    got = _joined([wide[8:16], wide[16:40]])
+    assert got.obj is words and got == words.tobytes()[8:40]
+    copies = {
+        "two buffers": [view[-10:], far[:10]],
+        "out of order in one buffer": [view[20:30], view[10:20]],
+        "overlapping": [view[10:30], view[20:40]],
+        "with a gap": [view[10:20], view[21:30]],
+        "no parts": [],
+    }
+    for case, parts in copies.items():
+        got = _joined(parts)
+        assert type(got.obj) is bytes and got.readonly, case
+        assert got.obj is not buf and got.obj is not other, case
+        assert got == b"".join(parts), case
 
 
 def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(monkeypatch):
@@ -869,7 +944,7 @@ def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(monkeypatch):
 
     monkeypatch.setattr(diskserver, "DataChunk", recording_chunk)
     rt = VirtualRuntime()
-    size = MiB
+    size = 3 * BLOCK
 
     def scenario():
         net, _, _, _ = _stack(rt, None, [("/pool/a", size)])

@@ -29,10 +29,12 @@ DOC = Path(__file__).resolve().parents[1] / "docs" / "pool-content.md"
 # the formula's constants, written out here rather than taken from the
 # module, so that a change to the module shows as a failure
 TILE_BYTES = 1 << 20
-BLOCK_BYTES = 256 * KiB
+BLOCK_BYTES = MiB
 ROTATION_STEP = 0x9E377
+CHUNK_BYTES = 256 * KiB  # a server's largest chunk, a quarter block
 
-SIZES = [0, 1, 7, 8, 9, BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
+SIZES = [0, 1, 7, 8, 9, CHUNK_BYTES - 1, CHUNK_BYTES, CHUNK_BYTES + 1,
+         BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
          4 * MiB - 1, 4 * MiB, 4 * MiB + 5, 8 * MiB + 3]
 KEYS = [(0, 0), (1, 7), ((1 << 64) - 1, 3), (5, (1 << 64) - 1)]
 POOL_SHAPES = [(16, 16 * MiB), (1, 64 * MiB), (32, 16 * MiB),
@@ -86,8 +88,8 @@ def test_content_is_philox_uint8_stream(seed, index, size):
 def test_golden_content():
     # recorded once from the tile formula
     data = file_content(1, 0, 4 * MiB + 5)
-    assert hashlib.sha256(data).hexdigest()[:16] == "7fc42e45dd9641fa"
-    assert checksum_bytes(data) == 0x056F1A44984EF99D
+    assert hashlib.sha256(data).hexdigest()[:16] == "a0543cfcec7a5616"
+    assert checksum_bytes(data) == 0xACC2001617EB10F8
 
 
 @pytest.mark.parametrize("size", [4 * MiB + 5, 12 * MiB])
@@ -120,8 +122,9 @@ def _ranges(index: int, size: int) -> tuple[list, int]:
     return cases, wrapped
 
 
-@pytest.mark.parametrize("size", [0, BLOCK_BYTES - 1, BLOCK_BYTES,
-                                  BLOCK_BYTES + 1, 4 * MiB + 5])
+@pytest.mark.parametrize("size", [0, CHUNK_BYTES - 1, CHUNK_BYTES,
+                                  CHUNK_BYTES + 1, BLOCK_BYTES - 1,
+                                  BLOCK_BYTES, BLOCK_BYTES + 1, 4 * MiB + 5])
 @pytest.mark.parametrize("seed,index", KEYS)
 def test_content_range_cuts_the_file(seed, index, size):
     data = file_content(seed, index, size)
@@ -134,7 +137,8 @@ def test_content_range_cuts_the_file(seed, index, size):
         assert wrapped  # some block of these files wraps past the tile
 
 
-@pytest.mark.parametrize("size", [BLOCK_BYTES + 1, 4 * MiB + 5, 12 * MiB])
+@pytest.mark.parametrize("size", [CHUNK_BYTES + 1, BLOCK_BYTES + 1,
+                                  4 * MiB + 5, 12 * MiB])
 @pytest.mark.parametrize("seed,index", KEYS)
 def test_content_chunks_yields_one_view_per_block(seed, index, size):
     # one view per block, also for the blocks whose rotation reads past the
@@ -210,8 +214,9 @@ def test_content_range_rejects_negative_arguments():
 
 @pytest.mark.parametrize("offset,length", [
     (0, 64 * KiB),  # the start of the file
-    (3 * BLOCK_BYTES + 1000, 64 * KiB),  # inside one block
-    (4 * BLOCK_BYTES - 100, 64 * KiB),  # across a block boundary
+    (3 * CHUNK_BYTES + 1000, 64 * KiB),  # inside one block
+    (BLOCK_BYTES - 100, 64 * KiB),  # across a block boundary
+    (5 * CHUNK_BYTES, CHUNK_BYTES),  # one whole chunk inside a block
     (5 * BLOCK_BYTES, BLOCK_BYTES),  # one whole block
 ])
 def test_wrong_bytes_change_a_range_digest(offset, length):

@@ -168,8 +168,11 @@ def test_import_rejects_manifest_separators_in_path(tmp_path, char):
     assert srv2.pool == {"/pool/ok": ok}
 
 
-@pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                  3 * MiB + 5])
+CHUNK = wire.MAX_CHUNK_PAYLOAD
+
+
+@pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                  BLOCK - 1, BLOCK, BLOCK + 1, 3 * MiB + 5])
 def test_a_seeded_file_has_one_checksum_with_or_without_a_pool_dir(tmp_path,
                                                                    size):
     # a server given a pool_dir hashes a seeded file as it writes it, and

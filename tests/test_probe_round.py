@@ -214,7 +214,9 @@ def test_armed_returns_count_as_heap_pushes():
 
 def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
     # simbench's shrunken seq-stream-16: every read lies inside one pushed
-    # chunk, so no site copies a byte
+    # chunk, so no site copies a byte; and its shrunken stream-window64k:
+    # every 1 MiB read spans the pushed chunks of one content block, which
+    # the client returns as one view of the tile
     monkeypatch.syspath_prepend(str(ROOT / "simbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
@@ -239,6 +241,9 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
         assert row["heap_pushes.callback"] > row["heap_pushes.carrier"] > 0
         assert 0 < row["thread_starts"] <= workloads.SMALL[
             "seq-stream-16"].clients
+    rows = probe_round.probe(workloads.SMALL["stream-window64k"], 1, 1,
+                             tmp_path / "pool-window")
+    assert [row["copied_bytes"] for row in rows] == [0]
 
 
 def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
