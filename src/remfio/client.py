@@ -45,9 +45,8 @@ transfer rate reported at close is bytes_consumed / (open_time + read_time).
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import (
     AuthError,
@@ -313,9 +312,32 @@ class ClientHandle:
         return counters
 
 
+class _PyBuffer(ctypes.Structure):
+    """CPython's Py_buffer, as PyObject_GetBuffer fills it in."""
+    _fields_ = [("buf", ctypes.c_void_p), ("obj", ctypes.c_void_p),
+                ("len", ctypes.c_ssize_t), ("itemsize", ctypes.c_ssize_t),
+                ("readonly", ctypes.c_int), ("ndim", ctypes.c_int),
+                ("format", ctypes.c_char_p), ("shape", ctypes.c_void_p),
+                ("strides", ctypes.c_void_p),
+                ("suboffsets", ctypes.c_void_p),
+                ("internal", ctypes.c_void_p)]
+
+
+_get_buffer = ctypes.PYFUNCTYPE(
+    ctypes.c_int, ctypes.py_object, ctypes.POINTER(_PyBuffer), ctypes.c_int)(
+    ("PyObject_GetBuffer", ctypes.pythonapi))
+_release_buffer = ctypes.PYFUNCTYPE(None, ctypes.POINTER(_PyBuffer))(
+    ("PyBuffer_Release", ctypes.pythonapi))
+
+
 def _address(data) -> int:
-    """The address of data's first byte."""
-    return np.frombuffer(data, np.uint8).ctypes.data
+    """The address of data's first byte; data is a contiguous buffer."""
+    view = _PyBuffer()
+    _get_buffer(data, view, 0)  # PyBUF_SIMPLE; raises BufferError if not
+    try:
+        return view.buf
+    finally:
+        _release_buffer(view)
 
 
 def _joined(parts: list) -> memoryview:

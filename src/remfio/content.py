@@ -33,14 +33,23 @@ import functools
 import hashlib
 from typing import Iterator
 
-import numpy as np
-
 TILE = 1 << 20  # bytes of Philox draws per seed
 BLOCK = TILE  # bytes read from one rotation of the tile
 ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
-_DRAW = 256 * 1024  # bytes of Philox drawn at a time
 
 _U64 = (1 << 64) - 1
+
+# Philox4x64-10 (Salmon et al., SC 2011), drawn as numpy's Philox draws it
+_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
+_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key increments
+_ROUNDS = 10
+# Counters computed at once, each in its own 128-bit slot of one int, so
+# that one multiply by a 64-bit constant gives every slot's full product.
+_RUN = 512
+_ONES = int.from_bytes((b"\1" + bytes(15)) * _RUN, "little")  # 1 per slot
+_LOW = _ONES * _U64  # the low 64 bits of every slot
+_IOTA = int.from_bytes(b"".join(i.to_bytes(16, "little")
+                                for i in range(_RUN)), "little")  # slot i: i
 
 
 @functools.lru_cache(maxsize=4)  # the few seeds in use
@@ -48,17 +57,31 @@ def _tile_view(seed: int) -> memoryview:
     """The seed's tile followed by a second copy of itself, as a read-only
     view, so that a block read at any rotation is one slice.
 
-    Philox is drawn _DRAW bytes at a time into the one array, so building
-    the tile makes no whole-tile temporary."""
-    key = np.array([seed & _U64, 0], dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    tile = np.empty(2 * TILE, dtype=np.uint8)
-    words = tile[:TILE].view("<u8")
-    for i in range(0, TILE // 8, _DRAW // 8):
-        words[i:i + _DRAW // 8] = bitgen.random_raw(_DRAW // 8)
-    tile[TILE:] = tile[:TILE]
-    tile.flags.writeable = False
-    return memoryview(tile)
+    Philox4x64-10 with key (seed mod 2^64, 0) runs on counters 1, 2, ...,
+    _RUN at a time: each round multiplies lanes 0 and 2 of every counter at
+    once, and the four output lanes of a run are written, little-endian,
+    into their strided places in the one buffer. So building the tile makes
+    no whole-tile temporary: each int is 16 * _RUN bytes, and the keys of
+    every round take 2 * _ROUNDS of them."""
+    keys = []  # each round's key, repeated in every slot
+    k0, k1 = seed & _U64, 0
+    for _ in range(_ROUNDS):
+        keys.append((k0 * _ONES, k1 * _ONES))
+        k0, k1 = (k0 + _W0) & _U64, (k1 + _W1) & _U64
+    tile = bytearray(2 * TILE)
+    words = memoryview(tile).cast("Q")
+    for c in range(0, TILE // 32, _RUN):  # the run's first counter, less 1
+        x0, x1, x2, x3 = (c + 1) * _ONES + _IOTA, 0, 0, 0
+        for k0, k1 in keys:
+            p0, p1 = x0 * _M0, x2 * _M1
+            x0 = ((p1 >> 64) ^ x1 ^ k0) & _LOW
+            x2 = ((p0 >> 64) ^ x3 ^ k1) & _LOW
+            x1, x3 = p1, p0  # low halves; the high ones are never read
+        for lane, x in enumerate((x0, x1, x2, x3)):
+            low = memoryview(x.to_bytes(16 * _RUN, "little")).cast("Q")[::2]
+            words[4 * c + lane:4 * (c + _RUN):4] = low
+    words[TILE // 8:] = words[:TILE // 8]
+    return memoryview(tile).toreadonly()
 
 
 def _place(index: int, size: int, offset: int) -> tuple[int, int]:
@@ -81,9 +104,9 @@ def _views(tile: memoryview, index: int, size: int, offset: int,
 
 def content_chunks(seed: int, index: int, size: int) -> Iterator[memoryview]:
     """The content of pool file `index`, as read-only views of the seed's
-    memoized tile, one per block; Philox is counter-based, so the tile for a
-    given seed is identical across platforms and numpy versions. The tile
-    cannot be written, so a caller may keep every view."""
+    memoized tile, one per block. No view can write the tile, so a caller
+    may keep every view; but each view's obj is the tile's bytearray, which
+    can be written, and must not be."""
     if size < 0:
         raise ValueError("size must be non-negative")
     return _views(_tile_view(seed), index, size, 0, size)

@@ -124,3 +124,25 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "aggregate=" in proc.stdout
     assert (tmp_path / "out" / "clients.csv").exists()
+
+
+def test_a_run_needs_no_numpy(tmp_path):
+    # numpy is only the tests' oracle: a run with it blocked still works
+    code = ("import runpy, sys; sys.modules['numpy'] = None; "
+            "runpy.run_module('remfio.cli', run_name='__main__', "
+            "alter_sys=True)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--file-size", "4096",
+         "--block-size", "4096", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out" / "clients.csv").exists()
+
+
+def test_importing_remfio_imports_no_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, remfio; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ so expected bytes are computable without touching the pool files.
 
 from __future__ import annotations
 
+import array
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from remfio import content, diskserver
 from remfio.client import (
     ClientConfig,
+    _address,
     _joined,
     rf_close,
     rf_open,
@@ -931,6 +933,26 @@ def test_parts_are_one_view_only_where_they_lie_end_to_end():
         assert type(got.obj) is bytes and got.readonly, case
         assert got.obj is not buf and got.obj is not other, case
         assert got == b"".join(parts), case
+
+
+def test_address_is_where_numpy_sees_the_first_byte():
+    buf = bytes(range(64))
+    mutable = bytearray(buf)
+    view = memoryview(buf)
+    cases = {
+        "bytes": buf,
+        "bytearray": mutable,
+        "read-only slice": memoryview(mutable).toreadonly()[5:20],
+        "view of a view": memoryview(view[3:])[2:9],
+        "array.array": array.array("d", [1.0, 2.0, 3.0]),
+        "empty view": view[7:7],
+        "tile": content._tile_view(1)[12345:],
+    }
+    for case, data in cases.items():
+        assert _address(data) == np.frombuffer(data, np.uint8).ctypes.data, \
+            case
+    with pytest.raises(BufferError):
+        _address(view[::2])  # not contiguous
 
 
 def test_kept_bytes_survive_the_tile_memo_evicting_their_seed(monkeypatch):

@@ -48,6 +48,22 @@ def _tile(seed: int) -> bytes:
     return b"".join(int(d).to_bytes(8, "little") for d in draws)
 
 
+@settings(max_examples=12, deadline=None)
+@given(st.one_of(st.integers(0, (1 << 64) - 1), st.integers(max_value=-1),
+                 st.integers(min_value=1 << 64)))
+@example(0)
+@example((1 << 64) - 1)
+@example(-3)
+@example(1 << 64)
+def test_the_tile_is_numpy_philox_raw_draws(seed):
+    # the module's own Philox against numpy's, for seeds in and out of
+    # [0, 2^64), which both take mod 2^64; built without the memo
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    draws = np.random.Philox(key=key).random_raw(TILE_BYTES // 8)
+    view = content._tile_view.__wrapped__(seed)
+    assert view.readonly and view == draws.astype("<u8").tobytes() * 2
+
+
 def _rotation(index: int, size: int, block: int) -> int:
     blocks_per_file = (size + BLOCK_BYTES - 1) // BLOCK_BYTES
     return (index * blocks_per_file + block) * ROTATION_STEP % TILE_BYTES
@@ -252,13 +268,51 @@ def test_every_block_of_a_pool_is_distinct(seed, count, size):
     assert len(starts) == count * -(-size // BLOCK_BYTES)
 
 
+def _doc_constants() -> dict[str, int]:
+    doc = DOC.read_text()
+    return {name: int(value, 0) for name, value
+            in re.findall(r"^\| `(\w+)` \| (\w+) \|", doc, re.M)}
+
+
+def _doc_philox(seed: int, counter: int) -> list[int]:
+    """The outputs v0..v3 of one counter, by docs/pool-content.md's round
+    and constants, one 64-bit word at a time."""
+    c = _doc_constants()
+    u64 = (1 << 64) - 1
+    x0, x1, x2, x3 = counter, 0, 0, 0
+    k0, k1 = seed % (1 << 64), 0
+    for _ in range(c["ROUNDS"]):
+        p0, p1 = c["M0"] * x0, c["M1"] * x2
+        x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0, p1 & u64,
+                          (p0 >> 64) ^ x3 ^ k1, p0 & u64)
+        k0, k1 = (k0 + c["W0"]) & u64, (k1 + c["W1"]) & u64
+    return [x0, x1, x2, x3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 100001, (1 << 64) - 1, -3])
+def test_the_doc_rebuilds_the_tile_without_numpy(seed):
+    # a checker with only the doc's round and constants gets the tile's
+    # words, at the first counters and at the last
+    tile = content._tile_view.__wrapped__(seed)
+    last = content.TILE // 32
+    for counter in (1, 2, 3, content._RUN, content._RUN + 1, last):
+        start = 32 * (counter - 1)
+        words = [int.from_bytes(tile[start + 8 * i:start + 8 * i + 8],
+                                "little") for i in range(4)]
+        assert words == _doc_philox(seed, counter), counter
+
+
 def test_pool_content_doc_matches_the_module():
     doc = DOC.read_text()
-    constants = dict(re.findall(r"^\| `(\w+)` \| (\w+) \|", doc, re.M))
-    assert {name: int(value, 0) for name, value in constants.items()} == {
-        "TILE": content.TILE, "BLOCK": content.BLOCK, "ODD": content.ODD}
+    assert _doc_constants() == {
+        "TILE": content.TILE, "BLOCK": content.BLOCK, "ODD": content.ODD,
+        "M0": content._M0, "M1": content._M1, "W0": content._W0,
+        "W1": content._W1, "ROUNDS": content._ROUNDS}
     assert "key (seed mod 2^64, 0)" in doc
     assert "little-endian" in doc
+    words = " ".join(doc.split())
+    assert "The first counter is c = 1" in words
+    assert "in the order v0, v1, v2, v3" in words
     distinct_gib = content.TILE * content.BLOCK // (1 << 30)
     assert f"{content.TILE:,} blocks ({distinct_gib} GiB)" in doc
     examples = re.findall(

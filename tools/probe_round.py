@@ -83,8 +83,11 @@ def base_of(buf):
 class ReadPathCopies:
     """Bytes copied per site, counted by wrapping remfio's read path."""
 
-    def __init__(self) -> None:
+    def __init__(self, tile_of=None) -> None:
+        """tile_of(seed), if given, is the seed's tile: the buffer that
+        content_range's input is."""
         self.bytes = dict.fromkeys(SITES, 0)
+        self._tile_of = tile_of
         self._last_range = None  # base of content_range's latest result
         self._received = threading.local()  # payload bases, per carrier
 
@@ -109,7 +112,8 @@ class ReadPathCopies:
         def counted_range(*args):
             got = content_range(*args)
             self._last_range = base_of(got)
-            self.note("content_range", got, ())
+            tile = () if self._tile_of is None else (self._tile_of(args[0]),)
+            self.note("content_range", got, tile)
             return got
 
         def counted_pool_read(pool_file, offset, n):
@@ -296,12 +300,14 @@ def probe(w, seed: int, rounds: int, pool_dir: Path,
     """Seed a fresh pool for workload w and run `rounds` counted rounds;
     then, given bytecodes, one more round that it counts."""
     import remfio.client
+    import remfio.content
     import remfio.diskserver
     import remfio.runtime
     from workloads import run_round, seed_fresh_pool
 
     seed_fresh_pool(w, seed, pool_dir)
-    counter = ReadPathCopies()
+    counter = ReadPathCopies(
+        lambda seed: remfio.content._tile_view(seed).obj)
     sched = SchedulerCounts()
     saved = counter.install(remfio.diskserver, remfio.client)
     saved += sched.install(remfio.runtime.VirtualRuntime, threading.Thread)
