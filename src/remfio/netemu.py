@@ -230,8 +230,12 @@ class EmuConnection:
     def _window_returned(self, n: int) -> None:
         """n bytes of window back: kick, as their timers would have."""
         self._window_avail += n
-        self._kick()
-        if self._kick_waiters:  # a sender still waits
+        waiters = self._kick_waiters
+        if not self._kicked:  # _kick, inline: a window return is hot
+            self._kicked = True
+            if waiters:
+                self._rt._push(self._rt._now, waiters.popleft())
+        if waiters:  # a sender still waits
             self._window_back.wait()
 
     def _kick(self) -> None:
@@ -267,7 +271,7 @@ class EmuConnection:
         cur = tx.caller
         if cur.__class__ is not Task:
             rt._current = tx  # the frame steps on as a callback
-        tx.step()
+        tx(sending=True)
         rt._current = cur
 
     def _admit(self, msg: Message, credit_reserved: bool) -> int:
@@ -388,12 +392,13 @@ class _Ledger(list):
     is settled, counted as back, once the runtime has run past it; only
     while a waiter needs it is it armed, pushed there to run fire(amount)."""
 
-    __slots__ = ("_rt", "_fire", "_armed", "_waiting")
+    __slots__ = ("_rt", "_fire", "_armed", "_waiting", "_bell")
 
     def __init__(self, rt: VirtualRuntime, fire: Callable[[int], None]):
         super().__init__()
         self._rt, self._fire = rt, fire
         self._armed = self._waiting = False
+        self._bell = self._ring  # bound once, not at every arming
 
     def add(self, dt: float, amount: int) -> None:
         rt = self._rt
@@ -414,7 +419,8 @@ class _Ledger(list):
         self._waiting = True
         if self and not self._armed:
             self._armed = True
-            self._rt._arm(*self[0][:2], self._ring)
+            t, seq, _ = self[0]
+            self._rt._arm(t, seq, self._bell)
 
     def _ring(self) -> None:
         self._armed = self._waiting = False
@@ -432,8 +438,10 @@ class _Transmit:
         self.caller = conn._rt._current
         self.windowed = False  # waiting for a window kick
 
-    def step(self) -> bool:
-        """Go on to the frame's next wait; True once the frame is out."""
+    def __call__(self, sending: bool = False) -> None:
+        """Go on to the frame's next wait, from send() or where a wait
+        ended; once the frame is out, or dropped by try_send, a callback
+        that waited on it is called again."""
         conn = self.conn
         rt, back = conn._rt, conn._window_back
         while self.remaining > 0:
@@ -442,47 +450,43 @@ class _Transmit:
                 conn._window_returned(n)
             if self.windowed:
                 if not conn._kicked:
-                    conn._kick_waiters.append(rt._current)
+                    cur = rt._current
+                    conn._kick_waiters.append(cur)
                     back.wait()
+                    if cur is self and not rt._stopping:
+                        return  # called again at the kick
                     rt._switch(None)
-                    if rt._current is self:
-                        return False
                     continue
                 conn._kicked = self.windowed = False  # the kick is taken
                 if conn.closed:
                     conn._kick()  # wake the next sender
-                    raise TransportError(
-                        f"connection {conn.conn_id} closed mid-send")
+                    if sending or not self.trying:
+                        raise TransportError(
+                            f"connection {conn.conn_id} closed mid-send")
+                    break  # dropped by a callback's try_send
             # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
             # an eighth of the window, or the rest of the frame, to be free
-            if conn._window_avail < min(self.remaining, conn._min_slice):
+            avail, take = conn._window_avail, self.remaining
+            if avail < take and avail < conn._min_slice:
                 self.windowed = True
                 continue
-            take = min(self.remaining, conn._window_avail)
-            conn._window_avail -= take
+            if avail < take:
+                take = avail
+            conn._window_avail = avail - take
             back.add(conn.profile.rtt, take)
             self.remaining -= take
             conn._pump.acquire(conn.conn_id, take)  # to transmit end
             if rt._current is self:
-                return False
-        conn.sent_bytes += self.frame_len
-        if isinstance(self.msg, DataChunk):
-            conn.sent_payload += len(self.msg.payload)
-        rt._push(rt._now + conn._latency, self._arrive)
-        return True
+                return  # called again at the grant's end
+        else:  # the frame is out
+            conn.sent_bytes += self.frame_len
+            if isinstance(self.msg, DataChunk):
+                conn.sent_payload += len(self.msg.payload)
+            rt._push(rt._now + conn._latency, self._arrive)
+        if not sending:
+            rt._current = self.caller
+            self.caller()
 
     def _arrive(self) -> None:
         """The frame reaches the far end, rtt/2 after its last slice."""
         self.conn._peer._deliver(self.msg, self.frame_len)
-
-    def __call__(self) -> None:
-        """Step on where a wait ended; once the frame is out, or dropped by
-        try_send, call the callback that sent it again."""
-        try:
-            if not self.step():
-                return
-        except TransportError:
-            if not self.trying:
-                raise
-        self.conn._rt._current = self.caller
-        self.caller()

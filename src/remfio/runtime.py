@@ -171,6 +171,7 @@ class VirtualRuntime:
     # -- scheduler internals ------------------------------------------------
 
     def _push(self, t: float, entry) -> None:
+        """Push entry at time t, which must not be before _now."""
         heappush(self._heap, (t, next(self._seqs), entry))
 
     def _arm(self, t: float, seq: int, entry) -> None:
@@ -221,9 +222,8 @@ class VirtualRuntime:
         """
         heap = self._heap
         while heap:
-            t, self._at, entry = heappop(heap)
-            if t > self._now:
-                self._now = t
+            # no entry lies before the position that pushed it (_push, _arm)
+            self._now, self._at, entry = heappop(heap)
             if entry.__class__ is Task:
                 nxt = entry
                 break
@@ -360,13 +360,17 @@ class VirtualRateLimiter:
         self._busy = False  # a serve callback is pending
         self._timed = rate != float("inf")  # a grant takes time
         self._granted = None  # the callback of the one grant outstanding
+        # bound once, not at every push
+        self._serve, self._end_grant = self._serve, self._end_grant
 
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
             return
-        rt = self._rt
-        tag = max(self._vtime, self._last_tag.get(key, 0)) + nbytes
-        self._last_tag[key] = tag
+        rt, vtime = self._rt, self._vtime
+        tag = self._last_tag.get(key, vtime)
+        if tag < vtime:
+            tag = vtime
+        self._last_tag[key] = tag = tag + nbytes
         self._arrivals += 1
         waiter = rt._current
         heappush(self._requests, (tag, self._arrivals, key, nbytes, waiter))
@@ -405,4 +409,7 @@ class VirtualRateLimiter:
         """End a callback's grant: call it, then pick the next request."""
         waiter = self._rt._current = self._granted
         waiter()
-        self._serve()
+        if self._requests:
+            self._serve()
+        else:
+            self._busy = False

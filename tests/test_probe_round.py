@@ -249,23 +249,59 @@ def test_a_small_stream_round_copies_nothing(tmp_path, monkeypatch):
 def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
                                                               monkeypatch):
     # the opcode count of a round is deterministic: tracing the same round
-    # twice gives the same bytecodes, Python calls and top functions
+    # twice gives the same bytecodes, Python calls, builtin calls and top
+    # functions
     monkeypatch.syspath_prepend(str(ROOT / "simbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
     w = workloads.SMALL["seq-stream-16"]
-    traces = sys.gettrace(), threading.gettrace()
+    hooks = (sys.gettrace(), threading.gettrace(), sys.getprofile(),
+             threading.getprofile())
     counts = []
     for rep in range(2):
         bytecodes = probe_round.Bytecodes()
         probe_round.probe(w, 1, 1, tmp_path / f"pool-{rep}", bytecodes)
         counts.append(bytecodes.counts())
-    assert (sys.gettrace(), threading.gettrace()) == traces  # restored
+    assert (sys.gettrace(), threading.gettrace(), sys.getprofile(),
+            threading.getprofile()) == hooks  # restored
     assert counts[0] == counts[1]
     assert counts[0]["bytecodes"] > counts[0]["py_calls"] > 0
-    top = counts[0]["bytecodes_top"]
-    assert len(top) == probe_round.TOP_FUNCTIONS
-    assert list(top.values()) == sorted(top.values(), reverse=True)
+    assert counts[0]["bytecodes"] > counts[0]["c_calls"] > 0
+    for key in ("bytecodes_top", "c_calls_top"):
+        top = counts[0][key]
+        assert len(top) == probe_round.TOP_FUNCTIONS
+        assert list(top.values()) == sorted(top.values(), reverse=True)
     import remfio.runtime
     handoff = remfio.runtime.VirtualRuntime._handoff.__code__
-    assert f"runtime.py:{probe_round.qualname(handoff)}" in top
+    assert (f"runtime.py:{probe_round.qualname(handoff)}"
+            in counts[0]["bytecodes_top"])
+    # every event goes through _push or _arm, whose heappush is a builtin
+    assert counts[0]["c_calls_top"]["_heapq.heappush"] > 0
+
+
+def test_builtins_are_named_by_module_or_type():
+    assert [probe_round.builtin_name(fn) for fn in (
+        len, sorted, [].append, dict.get, sys.getprofile)] == [
+        "builtins.len", "builtins.sorted", "list.append", "dict.get",
+        "sys.getprofile"]
+
+
+# heap pushes and _handoff calls per round of simbench's SMALL workloads at
+# seed 1; seq-stream-16 over its stagger draws 0-2. A change that moves an
+# event re-records these, and says so.
+EVENT_COUNTS = {
+    "seq-stream-16": [(484, 85), (486, 87), (483, 86)],
+    "stream-window64k": [(431, 30)],
+    "skip-mixed-32": [(1151, 192)],
+}
+
+
+def test_small_rounds_push_and_hand_off_as_recorded(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "simbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    for name, want in EVENT_COUNTS.items():
+        rows = probe_round.probe(workloads.SMALL[name], 1, len(want),
+                                 tmp_path / name)
+        got = [(row["heap_pushes"], row["handoff_calls"]) for row in rows]
+        assert got == want, name

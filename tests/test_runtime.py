@@ -727,3 +727,45 @@ def test_a_callbacks_grant_ends_by_calling_it_before_the_next_pick():
     # for a task; a pick before the waiter ran would grant y at t=1
     assert _grant_log(callback=True) == _grant_log(callback=False) == [
         ("x", 1.0), ("x", 2.0), ("y", 5.0), ("x", 6.0)]
+
+
+def test_no_entry_goes_on_the_heap_before_the_position_that_pushes_it(
+        tmp_path, monkeypatch):
+    # _handoff sets the clock to each entry's time as it pops it, so a push
+    # may not lie in the past, and an armed window or credit return, whose
+    # seq was drawn earlier, must lie after the position that arms it.
+    # Checked in one small round of each simbench workload and in a run of
+    # every mode on the zero profile, where same-instant ties are densest.
+    from remfio.bench import ReadMode, Skip, WorkloadSpec, run_benchmark
+    push, arm = VirtualRuntime._push, VirtualRuntime._arm
+    seen = {"push": 0, "arm": 0}
+    early = []
+
+    def checked_push(rt, t, entry):
+        seen["push"] += 1
+        if not t >= rt._now:
+            early.append(("push", t, rt._now, entry))
+        push(rt, t, entry)
+
+    def checked_arm(rt, t, seq, entry):
+        seen["arm"] += 1
+        if not (t, seq) > (rt._now, rt._at):
+            early.append(("arm", (t, seq), (rt._now, rt._at), entry))
+        arm(rt, t, seq, entry)
+
+    monkeypatch.setattr(VirtualRuntime, "_push", checked_push)
+    monkeypatch.setattr(VirtualRuntime, "_arm", checked_arm)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "simbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    for name, w in workloads.SMALL.items():
+        workloads.seed_fresh_pool(w, 1, tmp_path / name)
+        workloads.run_round(w, 1, tmp_path / name)
+    for mode in ReadMode:
+        run_benchmark(WorkloadSpec(
+            pattern=Skip(128 * 1024, 3), file_size=1 << 20,
+            block_size=64 * 1024, mode=mode, clients=4, net_profile="zero",
+            stagger_window=0.0), seed=1)
+    assert seen["push"] > seen["arm"] > 0
+    assert early == []

@@ -35,17 +35,21 @@ object per line:
 - `thread_starts`, the calls of threading.Thread.start during the round.
 
 After the counted rounds, one more round runs with no wrapper installed,
-under sys.settrace and threading.settrace with f_trace_opcodes set, and the
-last line gains `bytecodes` (opcodes executed), `py_calls` (Python frames
-entered, a generator's resumption included) and `bytecodes_top` (the 10
-functions that executed the most opcodes, each named `file:qualname`, or
-`file:name` before Python 3.11). The traced round takes about 2 s more
-than the counted ones. The round's threads are joined before the count
-ends, so their last opcodes count too. The threading module's own code,
-and the weak-set callbacks by which it forgets finished threads, are left
-out: how much of them runs depends on which thread wins a race, such as
-whether a new thread has started before Thread.start waits for it. What is
-left repeats exactly from round to round and from run to run.
+under sys.settrace and threading.settrace with f_trace_opcodes set, and
+under sys.setprofile and threading.setprofile, and the last line gains
+`bytecodes` (opcodes executed), `py_calls` (Python frames entered, a
+generator's resumption included), `bytecodes_top` (the 10 functions that
+executed the most opcodes, each named `file:qualname`, or `file:name`
+before Python 3.11), `c_calls` (calls of builtin functions and methods:
+the profile's `c_call` events) and `c_calls_top` (the 10 builtins called
+most, each named `module.qualname`, or `qualname` for a method). The traced
+round takes about 2 s more than the counted ones. The round's threads are
+joined before the count ends, so their last opcodes count too. The
+threading module's own code, and the weak-set callbacks by which it
+forgets finished threads, are left out, with the builtins they call: how
+much of them runs depends on which thread wins a race, such as whether a
+new thread has started before Thread.start waits for it. What is left
+repeats exactly from round to round and from run to run.
 
 The last line is the median of each count over the rounds. The probe wraps
 remfio's functions in this process only; it writes nothing under simbench/
@@ -71,7 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SITES = ("content_range", "PoolFile.read", "ClientHandle.read")
 STAGGER_DRAWS = 8  # simbench's timed rounds cycle through this many draws
-TOP_FUNCTIONS = 10  # functions listed under bytecodes_top
+TOP_FUNCTIONS = 10  # functions listed under bytecodes_top and c_calls_top
 
 
 def base_of(buf):
@@ -238,15 +242,25 @@ def qualname(code) -> str:
     return getattr(code, "co_qualname", code.co_name)
 
 
+def builtin_name(fn) -> str:
+    """A builtin's name: module.qualname, or qualname for a method."""
+    name = getattr(fn, "__qualname__", type(fn).__name__)
+    module = getattr(fn, "__module__", None)
+    return f"{module}.{name}" if module else name
+
+
 class Bytecodes:
-    """Opcodes executed, by function, and Python frames entered, counted by
-    a trace function on every thread started while it is installed and on
-    the thread that installs it."""
+    """Opcodes executed, by function, Python frames entered, and builtins
+    called, counted by a trace and a profile function on every thread
+    started while they are installed and on the thread that installs
+    them."""
 
     def __init__(self) -> None:
         self.per_code: Counter = Counter()  # opcodes by code object
+        self.per_builtin: Counter = Counter()  # calls by builtin's name
         self.py_calls = 0
-        self._skip = {threading.__file__, _weakrefset.__file__}
+        # the probe's own frame runs fn, and calls builtins after it
+        self._skip = {threading.__file__, _weakrefset.__file__, __file__}
 
     def _call(self, frame, event, arg):
         code = frame.f_code
@@ -262,19 +276,28 @@ class Bytecodes:
             self.per_code[frame.f_code] += 1
         return self._opcode
 
+    def _profile(self, frame, event, arg):
+        if event == "c_call" and frame.f_code.co_filename not in self._skip:
+            self.per_builtin[builtin_name(arg)] += 1
+
     def run(self, fn, *args):
         """fn(*args), counted; returns its result."""
         before = set(threading.enumerate())
-        traces = sys.gettrace(), threading.gettrace()
+        hooks = (sys.gettrace(), threading.gettrace(), sys.getprofile(),
+                 threading.getprofile())
         threading.settrace(self._call)
+        threading.setprofile(self._profile)
         sys.settrace(self._call)
+        sys.setprofile(self._profile)
         try:
             return fn(*args)
         finally:
             for thread in set(threading.enumerate()) - before:
                 thread.join(timeout=5.0)
-            sys.settrace(traces[0])
-            threading.settrace(traces[1])
+            sys.settrace(hooks[0])
+            threading.settrace(hooks[1])
+            sys.setprofile(hooks[2])
+            threading.setprofile(hooks[3])
 
     def counts(self) -> dict:
         top: Counter = Counter()
@@ -282,7 +305,10 @@ class Bytecodes:
             top[f"{Path(code.co_filename).name}:{qualname(code)}"] += n
         return {"bytecodes": sum(self.per_code.values()),
                 "py_calls": self.py_calls,
-                "bytecodes_top": dict(top.most_common(TOP_FUNCTIONS))}
+                "bytecodes_top": dict(top.most_common(TOP_FUNCTIONS)),
+                "c_calls": sum(self.per_builtin.values()),
+                "c_calls_top": dict(
+                    self.per_builtin.most_common(TOP_FUNCTIONS))}
 
 
 def summarize(rounds: list[dict]) -> dict:
