@@ -349,9 +349,9 @@ def _joined(parts: list) -> memoryview:
         return memoryview(parts[0]).toreadonly()
     views = [memoryview(p) for p in parts]
     if views:
-        obj = views[0].obj
-        start = end = _address(views[0])
-        for v in views:
+        obj, start = views[0].obj, _address(views[0])
+        end = start + views[0].nbytes
+        for v in views[1:]:  # each address read once
             if v.obj is not obj or _address(v) != end:
                 break
             end += v.nbytes

@@ -448,15 +448,7 @@ class _Transmit:
             # returns the runtime has run past come back here, and kick
             if back and back[0][0] <= rt._now and (n := back.settle()):
                 conn._window_returned(n)
-            if self.windowed:
-                if not conn._kicked:
-                    cur = rt._current
-                    conn._kick_waiters.append(cur)
-                    back.wait()
-                    if cur is self and not rt._stopping:
-                        return  # called again at the kick
-                    rt._switch(None)
-                    continue
+            if self.windowed and conn._kicked:
                 conn._kicked = self.windowed = False  # the kick is taken
                 if conn.closed:
                     conn._kick()  # wake the next sender
@@ -464,20 +456,29 @@ class _Transmit:
                         raise TransportError(
                             f"connection {conn.conn_id} closed mid-send")
                     break  # dropped by a callback's try_send
-            # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait for
-            # an eighth of the window, or the rest of the frame, to be free
-            avail, take = conn._window_avail, self.remaining
-            if avail < take and avail < conn._min_slice:
+            if not self.windowed:
+                # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait
+                # for an eighth of the window, or the frame's rest, to be free
+                avail, take = conn._window_avail, self.remaining
+                if avail >= take or avail >= conn._min_slice:
+                    if avail < take:
+                        take = avail
+                    conn._window_avail = avail - take
+                    back.add(conn.profile.rtt, take)
+                    self.remaining -= take
+                    conn._pump.acquire(conn.conn_id, take)  # to transmit end
+                    if rt._current is self:
+                        return  # called again at the grant's end
+                    continue
                 self.windowed = True
-                continue
-            if avail < take:
-                take = avail
-            conn._window_avail = avail - take
-            back.add(conn.profile.rtt, take)
-            self.remaining -= take
-            conn._pump.acquire(conn.conn_id, take)  # to transmit end
-            if rt._current is self:
-                return  # called again at the grant's end
+                if conn._kicked:
+                    continue  # take the kick left
+            cur = rt._current  # the window is short, no kick left: wait
+            conn._kick_waiters.append(cur)
+            back.wait()
+            if cur is self and not rt._stopping:
+                return  # called again at the kick
+            rt._switch(None)
         else:  # the frame is out
             conn.sent_bytes += self.frame_len
             if isinstance(self.msg, DataChunk):

@@ -346,6 +346,10 @@ class VirtualRateLimiter:
     pick, as a carrier must run first; a callback's in one that calls it and
     picks. An idle limiter holds no timer, and a key's state is dropped with
     its last request. acquire of no bytes returns at once, without a wait.
+    A request that finds nothing queued, so no key's last tag either, is
+    tagged V + n and waits in a one-request slot off the heap; a second
+    request moves it onto the heap first, with its key's last tag and the
+    earlier arrival, so tags, grant order and grant ends are unchanged.
     """
 
     def __init__(self, runtime: VirtualRuntime, rate: float):
@@ -354,6 +358,7 @@ class VirtualRateLimiter:
         self._rt = runtime
         self._rate = rate
         self._requests: list = []  # heap of (tag, arrival, key, n, waiter)
+        self._lone = None  # the one request queued, off the heap, arrival 0
         self._last_tag: dict = {}  # key -> tag of its last queued request
         self._vtime = 0  # V: the tag of the request last granted
         self._arrivals = 0
@@ -366,14 +371,22 @@ class VirtualRateLimiter:
     def acquire(self, key, nbytes: int) -> None:
         if nbytes <= 0:
             return
-        rt, vtime = self._rt, self._vtime
-        tag = self._last_tag.get(key, vtime)
-        if tag < vtime:
-            tag = vtime
-        self._last_tag[key] = tag = tag + nbytes
-        self._arrivals += 1
+        rt = self._rt
         waiter = rt._current
-        heappush(self._requests, (tag, self._arrivals, key, nbytes, waiter))
+        if self._lone is None and not self._requests:  # so no last tags
+            self._lone = (self._vtime + nbytes, 0, key, nbytes, waiter)
+        else:
+            vtime, last, requests = self._vtime, self._last_tag, self._requests
+            if lone := self._lone:  # onto the empty heap, before the newcomer
+                self._lone = None
+                heappush(requests, lone)
+                last[lone[2]] = lone[0]
+            tag = last.get(key, vtime)
+            if tag < vtime:
+                tag = vtime
+            last[key] = tag = tag + nbytes
+            self._arrivals += 1
+            heappush(requests, (tag, self._arrivals, key, nbytes, waiter))
         if not self._busy:
             # serve once the event loop has run everything else due now, so
             # at infinite rate the requests of one instant are granted
@@ -385,12 +398,18 @@ class VirtualRateLimiter:
 
     def _serve(self) -> None:
         """Grant queued requests in tag order until one takes time."""
-        rt, requests = self._rt, self._requests
-        while requests:
-            tag, _, key, nbytes, waiter = heappop(requests)
+        rt = self._rt
+        while True:
+            if lone := self._lone:
+                self._lone = None
+                tag, _, key, nbytes, waiter = lone
+            elif self._requests:
+                tag, _, key, nbytes, waiter = heappop(self._requests)
+                if self._last_tag[key] == tag:
+                    del self._last_tag[key]
+            else:
+                break
             self._vtime = tag
-            if self._last_tag[key] == tag:
-                del self._last_tag[key]
             if self._timed:
                 end = rt._now + nbytes / self._rate
                 if waiter.__class__ is Task:
@@ -409,7 +428,7 @@ class VirtualRateLimiter:
         """End a callback's grant: call it, then pick the next request."""
         waiter = self._rt._current = self._granted
         waiter()
-        if self._requests:
+        if self._lone or self._requests:
             self._serve()
         else:
             self._busy = False

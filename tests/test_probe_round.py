@@ -4,6 +4,7 @@ path, the per-round summary, and one small real round."""
 from __future__ import annotations
 
 import importlib.util
+import re
 import sys
 import threading
 from pathlib import Path
@@ -250,7 +251,7 @@ def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
                                                               monkeypatch):
     # the opcode count of a round is deterministic: tracing the same round
     # twice gives the same bytecodes, Python calls, builtin calls and top
-    # functions
+    # functions of each
     monkeypatch.syspath_prepend(str(ROOT / "simbench"))
     monkeypatch.delitem(sys.modules, "workloads", raising=False)
     import workloads
@@ -267,7 +268,7 @@ def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
     assert counts[0] == counts[1]
     assert counts[0]["bytecodes"] > counts[0]["py_calls"] > 0
     assert counts[0]["bytecodes"] > counts[0]["c_calls"] > 0
-    for key in ("bytecodes_top", "c_calls_top"):
+    for key in ("bytecodes_top", "py_calls_top", "c_calls_top"):
         top = counts[0][key]
         assert len(top) == probe_round.TOP_FUNCTIONS
         assert list(top.values()) == sorted(top.values(), reverse=True)
@@ -275,6 +276,12 @@ def test_a_small_stream_round_counts_the_same_bytecodes_twice(tmp_path,
     handoff = remfio.runtime.VirtualRuntime._handoff.__code__
     assert (f"runtime.py:{probe_round.qualname(handoff)}"
             in counts[0]["bytecodes_top"])
+    # py_calls_top names functions as bytecodes_top does, and counts entries
+    top_calls = counts[0]["py_calls_top"]
+    assert sum(top_calls.values()) <= counts[0]["py_calls"]
+    assert all(re.fullmatch(r"\w+\.py:[\w.<>]+", name) for name in top_calls)
+    push = remfio.runtime.VirtualRuntime._push.__code__
+    assert f"runtime.py:{probe_round.qualname(push)}" in top_calls
     # every event goes through _push or _arm, whose heappush is a builtin
     assert counts[0]["c_calls_top"]["_heapq.heappush"] > 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import os
 import random
 import subprocess
@@ -11,6 +12,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import remfio.runtime
 from remfio.errors import DeadlockError
@@ -769,3 +772,103 @@ def test_no_entry_goes_on_the_heap_before_the_position_that_pushes_it(
             stagger_window=0.0), seed=1)
     assert seen["push"] > seen["arm"] > 0
     assert early == []
+
+
+# -- the rate limiter against a reference SCFQ ---------------------------------
+
+
+def _scfq(arrivals: list, rate: float) -> list:
+    """(arrival, key, tag, start, end) of each grant, in grant order, of the
+    self-clocked fair queue that VirtualRateLimiter's docstring states:
+    requests (time, key, n), in arrival order, are each tagged max(V, the
+    key's last queued tag) + n; the smallest tag goes next, ties in arrival
+    order; V is the tag last granted; a grant takes n / rate; and a pick at
+    t sees every request that arrived by t."""
+    heap, last, vtime, t, i, grants = [], {}, 0, 0.0, 0, []
+    while i < len(arrivals) or heap:
+        if not heap:
+            t = max(t, arrivals[i][0])
+        while i < len(arrivals) and arrivals[i][0] <= t:
+            _, key, n = arrivals[i]
+            tag = max(vtime, last.get(key, vtime)) + n
+            last[key] = tag
+            heapq.heappush(heap, (tag, i, key, n))
+            i += 1
+        tag, arrival, key, n = heapq.heappop(heap)
+        vtime = tag
+        if last[key] == tag:
+            del last[key]
+        grants.append((arrival, key, tag, t, t + n / rate))
+        t += n / rate
+    return grants
+
+
+_SIZES = st.one_of(st.sampled_from((1, 1500, 64 * 1024, 256 * 1024)),
+                   st.integers(1, 256 * 1024))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 5), _SIZES,
+                          st.booleans()), min_size=1, max_size=12),
+       st.sampled_from((1e8, 1e9, float("inf"))))
+def test_the_limiter_grants_as_a_reference_scfq_does(requests, rate):
+    # each request (instant in 1/4 ms, key, bytes, by a task?) has a waiter
+    # of its own: a task that sleeps until then, or a callback timed then.
+    # Bursts at one instant and requests that arrive during a grant queue
+    # behind the one-request slot; every grant's tag, start and end must be
+    # the reference's for the arrivals as they came.
+    rt = VirtualRuntime()
+    lim = rt.rate_limiter(rate)
+    arrived, pending, grants, lone_states = [], {}, [], []
+    push = rt._push
+
+    def logged_push(t, entry):
+        waiter = lim._granted if entry is lim._end_grant else entry
+        if waiter in pending:  # the pick: V is now the grant's tag
+            i = pending.pop(waiter)
+            grants.append((i, requests[i][1], lim._vtime, rt.now(), t))
+        push(t, entry)
+
+    def ask(i):
+        _, key, nbytes, _ = requests[i]
+        alone = not pending
+        pending[rt._current] = i
+        arrived.append((rt.now(), key, nbytes, i))
+        lim.acquire(key, nbytes)
+        if alone and rt._current.__class__ is not remfio.runtime.Task:
+            # a request that finds nothing queued stays off the tag heap, so
+            # a key asking one request at a time leaves no entry there
+            lone_states.append((list(lim._requests), dict(lim._last_tag)))
+
+    def task(i):
+        if requests[i][0]:
+            rt.sleep(requests[i][0] / 4000)
+        ask(i)
+
+    def callback(i):
+        asked = []
+
+        def waiter():
+            if not asked:
+                asked.append(i)
+                ask(i)
+        return waiter
+
+    def main():
+        rt._push = logged_push
+        tasks = []
+        for i, (instant, _, _, by_task) in enumerate(requests):
+            if by_task:
+                tasks.append(rt.spawn(task, i))
+            else:
+                rt.call_at(instant / 4000, callback(i))
+        for t in tasks:
+            rt.join(t)
+        rt.sleep(1.0)  # past every grant's end
+
+    rt.run(main)
+    want = _scfq([a[:3] for a in arrived], rate)
+    assert grants == [(arrived[a][3], *rest) for a, *rest in want]
+    assert all(s == ([], {}) for s in lone_states)
+    assert (lim._lone, lim._requests, lim._last_tag, lim._busy) == (
+        None, [], {}, False)

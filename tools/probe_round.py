@@ -40,7 +40,8 @@ under sys.setprofile and threading.setprofile, and the last line gains
 `bytecodes` (opcodes executed), `py_calls` (Python frames entered, a
 generator's resumption included), `bytecodes_top` (the 10 functions that
 executed the most opcodes, each named `file:qualname`, or `file:name`
-before Python 3.11), `c_calls` (calls of builtin functions and methods:
+before Python 3.11), `py_calls_top` (the 10 functions entered most, named
+alike), `c_calls` (calls of builtin functions and methods:
 the profile's `c_call` events) and `c_calls_top` (the 10 builtins called
 most, each named `module.qualname`, or `qualname` for a method). The traced
 round takes about 2 s more than the counted ones. The round's threads are
@@ -75,7 +76,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SITES = ("content_range", "PoolFile.read", "ClientHandle.read")
 STAGGER_DRAWS = 8  # simbench's timed rounds cycle through this many draws
-TOP_FUNCTIONS = 10  # functions listed under bytecodes_top and c_calls_top
+TOP_FUNCTIONS = 10  # functions listed under each *_top count
 
 
 def base_of(buf):
@@ -250,15 +251,15 @@ def builtin_name(fn) -> str:
 
 
 class Bytecodes:
-    """Opcodes executed, by function, Python frames entered, and builtins
+    """Opcodes executed and Python frames entered, by function, and builtins
     called, counted by a trace and a profile function on every thread
     started while they are installed and on the thread that installs
     them."""
 
     def __init__(self) -> None:
         self.per_code: Counter = Counter()  # opcodes by code object
+        self.calls_per_code: Counter = Counter()  # frames by code object
         self.per_builtin: Counter = Counter()  # calls by builtin's name
-        self.py_calls = 0
         # the probe's own frame runs fn, and calls builtins after it
         self._skip = {threading.__file__, _weakrefset.__file__, __file__}
 
@@ -266,7 +267,7 @@ class Bytecodes:
         code = frame.f_code
         if code.co_filename in self._skip:
             return None
-        self.py_calls += 1
+        self.calls_per_code[code] += 1
         frame.f_trace_lines = False
         frame.f_trace_opcodes = True
         return self._opcode
@@ -300,12 +301,15 @@ class Bytecodes:
             threading.setprofile(hooks[3])
 
     def counts(self) -> dict:
-        top: Counter = Counter()
-        for code, n in self.per_code.items():
-            top[f"{Path(code.co_filename).name}:{qualname(code)}"] += n
+        def top(per_code: Counter) -> dict:
+            named: Counter = Counter()
+            for code, n in per_code.items():
+                named[f"{Path(code.co_filename).name}:{qualname(code)}"] += n
+            return dict(named.most_common(TOP_FUNCTIONS))
         return {"bytecodes": sum(self.per_code.values()),
-                "py_calls": self.py_calls,
-                "bytecodes_top": dict(top.most_common(TOP_FUNCTIONS)),
+                "py_calls": sum(self.calls_per_code.values()),
+                "bytecodes_top": top(self.per_code),
+                "py_calls_top": top(self.calls_per_code),
                 "c_calls": sum(self.per_builtin.values()),
                 "c_calls_top": dict(
                     self.per_builtin.most_common(TOP_FUNCTIONS))}
