@@ -5,8 +5,9 @@ any run can regenerate and verify file content without shipping the data
 around. docs/pool-content.md states the formula for checkers that rebuild
 the bytes with their own code:
 
-* each seed has one tile: TILE bytes of raw Philox4x64 draws keyed by
-  (seed mod 2^64, 0), each draw written little-endian;
+* each seed has one tile of TILE bytes: TILE / PIECE SHAKE-256 digests of
+  PIECE bytes each, piece i hashing seed mod 2^64 as 8 bytes little-endian
+  followed by i as 4 bytes little-endian;
 * a file of `size` bytes is cut into BLOCK-byte blocks, the last one
   possibly short, and block b of file `index` is the tile read cyclically
   from rotation r = k * ODD mod TILE, where k = index * ceil(size / BLOCK)
@@ -15,8 +16,8 @@ the bytes with their own code:
 ODD is odd, so distinct k below TILE give distinct rotations: every block of
 a pool of up to TILE blocks (1 TiB) starts at its own rotation, and a range
 shifted by a byte, another block of the same file or the same block of
-another file reads other bytes. Checksums are 64-bit blake2b digests, matching the width of the
-checksum field carried in namespace replies.
+another file reads other bytes. Checksums are 64-bit blake2b digests,
+matching the width of the checksum field carried in namespace replies.
 
 Content is handed out as read-only views, not copies. A block is a whole
 rotation of the tile, and the stored tile is followed by a second copy of
@@ -33,23 +34,11 @@ import functools
 import hashlib
 from typing import Iterator
 
-TILE = 1 << 20  # bytes of Philox draws per seed
+TILE = 1 << 20  # bytes of SHAKE-256 output per seed
+PIECE = 1 << 16  # bytes of one SHAKE-256 digest in the tile
 BLOCK = TILE  # bytes read from one rotation of the tile
 ODD = 0x9E377  # top 20 bits of 2^32 / golden ratio, odd
-
-_U64 = (1 << 64) - 1
-
-# Philox4x64-10 (Salmon et al., SC 2011), drawn as numpy's Philox draws it
-_M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157  # round multipliers
-_W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B  # key increments
-_ROUNDS = 10
-# Counters computed at once, each in its own 128-bit slot of one int, so
-# that one multiply by a 64-bit constant gives every slot's full product.
-_RUN = 512
-_ONES = int.from_bytes((b"\1" + bytes(15)) * _RUN, "little")  # 1 per slot
-_LOW = _ONES * _U64  # the low 64 bits of every slot
-_IOTA = int.from_bytes(b"".join(i.to_bytes(16, "little")
-                                for i in range(_RUN)), "little")  # slot i: i
+FORMULA = "shake256"  # its name in pool manifests; other bytes, another name
 
 
 @functools.lru_cache(maxsize=4)  # the few seeds in use
@@ -57,30 +46,13 @@ def _tile_view(seed: int) -> memoryview:
     """The seed's tile followed by a second copy of itself, as a read-only
     view, so that a block read at any rotation is one slice.
 
-    Philox4x64-10 with key (seed mod 2^64, 0) runs on counters 1, 2, ...,
-    _RUN at a time: each round multiplies lanes 0 and 2 of every counter at
-    once, and the four output lanes of a run are written, little-endian,
-    into their strided places in the one buffer. So building the tile makes
-    no whole-tile temporary: each int is 16 * _RUN bytes, and the keys of
-    every round take 2 * _ROUNDS of them."""
-    keys = []  # each round's key, repeated in every slot
-    k0, k1 = seed & _U64, 0
-    for _ in range(_ROUNDS):
-        keys.append((k0 * _ONES, k1 * _ONES))
-        k0, k1 = (k0 + _W0) & _U64, (k1 + _W1) & _U64
+    Each PIECE-byte piece is hashed straight into both copies, so building
+    the tile makes no whole-tile temporary."""
+    key = (seed % (1 << 64)).to_bytes(8, "little")
     tile = bytearray(2 * TILE)
-    words = memoryview(tile).cast("Q")
-    for c in range(0, TILE // 32, _RUN):  # the run's first counter, less 1
-        x0, x1, x2, x3 = (c + 1) * _ONES + _IOTA, 0, 0, 0
-        for k0, k1 in keys:
-            p0, p1 = x0 * _M0, x2 * _M1
-            x0 = ((p1 >> 64) ^ x1 ^ k0) & _LOW
-            x2 = ((p0 >> 64) ^ x3 ^ k1) & _LOW
-            x1, x3 = p1, p0  # low halves; the high ones are never read
-        for lane, x in enumerate((x0, x1, x2, x3)):
-            low = memoryview(x.to_bytes(16 * _RUN, "little")).cast("Q")[::2]
-            words[4 * c + lane:4 * (c + _RUN):4] = low
-    words[TILE // 8:] = words[:TILE // 8]
+    for i, at in enumerate(range(0, TILE, PIECE)):
+        piece = hashlib.shake_256(key + i.to_bytes(4, "little")).digest(PIECE)
+        tile[at:at + PIECE] = tile[TILE + at:TILE + at + PIECE] = piece
     return memoryview(tile).toreadonly()
 
 

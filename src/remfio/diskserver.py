@@ -42,8 +42,9 @@ tile itself.
 
 Pool layout on disk, only given a pool_dir: the seeded files, named by a hash
 of the namespace path so that checkers can read them, plus an append-only
-manifest with one line per seed_file write: path, filename, size, checksum
-and the content key "seed:index", tab-separated. Imported files have none.
+manifest with one line per seed_file write: path, filename, size, checksum,
+content.FORMULA and the content key "seed:index", tab-separated. Imported
+files have none.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .content import (cached_file_checksum, checksum_bytes, content_range,
-                      file_checksum)
+from .content import (FORMULA, cached_file_checksum, checksum_bytes,
+                      content_range, file_checksum)
 from .errors import ConnectionClosedError
 from .headnode import verify_session_token
 from .wire import (
@@ -211,14 +212,15 @@ class DiskServer:
         self.pool[path] = PoolFile(path, size, digest, (seed, index))
         with open(self._manifest, "a", encoding="utf-8") as f:
             f.write(f"{path}\t{location.name}\t{size}\t{digest}"
-                    f"\t{seed}:{index}\n")
+                    f"\t{FORMULA}\t{seed}:{index}\n")
         return self.pool[path]
 
     def _load_pool(self) -> None:
         """Load the manifest's seeded files, the last line per path winning.
         Any other line is skipped, and seed_pool seeds its path again: one
-        cut short, keyless, or naming a missing or other file. A last line
-        cut short is ended, so that the next append starts a line."""
+        cut short, keyless, of another content formula, or naming a missing
+        or other file. A last line cut short is ended, so that the next
+        append starts a line."""
         text = self._manifest.read_text(encoding="utf-8", errors="replace")
         *lines, cut = text.split("\n")
         if cut:
@@ -226,14 +228,15 @@ class DiskServer:
                 f.write("\n")
         for line in lines:
             try:
-                path, name, size, checksum, key = line.split("\t")
+                path, name, size, checksum, formula, key = line.split("\t")
                 seed, index = key.split(":")
                 pool_file = PoolFile(path, int(size), int(checksum),
                                      (int(seed), int(index)))
             except ValueError:
                 continue
             location = self.pool_location(path)
-            if location.name == name and location.exists():
+            if (formula == FORMULA and location.name == name
+                    and location.exists()):
                 self.pool[path] = pool_file
 
     # -- connection handling ---------------------------------------------------

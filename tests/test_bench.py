@@ -9,6 +9,7 @@ import shutil
 import threading
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -207,7 +208,7 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
     assert srv.pool[path].key == (9, 0)
     assert srv.pool_location(path).read_bytes() == new
     rows = (pool / MANIFEST_NAME).read_text().splitlines()
-    assert rows[-1].split("\t")[4] == "9:0"
+    assert rows[-1].split("\t")[-1] == "9:0"
 
     rt2, head2, srv2 = _stack(pool)
     mtime = srv2.pool_location(path).stat().st_mtime_ns
@@ -227,6 +228,45 @@ def test_a_parents_four_column_pool_is_reseeded_once(tmp_path, pool_reads):
         return data, list(pool_reads)
 
     assert rt2.run(scenario) == (new, [])
+
+
+def test_a_pool_of_another_content_formula_is_reseeded_once(tmp_path):
+    # a pool written under an earlier content formula, in the parent's
+    # five-column lines or naming another formula: its keyed lines are
+    # skipped, not served with checksums of other bytes, so each file is
+    # written again once, from this formula, and kept from then on
+    pool = tmp_path / "pool"
+    _, _, empty = _stack(pool)  # names the pool files
+    old = bytes(64 * KiB)  # bytes of an earlier formula
+    rows = []
+    for i, formula in ((0, None), (1, "philox4x64")):
+        path = bench_path(9, 64 * KiB, i)
+        location = empty.pool_location(path)
+        location.write_bytes(old)
+        columns = [path, location.name, len(old), checksum_bytes(old),
+                   formula, f"9:{i}"]
+        rows.append("\t".join(str(c) for c in columns if c is not None)
+                    + "\n")
+    (pool / MANIFEST_NAME).write_text("".join(rows))
+
+    _, head, srv = _stack(pool)
+    assert srv.pool == {}
+    entries = seed_pool(head, srv, 2, 64 * KiB, seed=9)
+    for i, entry in enumerate(entries):
+        new = file_content(9, i, 64 * KiB)
+        assert srv.pool_location(entry.path).read_bytes() == new
+        assert entry.checksum == checksum_bytes(new)
+    rows = (pool / MANIFEST_NAME).read_text().splitlines()
+    assert [row.split("\t")[4:] for row in rows[2:]] == [
+        [content.FORMULA, "9:0"], [content.FORMULA, "9:1"]]
+
+    _, head2, srv2 = _stack(pool)
+    assert srv2.pool == srv.pool
+    mtimes = [srv2.pool_location(e.path).stat().st_mtime_ns for e in entries]
+    seed_pool(head2, srv2, 2, 64 * KiB, seed=9)
+    assert [srv2.pool_location(e.path).stat().st_mtime_ns
+            for e in entries] == mtimes
+    assert len((pool / MANIFEST_NAME).read_text().splitlines()) == 4
 
 
 @pytest.mark.parametrize("cut,lost", [
@@ -378,6 +418,31 @@ def test_identical_seeds_identical_records_and_csv(tmp_path):
         assert fa.read_bytes() == fb.read_bytes()
     c = run_benchmark(spec, seed=8)
     assert c.records != a.records  # stagger draws moved
+
+
+@pytest.mark.parametrize("profile", ["wan", "zero"])
+def test_records_do_not_depend_on_file_content(monkeypatch, profile):
+    # content independence: served from another seed's tile, every file
+    # holds other bytes, and no mode's records change; the reads cross
+    # content blocks and seek, so pushes restart mid-block
+    spec = WorkloadSpec(pattern=Skip(320 * KiB, 1), file_size=2 * MiB + 5,
+                        block_size=96 * KiB, clients=3, stagger_window=0.01,
+                        net_profile=profile, window=256 * KiB)
+
+    def records():
+        return [run_benchmark(replace(spec, mode=m), seed=5).records
+                for m in ReadMode]
+
+    want = records()
+    tile_view, swapped = content._tile_view, []
+
+    def other_tile(seed):
+        swapped.append(seed)
+        return tile_view(seed + 1)
+
+    monkeypatch.setattr(content, "_tile_view", other_tile)
+    assert records() == want
+    assert swapped  # the sessions cut their reads from the other tile
 
 
 def test_repetitions_average_per_client_times():

@@ -9,7 +9,6 @@ import hashlib
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,6 +28,7 @@ DOC = Path(__file__).resolve().parents[1] / "docs" / "pool-content.md"
 # the formula's constants, written out here rather than taken from the
 # module, so that a change to the module shows as a failure
 TILE_BYTES = 1 << 20
+PIECE_BYTES = 64 * KiB
 BLOCK_BYTES = MiB
 ROTATION_STEP = 0x9E377
 CHUNK_BYTES = 256 * KiB  # a server's largest chunk, a quarter block
@@ -43,9 +43,10 @@ POOL_SHAPES = [(16, 16 * MiB), (1, 64 * MiB), (32, 16 * MiB),
 
 @functools.lru_cache(maxsize=None)
 def _tile(seed: int) -> bytes:
-    key = np.array([seed, 0], dtype=np.uint64)
-    draws = np.random.Philox(key=key).random_raw(TILE_BYTES // 8)
-    return b"".join(int(d).to_bytes(8, "little") for d in draws)
+    key = (seed % (1 << 64)).to_bytes(8, "little")
+    return b"".join(
+        hashlib.shake_256(key + i.to_bytes(4, "little")).digest(PIECE_BYTES)
+        for i in range(TILE_BYTES // PIECE_BYTES))
 
 
 @settings(max_examples=12, deadline=None)
@@ -55,13 +56,11 @@ def _tile(seed: int) -> bytes:
 @example((1 << 64) - 1)
 @example(-3)
 @example(1 << 64)
-def test_the_tile_is_numpy_philox_raw_draws(seed):
-    # the module's own Philox against numpy's, for seeds in and out of
-    # [0, 2^64), which both take mod 2^64; built without the memo
-    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
-    draws = np.random.Philox(key=key).random_raw(TILE_BYTES // 8)
+def test_the_tile_is_shake256_pieces(seed):
+    # the module's tile against this file's SHAKE-256 pieces, for seeds in
+    # and out of [0, 2^64), which both take mod 2^64; built without the memo
     view = content._tile_view.__wrapped__(seed)
-    assert view.readonly and view == draws.astype("<u8").tobytes() * 2
+    assert view.readonly and view == _tile(seed) * 2
 
 
 def _rotation(index: int, size: int, block: int) -> int:
@@ -82,30 +81,15 @@ def _expected(seed: int, index: int, size: int) -> bytes:
 @pytest.mark.parametrize("seed,index", KEYS)
 def test_content_follows_documented_tile_formula(seed, index, size):
     # the bytes of docs/pool-content.md's formula, rebuilt by this file's
-    # own code: a Philox tile per seed, read at integer rotations
+    # own code: a SHAKE-256 tile per seed, read at integer rotations
     assert file_content(seed, index, size) == _expected(seed, index, size)
-
-
-@pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("seed,index", KEYS)
-def test_content_is_philox_uint8_stream(seed, index, size):
-    # without the rotation formula: every block is a cyclic window of the
-    # first TILE bytes numpy's full-range uint8 path takes from Philox key
-    # (seed, 0), whatever the file index
-    key = np.array([seed, 0], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    twice = rng.integers(0, 256, size=TILE_BYTES, dtype=np.uint8).tobytes() * 2
-    data = file_content(seed, index, size)
-    assert len(data) == size
-    for start in range(0, size, BLOCK_BYTES):
-        assert data[start:start + BLOCK_BYTES] in twice
 
 
 def test_golden_content():
     # recorded once from the tile formula
     data = file_content(1, 0, 4 * MiB + 5)
-    assert hashlib.sha256(data).hexdigest()[:16] == "a0543cfcec7a5616"
-    assert checksum_bytes(data) == 0xACC2001617EB10F8
+    assert hashlib.sha256(data).hexdigest()[:16] == "7af04516ef0f9d8b"
+    assert checksum_bytes(data) == 0x47E4D9CBF612517C
 
 
 @pytest.mark.parametrize("size", [4 * MiB + 5, 12 * MiB])
@@ -274,45 +258,28 @@ def _doc_constants() -> dict[str, int]:
             in re.findall(r"^\| `(\w+)` \| (\w+) \|", doc, re.M)}
 
 
-def _doc_philox(seed: int, counter: int) -> list[int]:
-    """The outputs v0..v3 of one counter, by docs/pool-content.md's round
-    and constants, one 64-bit word at a time."""
-    c = _doc_constants()
-    u64 = (1 << 64) - 1
-    x0, x1, x2, x3 = counter, 0, 0, 0
-    k0, k1 = seed % (1 << 64), 0
-    for _ in range(c["ROUNDS"]):
-        p0, p1 = c["M0"] * x0, c["M1"] * x2
-        x0, x1, x2, x3 = ((p1 >> 64) ^ x1 ^ k0, p1 & u64,
-                          (p0 >> 64) ^ x3 ^ k1, p0 & u64)
-        k0, k1 = (k0 + c["W0"]) & u64, (k1 + c["W1"]) & u64
-    return [x0, x1, x2, x3]
+def _doc_tile(seed: int) -> bytes:
+    """The tile by docs/pool-content.md's Python snippet, run with the
+    doc's constants and the standard library only."""
+    [snippet] = re.findall(r"^```python\n(.*?)^```$", DOC.read_text(),
+                           re.M | re.S)
+    namespace = _doc_constants()
+    exec(snippet, namespace)
+    return namespace["tile"](seed)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 100001, (1 << 64) - 1, -3])
+@pytest.mark.parametrize("seed", [0, 1, 100001, (1 << 64) - 1, -3, 1 << 64])
 def test_the_doc_rebuilds_the_tile_without_numpy(seed):
-    # a checker with only the doc's round and constants gets the tile's
-    # words, at the first counters and at the last
-    tile = content._tile_view.__wrapped__(seed)
-    last = content.TILE // 32
-    for counter in (1, 2, 3, content._RUN, content._RUN + 1, last):
-        start = 32 * (counter - 1)
-        words = [int.from_bytes(tile[start + 8 * i:start + 8 * i + 8],
-                                "little") for i in range(4)]
-        assert words == _doc_philox(seed, counter), counter
+    # a checker with only the doc's snippet and constants gets the tile
+    assert _doc_tile(seed) * 2 == content._tile_view.__wrapped__(seed)
 
 
 def test_pool_content_doc_matches_the_module():
     doc = DOC.read_text()
     assert _doc_constants() == {
-        "TILE": content.TILE, "BLOCK": content.BLOCK, "ODD": content.ODD,
-        "M0": content._M0, "M1": content._M1, "W0": content._W0,
-        "W1": content._W1, "ROUNDS": content._ROUNDS}
-    assert "key (seed mod 2^64, 0)" in doc
-    assert "little-endian" in doc
-    words = " ".join(doc.split())
-    assert "The first counter is c = 1" in words
-    assert "in the order v0, v1, v2, v3" in words
+        "TILE": content.TILE, "PIECE": content.PIECE, "BLOCK": content.BLOCK,
+        "ODD": content.ODD}
+    assert f"`{content.FORMULA}`" in doc
     distinct_gib = content.TILE * content.BLOCK // (1 << 30)
     assert f"{content.TILE:,} blocks ({distinct_gib} GiB)" in doc
     examples = re.findall(

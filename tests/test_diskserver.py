@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from remfio import wire
-from remfio.content import BLOCK, checksum_bytes, content_chunks, file_content
+from remfio.content import (BLOCK, FORMULA, checksum_bytes, content_chunks,
+                            file_content)
 from remfio.diskserver import DiskModel, DiskServer
 from remfio.headnode import session_token
 from remfio.netemu import WAN_PROFILE, ZERO_PROFILE, EmulatedNetwork
@@ -90,8 +91,8 @@ def test_import_writes_nothing_under_pool_dir(tmp_path):
 
 
 def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
-    # seed_file writes and hashes the content, and records (seed, index) in
-    # a fifth column; an import of the same bytes gets the same size and
+    # seed_file writes and hashes the content, and records the content
+    # formula and (seed, index) in a fifth and sixth column; an import of the same bytes gets the same size and
     # checksum, no key and no manifest line
     rt = VirtualRuntime()
     _, srv = _mk_server(rt, tmp_path / "pool")
@@ -107,7 +108,7 @@ def test_seed_file_keeps_its_key_in_the_manifest(tmp_path):
     rows = [line.split("\t") for line in
             (tmp_path / "pool" / "pool-manifest.tsv").read_text().splitlines()]
     assert rows == [["/pool/s", location.name, str(size),
-                     str(seeded.checksum), "7:3"]]
+                     str(seeded.checksum), FORMULA, "7:3"]]
 
     rt2 = VirtualRuntime()
     _, srv2 = _mk_server(rt2, tmp_path / "pool")
