@@ -85,6 +85,19 @@ def test_content_follows_documented_tile_formula(seed, index, size):
     assert file_content(seed, index, size) == _expected(seed, index, size)
 
 
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("seed,index", KEYS)
+def test_content_is_philox_uint8_stream(seed, index, size):
+    # named for the Philox stream the tile once was; without the rotation
+    # formula: every block is a cyclic window of the seed's SHAKE-256 tile,
+    # whatever the file index
+    twice = _tile(seed) * 2
+    data = file_content(seed, index, size)
+    assert len(data) == size
+    for start in range(0, size, BLOCK_BYTES):
+        assert data[start:start + BLOCK_BYTES] in twice
+
+
 def test_golden_content():
     # recorded once from the tile formula
     data = file_content(1, 0, 4 * MiB + 5)
