@@ -23,8 +23,8 @@ open, and never reads past it. Pushed chunks carry their file offset, and
 both push modes track the next offset the live stream will deliver. A chunk
 whose offset does not match is a leftover from before a restart and is
 dropped; because any restarted stream re-reads the same file sequentially,
-this single rule keeps the delivered byte sequence exact across seeks in
-both directions.
+this single rule, the offset rule, keeps the delivered byte sequence exact
+across seeks in both directions.
 
 rf_read returns a read-only memoryview in every mode, also when it is
 empty. Each chunk or fill is kept as one read-only view, which a read inside
@@ -206,8 +206,23 @@ class ClientHandle:
                     raise ValueError("read length must be positive")
                 if self.mode is ReadMode.NORMAL:
                     data = self._request(pos, length)
-                else:
+                elif (off != len(buf) or pos == self.file_size
+                        or self.mode is ReadMode.READBUF):
                     data = self._read_buffered(pos, length)
+                else:  # a push mode's read from where the held chunk ends
+                    msg = (self._data or self._control).recv()
+                    if msg.__class__ is not DataChunk:
+                        _expect(msg, DataChunk)  # raises
+                    n = len(msg.payload)
+                    if (msg.offset == self._expected == pos
+                            and (length <= n or pos + n == self.file_size)):
+                        # the live chunk at pos, and the read ends inside it
+                        self._expected = pos + n
+                        self._buf = buf = memoryview(msg.payload).toreadonly()
+                        self._buf_start = pos
+                        data = buf[:length]
+                    else:
+                        data = self._read_buffered(pos, length, msg)
             finally:
                 self._busy = False
                 self._counters.read_time += rt._now - t0
@@ -221,24 +236,26 @@ class ClientHandle:
         self._control.send(ReadRequest(self.handle_id, pos, length))
         self.request_count += 1
         expected = min(length, max(0, self.file_size - pos))
-        if expected == 0:
-            if _expect(self._control.recv(), DataChunk).payload != b"":
-                raise ProtocolError("expected empty chunk at EOF")
-            return memoryview(b"")
+        at_eof = expected == 0
         parts = []
-        while expected > 0:
-            parts.append(_expect(self._control.recv(), DataChunk).payload)
-            expected -= len(parts[-1])
+        while expected > 0 or not parts:
+            msg = self._control.recv()
+            if msg.__class__ is not DataChunk:
+                _expect(msg, DataChunk)  # raises
+            parts.append(msg.payload)
+            expected -= len(msg.payload)
+        if at_eof and expected:
+            raise ProtocolError("expected empty chunk at EOF")
         return _joined(parts)
 
-    def _read_buffered(self, pos: int, length: int) -> memoryview:
+    def _read_buffered(self, pos: int, length: int,
+                       msg: DataChunk | None = None) -> memoryview:
         """Serve from the buffer, at pos; refill it on a miss.
 
         READBUF refills with one request of iobufsize, clamped at EOF; the
-        push modes take the next pushed chunk that reaches the position.
-        A lone part is returned as a slice of the buffer, not a copy; more
-        are joined by _joined. A pushed chunk whose offset is not the live
-        stream's next is stale, from before a restart, and is dropped.
+        push modes take pushed chunks, msg first if given, by the offset
+        rule of the module docstring. A lone part is returned as a slice of
+        the buffer, not a copy; more are joined by _joined.
         """
         end = min(pos + length, self.file_size)
         parts = []
@@ -254,12 +271,16 @@ class ClientHandle:
                     pos, min(self.iobufsize, self.file_size - pos))
                 self._buf_start = pos
             else:  # the data connection in STREAM, else the control one
-                msg = _expect((self._data or self._control).recv(), DataChunk)
+                if msg is None:
+                    msg = (self._data or self._control).recv()
+                    if msg.__class__ is not DataChunk:
+                        _expect(msg, DataChunk)  # raises
                 if msg.offset == self._expected:
                     self._expected += len(msg.payload)
                     if self._expected > pos:  # else skipped-over bytes
                         self._buf = memoryview(msg.payload).toreadonly()
                         self._buf_start = msg.offset
+                msg = None
         return parts[0] if len(parts) == 1 else _joined(parts)
 
     # -- seek ------------------------------------------------------------------
@@ -410,13 +431,6 @@ def rf_open(path: str, config: ClientConfig) -> ClientHandle:
     return handle
 
 
-def rf_read(handle: ClientHandle, length: int) -> memoryview:
-    return handle.read(length)
-
-
-def rf_seek(handle: ClientHandle, offset: int) -> int:
-    return handle.seek(offset)
-
-
-def rf_close(handle: ClientHandle) -> HandleCounters:
-    return handle.close()
+# rf_read(handle, length), rf_seek(handle, offset), rf_close(handle)
+rf_read, rf_seek, rf_close = (ClientHandle.read, ClientHandle.seek,
+                              ClientHandle.close)

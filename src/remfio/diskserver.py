@@ -151,10 +151,12 @@ class DiskServer:
             "protocol_errors": 0,
         }
         if self.pool_dir is not None:
-            self.pool_dir.mkdir(parents=True, exist_ok=True)
             self._manifest = self.pool_dir / MANIFEST_NAME
-            if self._manifest.exists():
-                self._load_pool()
+            if not self.pool_dir.exists():
+                self.pool_dir.mkdir(parents=True, exist_ok=True)
+            names = set(os.listdir(self.pool_dir))
+            if MANIFEST_NAME in names:
+                self._load_pool(names)
 
     def start(self) -> None:
         self._net.accept(self.address, lambda conn: conn.when_readable(
@@ -215,12 +217,12 @@ class DiskServer:
                     f"\t{FORMULA}\t{seed}:{index}\n")
         return self.pool[path]
 
-    def _load_pool(self) -> None:
+    def _load_pool(self, names: set) -> None:
         """Load the manifest's seeded files, the last line per path winning.
         Any other line is skipped, and seed_pool seeds its path again: one
-        cut short, keyless, of another content formula, or naming a missing
-        or other file. A last line cut short is ended, so that the next
-        append starts a line."""
+        cut short, keyless, of another content formula, or naming another
+        file or one not in names, the directory's listing. A last line cut
+        short is ended, so that the next append starts a line."""
         text = self._manifest.read_text(encoding="utf-8", errors="replace")
         *lines, cut = text.split("\n")
         if cut:
@@ -234,9 +236,8 @@ class DiskServer:
                                      (int(seed), int(index)))
             except ValueError:
                 continue
-            location = self.pool_location(path)
-            if (formula == FORMULA and location.name == name
-                    and location.exists()):
+            if (formula == FORMULA and name in names
+                    and _pool_filename(path) == name):
                 self.pool[path] = pool_file
 
     # -- connection handling ---------------------------------------------------

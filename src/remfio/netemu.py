@@ -266,7 +266,9 @@ class EmuConnection:
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
-        tx = _Transmit(self, msg, self._admit(msg, credit_reserved), _trying)
+        if self.closed or (not credit_reserved and isinstance(msg, DataChunk)):
+            self._admit(msg, credit_reserved)  # raises
+        tx = _Transmit(self, msg, frame_size(msg), _trying)
         rt = self._rt
         cur = tx.caller
         if cur.__class__ is not Task:
@@ -318,8 +320,11 @@ class EmuConnection:
             raise ConnectionClosedError(f"recv on closed connection {self.conn_id}")
         if self.closed and len(self._queue) == 0:
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
-        msg = self._take(self._queue.get())
-        if msg is None:
+        msg = self._queue.get()
+        if msg.__class__ is DataChunk:  # consumed: its credit goes back
+            self._peer._credit_back.add(self._latency, 1)
+        elif msg is _CLOSED:  # the stream's end
+            self.closed = True
             raise ConnectionClosedError(f"peer closed {self.conn_id}")
         return msg
 
@@ -345,27 +350,17 @@ class EmuConnection:
 
         def drain() -> None:
             while not self._closed:
-                if len(queue) == 0:
-                    if self.closed:
-                        break
+                if len(queue) == 0 and not self.closed:
                     queue.when_ready(drain)
                     return
-                msg = self._take(queue.get())
-                if msg is None:
+                try:
+                    msg = self.recv()  # does not wait: a message or the end
+                except ConnectionClosedError:
                     break
                 handler(msg)
             handler(None)
 
         drain()
-
-    def _take(self, msg) -> Message | None:
-        """A message just taken off the queue, or None at the stream's end."""
-        if msg is _CLOSED:
-            self.closed = True
-            return None
-        if isinstance(msg, DataChunk):
-            self._peer._credit_back.add(self._latency, 1)
-        return msg
 
     def close(self) -> None:
         if self._closed:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import EncodeError, ProtocolError
 
@@ -225,12 +226,38 @@ def _pack(msg: Message) -> tuple[MsgType, list]:
     return mtype, parts
 
 
+def _one_pack(fields) -> tuple | None:
+    """A struct's pack of a layout's fields but a rest, their getter and the
+    frame length without the rest; None if one is a string or an enum."""
+    ints = [(attr, kind) for attr, kind in fields if kind != "rest"]
+    if any(kind not in _INTS or attr in _ENUMS for attr, kind in ints):
+        return None
+    packed = struct.Struct(">" + "".join(_INTS[k].format[1:] for _, k in ints))
+    return (packed.pack, attrgetter(*(attr for attr, _ in ints)),
+            HEADER_LEN + packed.size)
+
+
+_SIZED = {cls: sized for cls, fields in _LAYOUTS.values()
+          if (sized := _one_pack(fields)) is not None}
+
+
 def frame_size(msg: Message) -> int:
-    """len(encode_frame(msg)), computed without building the frame."""
-    if (type(msg) is DataChunk and type(msg.handle_id) is type(msg.offset) is int
-            and 0 <= msg.handle_id < 1 << 64 and 0 <= msg.offset < 1 << 64
-            and len(msg.payload) <= MAX_CHUNK_PAYLOAD):
-        return HEADER_LEN + 16 + len(msg.payload)  # _pack's checks, no packing
+    """len(encode_frame(msg)), computed without building the frame. An
+    all-integer variant is checked by one pack of its _SIZED struct, whose
+    formats are _pack's, and a DataChunk's payload against the cap; what
+    is refused, and every other variant, goes through _pack, which raises
+    encode_frame's EncodeError."""
+    sized = _SIZED.get(msg.__class__)
+    if sized is not None:
+        pack, fields, size = sized
+        try:
+            pack(*fields(msg))
+        except struct.error:
+            pass  # _pack names the field
+        else:
+            n = len(msg.payload) if msg.__class__ is DataChunk else 0
+            if n <= MAX_CHUNK_PAYLOAD:
+                return size + n
     return HEADER_LEN + sum(map(len, _pack(msg)[1]))
 
 

@@ -692,6 +692,54 @@ def test_random_scripts_match_local_file(mode):
     rt.run(scenario)
 
 
+# scripts of reads and seeks on a 1 MiB file, pushed in four 256 KiB chunks:
+# reads from a chunk's first byte that end inside it, at its end and one
+# byte past it; a read to EOF and one at EOF; and seeks backward and forward
+# after a wait has let pushed chunks queue up, so that a chunk from before a
+# restart, or one that a forward seek skips, arrives first
+_CHUNK = 256 * KiB
+_PUSH_SCRIPTS = {
+    "sequential": [("read", 100 * KiB), ("read", 156 * KiB),
+                   ("read", _CHUNK), ("read", _CHUNK + 1), ("read", MiB),
+                   ("read", 10)],
+    "seeks": [("read", _CHUNK + KiB), ("wait", 0.1), ("seek", 0),
+              ("read", 100 * KiB), ("wait", 0.1), ("seek", 3 * _CHUNK),
+              ("read", _CHUNK), ("seek", _CHUNK), ("seek", 2 * _CHUNK),
+              ("read", _CHUNK + 1), ("read", MiB), ("seek", MiB),
+              ("read", 5)],
+}
+
+
+@pytest.mark.parametrize("script", sorted(_PUSH_SCRIPTS))
+@pytest.mark.parametrize("profile", [ZERO_PROFILE, WAN_PROFILE],
+                         ids=["zero", "wan"])
+@pytest.mark.parametrize("mode", [ReadMode.READAHEAD, ReadMode.STREAM])
+def test_push_reads_from_a_chunk_start_are_exact(mode, profile, script):
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, _, _, _ = _stack(rt, None, [("/pool/a", MiB)])
+        data = file_content(1, 0, MiB)
+        h = rf_open("/pool/a", _config(rt, net, mode, profile=profile,
+                                       iobufsize=_CHUNK))
+        pos = 0
+        for op, n in _PUSH_SCRIPTS[script]:
+            if op == "wait":
+                rt.sleep(n)
+                continue
+            if op == "seek":
+                pos = rf_seek(h, n)
+                continue
+            got = rf_read(h, n)
+            assert bytes(got) == data[pos:pos + n], (op, pos, n)
+            pos = min(pos + n, MiB)
+            assert h.logical_position == pos
+        assert h.request_count == 0  # the push served every read
+        rf_close(h)
+
+    rt.run(scenario)
+
+
 @pytest.mark.parametrize("fault", ["shifted", "wrong block"])
 @pytest.mark.parametrize("mode", ALL_MODES)
 def test_exact_bytes_check_catches_a_wrong_cut_of_the_tile(

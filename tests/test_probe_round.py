@@ -11,6 +11,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location(
@@ -42,9 +43,10 @@ class _Chunk:
 def _stand_in_modules(tile):
     """Modules shaped like remfio's: content_range joins a range that
     crosses offset 8 and views one that does not; PoolFile.read calls it;
-    ClientHandle.read takes chunks through _expect and joins them unless
-    there is one."""
-    client = SimpleNamespace(DataChunk=_Chunk)
+    ClientHandle.read, bound also as rf_read, takes chunks through
+    EmuConnection.recv and joins them unless there is one."""
+    net = SimpleNamespace(DataChunk=_Chunk)
+    client = SimpleNamespace()
     disk = SimpleNamespace()
 
     def content_range(offset, n):
@@ -57,40 +59,52 @@ def _stand_in_modules(tile):
         def read(self, offset, n):
             return disk.content_range(offset, n)
 
+    class EmuConnection:
+        def __init__(self, chunks):
+            self._chunks = list(chunks)
+
+        def recv(self):
+            return self._chunks.pop(0)
+
     class ClientHandle:
         def __init__(self, chunks):
             self._buf = b""
-            self._chunks = chunks
+            self._conn = EmuConnection(chunks)
 
         def read(self, length):
-            parts = [client._expect(c, _Chunk).payload for c in self._chunks]
+            parts = [self._conn.recv().payload
+                     for _ in range(len(self._conn._chunks))]
             return parts[0] if len(parts) == 1 else b"".join(parts)
 
     disk.content_range = content_range
     disk.PoolFile = PoolFile
+    net.EmuConnection = EmuConnection
     client.ClientHandle = ClientHandle
-    client._expect = lambda msg, want: msg
-    return disk, client
+    client.rf_read = ClientHandle.read
+    return disk, client, net
 
 
 def test_wrapped_sites_count_only_the_copies_they_make():
     tile = np.arange(32, dtype=np.uint8)
-    disk, client = _stand_in_modules(tile)
+    disk, client, net = _stand_in_modules(tile)
     counter = probe_round.ReadPathCopies()
     originals = (disk.content_range, disk.PoolFile.read,
-                 client.ClientHandle.read, client._expect)
-    saved = counter.install(disk, client)
+                 client.ClientHandle.read, client.rf_read,
+                 net.EmuConnection.recv)
+    saved = counter.install(disk, client, net, [client])
     pool_file = disk.PoolFile()
     one = pool_file.read(0, 4)  # a view of the tile
     two = pool_file.read(6, 4)  # joined once, in content_range
     assert client.ClientHandle([_Chunk(two)]).read(4) is two
-    joined = client.ClientHandle([_Chunk(one), _Chunk(two)]).read(8)
+    joined = client.rf_read(client.ClientHandle([_Chunk(one), _Chunk(two)]),
+                            8)
     assert bytes(joined) == bytes(tile[0:4]) + bytes(tile[6:10])
     assert counter.bytes == {"content_range": 4, "PoolFile.read": 0,
                              "ClientHandle.read": 8}
     counter.uninstall(saved)
     assert (disk.content_range, disk.PoolFile.read,
-            client.ClientHandle.read, client._expect) == originals
+            client.ClientHandle.read, client.rf_read,
+            net.EmuConnection.recv) == originals
 
 
 def test_summary_takes_medians_and_mib():
@@ -312,3 +326,47 @@ def test_small_rounds_push_and_hand_off_as_recorded(tmp_path, monkeypatch):
                                  tmp_path / name)
         got = [(row["heap_pushes"], row["handoff_calls"]) for row in rows]
         assert got == want, name
+
+
+@pytest.mark.parametrize("site", probe_round.SITES)
+def test_a_copy_planted_in_a_real_round_is_counted_at_its_site(
+        tmp_path, monkeypatch, site):
+    # simbench's shrunken seq-stream-16 copies nothing, so a copy planted at
+    # one site is all the probe may count, and only there: a wrapper that
+    # stops intercepting (ClientHandle.read where a module binds it as
+    # rf_read, or the chunks a handle receives) shows as a count of 0 at
+    # the planted site or as copies counted downstream of it
+    monkeypatch.syspath_prepend(str(ROOT / "simbench"))
+    monkeypatch.delitem(sys.modules, "workloads", raising=False)
+    import workloads
+    import remfio.client
+    import remfio.diskserver
+    planted = []
+
+    def copying(fn):
+        def copy(*args):
+            got = bytes(fn(*args))
+            planted.append(len(got))
+            return memoryview(got)
+        return copy
+
+    if site == "content_range":
+        monkeypatch.setattr(remfio.diskserver, "content_range",
+                            copying(remfio.diskserver.content_range))
+    elif site == "PoolFile.read":
+        monkeypatch.setattr(remfio.diskserver.PoolFile, "read",
+                            copying(remfio.diskserver.PoolFile.read))
+    else:  # the method, and every module's name for it
+        read = remfio.client.ClientHandle.read
+        copy = copying(read)
+        monkeypatch.setattr(remfio.client.ClientHandle, "read", copy)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "remfio" and module is not None:
+                for attr, value in list(vars(module).items()):
+                    if value is read:
+                        monkeypatch.setattr(module, attr, copy)
+    (row,) = probe_round.probe(workloads.SMALL["seq-stream-16"], 1, 1,
+                               tmp_path / "pool")
+    assert sum(planted) > 0
+    assert {s: row[f"copied_bytes.{s}"] for s in probe_round.SITES} == {
+        s: sum(planted) if s == site else 0 for s in probe_round.SITES}

@@ -13,8 +13,10 @@ object per line:
   - `content_range` (its input is the seed's tile);
   - `PoolFile.read` (its inputs are what content_range returned inside the
     call, and an imported file's bytes);
-  - `ClientHandle.read` (its inputs are the DataChunk payloads the handle
-    received during the call, and its buffer at the call's start);
+  - `ClientHandle.read`, also where a remfio module binds it as `rf_read`
+    (its inputs are the DataChunk payloads that `EmuConnection.recv`
+    returned on the reading task's thread during the call, and the
+    handle's buffer at the call's start);
 - `ru_minflt`, the process's minor page faults during the round;
 - `handoff_calls`, the calls of VirtualRuntime._handoff, and of those
   `baton_passes`, the ones after which another carrier thread holds the
@@ -104,15 +106,20 @@ class ReadPathCopies:
                 and not any(base is i for i in inputs)):
             self.bytes[site] += memoryview(result).nbytes
 
-    def install(self, diskserver, client) -> list:
-        """Wrap the three sites and the client's reply check in the given
-        modules; returns (owner, name, original) for uninstall()."""
+    def install(self, diskserver, client, netemu, modules=()) -> list:
+        """Wrap the three sites in the given modules, with ClientHandle.read
+        also where any of `modules` binds it by another name (rf_read), and
+        EmuConnection.recv, which every chunk a client receives crosses;
+        returns (owner, name, original) for uninstall()."""
         saved = [(diskserver, "content_range", diskserver.content_range),
                  (diskserver.PoolFile, "read", diskserver.PoolFile.read),
                  (client.ClientHandle, "read", client.ClientHandle.read),
-                 (client, "_expect", client._expect)]
-        content_range, pool_read, handle_read, expect = (
+                 (netemu.EmuConnection, "recv", netemu.EmuConnection.recv)]
+        content_range, pool_read, handle_read, recv = (
             original for _, _, original in saved)
+        bound = [(module, name, handle_read) for module in modules
+                 for name, value in list(vars(module).items())
+                 if value is handle_read]
 
         def counted_range(*args):
             got = content_range(*args)
@@ -128,10 +135,10 @@ class ReadPathCopies:
                       (self._last_range, pool_file.data))
             return got
 
-        def counted_expect(msg, want):
-            got = expect(msg, want)
+        def counted_recv(conn):
+            got = recv(conn)
             received = getattr(self._received, "bases", None)
-            if received is not None and isinstance(got, client.DataChunk):
+            if received is not None and isinstance(got, netemu.DataChunk):
                 received.append(base_of(got.payload))
             return got
 
@@ -147,8 +154,10 @@ class ReadPathCopies:
         diskserver.content_range = counted_range
         diskserver.PoolFile.read = counted_pool_read
         client.ClientHandle.read = counted_handle_read
-        client._expect = counted_expect
-        return saved
+        netemu.EmuConnection.recv = counted_recv
+        for module, name, _ in bound:
+            setattr(module, name, counted_handle_read)
+        return saved + bound
 
     @staticmethod
     def uninstall(saved: list) -> None:
@@ -332,6 +341,7 @@ def probe(w, seed: int, rounds: int, pool_dir: Path,
     import remfio.client
     import remfio.content
     import remfio.diskserver
+    import remfio.netemu
     import remfio.runtime
     from workloads import run_round, seed_fresh_pool
 
@@ -339,7 +349,10 @@ def probe(w, seed: int, rounds: int, pool_dir: Path,
     counter = ReadPathCopies(
         lambda seed: remfio.content._tile_view(seed).obj)
     sched = SchedulerCounts()
-    saved = counter.install(remfio.diskserver, remfio.client)
+    saved = counter.install(
+        remfio.diskserver, remfio.client, remfio.netemu,
+        [m for name, m in list(sys.modules.items())
+         if name.partition(".")[0] == "remfio" and m is not None])
     saved += sched.install(remfio.runtime.VirtualRuntime, threading.Thread)
     rows = []
     try:
