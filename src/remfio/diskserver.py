@@ -264,7 +264,7 @@ class DiskServer:
         counter = _REFUSAL_COUNTERS.get(refusal.code)
         if counter is not None:
             self.counters[counter] += 1
-        conn.try_send_then(refusal, then)
+        conn.send(refusal, then=then)
 
     def _run_control(self, conn, request: OpenRequest) -> ErrorReply | None:
         """Open a session and, once its OpenReply is out, hand its control
@@ -285,7 +285,7 @@ class DiskServer:
         def serve() -> None:
             conn.serve(lambda msg: self._on_control(session, msg))
 
-        conn.try_send_then(OpenReply(handle_id, pool_file.size), serve)
+        conn.send(OpenReply(handle_id, pool_file.size), then=serve)
         return None
 
     def _on_control(self, session: "_Session", msg) -> None:
@@ -473,5 +473,5 @@ class _Session:
                 return
             else:
                 self._msg = None
-                if conn.try_send(msg, credit_reserved=True):
-                    return  # called again once the frame is out or dropped
+                conn.send(msg, credit_reserved=True)
+                return  # called again once the frame is out or dropped

@@ -182,7 +182,7 @@ class Headnode:
             except ConnectionClosedError:
                 conn.close()  # the client hung up first
                 return
-            answer(msg, lambda reply: conn.try_send_then(reply, conn.close))
+            answer(msg, lambda reply: conn.send(reply, then=conn.close))
 
         conn.when_readable(on_readable)
 

@@ -159,8 +159,8 @@ class EmulatedNetwork:
         self._conn_seq += 1
         cid = self._conn_seq
         w = window if window is not None else profile.per_connection_window
-        near = EmuConnection(self, profile, w, f"c{cid}i", address)
-        far = EmuConnection(self, profile, w, f"c{cid}a", address)
+        near = EmuConnection(self, profile, w, f"c{cid}i")
+        far = EmuConnection(self, profile, w, f"c{cid}a")
         near._peer = far
         far._peer = near
         if first_msg is not None:
@@ -183,12 +183,11 @@ class EmuConnection:
     """
 
     def __init__(self, net: EmulatedNetwork, profile: LinkProfile,
-                 window: int, conn_id: str, address: str):
+                 window: int, conn_id: str):
         self._rt = net._rt
         self.profile = profile
         self._latency = profile.rtt / 2  # one way
         self.conn_id = conn_id
-        self.address = address
         self._peer: EmuConnection | None = None
         # direction key: frames sent by the initiating end share one pump,
         # frames sent by accepting ends (the servers) share the other
@@ -249,7 +248,7 @@ class EmuConnection:
     # -- data path ----------------------------------------------------------
 
     def send(self, msg: Message, *, credit_reserved: bool = False,
-             _trying: bool = False) -> None:
+             then: Callable[[], None] | None = None) -> None:
         """Transmit one frame; waits for window space and bandwidth share.
 
         The frame goes out in slices, each as large as the free window allows
@@ -258,22 +257,31 @@ class EmuConnection:
         connection at once interleave whole slices, so each task's frames
         arrive in the order it sent them.
 
-        The waits are one state machine, _Transmit: a task blocks in each,
-        and a callback returns from send() and is called again once the
-        frame is out.
+        The waits are one state machine, _Transmit. A task blocks in each,
+        and raises TransportError if the frame is refused at once or a close
+        catches it. A callback returns from send(), which raises only on a
+        refusal at once; it is called again once the frame is out, or once a
+        close drops it. With then, send() neither blocks nor raises
+        TransportError: the frame steps on as a callback, and then() is
+        called in the caller's place once the frame is out or dropped, or at
+        once if it is refused, so a reply from serve()'s handler does not
+        re-enter serve().
 
         DataChunk frames must have a credit reserved beforehand via
         try_reserve_data_credit (receiver flow control); all other message
         types bypass credits.
         """
-        if self.closed or (not credit_reserved and isinstance(msg, DataChunk)):
-            self._admit(msg, credit_reserved)  # raises
-        tx = _Transmit(self, msg, frame_size(msg), _trying)
         rt = self._rt
-        cur = tx.caller
-        if cur.__class__ is not Task:
+        cur = rt._current
+        if self.closed or (not credit_reserved and isinstance(msg, DataChunk)):
+            if then is None:
+                self._admit(msg, credit_reserved)  # raises
+            then()
+            return
+        tx = _Transmit(self, msg, frame_size(msg), then or cur)
+        if tx.caller.__class__ is not Task:
             rt._current = tx  # the frame steps on as a callback
-        tx(sending=True)
+        tx()
         rt._current = cur
 
     def _admit(self, msg: Message, credit_reserved: bool) -> int:
@@ -285,26 +293,6 @@ class EmuConnection:
         if isinstance(msg, DataChunk) and not credit_reserved:
             raise TransportError("DataChunk sends require a reserved credit")
         return frame_size(msg)
-
-    def try_send(self, msg: Message, *, credit_reserved: bool = False) -> bool:
-        """send(), except that a closed connection drops the frame; returns
-        whether it went out: False at once, with no wait, if refused."""
-        try:
-            self.send(msg, credit_reserved=credit_reserved, _trying=True)
-        except TransportError:
-            return False
-        return True
-
-    def try_send_then(self, msg: Message, then: Callable[[], None]) -> None:
-        """try_send() from a callback, which is not called again: then() is,
-        once the frame is out or dropped, or at once if it is refused. A
-        reply sent from serve()'s handler thus does not re-enter serve()."""
-        rt = self._rt
-        cur, rt._current = rt._current, then
-        sent = self.try_send(msg)
-        rt._current = cur
-        if not sent:
-            then()
 
     def _deliver(self, msg: Message, frame_len: int) -> None:
         if self._closed:
@@ -427,16 +415,15 @@ class _Transmit:
     queues the current waiter: a carrier task, blocked in it, or this
     object, which steps on as a callback and then resumes the sender."""
 
-    def __init__(self, conn, msg, frame_len: int, trying: bool) -> None:
-        self.conn, self.msg, self.trying = conn, msg, trying
+    def __init__(self, conn, msg, frame_len: int, caller) -> None:
+        self.conn, self.msg, self.caller = conn, msg, caller
         self.frame_len = self.remaining = frame_len
-        self.caller = conn._rt._current
         self.windowed = False  # waiting for a window kick
 
-    def __call__(self, sending: bool = False) -> None:
+    def __call__(self) -> None:
         """Go on to the frame's next wait, from send() or where a wait
-        ended; once the frame is out, or dropped by try_send, a callback
-        that waited on it is called again."""
+        ended; a callback's frame ends in a later call, which calls the
+        callback again once the frame is out or dropped."""
         conn = self.conn
         rt, back = conn._rt, conn._window_back
         while self.remaining > 0:
@@ -447,10 +434,10 @@ class _Transmit:
                 conn._kicked = self.windowed = False  # the kick is taken
                 if conn.closed:
                     conn._kick()  # wake the next sender
-                    if sending or not self.trying:
+                    if rt._current is not self:  # a task's frame
                         raise TransportError(
                             f"connection {conn.conn_id} closed mid-send")
-                    break  # dropped by a callback's try_send
+                    break  # a callback's frame is dropped
             if not self.windowed:
                 # sender-side silly-window avoidance (RFC 1122 4.2.3.4): wait
                 # for an eighth of the window, or the frame's rest, to be free
@@ -479,7 +466,7 @@ class _Transmit:
             if isinstance(self.msg, DataChunk):
                 conn.sent_payload += len(self.msg.payload)
             rt._push(rt._now + conn._latency, self._arrive)
-        if not sending:
+        if rt._current is self:  # a callback's frame: call it again
             rt._current = self.caller
             self.caller()
 

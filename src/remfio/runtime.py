@@ -31,11 +31,11 @@ carrier: threads and child processes that a task starts inherit it.
 
 A callback, such as a server's, has no thread: timers (call_at) and channel
 waiters (VirtualChannel.when_ready) run inline during dispatch. A running
-callback is the current waiter: it may call sleep, acquire, send or try_send
-and return, and the event loop calls it again where that wait ends, queued
-where a blocked task would wake. What would block it instead (channel get
-and put, join, recv on an empty queue, connect) raises RuntimeError naming
-it; spawn and unbounded channel put and try_put are safe.
+callback is the current waiter: it may call sleep, acquire or send and
+return, and the event loop calls it again where that wait ends, queued where
+a blocked task would wake. What would block it instead (channel get and put,
+join, recv on an empty queue, connect) raises RuntimeError naming it; spawn
+and unbounded channel put and try_put are safe.
 """
 
 from __future__ import annotations
@@ -339,12 +339,14 @@ class VirtualRateLimiter:
     tagged max(V, its key's last queued tag) + n, where V is the tag of the
     request last granted, and the smallest tag goes next, ties in arrival
     order. Keys that keep asking therefore get equal bytes, whatever the size
-    of their requests. A grant wakes its waiter at the grant's end ahead of
-    the next pick, so a waiter that asks again at once competes for the next
-    grant; keys with one request outstanding at a time would otherwise be
-    shared per grant. A task's grant ends in two events, its wake-up and the
-    pick, as a carrier must run first; a callback's in one that calls it and
-    picks. An idle limiter holds no timer, and a key's state is dropped with
+    of their requests. V only rises to the smallest queued tag, and a key
+    keeps a last tag only while it has a request queued, so a last tag is
+    never below V and is the max when there is one. A grant wakes its waiter
+    at the grant's end ahead of the next pick, so a waiter that asks again
+    at once competes for the next grant; keys with one request outstanding
+    at a time would otherwise be shared per grant. A task's grant ends in
+    two events, its wake-up and the pick, as a carrier must run first; a
+    callback's in one that calls it and picks. An idle limiter holds no timer, and a key's state is dropped with
     its last request. acquire of no bytes returns at once, without a wait.
     A request that finds nothing queued, so no key's last tag either, is
     tagged V + n and waits in a one-request slot off the heap; a second
@@ -381,10 +383,7 @@ class VirtualRateLimiter:
                 self._lone = None
                 heappush(requests, lone)
                 last[lone[2]] = lone[0]
-            tag = last.get(key, vtime)
-            if tag < vtime:
-                tag = vtime
-            last[key] = tag = tag + nbytes
+            last[key] = tag = last.get(key, vtime) + nbytes
             self._arrivals += 1
             heappush(requests, (tag, self._arrivals, key, nbytes, waiter))
         if not self._busy:

@@ -22,6 +22,7 @@ from remfio.bench import (
     Sequential,
     Skip,
     WorkloadSpec,
+    _merge_reps,
     _run_once,
     bench_path,
     emit_csv,
@@ -475,6 +476,34 @@ def test_repetitions_average_wire_bytes_of_push_skips():
         assert r.bytes_consumed == 4 * MiB // 8
         assert r.bytes_wire == round(
             (reps[0][i].bytes_wire + reps[1][i].bytes_wire) / 2)
+
+
+def test_an_open_error_in_any_repetition_makes_an_error_row():
+    # client 0 opened in one repetition and not in the other: its merged
+    # row is an open error with no time and no bytes; client 1 is averaged
+    ok = [ClientRecord(0, "normal", 1.0, 3.0, MiB, MiB, MiB / 4.0),
+          ClientRecord(1, "normal", 2.0, 2.0, MiB, MiB, MiB / 4.0)]
+    failed = [ClientRecord(0, "normal", 0.0, 0.0, 0, 0, 0.0, True),
+              ClientRecord(1, "normal", 4.0, 4.0, MiB, MiB, MiB / 8.0)]
+    for reps in ([ok, failed], [failed, ok]):
+        merged = _merge_reps(reps)
+        assert merged[0] == ClientRecord(0, "normal", 0.0, 0.0, 0, 0, 0.0,
+                                         True)
+        assert merged[1] == ClientRecord(1, "normal", 3.0, 3.0, MiB, MiB,
+                                         MiB / 6.0)
+
+
+def test_workload_spec_keeps_its_documented_defaults():
+    # what `bench run` takes for each flag left out: one sequential NORMAL
+    # reader of a 16 MiB file in 1 MiB calls, started within 1 s, with a
+    # 128 KiB buffer and a 1 MiB window over the WAN
+    spec = WorkloadSpec()
+    assert spec.pattern == Sequential()
+    assert (spec.file_size, spec.block_size) == (16 * MiB, MiB)
+    assert (spec.mode, spec.clients) == (ReadMode.NORMAL, 1)
+    assert spec.stagger_window == 1.0
+    assert (spec.iobufsize, spec.window) == (128 * KiB, MiB)
+    assert (spec.net_profile, spec.repetitions) == ("wan", 1)
 
 
 # -- sweeps ----------------------------------------------------------------------

@@ -51,6 +51,7 @@ from remfio.wire import (
     MAX_CHUNK_PAYLOAD,
     DataChunk,
     NsLookupReply,
+    OpenReply,
     ReadMode,
     StreamStart,
 )
@@ -190,6 +191,42 @@ def test_reply_of_the_wrong_type_raises_protocol_error():
         assert hung_up
 
     rt.run(scenario)
+
+
+def test_a_chunk_with_bytes_at_eof_raises_protocol_error():
+    # a replica that answers a NORMAL read at EOF with bytes instead of the
+    # one empty chunk: the client raises rather than return bytes past EOF
+    rt = VirtualRuntime()
+
+    def replica(conn):
+        conn.recv()
+        conn.send(OpenReply(7, KiB))
+        request = conn.recv()
+        assert conn.try_reserve_data_credit()
+        conn.send(DataChunk(7, request.offset, b"x"), credit_reserved=True)
+
+    def scenario():
+        net, head, _, _ = _stack(rt, None, [])
+        net.listen("fake:1", replica)
+        head.register_file("/pool/a", KiB, "fake:1", 0)
+        h = rf_open("/pool/a", _config(rt, net, ReadMode.NORMAL))
+        rf_seek(h, KiB)
+        with pytest.raises(ProtocolError, match="empty chunk at EOF"):
+            rf_read(h, 64)
+        rf_close(h)
+
+    rt.run(scenario)
+
+
+def test_client_config_keeps_its_documented_defaults():
+    # the README's 128 KiB buffer, a window equal to the WAN profile's
+    # 1 MiB, and the headnode's conventional ports
+    cfg = ClientConfig(runtime=None, network=None)
+    assert (cfg.headnode, cfg.token, cfg.mode) == ("head", "", ReadMode.NORMAL)
+    assert cfg.iobufsize == 128 * KiB
+    assert cfg.emulated_window == MiB == WAN_PROFILE.per_connection_window
+    assert cfg.profile is WAN_PROFILE
+    assert (cfg.ns_port, cfg.open_port) == (5010, 5015)
 
 
 def test_open_queue_overflow_surfaces_to_caller():

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from remfio import wire
+from remfio import diskserver, wire
 from remfio.content import (BLOCK, FORMULA, checksum_bytes, content_chunks,
                             file_content)
 from remfio.diskserver import DiskModel, DiskServer
@@ -149,6 +149,29 @@ def test_rejected_reimport_keeps_old_bytes_and_record():
         srv.import_file("/a", [b"NEW"], checksum=123)
     assert srv.pool["/a"] == old
     assert srv.pool["/a"].read(0, 64) == b"old-bytes"
+
+
+def test_a_failed_seed_write_leaves_no_partial_file_and_no_entry(
+        tmp_path, monkeypatch):
+    # the write fails midway: its partial file is removed, the pool and the
+    # manifest keep what they held, and the error reaches the caller
+    rt = VirtualRuntime()
+    _, srv = _mk_server(rt, tmp_path / "pool")
+    ok = srv.seed_file("/pool/ok", 1, 0, 2)
+
+    def failing_write(seed, index, size, write):
+        write(b"x" * 100)
+        raise OSError("disk full")
+
+    monkeypatch.setattr(diskserver, "file_checksum", failing_write)
+    with pytest.raises(OSError, match="disk full"):
+        srv.seed_file("/pool/b", 1, 1, 3 * KiB)
+    assert set(srv.pool) == {"/pool/ok"}
+    assert sorted(p.name for p in (tmp_path / "pool").iterdir()) == sorted(
+        [srv.pool_location("/pool/ok").name, "pool-manifest.tsv"])
+    rt2 = VirtualRuntime()
+    _, srv2 = _mk_server(rt2, tmp_path / "pool")
+    assert srv2.pool == {"/pool/ok": ok}
 
 
 @pytest.mark.parametrize("char", ["\t", "\n", "\r"],

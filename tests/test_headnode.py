@@ -146,6 +146,27 @@ def test_client_closing_with_a_request_in_flight(port):
 
 
 @pytest.mark.parametrize("port", ["ns", "open"])
+def test_a_client_that_hangs_up_without_a_request_is_not_counted(port):
+    # the headnode's end finds the stream ended instead of a request: it
+    # closes, sends nothing and counts nothing
+    rt = VirtualRuntime()
+
+    def scenario():
+        net, head = _mk_head(rt)
+        head.start()
+        address, _ = _port(head, port)
+        conn = net.connect(address, WAN_PROFILE)
+        conn.close()
+        rt.sleep(1.0)
+        far = conn._peer  # the headnode's end
+        assert far._closed and far.sent_bytes == 0
+        assert not far._queue._getters
+        assert not any(head.counters.values())
+
+    rt.run(scenario)
+
+
+@pytest.mark.parametrize("port", ["ns", "open"])
 def test_second_request_on_a_connection_gets_no_reply(port):
     # the headnode answers one request per connection and hangs up: a
     # second request sent behind the first is never answered

@@ -556,7 +556,7 @@ def test_serve_hands_over_what_a_recv_loop_sees_when_it_sees_it():
 
 
 def test_a_callback_reply_continues_once_the_frame_is_out():
-    # an echo served by callbacks: try_send_then calls its continuation
+    # an echo served by callbacks: send(..., then=) calls its continuation
     # once the reply is out, or at once if the connection refuses it, and
     # never calls the serve() loop again, which would queue a second getter
     rt = VirtualRuntime()
@@ -565,7 +565,7 @@ def test_a_callback_reply_continues_once_the_frame_is_out():
     def on_connect(conn):
         def echo(msg):
             reply = wire.NsLookup(path="/gone") if msg is None else msg
-            conn.try_send_then(reply, lambda: results.append(
+            conn.send(reply, then=lambda: results.append(
                 (msg, conn.sent_bytes, len(conn._queue._getters), rt.now())))
 
         conn.serve(echo)
@@ -587,6 +587,48 @@ def test_a_callback_reply_continues_once_the_frame_is_out():
     assert [r[:3] for r in results] == [(a, n, 1), (b, 2 * n, 1),
                                         (None, 2 * n, 0)]
     assert [round(r[3], 6) for r in results] == [0.006, 0.018, 0.030]
+
+
+def test_a_close_drops_a_callbacks_frame_and_calls_it_again():
+    # a frame sent by a callback, without then, waits on the window when the
+    # peer's close arrives: the frame is dropped and the callback is called
+    # again, where a task's send would raise, and the run goes on
+    rt = VirtualRuntime()
+    calls, ends = [], []
+
+    def sender(conn):
+        calls.append(rt.now())
+        if len(calls) == 1:  # more than the window: waits for its return
+            conn.send(wire.NsLookup(path="/" + "x" * 60000))
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.accept("svc", lambda conn: (
+            ends.append(conn), rt.call_later(0, lambda: sender(conn))))
+        conn = net.connect("svc", WAN_PROFILE, window=16 * KiB)
+        conn.close()
+        rt.sleep(1.0)
+
+    rt.run(main)
+    assert calls == [WAN_PROFILE.rtt / 2, pytest.approx(1.5 * WAN_PROFILE.rtt)]
+    assert ends[0].sent_bytes == 0  # dropped, never counted as out
+
+
+def test_when_readable_calls_at_once_when_a_message_waits():
+    rt = VirtualRuntime()
+    called = []
+
+    def main():
+        net = EmulatedNetwork(rt)
+        ends = []
+        net.accept("svc", ends.append)
+        conn = net.connect("svc", WAN_PROFILE, first_msg=wire.NsLookup("/a"))
+        rt.sleep(1.0)  # the message waits, unread, at the far end
+        ends[0].when_readable(lambda: called.append(rt.now()))
+        assert called == [1.0 + WAN_PROFILE.rtt]  # inline, in the call
+        conn.close()
+
+    rt.run(main)
 
 
 @pytest.mark.parametrize("first_msg", [False, True],
@@ -759,6 +801,31 @@ def test_a_sender_refused_before_any_chunk_is_consumed_wakes_at_the_first_return
     rt.run(main)
 
 
+def test_a_peers_close_wakes_a_refused_sender_but_returns_no_credit():
+    """A sender spent every credit toward a peer that never reads. The peer's
+    close wakes it, as a credit return would, and still leaves it none."""
+    rt = VirtualRuntime()
+
+    def main():
+        net = EmulatedNetwork(rt)
+        net.accept("svc", lambda conn: None)
+        conn = net.connect("svc", WAN_PROFILE)
+        woken = []
+        conn.on_data_credit = lambda: woken.append(rt.now())
+        for i in range(netemu.DATA_CREDITS):
+            assert conn.try_reserve_data_credit()
+            conn.send(_chunk(i * KiB, KiB), credit_reserved=True)
+        assert not conn.try_reserve_data_credit()
+        rt.sleep(0.5)  # every chunk waits, unread, at the far end
+        t = rt.now()
+        conn._peer.close()
+        rt.sleep(0.5)
+        assert woken == [t + WAN_PROFILE.rtt / 2]
+        assert conn.closed and not conn.try_reserve_data_credit()
+
+    rt.run(main)
+
+
 def test_two_senders_on_a_small_window_finish_at_their_recorded_times():
     """Two tasks share one 64 KiB window on the WAN. Both finish, at the
     virtual times recorded when every window return was a timer of its own:
@@ -899,8 +966,8 @@ def test_a_frame_sent_from_a_callback_raises_once_the_run_stops():
             rt.channel().get()  # parked until the run stops
         finally:
             try:
-                conn.try_send_then(wire.NsLookup(path="/a"),
-                                   lambda: outcome.append("sent"))
+                conn.send(wire.NsLookup(path="/a"),
+                          then=lambda: outcome.append("sent"))
             except BaseException as exc:
                 outcome.append(type(exc).__name__)
                 raise

@@ -690,6 +690,24 @@ def test_a_callback_that_sleeps_or_acquires_is_called_again_at_its_wake():
     assert calls == [1.0, 1.5, 2.0]
 
 
+@pytest.mark.parametrize("call", ["get", "join"])
+def test_a_callback_that_would_block_stops_the_run(call):
+    # a channel's get and a join park a task; a callback has no thread to
+    # park, so its call raises RuntimeError, which stops the run
+    rt = VirtualRuntime()
+
+    def main():
+        sleeper = rt.spawn(rt.sleep, 10.0, name="sleeper")
+        blocking = {"get": rt.channel().get,
+                    "join": lambda: rt.join(sleeper)}[call]
+        rt.call_at(1.0, blocking)
+        rt.sleep(5.0)
+
+    with pytest.raises(RuntimeError, match="made a blocking call"):
+        rt.run(main)
+    assert rt.now() == 1.0
+
+
 def _grant_log(callback: bool) -> list:
     """(waiter, time) at each grant's end: x asks for 100 bytes three times
     in a row, as a callback or a task, and y for 300 once."""

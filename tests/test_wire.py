@@ -155,6 +155,28 @@ def test_payload_longer_than_schema():
         wire.decode_frame(bad)
 
 
+def _frame(mtype: wire.MsgType, payload: bytes) -> bytes:
+    """A frame with a valid header around any payload bytes."""
+    return bytes([0x52, 0x46, 0x01, mtype]) + len(payload).to_bytes(
+        4, "big") + payload
+
+
+@pytest.mark.parametrize("frame, message", [
+    (_frame(wire.MsgType.DATA_CHUNK,
+            bytes(16 + wire.MAX_CHUNK_PAYLOAD + 1)), "exceeds cap"),
+    (_frame(wire.MsgType.NS_LOOKUP, b"\x00\x0a/ab"),
+     "payload shorter than variant schema"),
+    (_frame(wire.MsgType.NS_LOOKUP, b"\x00\x03/\xff\xfe"),
+     "invalid UTF-8 in path"),
+], ids=["rest-over-cap", "string-past-payload", "bad-utf8"])
+def test_malformed_payload_fields_are_protocol_errors(frame, message):
+    # each is a whole frame under the ceiling, refused by the field that
+    # breaks it: a DataChunk payload one byte over the cap, a string length
+    # prefix that runs past the payload, and bytes that are not UTF-8
+    with pytest.raises(ProtocolError, match=message):
+        wire.decode_frame(frame)
+
+
 def test_absurd_payload_len_rejected():
     # header claiming a multi-GiB payload must error, not wait for bytes forever
     hdr = bytes([0x52, 0x46, 0x01, wire.MsgType.DATA_CHUNK]) + (1 << 30).to_bytes(4, "big")
